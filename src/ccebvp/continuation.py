@@ -9,7 +9,7 @@ bisected in the parameter until the bracket is tight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -110,9 +110,12 @@ def _solve_at(plan: SweepPlan, lam: float, warm=None):
 
 
 def sweep(plan: SweepPlan, tol: float | None = None) -> ContinuationTrace:
-    """Walk the parameter path; returns the trace with its stop reason."""
+    """Walk the parameter path; returns the trace with its stop reason.
+
+    tol overrides the plan's solve tolerance; the plan passed in is not changed.
+    """
     if tol is not None:
-        plan.options.tol = tol
+        plan = replace(plan, options=replace(plan.options, tol=tol))
     direction = 1.0 if plan.lam_end >= plan.lam_start else -1.0
     prof, rep = _solve_at(plan, plan.lam_start)
     if not rep.converged:

@@ -7,10 +7,12 @@ forced by trace-freeness).  At x=1 (series in u = 1-x) the second-order
 coefficients of the non-K unknowns are free and everything else, including
 the whole K series, is slaved to them.
 
-Both recursions share one engine: build the regularized residual series of
-the closing equations (the first integral for y1 at the origin, the
-quadratic y1 equation at infinity, the phi/t equations for the rest),
-extract the exactly-linear map onto the order-k coefficients, and solve.
+Both recursions share one incremental engine over the regularized residual
+series of the closing equations (the first integral for y1 at the origin, the
+quadratic y1 equation at infinity, the phi/t equations for the rest): each
+order forms one residual coefficient per row, applies the exactly-linear map
+onto the order-k coefficients, and solves.  A batch axis carries the
+complex-step perturbations that give the tables' input tangents in one pass.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ DEFAULT_INFINITY_ORDER = 6
 # consistency tolerance for the residual coefficient at a free (resonant)
 # order, relative to the source-weight scale
 _CONSISTENCY_RTOL = 1e-8
+
+CSTEP = 1e-80  # complex-step width of the tangent tables
 
 
 @dataclass(frozen=True)
@@ -68,238 +72,199 @@ class SeriesCoefficients:
     table: np.ndarray
     free: NonlocalParams | None = None
     consistency: float = 0.0
+    # d table / d input, one (m, order+1) table per input (origin: log K(0)
+    # then the free values; infinity: the free values), when requested
+    tangents: np.ndarray | None = None
 
 
-# -- series helpers (coefficient arrays of fixed length P+1) ----------------
-
-
-def _pmul(a, b):
-    n = len(a)
-    return np.convolve(a, b)[:n]
-
-
-def _pexp(c):
-    """exp of a series; exact treatment of the constant term."""
-    n = len(c)
-    out = np.zeros(n, dtype=c.dtype)
-    out[0] = np.exp(c[0])
-    for k in range(1, n):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc = acc + j * c[j] * out[k - j]
-        out[k] = acc / k
-    return out
+# -- the incremental engine ---------------------------------------------------
+#
+# Every closing row is a sum of four convolutions of a fixed multiplier series
+# with a state series: y'' (of its own unknown), y' (of its own unknown), a
+# quadratic form in y', and the exponential source.  Column k of the table
+# enters row coefficient k-1 linearly through an indicial map, so each order
+# forms that one coefficient per row (a dot product per term), solves for
+# column k and then appends the state coefficients that column k completes.
+# A leading batch axis carries complex-step perturbations of the inputs.
 
 
 def _pderiv(c):
-    n = len(c)
-    out = np.zeros(n, dtype=c.dtype)
-    out[: n - 1] = c[1:] * np.arange(1, n)
+    """Derivative of coefficient series along the last axis (same length)."""
+    out = np.zeros_like(c)
+    out[..., :-1] = c[..., 1:] * np.arange(1, c.shape[-1])
     return out
 
 
-def _geom(P, power, dtype):
-    """(1-x^2)^-power as a series of length P+1 (power in {1, 2})."""
-    out = np.zeros(P + 1, dtype=dtype)
-    for k in range(0, P + 1, 2):
-        out[k] = 1.0 if power == 1 else k // 2 + 1
-    return out
+def _closing_rows(fam: Family, endpoint, L):
+    """Multipliers (4, m, L) of the y'', y', quadratic and source terms, and the
+    quadratic forms (m, m, m) of each row in y'.
 
-
-def _expsum_series(fam: Family, table, C):
-    """Series of sum_a w_a exp(v_a . y) for coefficient rows C (m, P+1)."""
-    w, v = table
-    out = np.zeros(C.shape[1], dtype=C.dtype)
-    for wa, va in zip(w, v):
-        out = out + wa * _pexp(va @ C)
-    return out
-
-
-# -- origin recursion --------------------------------------------------------
-
-
-def _origin_residual_rows(fam: Family, C):
-    """Regularized residual series at x=0: row 0 is x*Phi, rows i are x(1-x^2)E_{i+1}."""
-    m, P = fam.m, C.shape[1] - 1
-    dt = C.dtype
-    yp = np.array([_pderiv(C[i]) for i in range(m)])
-    ypp = np.array([_pderiv(yp[i]) for i in range(m)])
-    inv1, inv2 = _geom(P, 1, dt), _geom(P, 2, dt)
-    x = np.zeros(P + 1, dtype=dt)
-    x[1] = 1.0
-    x1mx2 = np.zeros(P + 1, dtype=dt)  # x(1-x^2)
-    x1mx2[1] = 1.0
-    if P >= 3:
-        x1mx2[3] = -1.0
-
-    rows = np.zeros((m, P + 1), dtype=dt)
-    # row 0: x * Phi
-    quad = _pmul(yp[0], yp[0])
-    for i in range(m):
-        for j in range(m):
-            if fam.rmat[i, j] != 0.0:
-                quad = quad - fam.rmat[i, j] * _pmul(yp[i], yp[j])
-    s2 = _expsum_series(fam, fam.s2, C)
-    one_px2 = np.zeros(P + 1, dtype=dt)
-    one_px2[0] = 1.0
-    if P >= 2:
-        one_px2[2] = 1.0
-    rows[0] = (
-        _pmul(x, quad)
-        - 4.0 * fam.n * _pmul(_pmul(one_px2, inv1), yp[0])
-        + fam.cphi * _pmul(_pmul(x, inv2), s2)
-    )
-    # rows 1..m-1: x(1-x^2) E_i
-    for i in range(1, m):
-        a, b = fam.sing[i]
-        coef = np.zeros(P + 1, dtype=dt)
-        coef[0] = a
-        if P >= 2:
-            coef[2] = b
-        F = _expsum_series(fam, fam.src[i - 1], C)
-        rows[i] = (
-            _pmul(x1mx2, ypp[i])
-            - _pmul(coef, yp[i])
-            + 0.5 * _pmul(x1mx2, _pmul(yp[0], yp[i]))
-            + _pmul(_pmul(x, inv1), F)
-        )
-    return rows
-
-
-def _infinity_residual_rows(fam: Family, D):
-    """Regularized residual series at x=1 in u=1-x: x(1-x^2)E_1 and x(1-x^2)E_i.
-
-    The source term x(1-x^2)^-1 F is evaluated as (1-u)(2-u)^-1 (F/u); the
-    constant coefficient of F vanishes identically because the source weights
-    cancel at y=0.
+    Origin, in x: row 0 is x*Phi, rows i are x(1-x^2)E_{i+1}; the source state
+    is F itself.  Infinity, in u=1-x: row 0 is x(1-x^2)E_1, rows i are
+    x(1-x^2)E_{i+1}; the source term x(1-x^2)^-1 F is (1-u)(2-u)^-1 (F/u), so
+    the source state is F shifted by one (its constant coefficient vanishes
+    identically because the source weights cancel at y=0).
     """
-    m, P = fam.m, D.shape[1] - 1
-    dt = D.dtype
-    # x-derivatives: d/dx = -d/du
-    yp = np.array([-_pderiv(D[i]) for i in range(m)])
-    ypp = np.array([_pderiv(_pderiv(D[i])) for i in range(m)])
-
-    x = np.zeros(P + 1, dtype=dt)
-    x[0], x[1] = 1.0, -1.0
-    x1mx2 = np.zeros(P + 1, dtype=dt)  # u(1-u)(2-u) = 2u - 3u^2 + u^3
-    if P >= 1:
-        x1mx2[1] = 2.0
-    if P >= 2:
-        x1mx2[2] = -3.0
-    if P >= 3:
-        x1mx2[3] = 1.0
-    inv2mu = np.array([0.5 ** (k + 1) for k in range(P + 1)], dtype=dt)  # (2-u)^-1
-
-    rows = np.zeros((m, P + 1), dtype=dt)
-    # row 0: x(1-x^2) E_1
-    a, b = fam.sing[0]
-    coef = np.zeros(P + 1, dtype=dt)  # a + b x^2 = a + b(1-u)^2
-    coef[0] = a + b
-    if P >= 1:
-        coef[1] = -2.0 * b
-    if P >= 2:
-        coef[2] = b
-    quad = np.zeros(P + 1, dtype=dt)
-    for i in range(m):
-        for j in range(m):
-            if fam.q1[i, j] != 0.0:
-                quad = quad + fam.q1[i, j] * _pmul(yp[i], yp[j])
-    rows[0] = _pmul(x1mx2, ypp[0]) - _pmul(coef, yp[0]) + _pmul(x1mx2, quad)
-
-    for i in range(1, m):
-        a, b = fam.sing[i]
-        coef = np.zeros(P + 1, dtype=dt)
-        coef[0] = a + b
-        if P >= 1:
-            coef[1] = -2.0 * b
-        if P >= 2:
-            coef[2] = b
-        F = _expsum_series(fam, fam.src[i - 1], D)
-        G = np.zeros(P + 1, dtype=dt)  # F / u
-        G[:P] = F[1:]
-        src = _pmul(_pmul(x, inv2mu), G)
-        rows[i] = (
-            _pmul(x1mx2, ypp[i])
-            - _pmul(coef, yp[i])
-            + 0.5 * _pmul(x1mx2, _pmul(yp[0], yp[i]))
-            + src
-        )
-    return rows
+    m = fam.m
+    a, b = fam.sing[:m, 0], fam.sing[:m, 1]
+    j = np.arange(L)
+    odd = (j % 2 == 1).astype(float)
+    mult = np.zeros((4, m, L))
+    quad = np.zeros((m, m, m))
+    quad[np.arange(1, m), 0, np.arange(1, m)] = 1.0  # y1' y_i'
+    if endpoint == "origin":
+        x1mx2 = np.zeros(L)  # x(1-x^2)
+        x1mx2[1], x1mx2[3] = 1.0, -1.0
+        mult[0, 1:] = x1mx2
+        mult[1, 0] = -4.0 * fam.n * np.where(j == 0, 1.0, 2.0 - 2.0 * odd)  # (1+x^2)/(1-x^2)
+        mult[1, 1:, 0] = -a[1:]
+        mult[1, 1:, 2] = -b[1:]
+        mult[2, 0, 1] = 1.0  # x
+        mult[2, 1:] = 0.5 * x1mx2
+        mult[3, 0] = fam.cphi * odd * (j + 1) / 2  # x(1-x^2)^-2
+        mult[3, 1:] = odd  # x(1-x^2)^-1
+        quad[0] = -fam.rmat
+        quad[0, 0, 0] += 1.0
+    else:
+        x1mx2 = np.zeros(L)  # u(1-u)(2-u)
+        x1mx2[1:4] = 2.0, -3.0, 1.0
+        mult[0] = x1mx2
+        mult[1, :, 0] = -(a + b)  # -(a + b x^2), x = 1-u
+        mult[1, :, 1] = 2.0 * b
+        mult[1, :, 2] = -b
+        mult[2, 0] = x1mx2
+        mult[2, 1:] = 0.5 * x1mx2
+        mult[3, 1:] = np.where(j == 0, 0.5, -(0.5 ** (j + 1)))  # (1-u)(2-u)^-1
+        quad[0] = fam.q1
+    return mult, quad
 
 
-def _indicial_origin(fam, k):
-    """Diagonal linear map of the order-k coefficients in the origin rows."""
-    d = np.empty(fam.m)
-    d[0] = -4.0 * fam.n * k
-    for i in range(1, fam.m):
-        d[i] = k * (k - 1.0 - fam.sing[i][0])
-    return d
+def _exp_terms(fam: Family):
+    """All exponential terms of the row sources: exponents V (T, m), weights W (m, T)."""
+    tables = (fam.s2, *fam.src)
+    V = np.concatenate([v for _, v in tables])
+    W = np.zeros((fam.m, len(V)))
+    off = 0
+    for i, (w, _) in enumerate(tables):
+        W[i, off : off + len(w)] = w
+        off += len(w)
+    return V, W
 
 
-def _source_linearization(fam):
-    """d(source_i)/d(y_j) at y=0 over the non-K unknowns, (m-1, m-1)."""
-    M = np.empty((fam.m - 1, fam.m - 1))
-    for i in range(1, fam.m):
-        w, v = fam.src[i - 1]
-        M[i - 1] = (w @ v)[1:]
-    return M
+def _solve_recursion(fam: Family, C, endpoint, free_vals):
+    """Fill the batch of tables C (B, m, P+1) order by order, in place.
 
-
-def _solve_recursion(fam, C, rows_fn, free_order, free_vals, start, endpoint):
-    """Fill C[:, k] for k >= start order by order.
-
-    The residual coefficient at order k-1 is exactly linear in the order-k
-    coefficients with an analytic indicial map (the y1 row decouples, and the
-    non-K block is diagonal at the origin and diagonal plus half the source
-    linearization at infinity).  At the resonant order `free_order` the non-K
-    block is singular: the free values are inserted and the skipped residual
-    coefficients checked for consistency.
+    Columns below the start order (1 at the origin, 2 at infinity) are given.
+    The residual coefficient at order k-1 is exactly linear in column k with an
+    analytic indicial map (the y1 row decouples, and the non-K block is
+    diagonal at the origin and diagonal plus half the source linearization at
+    infinity).  At the resonant order (n at the origin, 2 at infinity) the
+    non-K block is singular: free_vals (B, m-1) are inserted and the residual
+    coefficients checked for consistency.  The exponential sources advance by
+    J.C.P. Miller's power-series recurrence E_j = (1/j) sum_i i c_i E_{j-i};
+    column k enters E_k only through c_k E_0, added once the column is known.
+    Returns the consistency residual of each batch member.
     """
-    m, P = fam.m, C.shape[1] - 1
-    wsum = 1.0 + max(np.sum(np.abs(w)) for w, _ in (fam.s2, *fam.src))
-    consistency = 0.0
-    for k in range(start, P + 1):
-        base = rows_fn(fam, C)[:, k - 1]
-        if endpoint == "origin":
-            diag = _indicial_origin(fam, k)
-            C[0, k] = -base[0] / diag[0]
-            if k == free_order:
-                C[1:, k] = free_vals
-            else:
-                if np.any(diag[1:] == 0.0):
-                    raise SeriesRecursionError(f"vanishing indicial factor at order {k}")
-                C[1:, k] = -base[1:] / diag[1:]
+    B, m, L = C.shape
+    P = L - 1
+    origin = endpoint == "origin"
+    start, free_order, shift, dsign = (1, fam.n, 0, 1.0) if origin else (2, 2, 1, -1.0)
+    mult, quad = _closing_rows(fam, endpoint, L)
+    V, W = _exp_terms(fam)
+    wsum = 1.0 + np.abs(W).sum(axis=1).max()
+    ab = fam.sing[1:m, 0] + fam.sing[1:m, 1]
+    lin = 0.5 * (W[1:] @ V)[:, 1:]  # half the source linearization at y=0
+
+    state = np.zeros((B, 4, m, L), dtype=C.dtype)  # y'', y', quadratic, source
+    ypp, yp, q, src = (state[:, s] for s in range(4))
+    E = np.zeros((B, len(V), L), dtype=C.dtype)
+    ic = np.zeros_like(E)  # i * c_i, c = V @ y
+
+    def commit(k):
+        ck = C[..., k] @ V.T
+        ic[..., k] = k * ck
+        if k == 0:
+            E[..., 0] = np.exp(ck)
         else:
-            C[0, k] = -base[0] / (2.0 * k * (k + 1.0))
-            if k == free_order:
-                C[1:, k] = free_vals
-            else:
-                ab = fam.sing[1 : fam.m, 0] + fam.sing[1 : fam.m, 1]
-                A = np.diag(2.0 * k * (k - 1.0) + ab * k) + 0.5 * _source_linearization(fam)
-                C[1:, k] = np.linalg.solve(A.astype(C.dtype), -base[1:])
+            E[..., k] += ck * E[..., 0]
+        if k >= shift:
+            src[..., k - shift] = E[..., k] @ W.T
+        if k >= 1:
+            yp[..., k - 1] = dsign * k * C[..., k]
+        if k >= 2:
+            ypp[..., k - 2] = k * (k - 1.0) * C[..., k]
+
+    def row_coefficients(k):
+        return np.einsum("sil,bsil->bi", mult[..., :k], state[..., k - 1 :: -1])
+
+    for k in range(start):
+        commit(k)
+    consistency = np.zeros(B)
+    for k in range(start, P + 1):
+        E[..., k] = (ic[..., 1:k] * E[..., k - 1 : 0 : -1]).sum(axis=-1) / k
+        src[..., k - shift] = E[..., k] @ W.T
+        if k >= 2:
+            q[..., k - 2] = np.einsum("iac,bat,bct->bi", quad, yp[..., : k - 1], yp[..., k - 2 :: -1])
+        base = row_coefficients(k)
+        C[:, 0, k] = -base[:, 0] / (-4.0 * fam.n * k if origin else 2.0 * k * (k + 1.0))
         if k == free_order:
-            res = np.abs(rows_fn(fam, C)[1:, k - 1])
-            cmax = float(np.abs(C[:, :k]).max()) if k else 0.0
+            C[:, 1:, k] = free_vals
+        elif origin:
+            diag = k * (k - 1.0 - fam.sing[1:m, 0])
+            if np.any(diag == 0.0):
+                raise SeriesRecursionError(f"vanishing indicial factor at order {k}")
+            C[:, 1:, k] = -base[:, 1:] / diag
+        else:
+            A = np.diag(2.0 * k * (k - 1.0) + ab * k) + lin
+            C[:, 1:, k] = np.linalg.solve(A, -base[:, 1:].T).T
+        commit(k)
+        if k == free_order:
+            consistency = np.abs(row_coefficients(k)[:, 1:]).max(axis=1)
+            cmax = np.abs(C[..., :k]).max(axis=(1, 2))
             scale = wsum * k * k * (1.0 + cmax * cmax)
-            consistency = float(res.max())
-            if consistency > _CONSISTENCY_RTOL * scale:
+            if np.any(consistency > _CONSISTENCY_RTOL * scale):
                 raise SeriesRecursionError(
-                    f"inconsistent resonant order {k}: residual {consistency:.3e}"
+                    f"inconsistent resonant order {k}: residual {consistency.max():.3e}"
                 )
     return consistency
+
+
+def _batch(inputs, tangents):
+    """The inputs (count,) as a batch (B, count): alone, or with tangents
+    followed by one complex-step perturbation i*h of each input in turn."""
+    inputs = inputs.astype(np.result_type(inputs, float))
+    if not tangents:
+        return inputs[None]
+    if np.iscomplexobj(inputs):
+        raise UsageError("tangent tables need real series inputs")
+    return inputs + np.vstack([np.zeros(len(inputs)), 1j * CSTEP * np.eye(len(inputs))])
+
+
+def _split(C, tangents):
+    """Table and tangent tables of a filled batch."""
+    if not tangents:
+        return C[0], None
+    return C[0].real.copy(), C[1:].imag / CSTEP
 
 
 # -- public constructors -----------------------------------------------------
 
 
 def fg_series_origin(
-    bd: BoundaryData, free: NonlocalParams, order: int | None = None, k0=1.0, log_k0=None
+    bd: BoundaryData,
+    free: NonlocalParams,
+    order: int | None = None,
+    k0=1.0,
+    log_k0=None,
+    tangents: bool = False,
 ) -> SeriesCoefficients:
     """Origin expansion with boundary ratios from bd and determinant ratio k0.
 
     Coefficients below order n are determined recursively; the order-n
     coefficients of the non-K unknowns carry the free nonlocal parameters.
     log_k0 overrides k0 (the solver works in y1(0) = log K(0) directly).
+    With tangents, the m tables d table / d (log K(0), free...) come from the
+    same batched pass.
     """
     fam = family(bd.kind, bd.n)
     if order is None:
@@ -311,23 +276,25 @@ def fg_series_origin(
         if np.real(k0) <= 0:
             raise DomainError("k0 must be positive")
         log_k0 = np.log(k0)
-    vals = np.asarray(free.coeffs)
-    dt = complex if (np.iscomplexobj(vals) or isinstance(log_k0, complex)) else float
-    C = np.zeros((fam.m, order + 1), dtype=dt)
-    C[0, 0] = log_k0
-    C[1:, 0] = bd.y_boundary()
-    cons = _solve_recursion(fam, C, _origin_residual_rows, bd.n, vals, start=1, endpoint="origin")
-    return SeriesCoefficients("origin", bd.kind, bd.n, order, C, free, cons)
+    inputs = _batch(np.array([log_k0, *free.coeffs]), tangents)
+    C = np.zeros((len(inputs), fam.m, order + 1), dtype=inputs.dtype)
+    C[:, 0, 0] = inputs[:, 0]
+    C[:, 1:, 0] = bd.y_boundary()
+    cons = _solve_recursion(fam, C, "origin", inputs[:, 1:])
+    table, tan = _split(C, tangents)
+    return SeriesCoefficients("origin", bd.kind, bd.n, order, table, free, float(cons[0]), tan)
 
 
 def series_infinity(
-    kind: SystemKind, n: int, order: int = DEFAULT_INFINITY_ORDER, free=None
+    kind: SystemKind, n: int, order: int = DEFAULT_INFINITY_ORDER, free=None, tangents: bool = False
 ) -> SeriesCoefficients:
     """Expansion at x=1 in powers of u=1-x.
 
     The free values are the u^2 coefficients of the non-K unknowns; the K
     series is slaved to them (its local solution manifold at the center has
     no second-order freedom), and y_i(1)=0, y_i'(1)=0 hold by construction.
+    With tangents, the m-1 tables d table / d free come from the same batched
+    pass.
     """
     kind.validate_dimension(n)
     fam = family(kind, n)
@@ -338,10 +305,11 @@ def series_infinity(
     free = np.asarray(free)
     if free.shape != (fam.m - 1,):
         raise UsageError(f"expected {fam.m - 1} free infinity coefficients")
-    dt = complex if np.iscomplexobj(free) else float
-    D = np.zeros((fam.m, order + 1), dtype=dt)
-    cons = _solve_recursion(fam, D, _infinity_residual_rows, 2, free, start=2, endpoint="infinity")
-    return SeriesCoefficients("infinity", kind, n, order, D, None, cons)
+    inputs = _batch(free, tangents)
+    D = np.zeros((len(inputs), fam.m, order + 1), dtype=inputs.dtype)
+    cons = _solve_recursion(fam, D, "infinity", inputs)
+    table, tan = _split(D, tangents)
+    return SeriesCoefficients("infinity", kind, n, order, table, None, float(cons[0]), tan)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -354,11 +322,18 @@ def _eval_table(table, t, dsign):
     derivative is sign-free either way.
     """
     t = np.asarray(t)
-    m, P1 = table.shape
-    d1 = np.array([_pderiv(row) for row in table])
-    d2 = np.array([_pderiv(row) for row in d1])
-    powers = t[..., None] ** np.arange(P1)
-    return powers @ table.T, dsign * (powers @ d1.T), powers @ d2.T
+    d1 = _pderiv(table)
+    d2 = _pderiv(d1)
+    powers = t[..., None] ** np.arange(table.shape[-1])
+    y, yp, ypp = (powers @ np.swapaxes(a, -1, -2) for a in (table, d1, d2))
+    return y, dsign * yp, ypp
+
+
+def evaluate_tangents(sc: SeriesCoefficients, x):
+    """d(y, y')/d input at one point x, shape (2m, inputs); needs sc.tangents."""
+    t, dsign = (x, 1.0) if sc.endpoint == "origin" else (1.0 - x, -1.0)
+    ty, typ, _ = _eval_table(sc.tangents, t, dsign)
+    return np.concatenate([ty.T, typ.T])
 
 
 def evaluate_series(sc: SeriesCoefficients, x):

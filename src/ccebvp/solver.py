@@ -24,6 +24,7 @@ from .series import (
     DEFAULT_INFINITY_ORDER,
     NonlocalParams,
     evaluate_series,
+    evaluate_tangents,
     fg_series_origin,
     seed_values,
     series_infinity,
@@ -33,8 +34,6 @@ from .systems import BoundaryData, DomainError, UsageError, family
 # Gauss-Legendre points on [0,1]
 _G1 = 0.5 - np.sqrt(3.0) / 6.0
 _G2 = 0.5 + np.sqrt(3.0) / 6.0
-
-_CSTEP = 1e-80  # complex-step width for endpoint-parameter derivatives
 
 
 @dataclass(frozen=True)
@@ -104,6 +103,13 @@ class SolveOptions:
     coarse_stage: int = 96  # warm-start grids larger than ~1.5x this
 
 
+def _zero_counters():
+    return dict.fromkeys(
+        ("origin_series", "infinity_series", "residual_assemblies", "jacobian_assemblies", "lu_factorisations"),
+        0,
+    )
+
+
 @dataclass
 class SolveReport:
     converged: bool = False
@@ -116,6 +122,8 @@ class SolveReport:
     failure_reason: str = ""
     retried: bool = False
     wall_time: float = 0.0
+    # work done over the whole solve (every Newton run of a solve_bvp call)
+    counters: dict = field(default_factory=_zero_counters)
 
     def summary(self):
         """Deterministic fields only (wall time excluded)."""
@@ -129,6 +137,7 @@ class SolveReport:
             "constraint_drift": self.constraint_drift,
             "failure_reason": self.failure_reason,
             "retried": self.retried,
+            "counters": dict(self.counters),
         }
 
 
@@ -239,53 +248,16 @@ def _unpack(bd, mesh, u, tol, opts=None):
 
 
 # ---------------------------------------------------------------------------
-# endpoint closures with complex-step parameter derivatives
+# endpoint closures with their endpoint-parameter derivatives
 # ---------------------------------------------------------------------------
 
 
-def _origin_closure(bd, order, x0, k0var, free_vals, want_jac):
-    """Series value/derivative at x0 and their endpoint-parameter Jacobian."""
-    m = family(bd.kind, bd.n).m
-
-    def build(kv, fv):
-        sc = fg_series_origin(bd, NonlocalParams(tuple(fv)), order, log_k0=kv)
-        y, yp, _ = evaluate_series(sc, np.array([x0]))
-        return y[:, 0], yp[:, 0]
-
-    y0, yp0 = build(k0var, free_vals)
-    if not want_jac:
-        return y0.real, yp0.real, None
-    jac = np.zeros((2 * m, m))
-    h = _CSTEP
-    yc, ypc = build(k0var + 1j * h, free_vals)
-    jac[:m, 0], jac[m:, 0] = yc.imag / h, ypc.imag / h
-    for k in range(m - 1):
-        fv = np.asarray(free_vals, dtype=complex)
-        fv[k] += 1j * h
-        yc, ypc = build(k0var, fv)
-        jac[:m, k + 1], jac[m:, k + 1] = yc.imag / h, ypc.imag / h
-    return y0.real, yp0.real, jac
-
-
-def _infinity_closure(kind, n, order, x1, free_vals, want_jac):
-    m = family(kind, n).m
-
-    def build(fv):
-        sc = series_infinity(kind, n, order, np.asarray(fv))
-        y, yp, _ = evaluate_series(sc, np.array([x1]))
-        return y[:, 0], yp[:, 0]
-
-    y1, yp1 = build(free_vals)
-    if not want_jac:
-        return y1.real, yp1.real, None
-    jac = np.zeros((2 * m, m - 1))
-    h = _CSTEP
-    for k in range(m - 1):
-        fv = np.asarray(free_vals, dtype=complex)
-        fv[k] += 1j * h
-        yc, ypc = build(fv)
-        jac[:m, k], jac[m:, k] = yc.imag / h, ypc.imag / h
-    return y1.real, yp1.real, jac
+def _closure(sc, x):
+    """Series value and derivative at x, and their Jacobian in the series
+    inputs (2m, inputs) when sc carries tangent tables."""
+    y, yp, _ = evaluate_series(sc, np.array([x]))
+    jac = None if sc.tangents is None else evaluate_tangents(sc, x)
+    return y[:, 0], yp[:, 0], jac
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +290,14 @@ def _collocation_state(y, yp, xs, t):
     return x, Y, Yp, Ypp, (wv, wd, ws)
 
 
-def assemble_collocation(bd: BoundaryData, mesh: Mesh, guess: SolutionProfile, opts: SolveOptions | None = None, want_jac: bool = True):
+def assemble_collocation(
+    bd: BoundaryData,
+    mesh: Mesh,
+    guess: SolutionProfile,
+    opts: SolveOptions | None = None,
+    want_jac: bool = True,
+    counters: dict | None = None,
+):
     """Residual vector and dense Jacobian of the square discrete system.
 
     Rows: matching to the origin series, regularized evolution collocation at
@@ -328,10 +307,12 @@ def assemble_collocation(bd: BoundaryData, mesh: Mesh, guess: SolutionProfile, o
     constraint propagates inward from the x=1 closure, and the propagation
     toward the origin is contracting).  The constraint is never imposed at
     any interior node; its nodal drift is pure propagation and is checked
-    after the solve.
+    after the solve.  Series builds and assemblies are tallied in counters.
     """
     if opts is None:
         opts = SolveOptions()
+    if counters is None:
+        counters = _zero_counters()
     fam = family(bd.kind, bd.n)
     m, N = fam.m, mesh.n_nodes
     if guess.y.shape != (m, N) or guess.yp.shape != (m, N):
@@ -339,8 +320,6 @@ def assemble_collocation(bd: BoundaryData, mesh: Mesh, guess: SolutionProfile, o
     xs = mesh.nodes
     y, yp = guess.y, guess.yp
     k0var = guess.k0var
-    freeL = np.asarray(guess.free.coeffs, dtype=float)
-    freeR = guess.infinity_free
     oorder = opts.origin_order or bd.n + 23
 
     nU = 2 * m * N + 2 * m - 1
@@ -350,7 +329,9 @@ def assemble_collocation(bd: BoundaryData, mesh: Mesh, guess: SolutionProfile, o
     tail0 = 2 * m * N
 
     # --- origin matching
-    yL, ypL, jacL = _origin_closure(bd, oorder, xs[0], k0var, freeL, want_jac)
+    scL = fg_series_origin(bd, guess.free, oorder, log_k0=k0var, tangents=want_jac)
+    yL, ypL, jacL = _closure(scL, xs[0])
+    counters["origin_series"] += 1
     F[:m] = y[:, 0] - yL
     F[m : 2 * m] = yp[:, 0] - ypL
     if want_jac:
@@ -400,7 +381,9 @@ def assemble_collocation(bd: BoundaryData, mesh: Mesh, guess: SolutionProfile, o
     F[row0 : row0 + ncol_rows] = Fc
 
     # --- infinity matching
-    yR, ypR, jacR = _infinity_closure(bd.kind, bd.n, opts.infinity_order, xs[-1], freeR, want_jac)
+    scR = series_infinity(bd.kind, bd.n, opts.infinity_order, guess.infinity_free, tangents=want_jac)
+    yR, ypR, jacR = _closure(scR, xs[-1])
+    counters["infinity_series"] += 1
     rowR = row0 + ncol_rows
     F[rowR : rowR + m] = y[:, -1] - yR
     F[rowR + m : rowR + 2 * m] = yp[:, -1] - ypR
@@ -410,6 +393,7 @@ def assemble_collocation(bd: BoundaryData, mesh: Mesh, guess: SolutionProfile, o
             J[rowR + m + i, 2 * m * (N - 1) + m + i] = 1.0
         J[rowR : rowR + 2 * m, tail0 + m :] = -jacR
 
+    counters["jacobian_assemblies" if want_jac else "residual_assemblies"] += 1
     keep = np.setdiff1d(np.arange(nfull), [m])
     F = F[keep]
     if want_jac:
@@ -443,27 +427,37 @@ def seed_profile(bd: BoundaryData, mesh: Mesh, opts: SolveOptions | None = None)
     )
 
 
-def newton_solve(bd, mesh, guess, tol=1e-10, max_iter=40, opts: SolveOptions | None = None):
-    """Damped Newton (Armijo halving, minimum damping 2^-20) on the collocation system."""
+def newton_solve(bd, mesh, guess, tol=1e-10, max_iter=40, opts: SolveOptions | None = None, counters=None):
+    """Damped Newton (Armijo halving, minimum damping 2^-20) on the collocation system.
+
+    counters, when given, is shared with the other Newton runs of one solve.
+    """
     if opts is None:
         opts = SolveOptions(tol=tol, max_iter=max_iter)
     t0 = time.perf_counter()
-    rep = SolveReport()
+    rep = SolveReport() if counters is None else SolveReport(counters=counters)
+    counters = rep.counters
     u = _pack(guess)
+
+    def assemble(uv, want_jac=True):
+        return assemble_collocation(bd, mesh, _unpack(bd, mesh, uv, tol, opts), opts, want_jac, counters)
+
+    def factor(J):
+        counters["lu_factorisations"] += 1
+        return splu(csc_matrix(J))
 
     def residual_only(uv):
         # extreme trial states can overflow the exponential sources or break
         # the series recursion; the line search treats that as a rejection
         try:
             with np.errstate(over="raise", invalid="raise"):
-                p = _unpack(bd, mesh, uv, tol, opts)
-                return assemble_collocation(bd, mesh, p, opts, want_jac=False)[0]
+                return assemble(uv, want_jac=False)[0]
         except (sysm.SeriesRecursionError, FloatingPointError, np.linalg.LinAlgError):
             return None
 
     # the Jacobian is built lazily: an already-converged start (round data)
     # never pays for the endpoint-parameter derivative columns
-    F = assemble_collocation(bd, mesh, _unpack(bd, mesh, u, tol, opts), opts, want_jac=False)[0]
+    F = assemble(u, want_jac=False)[0]
     J = None
     norm = float(np.abs(F).max())
     rep.residual_history.append(norm)
@@ -471,9 +465,9 @@ def newton_solve(bd, mesh, guess, tol=1e-10, max_iter=40, opts: SolveOptions | N
         if norm <= tol:
             break
         if J is None:
-            F, J = assemble_collocation(bd, mesh, _unpack(bd, mesh, u, tol, opts), opts)
+            F, J = assemble(u)
         try:
-            lu = splu(csc_matrix(J))
+            lu = factor(J)
             step = lu.solve(-F)
         except (np.linalg.LinAlgError, RuntimeError, ValueError):
             rep.failure_reason = "singular linearization"
@@ -500,7 +494,7 @@ def newton_solve(bd, mesh, guess, tol=1e-10, max_iter=40, opts: SolveOptions | N
         rep.damping_history.append(lam)
         rep.iterations = it + 1
         try:
-            F, J = assemble_collocation(bd, mesh, _unpack(bd, mesh, u, tol, opts), opts)
+            F, J = assemble(u)
         except sysm.SeriesRecursionError:
             rep.failure_reason = "series recursion breakdown"
             break
@@ -516,10 +510,10 @@ def newton_solve(bd, mesh, guess, tol=1e-10, max_iter=40, opts: SolveOptions | N
     while norm <= tol and drift > 10.0 * tol and polish < 2:
         try:
             if J is None:
-                F, J = assemble_collocation(bd, mesh, _unpack(bd, mesh, u, tol, opts), opts)
-            lu = splu(csc_matrix(J))
+                F, J = assemble(u)
+            lu = factor(J)
             ut = u + lu.solve(-F)
-            Ft, Jt = assemble_collocation(bd, mesh, _unpack(bd, mesh, ut, tol, opts), opts)
+            Ft, Jt = assemble(ut)
         except (np.linalg.LinAlgError, RuntimeError, ValueError, sysm.SeriesRecursionError):
             break
         nt = float(np.abs(Ft).max())
@@ -584,14 +578,16 @@ def _as_guess_for(bd, prof, opts):
     )
 
 
-def _cold_solve(bd, mesh, opts):
+def _cold_solve(bd, mesh, opts, counters):
     """Seeded Newton with one homotopy retry through half-round data."""
-    prof, rep = newton_solve(bd, mesh, seed_profile(bd, mesh, opts), opts.tol, opts.max_iter, opts)
+    prof, rep = newton_solve(bd, mesh, seed_profile(bd, mesh, opts), opts.tol, opts.max_iter, opts, counters)
     if not rep.converged and rep.residual_norm > 1e3 * opts.tol and opts.homotopy_retry and not bd.is_round:
         bdh = _halfway_round(bd)
-        half, _ = newton_solve(bdh, mesh, seed_profile(bdh, mesh, opts), opts.tol, opts.max_iter, opts)
+        half, _ = newton_solve(bdh, mesh, seed_profile(bdh, mesh, opts), opts.tol, opts.max_iter, opts, counters)
         if half.residual_norm <= 1e3 * opts.tol:
-            prof, rep = newton_solve(bd, mesh, _as_guess_for(bd, half, opts), opts.tol, opts.max_iter, opts)
+            prof, rep = newton_solve(
+                bd, mesh, _as_guess_for(bd, half, opts), opts.tol, opts.max_iter, opts, counters
+            )
             rep.retried = True
     return prof, rep
 
@@ -607,20 +603,21 @@ def solve_bvp(bd: BoundaryData, opts: SolveOptions | None = None, guess: Solutio
             "the Sp family solve path is experimental; set experimental_sp=True to enable"
         )
     mesh = make_mesh(opts.grid, opts.xl, opts.xr, opts.grading, opts.stretch)
+    counters = _zero_counters()
     if guess is not None:
         start = guess if guess.mesh.n_nodes == mesh.n_nodes else _interp_onto(guess, mesh)
-        prof, rep = newton_solve(bd, mesh, start, opts.tol, opts.max_iter, opts)
+        prof, rep = newton_solve(bd, mesh, start, opts.tol, opts.max_iter, opts, counters)
     elif opts.coarse_stage and opts.grid > 1.5 * opts.coarse_stage and not bd.is_round:
         cmesh = make_mesh(opts.coarse_stage, opts.xl, opts.xr, opts.grading, opts.stretch)
         copts = SolveOptions(**{**opts.__dict__, "tol": max(opts.tol, 1e-9), "grid": opts.coarse_stage})
-        cprof, crep = _cold_solve(bd, cmesh, copts)
+        cprof, crep = _cold_solve(bd, cmesh, copts, counters)
         if crep.residual_norm <= 1e3 * copts.tol:
-            prof, rep = newton_solve(bd, mesh, _interp_onto(cprof, mesh), opts.tol, opts.max_iter, opts)
+            prof, rep = newton_solve(bd, mesh, _interp_onto(cprof, mesh), opts.tol, opts.max_iter, opts, counters)
             rep.retried = crep.retried
         else:
-            prof, rep = _cold_solve(bd, mesh, opts)
+            prof, rep = _cold_solve(bd, mesh, opts, counters)
     else:
-        prof, rep = _cold_solve(bd, mesh, opts)
+        prof, rep = _cold_solve(bd, mesh, opts, counters)
 
     rounds = 0
     while rep.residual_norm <= opts.tol and not prof.converged and rounds < opts.refine_rounds:
@@ -629,7 +626,9 @@ def solve_bvp(bd: BoundaryData, opts: SolveOptions | None = None, guess: Solutio
         newmesh = refine_mesh(prof, target)
         if newmesh.n_nodes == prof.mesh.n_nodes:
             break
-        prof2, rep2 = newton_solve(bd, newmesh, _interp_onto(prof, newmesh), opts.tol, opts.max_iter, opts)
+        prof2, rep2 = newton_solve(
+            bd, newmesh, _interp_onto(prof, newmesh), opts.tol, opts.max_iter, opts, counters
+        )
         rounds += 1
         rep2.refinements = rounds
         rep2.retried = rep.retried

@@ -121,6 +121,13 @@ class TestSweep:
         assert len(tr.records) == 1 and tr.event is None
         assert tr.records[0].max_curvature == pytest.approx(-1.0, abs=1e-9)
 
+    def test_tol_override_leaves_plan_unchanged(self):
+        plan = SweepPlan(SU, 3, lam_end=1.0, options=quick_opts(48))
+        before = copy.deepcopy(plan.options)
+        tr = sweep(plan, tol=1e-9)
+        assert plan.options == before
+        assert tr.plan.options.tol == 1e-9 and tr.plan.options.grid == 48
+
     def test_short_decreasing_sweep(self):
         plan = SweepPlan(SU, 3, lam_end=0.85, step=0.05)
         tr = sweep(plan)

@@ -2,19 +2,36 @@
 nonlocal parameters, constructional boundary conditions at x=1, and
 convergence order of the truncation error."""
 
+import copy
+import os
+
 import numpy as np
 import pytest
 
+from ccebvp import series
 from ccebvp import systems as S
 from ccebvp.series import (
     NonlocalParams,
     SeriesCoefficients,
     evaluate_series,
+    evaluate_tangents,
     fg_series_origin,
     seed_values,
     series_infinity,
 )
-from ccebvp.systems import GBERGER, SP, SU, BoundaryData, DomainError, UsageError, family
+from ccebvp.systems import (
+    GBERGER,
+    SP,
+    SU,
+    BoundaryData,
+    DomainError,
+    SeriesRecursionError,
+    SystemKind,
+    UsageError,
+    family,
+)
+
+TABLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "series_tables.npz")
 
 
 def gb_second_coeffs_oracle(k0, p1, p2):
@@ -244,3 +261,106 @@ class TestSeed:
         fine = np.linspace(0, 1, 200)
         yf, _ = seed_values(bd, fine)
         assert np.all(np.diff(yf[1]) >= -1e-15) or np.all(np.diff(yf[1]) <= 1e-15)
+
+
+class TestFrozenTables:
+    """The engine against tables frozen from the recompute-everything recursion
+    (tests/data/make_series_tables.py), real and per complex-step column."""
+
+    @pytest.fixture(scope="class")
+    def frozen(self):
+        with np.load(TABLES) as d:
+            return {k: d[k] for k in d.files}
+
+    @staticmethod
+    def assert_table(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("case", ["su3", "su5", "su7", "gberger_095_102", "gberger_090_105", "sp7"])
+    def test_matches_frozen(self, frozen, case):
+        kind, n = SystemKind(str(frozen[f"{case}/family"])), int(frozen[f"{case}/n"])
+        bd = BoundaryData(kind, n, tuple(frozen[f"{case}/phi0"]))
+        free = NonlocalParams(tuple(frozen[f"{case}/free"]))
+        log_k0 = float(frozen[f"{case}/log_k0"])
+        h = float(frozen["h"])
+
+        plain = fg_series_origin(bd, free, n + 23, log_k0=log_k0)
+        batched = fg_series_origin(bd, free, n + 23, log_k0=log_k0, tangents=True)
+        assert plain.tangents is None and plain.table.dtype == float
+        assert batched.table.dtype == float and batched.tangents.shape == (kind.unknowns,) + plain.table.shape
+        for got in (plain.table, batched.table):
+            self.assert_table(got, frozen[f"{case}/origin"])
+        self.assert_table(batched.tangents, frozen[f"{case}/origin_cstep"].imag / h)
+
+        ifree = frozen[f"{case}/infinity_free"]
+        plain = series_infinity(kind, n, 26, ifree)
+        batched = series_infinity(kind, n, 26, ifree, tangents=True)
+        assert batched.tangents.shape == (kind.unknowns - 1,) + plain.table.shape
+        for got in (plain.table, batched.table):
+            self.assert_table(got, frozen[f"{case}/infinity"])
+        self.assert_table(batched.tangents, frozen[f"{case}/infinity_cstep"].imag / h)
+
+    def test_tangents_match_finite_differences(self):
+        bd = BoundaryData(GBERGER, 3, (0.95, 1.02))
+        free, log_k0, order, x, eps = (-3.3, 1.1), 0.01, 26, 0.1, 1e-7
+        sc = fg_series_origin(bd, NonlocalParams(free), order, log_k0=log_k0, tangents=True)
+        jac = evaluate_tangents(sc, x)
+        inputs = np.array([log_k0, *free])
+        for j in range(len(inputs)):
+            cols = []
+            for sgn in (1.0, -1.0):
+                p = inputs.copy()
+                p[j] += sgn * eps
+                y, yp, _ = evaluate_series(fg_series_origin(bd, NonlocalParams(p[1:]), order, log_k0=p[0]), np.array([x]))
+                cols.append(np.concatenate([y[:, 0], yp[:, 0]]))
+            np.testing.assert_allclose(jac[:, j], (cols[0] - cols[1]) / (2 * eps), rtol=1e-6, atol=1e-6)
+
+    def test_complex_inputs_have_no_tangents(self):
+        bd = BoundaryData(SU, 5, (0.8,))
+        with pytest.raises(UsageError):
+            fg_series_origin(bd, NonlocalParams((0.1 + 1e-80j,)), tangents=True)
+
+
+class TestRecursionErrors:
+    """Hard cases for the two guards, on perturbed copies of a family."""
+
+    @staticmethod
+    def builds(monkeypatch, fam, tangents):
+        monkeypatch.setattr(series, "family", lambda kind, n: fam)
+        return (
+            lambda: fg_series_origin(BoundaryData(SU, 5, (0.8,)), NonlocalParams((0.3,)), tangents=tangents),
+            lambda: series_infinity(SU, 5, 26, np.array([0.25]), tangents=tangents),
+        )
+
+    @pytest.mark.parametrize("tangents", [False, True])
+    def test_vanishing_indicial_factor(self, monkeypatch, tangents):
+        # a_1 = 1 makes the origin indicial factor k(k-1-a_1) vanish at order 2 < n
+        fam = copy.copy(family(SU, 5))
+        fam.sing = fam.sing.copy()
+        fam.sing[1, 0] = 1.0
+        origin, _ = self.builds(monkeypatch, fam, tangents)
+        with pytest.raises(SeriesRecursionError, match="vanishing indicial factor at order 2"):
+            origin()
+
+    @pytest.mark.parametrize("tangents", [False, True])
+    def test_inconsistent_resonant_order(self, monkeypatch, tangents):
+        # a 1% source weight breaks the cancellation that makes the u^2
+        # coefficients at x=1 free
+        fam = copy.copy(family(SU, 5))
+        w, v = fam.src[0]
+        fam.src = [(w * np.array([1.0, 1.01]), v)]
+        _, infinity = self.builds(monkeypatch, fam, tangents)
+        with pytest.raises(SeriesRecursionError, match="inconsistent resonant order 2"):
+            infinity()
+
+    @pytest.mark.parametrize("tangents", [False, True])
+    def test_consistency_recorded(self, monkeypatch, tangents):
+        # a perturbation far inside the tolerance is accepted and reported: the
+        # u^1 residual is half the weight change times its y2 exponent times
+        # the free u^2 value
+        fam = copy.copy(family(SU, 5))
+        w, v = fam.src[0]
+        fam.src = [(w * np.array([1.0, 1.0 + 1e-12]), v)]
+        _, infinity = self.builds(monkeypatch, fam, tangents)
+        expected = 0.5 * abs(w[1] * 1e-12 * v[1, 1]) * 0.25
+        assert infinity().consistency == pytest.approx(expected, rel=1e-3)

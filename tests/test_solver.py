@@ -140,6 +140,27 @@ class TestNewton:
         assert np.array_equal(p1.y, p2.y) and np.array_equal(p1.yp, p2.yp)
         assert r1.summary() == r2.summary()
 
+    def test_counters(self):
+        bd = BoundaryData(SU, 5, (0.8,))
+        r1 = solve_bvp(bd, small_opts(grid=64))[1]
+        r2 = solve_bvp(bd, small_opts(grid=64))[1]
+        assert r1.counters == r2.counters == r1.summary()["counters"]
+        c = r1.counters
+        assert c["lu_factorisations"] >= r1.iterations > 0
+        # one build per endpoint per assembly
+        assert c["origin_series"] == c["infinity_series"] == c["residual_assemblies"] + c["jacobian_assemblies"]
+
+    def test_round_data_needs_no_factorisation(self):
+        rep = solve_bvp(BoundaryData(SU, 5, (1.0,)), small_opts(grid=64))[1]
+        assert rep.converged
+        assert rep.counters == {
+            "origin_series": 1,
+            "infinity_series": 1,
+            "residual_assemblies": 1,
+            "jacobian_assemblies": 0,
+            "lu_factorisations": 0,
+        }
+
     def test_sp_requires_flag(self):
         bd = BoundaryData(SP, 7, (1.0, 1.0, 1.0))
         with pytest.raises(UsageError):
