@@ -70,7 +70,7 @@ def cmd_solve(args) -> int:
     except (UsageError, DomainError) as e:
         print(f"solve error: {e}", file=sys.stderr)
         return 1
-    report = run_verification(prof, threads=cfg.threads)
+    report = run_verification(prof)
     try:
         export_profile_csv(prof, os.path.join(cfg.out, "profile.csv"))
         export_json(report_document(report, prof, digest), os.path.join(cfg.out, "report.json"))

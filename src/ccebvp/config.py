@@ -7,7 +7,6 @@ solve starts.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 
 from .systems import GBERGER, SP, SU, BoundaryData, DomainError, UsageError
@@ -40,7 +39,6 @@ class RunConfig:
     sweep_min_step: float = 1e-4
     sweep_max_step: float = 0.1
     event_tol: float = 1e-6
-    threads: int = 1
 
     @property
     def kind(self):
@@ -92,13 +90,6 @@ def parse_config(text: str) -> RunConfig:
             raise ParseError(f"missing required key {req!r}", key=req)
     if values["system"] not in _KINDS:
         raise ParseError(f"system must be one of {sorted(_KINDS)}", key="system")
-
-    env_threads = os.environ.get("CCE_THREADS", "").strip()
-    if env_threads:
-        try:
-            values["threads"] = max(1, int(env_threads))
-        except ValueError:
-            raise ParseError("CCE_THREADS must be an integer", key="threads")
 
     cfg = RunConfig(**values)
     _validate(cfg)

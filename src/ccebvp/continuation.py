@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import geometry as geom
-from .solver import SolveOptions, newton_solve, seed_profile, solve_bvp
+from .solver import SolveOptions, as_guess_for, newton_solve, solve_bvp
 from .systems import BoundaryData, SystemKind, UsageError
 from .verification import run_verification
 
@@ -82,9 +82,13 @@ class ContinuationTrace:
     event: EventRecord | None = None
 
 
-def detect_curvature_event(profile):
-    """First node (in x) where any monitored plane curvature reaches zero."""
-    samples = geom.curvature_samples(profile)
+def detect_curvature_event(profile, samples=None):
+    """First node (in x) where any monitored plane curvature reaches zero.
+
+    samples are the profile's curvature samples, computed here when not given.
+    """
+    if samples is None:
+        samples = geom.curvature_samples(profile)
     for s in sorted(samples, key=lambda t: t.x):
         if s.value >= 0.0:
             at_x = [t for t in samples if t.x == s.x]
@@ -100,12 +104,7 @@ def _solve_at(plan: SweepPlan, lam: float, warm=None):
     bd = plan.boundary_data(lam)
     opts = plan.options
     if warm is not None:
-        guess = seed_profile(bd, warm.mesh, opts)
-        guess.y, guess.yp = warm.y.copy(), warm.yp.copy()
-        guess.k0var = warm.k0var
-        guess.free = warm.free
-        guess.infinity_free = warm.infinity_free.copy()
-        return newton_solve(bd, warm.mesh, guess, opts.tol, opts.max_iter, opts)
+        return newton_solve(bd, warm.mesh, as_guess_for(bd, warm, opts), opts.tol, opts.max_iter, opts)
     return solve_bvp(bd, opts)
 
 
@@ -120,7 +119,7 @@ def sweep(plan: SweepPlan, tol: float | None = None) -> ContinuationTrace:
     prof, rep = _solve_at(plan, plan.lam_start)
     if not rep.converged:
         raise RuntimeError("the round-sphere solve failed; sweep cannot start")
-    records = [_record(plan, plan.lam_start, prof, rep)]
+    records = [_record(plan, plan.lam_start, prof, rep, geom.curvature_samples(prof))]
     if plan.lam_end == plan.lam_start:
         return ContinuationTrace(plan, records, "path-end")
 
@@ -137,8 +136,9 @@ def sweep(plan: SweepPlan, tol: float | None = None) -> ContinuationTrace:
             if step < plan.min_step:
                 return ContinuationTrace(plan, records, "min-step")
             continue
-        rec = _record(plan, target, prof, rep)
-        sample = detect_curvature_event(prof)
+        samples = geom.curvature_samples(prof)
+        rec = _record(plan, target, prof, rep, samples)
+        sample = detect_curvature_event(prof, samples)
         if sample is not None:
             records.append(rec)
             event = bisect_event(
@@ -155,13 +155,13 @@ def sweep(plan: SweepPlan, tol: float | None = None) -> ContinuationTrace:
             streak = 0
 
 
-def _record(plan, lam, prof, rep):
-    ver = run_verification(prof)
+def _record(plan, lam, prof, rep, samples):
+    ver = run_verification(prof, samples)
     return TraceRecord(
         lam,
         rep.converged,
         prof.k0,
-        max_curvature(prof),
+        max(s.value for s in samples),
         tuple(float(np.real(c)) for c in prof.free.coeffs),
         ver.overall_pass,
         rep.iterations,
@@ -195,7 +195,7 @@ def bisect_event(trace: ContinuationTrace, tol_lambda: float = DEFAULT_EVENT_TOL
     if detect is None:
         detect = detect_curvature_event
 
-    witness = detect(hi_rec.profile) if hi_rec.profile is not None else None
+    witness = None
     annotation = ""
     while abs(hi - lo) > tol_lambda:
         mid = 0.5 * (lo + hi)
@@ -209,5 +209,8 @@ def bisect_event(trace: ContinuationTrace, tol_lambda: float = DEFAULT_EVENT_TOL
         else:
             hi = mid
             witness = sample
+    if witness is None and hi_rec.profile is not None:
+        # no midpoint became the event: the witness is the event record's own
+        witness = detect(hi_rec.profile)
     lam_event = 0.5 * (lo + hi)
     return EventRecord(lam_event, (min(lo, hi), max(lo, hi)), witness, abs(hi - lo), annotation)

@@ -11,6 +11,7 @@ rule dx/dr = -x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -65,9 +66,9 @@ class MetricProfile:
             raise UsageError(f"x={x} is not a node of this profile")
         return j
 
-    def slice_metric(self, j: int) -> np.ndarray:
-        """Full n-vector diag of the slice metric h at node j."""
-        return np.repeat(self.I[:, j], self.multiplicities)
+    def slice_metric(self) -> np.ndarray:
+        """Diagonal of the slice metric h at every node, shape (N, n)."""
+        return np.repeat(self.I, self.multiplicities, axis=0).T
 
     def a_log_deriv_r(self):
         """(a_i'/a_i) in r at every node: coth(r) - x L'/2."""
@@ -154,59 +155,64 @@ def riemann_from_structure(sc: StructureConstants, h: np.ndarray) -> SliceCurvat
     h = np.asarray(h, dtype=float)
     if h.shape != (d,) or np.any(h <= 0):
         raise UsageError(f"need {d} positive diagonal metric entries")
-    g = np.diag(h)
-    ginv = np.diag(1.0 / h)
-    C, dC, T, dT = sc.C, sc.dC, sc.T, sc.dT
+    ric = _ricci_invariant_frame(sc.C, sc.T, sc.dT, np.diag(h), np.diag(1.0 / h))
+    Rup = _riemann_up(sc.C, sc.dC, h)
+    return SliceCurvature(ric, np.einsum("ijki->jk", Rup), _sectional(Rup, h))
 
-    ric = _ricci_invariant_frame(C, T, dT, g, ginv)
-    Gam, dGam = _christoffels(C, dC, g, ginv)
+
+def _riemann_up(C, dC, h):
+    """Rup[..., i, j, k, l], the components of R(d_i, d_j)d_k, for diagonal
+    metrics h of shape (..., d), one metric per leading index."""
+    Gam, dGam = _christoffels(C, dC, h)
     # dGam[s,i,j,p] = d_s Gam_ij^p;  R(d_i,d_j)d_k has components
     # Rup[i,j,k,l] = d_i Gam_jk^l - d_j Gam_ik^l + Gam_ie^l Gam_jk^e - Gam_je^l Gam_ik^e
-    Rup = (
+    return (
         dGam
-        - dGam.transpose(1, 0, 2, 3)
-        + np.einsum("iel,jke->ijkl", Gam, Gam)
-        - np.einsum("jel,ike->ijkl", Gam, Gam)
+        - np.swapaxes(dGam, -4, -3)
+        + np.einsum("...iel,...jke->...ijkl", Gam, Gam)
+        - np.einsum("...jel,...ike->...ijkl", Gam, Gam)
     )
-    Rlow = np.einsum("ijkm,ml->ijkl", Rup, g)
-    ric_riem = np.einsum("ijki->jk", Rup)
-    sect = np.zeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                sect[i, j] = Rlow[i, j, j, i] / (h[i] * h[j])
-    return SliceCurvature(ric, ric_riem, sect)
 
 
-def _christoffels(C, dC, g, ginv):
-    d = g.shape[0]
+def _sectional(Rup, h):
+    """Coordinate-plane sectional curvatures R_ijji / (h_i h_j), with R_ijji = Rup[i,j,j,i] h_i."""
+    hi, hj = h[..., :, None], h[..., None, :]
+    return np.einsum("...ijji->...ij", Rup) * hi / (hi * hj)
+
+
+def _christoffels(C, dC, h):
+    """Gam[..., i, j, p] = Gam_ij^p and dGam[..., s, i, j, p] = d_s Gam_ij^p
+    for diagonal metrics h of shape (..., d)."""
+    eye = np.eye(h.shape[-1])
+    g = h[..., :, None] * eye
+    ginv = (1.0 / h)[..., :, None] * eye
     # dg[q, i, j] = d_q g_ij = -C_qi^m g_mj - C_qj^m g_mi
-    dg = -np.einsum("qim,mj->qij", C, g) - np.einsum("qjm,mi->qij", C, g)
-    dginv = -np.einsum("pa,sab,bq->spq", ginv, dg, ginv)
+    dg = -np.einsum("qim,...mj->...qij", C, g) - np.einsum("qjm,...mi->...qij", C, g)
+    dginv = -np.einsum("...pa,...sab,...bq->...spq", ginv, dg, ginv)
     sym = -(C + C.transpose(1, 0, 2))  # -(C_ij^p + C_ji^p)
     inner = (
-        -np.einsum("iqm,mj->ijq", C, g)
-        - np.einsum("jqm,mi->ijq", C, g)
-        + np.einsum("qim,mj->ijq", C, g)
-        + np.einsum("qjm,mi->ijq", C, g)
+        -np.einsum("iqm,...mj->...ijq", C, g)
+        - np.einsum("jqm,...mi->...ijq", C, g)
+        + np.einsum("qim,...mj->...ijq", C, g)
+        + np.einsum("qjm,...mi->...ijq", C, g)
     )
-    Gam = 0.5 * (sym + np.einsum("pq,ijq->ijp", ginv, inner))
+    Gam = 0.5 * (sym + np.einsum("...pq,...ijq->...ijp", ginv, inner))
     # derivative: product rule through dC and dg
     dsym = -(dC + dC.transpose(0, 2, 1, 3))
     dinner = (
-        -np.einsum("siqm,mj->sijq", dC, g)
-        - np.einsum("iqm,smj->sijq", C, dg)
-        - np.einsum("sjqm,mi->sijq", dC, g)
-        - np.einsum("jqm,smi->sijq", C, dg)
-        + np.einsum("sqim,mj->sijq", dC, g)
-        + np.einsum("qim,smj->sijq", C, dg)
-        + np.einsum("sqjm,mi->sijq", dC, g)
-        + np.einsum("qjm,smi->sijq", C, dg)
+        -np.einsum("siqm,...mj->...sijq", dC, g)
+        - np.einsum("iqm,...smj->...sijq", C, dg)
+        - np.einsum("sjqm,...mi->...sijq", dC, g)
+        - np.einsum("jqm,...smi->...sijq", C, dg)
+        + np.einsum("sqim,...mj->...sijq", dC, g)
+        + np.einsum("qim,...smj->...sijq", C, dg)
+        + np.einsum("sqjm,...mi->...sijq", dC, g)
+        + np.einsum("qjm,...smi->...sijq", C, dg)
     )
     dGam = 0.5 * (
         dsym
-        + np.einsum("spq,ijq->sijp", dginv, inner)
-        + np.einsum("pq,sijq->sijp", ginv, dinner)
+        + np.einsum("...spq,...ijq->...sijp", dginv, inner)
+        + np.einsum("...pq,...sijq->...sijp", ginv, dinner)
     )
     return Gam, dGam
 
@@ -261,54 +267,48 @@ class CurvatureSample:
     value: float
 
 
-def curvature_samples(profile, tangential: bool | None = None) -> list:
-    """Sectional-curvature samples at every node: all radial planes, plus all
+def curvature_samples(profile) -> list:
+    """Sectional-curvature samples at every node: all radial planes, then all
     tangential coordinate planes where a structure-constant table exists
-    (slice dimensions 3 and 5; the Sp slice is radial-only by design)."""
+    (slice dimensions 3 and 5; the Sp slice is radial-only by design).  The
+    slice curvature of every node comes from one node-batched assembly."""
     mp = reconstruct_metric(profile)
     bd = profile.bd
-    if tangential is None:
-        tangential = bd.kind.family != "sp" and has_slice_structure(bd.n)
+    xs = mp.x.tolist()
     rad = radial_sectional_all(mp)
-    samples = []
-    nd = mp.I.shape[0]
-    for j, x in enumerate(mp.x):
-        for i in range(nd):
-            samples.append(CurvatureSample(float(x), f"radial-{i + 1}", float(rad[i, j])))
-    if not tangential:
+    names = [f"radial-{i + 1}" for i in range(len(rad))]
+    samples = [CurvatureSample(x, nm, v) for x, row in zip(xs, rad.T.tolist()) for nm, v in zip(names, row)]
+    if bd.kind.family == "sp" or not has_slice_structure(bd.n):
         return samples
     sc = slice_structure(bd.n)
+    # one coordinate plane (a, b) per distinct pair of slice directions (ia, ib)
+    full_idx = np.repeat(np.arange(len(rad)), mp.multiplicities)
+    planes = {}
+    for a, b in combinations(range(bd.n), 2):
+        planes.setdefault((full_idx[a], full_idx[b]), (a, b))
+    ia, ib = np.array(list(planes)).T
+    a, b = np.array(list(planes.values())).T
+    h = mp.slice_metric()
     sinh2 = ((1.0 - mp.x**2) / (2.0 * mp.x)) ** 2
+    intr = _sectional(_riemann_up(sc.C, sc.dC, h), h)[:, a, b] / sinh2[:, None]
     rat = mp.a_log_deriv_r()
-    full_idx = np.repeat(np.arange(nd), mp.multiplicities)
-    for j, x in enumerate(mp.x):
-        h = mp.slice_metric(j)
-        sect = riemann_from_structure(sc, h).sectional
-        seen = set()
-        for a in range(bd.n):
-            for b in range(a + 1, bd.n):
-                ia, ib = full_idx[a], full_idx[b]
-                key = (ia, ib)
-                if key in seen:
-                    continue
-                seen.add(key)
-                intr = sect[a, b] / sinh2[j]
-                amb = intr - rat[ia, j] * rat[ib, j]
-                samples.append(
-                    CurvatureSample(float(x), f"tangential-{ia + 1}-{ib + 1}", float(amb))
-                )
+    amb = intr - rat[ia].T * rat[ib].T
+    names = [f"tangential-{i + 1}-{j + 1}" for i, j in planes]
+    samples += [CurvatureSample(x, nm, v) for x, row in zip(xs, amb.tolist()) for nm, v in zip(names, row)]
     return samples
 
 
-def weyl_mixed_n3(mp: MetricProfile, i: int, p: int, q: int, x: float) -> float:
-    """|W|-type mixed Weyl component magnitude for the n=3 families."""
+_WEYL_PERMUTATIONS = ((1, 2, 3), (2, 3, 1), (3, 1, 2), (1, 3, 2), (2, 1, 3), (3, 2, 1))
+
+
+def _weyl_mixed(mp: MetricProfile, i: int, p: int, q: int, j):
+    """Mixed Weyl component magnitude for the direction permutation (i, p, q)
+    at node index (or index array / slice) j of an n=3 profile."""
     if mp.bd.n != 3:
         raise UsageError("weyl_mixed_n3 requires an n=3 profile")
-    if sorted((i, p, q)) != [1, 2, 3]:
-        raise UsageError("(i, p, q) must be a permutation of (1, 2, 3)")
-    j = mp.node_index(x)
     full = np.repeat(np.arange(mp.I.shape[0]), mp.multiplicities)
     ii, pp, qq = full[i - 1], full[p - 1], full[q - 1]
+    x = mp.x[j]
     Li, Lp_, Lq = mp.L[ii, j], mp.L[pp, j], mp.L[qq, j]
     dLi, dLp, dLq = mp.Lp[ii, j], mp.Lp[pp, j], mp.Lp[qq, j]
     # bracket = Ii^1/2 Ip^-1/2 + Ii^-1/2 Ip^1/2 - Ii^-1/2 Ip^-1/2 Iq
@@ -320,7 +320,19 @@ def weyl_mixed_n3(mp: MetricProfile, i: int, p: int, q: int, x: float) -> float:
         + 0.5 * (dLp - dLi) * e2
         - (-0.5 * (dLi + dLp) + dLq) * e3
     )
-    return float(2.0 * x * x / (1.0 - x * x) * np.exp(-Lq / 2.0) * abs(der))
+    return 2.0 * x * x / (1.0 - x * x) * np.exp(-Lq / 2.0) * np.abs(der)
+
+
+def weyl_mixed_n3(mp: MetricProfile, i: int, p: int, q: int, x: float) -> float:
+    """|W|-type mixed Weyl component magnitude for the n=3 families at node x."""
+    if sorted((i, p, q)) != [1, 2, 3]:
+        raise UsageError("(i, p, q) must be a permutation of (1, 2, 3)")
+    return float(_weyl_mixed(mp, i, p, q, mp.node_index(x)))
+
+
+def weyl_mixed_max_n3(mp: MetricProfile) -> float:
+    """Largest weyl_mixed_n3 value over every node and every permutation of (1, 2, 3)."""
+    return float(max(_weyl_mixed(mp, *perm, slice(None)).max() for perm in _WEYL_PERMUTATIONS))
 
 
 WEYL_BOUND_N3 = 2.0 * np.sqrt(6.0)

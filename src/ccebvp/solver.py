@@ -570,7 +570,8 @@ def _halfway_round(bd: BoundaryData) -> BoundaryData:
     return BoundaryData(bd.kind, bd.n, tuple(np.sqrt(np.asarray(bd.phi0))))
 
 
-def _as_guess_for(bd, prof, opts):
+def as_guess_for(bd, prof, opts):
+    """A copy of prof's unknowns (mesh, values, endpoint parameters) as the guess for bd at opts.tol."""
     return SolutionProfile(
         bd, prof.mesh, prof.y.copy(), prof.yp.copy(), k0var=prof.k0var,
         free=prof.free, infinity_free=prof.infinity_free.copy(), tol=opts.tol,
@@ -586,7 +587,7 @@ def _cold_solve(bd, mesh, opts, counters):
         half, _ = newton_solve(bdh, mesh, seed_profile(bdh, mesh, opts), opts.tol, opts.max_iter, opts, counters)
         if half.residual_norm <= 1e3 * opts.tol:
             prof, rep = newton_solve(
-                bd, mesh, _as_guess_for(bd, half, opts), opts.tol, opts.max_iter, opts, counters
+                bd, mesh, as_guess_for(bd, half, opts), opts.tol, opts.max_iter, opts, counters
             )
             rep.retried = True
     return prof, rep

@@ -3,14 +3,11 @@ total-variation uniqueness diagnostic.
 
 Every check produces a record (name, anchor slug, measured margin, threshold,
 pass flag); checks whose hypotheses fail are marked not-applicable rather
-than failed.  A report run can fan out checks over a bounded thread pool and
-joins them in a fixed order.
+than failed.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,22 +178,17 @@ def check_weyl_bound(profile, samples=None) -> CheckRecord:
     if max(s.value for s in samples) > 1e-8:
         # the bound's hypothesis (nonpositive curvature) fails
         return CheckRecord("weyl-bound", "weyl-norm-bound", 0.0, None, None, applicable=False)
-    mp = geom.reconstruct_metric(profile)
-    worst = 0.0
-    for x in mp.x:
-        for perm in ((1, 2, 3), (2, 3, 1), (3, 1, 2), (1, 3, 2), (2, 1, 3), (3, 2, 1)):
-            worst = max(worst, geom.weyl_mixed_n3(mp, *perm, float(x)))
+    worst = geom.weyl_mixed_max_n3(geom.reconstruct_metric(profile))
     thr = geom.WEYL_BOUND_N3 + 1e-8
     return CheckRecord("weyl-bound", "weyl-norm-bound", float(worst), thr, bool(worst <= thr))
 
 
-def pinching_report(profile, samples=None, threshold=None) -> CheckRecord:
-    """Max |K + 1| over monitored planes; informational unless a threshold is set."""
+def pinching_report(profile, samples=None) -> CheckRecord:
+    """Max |K + 1| over monitored planes (informational)."""
     if samples is None:
         samples = geom.curvature_samples(profile)
     worst = max(abs(s.value + 1.0) for s in samples)
-    passed = None if threshold is None else bool(worst <= threshold)
-    return CheckRecord("pinching", "curvature-pinching", float(worst), threshold, passed)
+    return CheckRecord("pinching", "curvature-pinching", float(worst), None, None)
 
 
 def check_radial_trace(profile) -> CheckRecord:
@@ -263,29 +255,22 @@ def uniqueness_diagnostic(p1, p2) -> VariationLedger:
     return VariationLedger(z, V, intervals, ineq, slack, forces_zero)
 
 
-def run_verification(profile, threads: int | None = None, pinching_threshold=None) -> VerificationReport:
-    """Run every applicable check; deterministic record ordering."""
-    if threads is None:
-        threads = max(1, int(os.environ.get("CCE_THREADS", "1") or 1))
-    samples = geom.curvature_samples(profile)
-    tasks = {
-        "drift": lambda: [check_constraint_drift(profile)],
-        "trace": lambda: [check_radial_trace(profile)],
-        "mono": lambda: check_monotonicity(profile),
-        "origin": lambda: check_origin_identities(profile),
-        "apriori": lambda: check_apriori_bounds(profile),
-        "k0": lambda: [check_k0_window(profile)],
-        "weyl": lambda: [check_weyl_bound(profile, samples)],
-        "pinch": lambda: [pinching_report(profile, samples, pinching_threshold)],
-    }
-    order = ["drift", "trace", "mono", "origin", "apriori", "k0", "weyl", "pinch"]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futures = {k: ex.submit(fn) for k, fn in tasks.items()}
-            results = {k: f.result() for k, f in futures.items()}
-    else:
-        results = {k: fn() for k, fn in tasks.items()}
-    records = []
-    for k in order:
-        records.extend(results[k])
-    return VerificationReport(records)
+def run_verification(profile, samples=None) -> VerificationReport:
+    """Run every applicable check in a fixed order.
+
+    samples are the profile's curvature samples, computed here when not given.
+    """
+    if samples is None:
+        samples = geom.curvature_samples(profile)
+    return VerificationReport(
+        [
+            check_constraint_drift(profile),
+            check_radial_trace(profile),
+            *check_monotonicity(profile),
+            *check_origin_identities(profile),
+            *check_apriori_bounds(profile),
+            check_k0_window(profile),
+            check_weyl_bound(profile, samples),
+            pinching_report(profile, samples),
+        ]
+    )

@@ -39,11 +39,6 @@ class TestConfig:
         with pytest.raises(ParseError, match="phi0"):
             parse_config("system = su\nn = 5\n")
 
-    def test_threads_env(self, monkeypatch):
-        monkeypatch.setenv("CCE_THREADS", "3")
-        cfg = parse_config("system = su\nn = 5\nphi0 = 0.8\n")
-        assert cfg.threads == 3
-
 
 @pytest.fixture(scope="module")
 def small_profile():

@@ -106,6 +106,22 @@ class TestBisect:
         assert abs(ev.lam_event - 0.5) <= 1e-6
         assert ev.witness.plane == "radial-1"
 
+    def test_event_record_detected_only_without_midpoint_event(self):
+        tr, w = synthetic_trace(0.8, 0.3)
+        tr.records[-1].profile = "event-profile"
+        seen = []
+
+        def detect(p):
+            seen.append(p)
+            return w if p == "event-profile" or p <= 0.5 else None
+
+        ev = bisect_event(tr, 1e-6, solve_at=lambda lam: lam, detect=detect)
+        assert "event-profile" not in seen and ev.witness is w
+        seen.clear()
+        ev = bisect_event(tr, 1e-6, solve_at=lambda lam: lam,
+                          detect=lambda p: detect(p) if p == "event-profile" else None)
+        assert seen == ["event-profile"] and ev.witness is w
+
     def test_failure_returns_certified_bracket(self):
         tr, w = synthetic_trace(0.8, 0.3)
         ev = bisect_event(tr, 1e-6, solve_at=lambda lam: None, detect=lambda p: None)
@@ -145,6 +161,21 @@ class TestSweep:
         lams = [r.lam for r in tr.records]
         assert all(b > a for a, b in zip(lams, lams[1:]))
         assert all(r.k0 < 1.0 + 1e-12 for r in tr.records)
+
+    def test_one_curvature_pass_per_profile(self, monkeypatch):
+        from ccebvp import geometry
+
+        seen = []
+        inner = geometry.curvature_samples
+
+        def counted(profile):
+            seen.append(profile)
+            return inner(profile)
+
+        monkeypatch.setattr(geometry, "curvature_samples", counted)
+        tr = sweep(SweepPlan(SU, 3, lam_end=0.9, step=0.05, options=quick_opts()))
+        assert tr.stop_reason == "path-end" and len(tr.records) == 3
+        assert len(seen) == len({id(p) for p in seen}) == len(tr.records)
 
     def test_warm_start_iteration_sanity(self):
         plan = SweepPlan(SU, 3, lam_end=0.8, step=0.05, options=quick_opts())

@@ -189,6 +189,33 @@ class TestGauss:
             total = rad["radial-1"] + (prof.bd.n - 1) * tan["tangential-1-2"]
             assert total == pytest.approx(-prof.bd.n, abs=2e-6)
 
+    @pytest.mark.parametrize("kind, n, phi0", [(GBERGER, 3, (0.95, 1.02)), (SU, 3, (0.5,)), (SU, 5, (0.6,))])
+    def test_batched_samples_match_per_node_oracle(self, kind, n, phi0):
+        # every node on its own: riemann_from_structure, then the Gauss equation
+        prof, rep = solve_bvp(BoundaryData(kind, n, phi0),
+                              SolveOptions(grid=96, tol=1e-6, refine_rounds=0, coarse_stage=0))
+        assert rep.converged
+        mp = G.reconstruct_metric(prof)
+        sc = slice_structure(n)
+        rad = G.radial_sectional_all(mp)
+        full = np.repeat(np.arange(len(rad)), mp.multiplicities)
+        radial, tangential = [], []
+        for j, h in enumerate(mp.slice_metric()):
+            x = float(mp.x[j])
+            radial += [(x, f"radial-{i + 1}", float(rad[i, j])) for i in range(len(rad))]
+            sect = G.riemann_from_structure(sc, h).sectional
+            sinh2 = ((1.0 - mp.x[j] ** 2) / (2.0 * mp.x[j])) ** 2
+            seen = set()
+            for a in range(n):
+                for b in range(a + 1, n):
+                    ia, ib = full[a], full[b]
+                    if (ia, ib) not in seen:
+                        seen.add((ia, ib))
+                        amb = G.gauss_tangential(mp, sect[a, b] / sinh2, ia + 1, ib + 1, x)
+                        tangential.append((x, f"tangential-{ia + 1}-{ib + 1}", amb))
+        got = [(s.x, s.plane, s.value) for s in G.curvature_samples(prof)]
+        assert got == radial + tangential
+
     def test_round_samples_all_minus_one(self):
         for kind, n in ((GBERGER, 3), (SU, 5)):
             prof = round_profile(kind, n)

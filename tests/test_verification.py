@@ -168,9 +168,18 @@ class TestReport:
         rec = V.check_weyl_bound(gb_profile)
         assert rec.applicable and rec.passed
 
-    def test_deterministic_and_threaded_match(self, su_profile):
-        r1 = V.run_verification(su_profile, threads=1)
-        r2 = V.run_verification(su_profile, threads=4)
+    def test_weyl_margin_is_max_of_scalar_components(self, gb_profile):
+        from ccebvp import geometry as geom
+
+        mp = geom.reconstruct_metric(gb_profile)
+        perms = ((1, 2, 3), (2, 3, 1), (3, 1, 2), (1, 3, 2), (2, 1, 3), (3, 2, 1))
+        worst = max(geom.weyl_mixed_n3(mp, *perm, float(x)) for x in mp.x for perm in perms)
+        rec = V.check_weyl_bound(gb_profile)
+        assert rec.applicable and rec.margin == worst
+
+    def test_deterministic(self, su_profile):
+        r1 = V.run_verification(su_profile)
+        r2 = V.run_verification(su_profile)
         assert [(r.name, r.margin, r.passed) for r in r1.records] == [
             (r.name, r.margin, r.passed) for r in r2.records
         ]
