@@ -182,37 +182,36 @@ def _sectional(Rup, h):
 
 def _christoffels(C, dC, h):
     """Gam[..., i, j, p] = Gam_ij^p and dGam[..., s, i, j, p] = d_s Gam_ij^p
-    for diagonal metrics h of shape (..., d)."""
-    eye = np.eye(h.shape[-1])
-    g = h[..., :, None] * eye
-    ginv = (1.0 / h)[..., :, None] * eye
+    for diagonal metrics h of shape (..., d); a contraction with g or g^-1
+    picks one term, so it is a product with h or 1/h."""
+    hinv = 1.0 / h
+    hi = h[..., :, None, None]  # h on the first of three trailing axes
+    hj = h[..., None, :, None]  # on the second
+    hk = h[..., None, None, :]  # on the third
+    Ct = C.transpose(0, 2, 1)
     # dg[q, i, j] = d_q g_ij = -C_qi^m g_mj - C_qj^m g_mi
-    dg = -np.einsum("qim,...mj->...qij", C, g) - np.einsum("qjm,...mi->...qij", C, g)
-    dginv = -np.einsum("...pa,...sab,...bq->...spq", ginv, dg, ginv)
+    dg = -(C * hk) - Ct * hj
+    dginv = -(hinv[..., None, :, None] * dg) * hinv[..., None, None, :]
     sym = -(C + C.transpose(1, 0, 2))  # -(C_ij^p + C_ji^p)
-    inner = (
-        -np.einsum("iqm,...mj->...ijq", C, g)
-        - np.einsum("jqm,...mi->...ijq", C, g)
-        + np.einsum("qim,...mj->...ijq", C, g)
-        + np.einsum("qjm,...mi->...ijq", C, g)
-    )
-    Gam = 0.5 * (sym + np.einsum("...pq,...ijq->...ijp", ginv, inner))
+    # inner[i, j, q] = -C_iq^m g_mj - C_jq^m g_mi + C_qi^m g_mj + C_qj^m g_mi
+    inner = -(Ct * hj) - C.transpose(2, 0, 1) * hi + C.transpose(1, 2, 0) * hj + C.transpose(2, 1, 0) * hi
+    Gam = 0.5 * (sym + hinv[..., None, None, :] * inner)
     # derivative: product rule through dC and dg
     dsym = -(dC + dC.transpose(0, 2, 1, 3))
     dinner = (
-        -np.einsum("siqm,...mj->...sijq", dC, g)
+        -(dC.transpose(0, 1, 3, 2) * hj[..., None, :, :, :])
         - np.einsum("iqm,...smj->...sijq", C, dg)
-        - np.einsum("sjqm,...mi->...sijq", dC, g)
+        - dC.transpose(0, 3, 1, 2) * hi[..., None, :, :, :]
         - np.einsum("jqm,...smi->...sijq", C, dg)
-        + np.einsum("sqim,...mj->...sijq", dC, g)
+        + dC.transpose(0, 2, 3, 1) * hj[..., None, :, :, :]
         + np.einsum("qim,...smj->...sijq", C, dg)
-        + np.einsum("sqjm,...mi->...sijq", dC, g)
+        + dC.transpose(0, 3, 2, 1) * hi[..., None, :, :, :]
         + np.einsum("qjm,...smi->...sijq", C, dg)
     )
     dGam = 0.5 * (
         dsym
         + np.einsum("...spq,...ijq->...sijp", dginv, inner)
-        + np.einsum("...pq,...sijq->...sijp", ginv, dinner)
+        + hinv[..., None, None, None, :] * dinner
     )
     return Gam, dGam
 

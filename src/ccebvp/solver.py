@@ -13,7 +13,7 @@ redundant there).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -298,7 +298,7 @@ def assemble_collocation(
     want_jac: bool = True,
     counters: dict | None = None,
 ):
-    """Residual vector and dense Jacobian of the square discrete system.
+    """Residual vector and Jacobian values of the square discrete system.
 
     Rows: matching to the origin series, regularized evolution collocation at
     two Gauss points per interval, and matching to the x=1 series.  The
@@ -308,6 +308,10 @@ def assemble_collocation(
     toward the origin is contracting).  The constraint is never imposed at
     any interior node; its nodal drift is pure propagation and is checked
     after the solve.  Series builds and assemblies are tallied in counters.
+
+    The Jacobian is returned as the 1-D array of its values on the fixed
+    sparsity pattern _jacobian_pattern(m, N) (jacobian_matrix assembles the
+    sparse matrix), or None when want_jac is false.
     """
     if opts is None:
         opts = SolveOptions()
@@ -319,86 +323,74 @@ def assemble_collocation(
         raise UsageError("guess dimensions do not match the mesh")
     xs = mesh.nodes
     y, yp = guess.y, guess.yp
-    k0var = guess.k0var
     oorder = opts.origin_order or bd.n + 23
 
-    nU = 2 * m * N + 2 * m - 1
-    nfull = 2 * m * N + 2 * m  # before shedding the redundant y1' match
-    F = np.zeros(nfull)
-    J = np.zeros((nfull, nU)) if want_jac else None
-    tail0 = 2 * m * N
-
-    # --- origin matching
-    scL = fg_series_origin(bd, guess.free, oorder, log_k0=k0var, tangents=want_jac)
+    # --- endpoint matching
+    scL = fg_series_origin(bd, guess.free, oorder, log_k0=guess.k0var, tangents=want_jac)
     yL, ypL, jacL = _closure(scL, xs[0])
     counters["origin_series"] += 1
-    F[:m] = y[:, 0] - yL
-    F[m : 2 * m] = yp[:, 0] - ypL
-    if want_jac:
-        for i in range(m):
-            J[i, 2 * m * 0 + i] = 1.0
-            J[m + i, 2 * m * 0 + m + i] = 1.0
-        J[: 2 * m, tail0 : tail0 + m] = -jacL
+    scR = series_infinity(bd.kind, bd.n, opts.infinity_order, guess.infinity_free, tangents=want_jac)
+    yR, ypR, jacR = _closure(scR, xs[-1])
+    counters["infinity_series"] += 1
 
-    # --- collocation block
-    row0 = 2 * m
-    ncol_rows = 2 * m * (N - 1)
-    Fc = np.zeros(ncol_rows)
+    # --- collocation rows, in (interval, Gauss point, equation) order
+    Fc = np.empty((N - 1, 2, m))
+    Jc = np.empty((N - 1, 2, m, 4, m)) if want_jac else None
     hj = np.diff(xs)
     for g, t in enumerate((_G1, _G2)):
         x, Y, Yp, Ypp, (wv, wd, ws) = _collocation_state(y, yp, xs, t)
         # cell-width weighting keeps the 1/h^2 roundoff of the Hermite second
         # derivative out of the residual norm (defect-integral scaling)
         W = x * (1.0 - x * x) * hj
-        evo = sysm.evo_residuals(fam, x, Y, Yp, Ypp) * W[:, None]
-        idx = (np.arange(N - 1) * 2 + g) * m  # row of unknown 0 per interval
-        for i in range(m):
-            Fc[idx + i] = evo[:, i]
+        Fc[:, g] = sysm.evo_residuals(fam, x, Y, Yp, Ypp) * W[:, None]
         if want_jac:
-            dy, dyp, dypp = sysm.evo_jacobian(fam, x, Y, Yp, Ypp)
-            dy *= W[:, None, None]
-            dyp *= W[:, None, None]
-            dypp *= W[:, None, None]
-            # columns: node j slot (y_k -> 2m*j + k, yp_k -> 2m*j + m + k), node j+1 likewise
-            for i in range(m):
-                rows = row0 + idx + i
-                for k in range(m):
-                    cy = dy[:, i, k]
-                    cp = dyp[:, i, k]
-                    cs = dypp[:, i, k]
-                    # basis slots: (ya, pa, yb, pb)
-                    coef = [
-                        cy * wv[0] + cp * wd[0] + cs * ws[0],
-                        cy * wv[1] + cp * wd[1] + cs * ws[1],
-                        cy * wv[2] + cp * wd[2] + cs * ws[2],
-                        cy * wv[3] + cp * wd[3] + cs * ws[3],
-                    ]
-                    jj = np.arange(N - 1)
-                    J[rows, 2 * m * jj + k] += coef[0]
-                    J[rows, 2 * m * jj + m + k] += coef[1]
-                    J[rows, 2 * m * (jj + 1) + k] += coef[2]
-                    J[rows, 2 * m * (jj + 1) + m + k] += coef[3]
-    F[row0 : row0 + ncol_rows] = Fc
-
-    # --- infinity matching
-    scR = series_infinity(bd.kind, bd.n, opts.infinity_order, guess.infinity_free, tangents=want_jac)
-    yR, ypR, jacR = _closure(scR, xs[-1])
-    counters["infinity_series"] += 1
-    rowR = row0 + ncol_rows
-    F[rowR : rowR + m] = y[:, -1] - yR
-    F[rowR + m : rowR + 2 * m] = yp[:, -1] - ypR
-    if want_jac:
-        for i in range(m):
-            J[rowR + i, 2 * m * (N - 1) + i] = 1.0
-            J[rowR + m + i, 2 * m * (N - 1) + m + i] = 1.0
-        J[rowR : rowR + 2 * m, tail0 + m :] = -jacR
+            dJ = sysm.evo_jacobian(fam, x, Y, Yp, Ypp)
+            dy, dyp, dypp = (d[:, :, None, :] * W[:, None, None, None] for d in dJ)
+            # axis 2: basis slots (ya, pa, yb, pb)
+            Jc[:, g] = dy * wv.T[:, None, :, None] + dyp * wd.T[:, None, :, None] + dypp * ws.T[:, None, :, None]
 
     counters["jacobian_assemblies" if want_jac else "residual_assemblies"] += 1
-    keep = np.setdiff1d(np.arange(nfull), [m])
-    F = F[keep]
-    if want_jac:
-        J = J[keep]
-    return F, J
+    # the origin's y1' match (row m) is shed
+    F = np.concatenate([y[:, 0] - yL, (yp[:, 0] - ypL)[1:], Fc.ravel(), y[:, -1] - yR, yp[:, -1] - ypR])
+    if not want_jac:
+        return F, None
+    # matching rows: 1 on the node slot, then minus the closure's derivative in the series inputs
+    ones = np.ones((2 * m, 1))
+    JL = np.delete(np.hstack([ones, -jacL]), m, axis=0)
+    return F, np.concatenate([JL.ravel(), Jc.ravel(), np.hstack([ones, -jacR]).ravel()])
+
+
+def _jacobian_pattern(m, N):
+    """(row, col) of each value assemble_collocation returns, in its order.
+
+    Unknowns: node j holds y at 2m*j + k and y' at 2m*j + m + k, then the
+    2m-1 endpoint parameters (log K(0) and the m-1 nonlocal coefficients,
+    then the m-1 free coefficients at x=1).  Before the shed row m, interval
+    j's dense 2m x 4m collocation block has rows 2m + 2m*j + (g*m + i) and
+    columns 2m*j + (s*m + k), its two node slots.
+    """
+    r = np.arange(2 * m)[:, None]
+    tail = 2 * m * N + np.arange(2 * m - 1)
+
+    def matching(row0, node, inputs):
+        cols = np.hstack([2 * m * node + r, np.broadcast_to(inputs, (2 * m, inputs.size))])
+        return np.broadcast_to(row0 + r, cols.shape), cols
+
+    rL, cL = (np.delete(a, m, axis=0) for a in matching(0, 0, tail[:m]))
+    j, g, i, s, k = np.indices((N - 1, 2, m, 4, m))
+    rR, cR = matching(2 * m * N, N - 1, tail[m:])
+    rows = np.concatenate([rL.ravel(), (2 * m + 2 * m * j + m * g + i).ravel(), rR.ravel()])
+    cols = np.concatenate([cL.ravel(), (2 * m * j + m * s + k).ravel(), cR.ravel()])
+    return rows - (rows > m), cols
+
+
+def jacobian_matrix(J, m, N):
+    """Sparse (CSC) Jacobian from assemble_collocation's values; exact zeros
+    are dropped, so the fill-reducing ordering sees only the true nonzeros."""
+    nU = 2 * m * N + 2 * m - 1
+    A = csc_matrix((J, _jacobian_pattern(m, N)), shape=(nU, nU))
+    A.eliminate_zeros()
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +434,11 @@ def newton_solve(bd, mesh, guess, tol=1e-10, max_iter=40, opts: SolveOptions | N
     def assemble(uv, want_jac=True):
         return assemble_collocation(bd, mesh, _unpack(bd, mesh, uv, tol, opts), opts, want_jac, counters)
 
+    m, N = guess.y.shape
+
     def factor(J):
         counters["lu_factorisations"] += 1
-        return splu(csc_matrix(J))
+        return splu(jacobian_matrix(J, m, N))
 
     def residual_only(uv):
         # extreme trial states can overflow the exponential sources or break
@@ -550,32 +544,22 @@ def refine_mesh(profile: SolutionProfile, target: float) -> Mesh:
     return Mesh(np.sort(np.concatenate([xs, mids])), profile.mesh.grading)
 
 
-def _interp_onto(profile: SolutionProfile, mesh: Mesh) -> SolutionProfile:
-    y, yp = profile.interpolate(mesh.nodes)
-    return SolutionProfile(
-        profile.bd,
-        mesh,
-        y,
-        yp,
-        k0var=profile.k0var,
-        free=profile.free,
-        infinity_free=profile.infinity_free.copy(),
-        tol=profile.tol,
-        origin_order=profile.origin_order,
-        infinity_order=profile.infinity_order,
-    )
-
-
 def _halfway_round(bd: BoundaryData) -> BoundaryData:
     return BoundaryData(bd.kind, bd.n, tuple(np.sqrt(np.asarray(bd.phi0))))
 
 
-def as_guess_for(bd, prof, opts):
-    """A copy of prof's unknowns (mesh, values, endpoint parameters) as the guess for bd at opts.tol."""
-    return SolutionProfile(
-        bd, prof.mesh, prof.y.copy(), prof.yp.copy(), k0var=prof.k0var,
-        free=prof.free, infinity_free=prof.infinity_free.copy(), tol=opts.tol,
-        origin_order=prof.origin_order, infinity_order=prof.infinity_order,
+def as_guess_for(bd, prof, opts, mesh=None):
+    """prof's unknowns (values, endpoint parameters) as the guess for bd at
+    opts.tol, Hermite-interpolated onto mesh when its nodes differ."""
+    if mesh is None:
+        mesh = prof.mesh
+    if np.array_equal(mesh.nodes, prof.mesh.nodes):
+        y, yp = prof.y.copy(), prof.yp.copy()
+    else:
+        y, yp = prof.interpolate(mesh.nodes)
+    return replace(
+        prof, bd=bd, mesh=mesh, y=y, yp=yp, infinity_free=prof.infinity_free.copy(), tol=opts.tol,
+        converged=False, residual_norm=np.inf,
     )
 
 
@@ -606,14 +590,15 @@ def solve_bvp(bd: BoundaryData, opts: SolveOptions | None = None, guess: Solutio
     mesh = make_mesh(opts.grid, opts.xl, opts.xr, opts.grading, opts.stretch)
     counters = _zero_counters()
     if guess is not None:
-        start = guess if guess.mesh.n_nodes == mesh.n_nodes else _interp_onto(guess, mesh)
+        start = as_guess_for(bd, guess, opts, mesh)
         prof, rep = newton_solve(bd, mesh, start, opts.tol, opts.max_iter, opts, counters)
     elif opts.coarse_stage and opts.grid > 1.5 * opts.coarse_stage and not bd.is_round:
         cmesh = make_mesh(opts.coarse_stage, opts.xl, opts.xr, opts.grading, opts.stretch)
         copts = SolveOptions(**{**opts.__dict__, "tol": max(opts.tol, 1e-9), "grid": opts.coarse_stage})
         cprof, crep = _cold_solve(bd, cmesh, copts, counters)
         if crep.residual_norm <= 1e3 * copts.tol:
-            prof, rep = newton_solve(bd, mesh, _interp_onto(cprof, mesh), opts.tol, opts.max_iter, opts, counters)
+            start = as_guess_for(bd, cprof, opts, mesh)
+            prof, rep = newton_solve(bd, mesh, start, opts.tol, opts.max_iter, opts, counters)
             rep.retried = crep.retried
         else:
             prof, rep = _cold_solve(bd, mesh, opts, counters)
@@ -628,7 +613,7 @@ def solve_bvp(bd: BoundaryData, opts: SolveOptions | None = None, guess: Solutio
         if newmesh.n_nodes == prof.mesh.n_nodes:
             break
         prof2, rep2 = newton_solve(
-            bd, newmesh, _interp_onto(prof, newmesh), opts.tol, opts.max_iter, opts, counters
+            bd, newmesh, as_guess_for(bd, prof, opts, newmesh), opts.tol, opts.max_iter, opts, counters
         )
         rounds += 1
         rep2.refinements = rounds

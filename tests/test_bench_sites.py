@@ -1,21 +1,45 @@
-"""The benchmark's tracer wraps ccebvp functions by module attribute; every
-attribute it names must exist, so a rename fails here rather than in the
-benchmark."""
+"""The benchmark's tracer wraps ccebvp functions by module attribute and
+reads what they return; every attribute it names must exist and every hook
+must accept what the package returns, so a rename or a return-type change
+fails here rather than in the benchmark."""
 
 import importlib.util
 from pathlib import Path
 
 import ccebvp
 import ccebvp.cli  # noqa: F401  (traced too; the package does not import it itself)
+from ccebvp.systems import SU, BoundaryData
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
-def test_traced_sites_exist():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_sites_exist():
+    tracing = load_tracing()
     sites = tracing.sites(ccebvp)
     assert sites
     for mod, attr, name, _ in sites:
         assert callable(getattr(mod, attr, None)), f"{mod.__name__}.{attr} (traced as {name})"
+
+
+def test_hooks_accept_what_the_package_returns():
+    # a hook that raises propagates out of the traced call
+    tracing = load_tracing()
+    tr = tracing.Tracer()
+    tr.install(tracing.sites(ccebvp))
+    try:
+        bd = BoundaryData(SU, 5, (0.8,))
+        opts = ccebvp.solver.SolveOptions(grid=24, tol=1e-7, coarse_stage=0, refine_rounds=0)
+        prof, _ = ccebvp.solver.solve_bvp(bd, opts)
+        ccebvp.verification.run_verification(prof)
+    finally:
+        tr.uninstall()
+    names = {s.name for s in tr.spans}
+    assert {"solver.solve_bvp", "solver.assemble", "solver.splu", "verification.run_verification"} <= names
+    assert any(s.attrs.get("jac_bytes", 0) > 0 for s in tr.spans if s.name == "solver.assemble")

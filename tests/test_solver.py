@@ -9,13 +9,14 @@ from ccebvp.solver import (
     SolveOptions,
     SolutionProfile,
     assemble_collocation,
+    jacobian_matrix,
     make_mesh,
     newton_solve,
     refine_mesh,
     seed_profile,
     solve_bvp,
 )
-from ccebvp.solver import _pack, _unpack
+from ccebvp.solver import _jacobian_pattern, _pack, _unpack
 from ccebvp.systems import GBERGER, SP, SU, BoundaryData, DomainError, UsageError
 
 
@@ -50,6 +51,7 @@ class TestAssemble:
         opts = small_opts()
         mesh = make_mesh(opts.grid, opts.xl, opts.xr)
         F, J = assemble_collocation(bd, mesh, seed_profile(bd, mesh, opts), opts)
+        J = jacobian_matrix(J, bd.kind.unknowns, mesh.n_nodes).toarray()
         assert np.all(F == 0.0)
         assert J.shape == (F.size, F.size)
 
@@ -60,6 +62,7 @@ class TestAssemble:
         mesh = make_mesh(12, opts.xl, opts.xr)
         F, J = assemble_collocation(bd, mesh, seed_profile(bd, mesh, opts), opts)
         m = kind.unknowns
+        J = jacobian_matrix(J, m, 12).toarray()
         assert F.size == 2 * m * 12 + 2 * m - 1
         assert J.shape == (F.size, F.size)
 
@@ -72,6 +75,7 @@ class TestAssemble:
         u += rng.uniform(-0.03, 0.03, u.size)
         p = _unpack(bd, mesh, u, 1e-9, opts)
         F, J = assemble_collocation(bd, mesh, p, opts)
+        J = jacobian_matrix(J, bd.kind.unknowns, 10).toarray()
         h = 1e-7
         worst = 0.0
         for k in range(u.size):
@@ -83,6 +87,33 @@ class TestAssemble:
             col = (Fp - Fm) / (2 * h)
             worst = max(worst, np.abs(col - J[:, k]).max())
         assert worst / max(1.0, np.abs(J).max()) <= 1e-6
+
+    def test_jacobian_storage_linear_in_nodes(self):
+        # the values on the block pattern, not a dense (2mN)^2 matrix
+        bd = BoundaryData(GBERGER, 3, (0.95, 1.02))
+        opts = small_opts()
+
+        def jac_bytes(num):
+            mesh = make_mesh(num, opts.xl, opts.xr)
+            return assemble_collocation(bd, mesh, seed_profile(bd, mesh, opts), opts)[1].nbytes
+
+        assert jac_bytes(128) <= 2.2 * jac_bytes(64)
+
+    @pytest.mark.parametrize("m,N", [(1, 4), (2, 7), (3, 12)])
+    def test_pattern_has_no_duplicates(self, m, N):
+        rows, cols = _jacobian_pattern(m, N)
+        nU = 2 * m * N + 2 * m - 1
+        assert rows.min() >= 0 and cols.min() >= 0 and rows.max() < nU and cols.max() < nU
+        assert np.unique(rows * nU + cols).size == rows.size
+
+    @pytest.mark.parametrize("m,N", [(2, 7), (3, 12)])
+    def test_collocation_entries_in_their_interval(self, m, N):
+        rows, cols = _jacobian_pattern(m, N)
+        nend = (2 * m - 1) * (m + 1)  # origin entries come first
+        rc, cc = rows[nend : nend + 8 * m * m * (N - 1)], cols[nend : nend + 8 * m * m * (N - 1)]
+        j = (rc - (2 * m - 1)) // (2 * m)
+        assert np.array_equal(np.unique(j), np.arange(N - 1))
+        assert np.all((cc >= 2 * m * j) & (cc < 2 * m * (j + 2)))
 
     def test_dimension_mismatch(self):
         bd = BoundaryData(SU, 5, (0.8,))
