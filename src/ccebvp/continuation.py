@@ -104,7 +104,7 @@ def _solve_at(plan: SweepPlan, lam: float, warm=None):
     bd = plan.boundary_data(lam)
     opts = plan.options
     if warm is not None:
-        return newton_solve(bd, warm.mesh, as_guess_for(bd, warm, opts), opts.tol, opts.max_iter, opts)
+        return newton_solve(bd, warm.mesh, as_guess_for(bd, warm, opts), opts)
     return solve_bvp(bd, opts)
 
 

@@ -99,15 +99,11 @@ class SolveOptions:
     refine_target: float | None = None
     seed_mode: str = "blend"  # 'blend' | 'zero'
     experimental_sp: bool = False
-    homotopy_retry: bool = True
     coarse_stage: int = 96  # warm-start grids larger than ~1.5x this
 
 
 def _zero_counters():
-    return dict.fromkeys(
-        ("origin_series", "infinity_series", "residual_assemblies", "jacobian_assemblies", "lu_factorisations"),
-        0,
-    )
+    return dict.fromkeys(("assemblies", "lu_factorisations"), 0)
 
 
 @dataclass
@@ -225,15 +221,10 @@ def _pack(profile: SolutionProfile) -> np.ndarray:
     return u
 
 
-def _unpack(bd, mesh, u, tol, opts=None):
+def _unpack(bd, mesh, u, opts):
     fam = family(bd.kind, bd.n)
     m, N = fam.m, mesh.n_nodes
     blk = u[: 2 * m * N].reshape(N, 2 * m).T
-    kw = {}
-    if opts is not None:
-        kw = dict(
-            origin_order=opts.origin_order or bd.n + 23, infinity_order=opts.infinity_order
-        )
     return SolutionProfile(
         bd,
         mesh,
@@ -242,8 +233,9 @@ def _unpack(bd, mesh, u, tol, opts=None):
         k0var=float(u[2 * m * N]),
         free=NonlocalParams(tuple(u[2 * m * N + 1 : 2 * m * N + m])),
         infinity_free=u[2 * m * N + m :].copy(),
-        tol=tol,
-        **kw,
+        tol=opts.tol,
+        origin_order=opts.origin_order or bd.n + 23,
+        infinity_order=opts.infinity_order,
     )
 
 
@@ -253,11 +245,10 @@ def _unpack(bd, mesh, u, tol, opts=None):
 
 
 def _closure(sc, x):
-    """Series value and derivative at x, and their Jacobian in the series
-    inputs (2m, inputs) when sc carries tangent tables."""
+    """Series value and derivative at x, and their Jacobian (2m, inputs) in
+    the series inputs, from sc's tangent tables."""
     y, yp, _ = evaluate_series(sc, np.array([x]))
-    jac = None if sc.tangents is None else evaluate_tangents(sc, x)
-    return y[:, 0], yp[:, 0], jac
+    return y[:, 0], yp[:, 0], evaluate_tangents(sc, x)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +286,6 @@ def assemble_collocation(
     mesh: Mesh,
     guess: SolutionProfile,
     opts: SolveOptions | None = None,
-    want_jac: bool = True,
     counters: dict | None = None,
 ):
     """Residual vector and Jacobian values of the square discrete system.
@@ -307,11 +297,12 @@ def assemble_collocation(
     constraint propagates inward from the x=1 closure, and the propagation
     toward the origin is contracting).  The constraint is never imposed at
     any interior node; its nodal drift is pure propagation and is checked
-    after the solve.  Series builds and assemblies are tallied in counters.
+    after the solve.  Each assembly builds both endpoint series once, with
+    their tangent tables, and is tallied in counters["assemblies"].
 
     The Jacobian is returned as the 1-D array of its values on the fixed
     sparsity pattern _jacobian_pattern(m, N) (jacobian_matrix assembles the
-    sparse matrix), or None when want_jac is false.
+    sparse matrix).
     """
     if opts is None:
         opts = SolveOptions()
@@ -321,21 +312,20 @@ def assemble_collocation(
     m, N = fam.m, mesh.n_nodes
     if guess.y.shape != (m, N) or guess.yp.shape != (m, N):
         raise UsageError("guess dimensions do not match the mesh")
+    counters["assemblies"] += 1
     xs = mesh.nodes
     y, yp = guess.y, guess.yp
     oorder = opts.origin_order or bd.n + 23
 
     # --- endpoint matching
-    scL = fg_series_origin(bd, guess.free, oorder, log_k0=guess.k0var, tangents=want_jac)
+    scL = fg_series_origin(bd, guess.free, oorder, log_k0=guess.k0var, tangents=True)
     yL, ypL, jacL = _closure(scL, xs[0])
-    counters["origin_series"] += 1
-    scR = series_infinity(bd.kind, bd.n, opts.infinity_order, guess.infinity_free, tangents=want_jac)
+    scR = series_infinity(bd.kind, bd.n, opts.infinity_order, guess.infinity_free, tangents=True)
     yR, ypR, jacR = _closure(scR, xs[-1])
-    counters["infinity_series"] += 1
 
     # --- collocation rows, in (interval, Gauss point, equation) order
     Fc = np.empty((N - 1, 2, m))
-    Jc = np.empty((N - 1, 2, m, 4, m)) if want_jac else None
+    Jc = np.empty((N - 1, 2, m, 4, m))
     hj = np.diff(xs)
     for g, t in enumerate((_G1, _G2)):
         x, Y, Yp, Ypp, (wv, wd, ws) = _collocation_state(y, yp, xs, t)
@@ -343,17 +333,13 @@ def assemble_collocation(
         # derivative out of the residual norm (defect-integral scaling)
         W = x * (1.0 - x * x) * hj
         Fc[:, g] = sysm.evo_residuals(fam, x, Y, Yp, Ypp) * W[:, None]
-        if want_jac:
-            dJ = sysm.evo_jacobian(fam, x, Y, Yp, Ypp)
-            dy, dyp, dypp = (d[:, :, None, :] * W[:, None, None, None] for d in dJ)
-            # axis 2: basis slots (ya, pa, yb, pb)
-            Jc[:, g] = dy * wv.T[:, None, :, None] + dyp * wd.T[:, None, :, None] + dypp * ws.T[:, None, :, None]
+        dJ = sysm.evo_jacobian(fam, x, Y, Yp, Ypp)
+        dy, dyp, dypp = (d[:, :, None, :] * W[:, None, None, None] for d in dJ)
+        # axis 2: basis slots (ya, pa, yb, pb)
+        Jc[:, g] = dy * wv.T[:, None, :, None] + dyp * wd.T[:, None, :, None] + dypp * ws.T[:, None, :, None]
 
-    counters["jacobian_assemblies" if want_jac else "residual_assemblies"] += 1
     # the origin's y1' match (row m) is shed
     F = np.concatenate([y[:, 0] - yL, (yp[:, 0] - ypL)[1:], Fc.ravel(), y[:, -1] - yR, yp[:, -1] - ypR])
-    if not want_jac:
-        return F, None
     # matching rows: 1 on the node slot, then minus the closure's derivative in the series inputs
     ones = np.ones((2 * m, 1))
     JL = np.delete(np.hstack([ones, -jacL]), m, axis=0)
@@ -419,20 +405,24 @@ def seed_profile(bd: BoundaryData, mesh: Mesh, opts: SolveOptions | None = None)
     )
 
 
-def newton_solve(bd, mesh, guess, tol=1e-10, max_iter=40, opts: SolveOptions | None = None, counters=None):
-    """Damped Newton (Armijo halving, minimum damping 2^-20) on the collocation system.
+def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=None):
+    """Damped Newton (Armijo halving, minimum damping 2^-20) on the collocation
+    system, to opts.tol within opts.max_iter steps.
 
-    counters, when given, is shared with the other Newton runs of one solve.
+    Every point is assembled once, residual and Jacobian together: the
+    accepted line-search trial's assembly drives the next step.  counters,
+    when given, is shared with the other Newton runs of one solve.
     """
     if opts is None:
-        opts = SolveOptions(tol=tol, max_iter=max_iter)
+        opts = SolveOptions()
+    tol = opts.tol
     t0 = time.perf_counter()
     rep = SolveReport() if counters is None else SolveReport(counters=counters)
     counters = rep.counters
     u = _pack(guess)
 
-    def assemble(uv, want_jac=True):
-        return assemble_collocation(bd, mesh, _unpack(bd, mesh, uv, tol, opts), opts, want_jac, counters)
+    def assemble(uv):
+        return assemble_collocation(bd, mesh, _unpack(bd, mesh, uv, opts), opts, counters=counters)
 
     m, N = guess.y.shape
 
@@ -440,26 +430,22 @@ def newton_solve(bd, mesh, guess, tol=1e-10, max_iter=40, opts: SolveOptions | N
         counters["lu_factorisations"] += 1
         return splu(jacobian_matrix(J, m, N))
 
-    def residual_only(uv):
+    def trial(uv):
         # extreme trial states can overflow the exponential sources or break
         # the series recursion; the line search treats that as a rejection
         try:
             with np.errstate(over="raise", invalid="raise"):
-                return assemble(uv, want_jac=False)[0]
+                F, J = assemble(uv)
         except (sysm.SeriesRecursionError, FloatingPointError, np.linalg.LinAlgError):
             return None
+        return (F, J) if np.all(np.isfinite(F)) else None
 
-    # the Jacobian is built lazily: an already-converged start (round data)
-    # never pays for the endpoint-parameter derivative columns
-    F = assemble(u, want_jac=False)[0]
-    J = None
+    F, J = assemble(u)
     norm = float(np.abs(F).max())
     rep.residual_history.append(norm)
-    for it in range(max_iter):
+    for it in range(opts.max_iter):
         if norm <= tol:
             break
-        if J is None:
-            F, J = assemble(u)
         try:
             lu = factor(J)
             step = lu.solve(-F)
@@ -472,30 +458,23 @@ def newton_solve(bd, mesh, guess, tol=1e-10, max_iter=40, opts: SolveOptions | N
         if not np.isfinite(dnorm) or dnorm == 0.0:
             rep.failure_reason = "singular linearization"
             break
-        lam, accepted = 1.0, False
+        lam = 1.0
         while lam >= 2.0**-20:
-            Ft = residual_only(u + lam * step)
-            if Ft is not None and np.all(np.isfinite(Ft)):
-                dbar = lu.solve(-Ft)
-                if float(np.linalg.norm(dbar)) <= (1.0 - 0.5 * lam) * dnorm:
-                    accepted = True
-                    break
+            FJ = trial(u + lam * step)
+            if FJ is not None and float(np.linalg.norm(lu.solve(-FJ[0]))) <= (1.0 - 0.5 * lam) * dnorm:
+                break
             lam *= 0.5
-        if not accepted:
+        else:
             rep.failure_reason = "line search stalled"
             break
         u = u + lam * step
+        F, J = FJ
         rep.damping_history.append(lam)
         rep.iterations = it + 1
-        try:
-            F, J = assemble(u)
-        except sysm.SeriesRecursionError:
-            rep.failure_reason = "series recursion breakdown"
-            break
         norm = float(np.abs(F).max())
         rep.residual_history.append(norm)
 
-    prof = _unpack(bd, mesh, u, tol, opts)
+    prof = _unpack(bd, mesh, u, opts)
     drift = float(np.abs(prof.constraint_values()).max())
     # polish: an iterate that just crossed tol may still sit well off the
     # discrete root; extra full steps in the quadratic basin are cheap and
@@ -503,8 +482,6 @@ def newton_solve(bd, mesh, guess, tol=1e-10, max_iter=40, opts: SolveOptions | N
     polish = 0
     while norm <= tol and drift > 10.0 * tol and polish < 2:
         try:
-            if J is None:
-                F, J = assemble(u)
             lu = factor(J)
             ut = u + lu.solve(-F)
             Ft, Jt = assemble(ut)
@@ -517,7 +494,7 @@ def newton_solve(bd, mesh, guess, tol=1e-10, max_iter=40, opts: SolveOptions | N
         rep.residual_history.append(norm)
         rep.iterations += 1
         polish += 1
-        prof = _unpack(bd, mesh, u, tol, opts)
+        prof = _unpack(bd, mesh, u, opts)
         drift = float(np.abs(prof.constraint_values()).max())
 
     prof.residual_norm = norm
@@ -565,14 +542,12 @@ def as_guess_for(bd, prof, opts, mesh=None):
 
 def _cold_solve(bd, mesh, opts, counters):
     """Seeded Newton with one homotopy retry through half-round data."""
-    prof, rep = newton_solve(bd, mesh, seed_profile(bd, mesh, opts), opts.tol, opts.max_iter, opts, counters)
-    if not rep.converged and rep.residual_norm > 1e3 * opts.tol and opts.homotopy_retry and not bd.is_round:
+    prof, rep = newton_solve(bd, mesh, seed_profile(bd, mesh, opts), opts, counters)
+    if not rep.converged and rep.residual_norm > 1e3 * opts.tol and not bd.is_round:
         bdh = _halfway_round(bd)
-        half, _ = newton_solve(bdh, mesh, seed_profile(bdh, mesh, opts), opts.tol, opts.max_iter, opts, counters)
+        half, _ = newton_solve(bdh, mesh, seed_profile(bdh, mesh, opts), opts, counters)
         if half.residual_norm <= 1e3 * opts.tol:
-            prof, rep = newton_solve(
-                bd, mesh, as_guess_for(bd, half, opts), opts.tol, opts.max_iter, opts, counters
-            )
+            prof, rep = newton_solve(bd, mesh, as_guess_for(bd, half, opts), opts, counters)
             rep.retried = True
     return prof, rep
 
@@ -591,14 +566,14 @@ def solve_bvp(bd: BoundaryData, opts: SolveOptions | None = None, guess: Solutio
     counters = _zero_counters()
     if guess is not None:
         start = as_guess_for(bd, guess, opts, mesh)
-        prof, rep = newton_solve(bd, mesh, start, opts.tol, opts.max_iter, opts, counters)
+        prof, rep = newton_solve(bd, mesh, start, opts, counters)
     elif opts.coarse_stage and opts.grid > 1.5 * opts.coarse_stage and not bd.is_round:
         cmesh = make_mesh(opts.coarse_stage, opts.xl, opts.xr, opts.grading, opts.stretch)
         copts = SolveOptions(**{**opts.__dict__, "tol": max(opts.tol, 1e-9), "grid": opts.coarse_stage})
         cprof, crep = _cold_solve(bd, cmesh, copts, counters)
         if crep.residual_norm <= 1e3 * copts.tol:
             start = as_guess_for(bd, cprof, opts, mesh)
-            prof, rep = newton_solve(bd, mesh, start, opts.tol, opts.max_iter, opts, counters)
+            prof, rep = newton_solve(bd, mesh, start, opts, counters)
             rep.retried = crep.retried
         else:
             prof, rep = _cold_solve(bd, mesh, opts, counters)
@@ -612,9 +587,7 @@ def solve_bvp(bd: BoundaryData, opts: SolveOptions | None = None, guess: Solutio
         newmesh = refine_mesh(prof, target)
         if newmesh.n_nodes == prof.mesh.n_nodes:
             break
-        prof2, rep2 = newton_solve(
-            bd, newmesh, as_guess_for(bd, prof, opts, newmesh), opts.tol, opts.max_iter, opts, counters
-        )
+        prof2, rep2 = newton_solve(bd, newmesh, as_guess_for(bd, prof, opts, newmesh), opts, counters)
         rounds += 1
         rep2.refinements = rounds
         rep2.retried = rep.retried

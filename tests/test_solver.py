@@ -73,7 +73,7 @@ class TestAssemble:
         rng = np.random.RandomState(1)
         u = _pack(seed_profile(bd, mesh, opts))
         u += rng.uniform(-0.03, 0.03, u.size)
-        p = _unpack(bd, mesh, u, 1e-9, opts)
+        p = _unpack(bd, mesh, u, opts)
         F, J = assemble_collocation(bd, mesh, p, opts)
         J = jacobian_matrix(J, bd.kind.unknowns, 10).toarray()
         h = 1e-7
@@ -82,8 +82,8 @@ class TestAssemble:
             up, um = u.copy(), u.copy()
             up[k] += h
             um[k] -= h
-            Fp = assemble_collocation(bd, mesh, _unpack(bd, mesh, up, 1e-9, opts), opts, want_jac=False)[0]
-            Fm = assemble_collocation(bd, mesh, _unpack(bd, mesh, um, 1e-9, opts), opts, want_jac=False)[0]
+            Fp = assemble_collocation(bd, mesh, _unpack(bd, mesh, up, opts), opts)[0]
+            Fm = assemble_collocation(bd, mesh, _unpack(bd, mesh, um, opts), opts)[0]
             col = (Fp - Fm) / (2 * h)
             worst = max(worst, np.abs(col - J[:, k]).max())
         assert worst / max(1.0, np.abs(J).max()) <= 1e-6
@@ -178,19 +178,46 @@ class TestNewton:
         assert r1.counters == r2.counters == r1.summary()["counters"]
         c = r1.counters
         assert c["lu_factorisations"] >= r1.iterations > 0
-        # one build per endpoint per assembly
-        assert c["origin_series"] == c["infinity_series"] == c["residual_assemblies"] + c["jacobian_assemblies"]
+        # one Newton run: the start point, then one assembly per factorised
+        # step (an accepted trial's assembly is the next step's)
+        assert c["assemblies"] == c["lu_factorisations"] + 1
+
+    def test_counters_over_refinement_rounds(self):
+        bd = BoundaryData(SU, 5, (0.8,))
+        rep = solve_bvp(bd, small_opts(grid=64, refine_rounds=2, refine_target=1e-8))[1]
+        assert rep.refinements == 2 and not rep.retried
+        newton_runs = 1 + rep.refinements
+        assert rep.counters["assemblies"] == rep.counters["lu_factorisations"] + newton_runs
 
     def test_round_data_needs_no_factorisation(self):
         rep = solve_bvp(BoundaryData(SU, 5, (1.0,)), small_opts(grid=64))[1]
         assert rep.converged
-        assert rep.counters == {
-            "origin_series": 1,
-            "infinity_series": 1,
-            "residual_assemblies": 1,
-            "jacobian_assemblies": 0,
-            "lu_factorisations": 0,
-        }
+        assert rep.counters == {"assemblies": 1, "lu_factorisations": 0}
+
+    def test_series_breakdown_at_trial_is_a_rejection(self, monkeypatch):
+        import ccebvp.solver as solver
+        from ccebvp.systems import SeriesRecursionError
+
+        real, calls = solver.assemble_collocation, []
+
+        def breaks_at_first_trial(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise SeriesRecursionError("injected at the first trial point")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "assemble_collocation", breaks_at_first_trial)
+        bd = BoundaryData(SU, 5, (0.8,))
+        opts = small_opts(grid=96, tol=1e-7)
+        mesh = make_mesh(opts.grid, opts.xl, opts.xr)
+        prof, rep = newton_solve(bd, mesh, seed_profile(bd, mesh, opts), opts)
+        assert rep.damping_history[0] == 0.5
+        assert rep.converged and rep.failure_reason == ""
+        rejected = sum(int(-np.log2(lam)) for lam in rep.damping_history)
+        assert rejected == 1
+        # the rejected trial is the one assembly call beyond one per point
+        assert len(calls) == rep.counters["lu_factorisations"] + 1 + rejected
+        assert rep.counters["assemblies"] == len(calls) - 1  # the injected call did no work
 
     def test_sp_requires_flag(self):
         bd = BoundaryData(SP, 7, (1.0, 1.0, 1.0))
@@ -303,7 +330,7 @@ class TestScalingAndExtras:
         d0 = mid_defect(prof)
         fine = refine_mesh(prof, target=0.0)  # split every interval
         assert fine.n_nodes == 2 * prof.mesh.n_nodes - 1
-        prof2, rep2 = newton_solve(bd, fine, seed_profile(bd, fine, small_opts()), 1e-9, 40, small_opts())
+        prof2, rep2 = newton_solve(bd, fine, seed_profile(bd, fine, small_opts()), small_opts())
         assert rep2.residual_norm <= 1e-9
         assert mid_defect(prof2) <= d0 / 3.5
 
