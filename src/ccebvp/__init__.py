@@ -65,6 +65,7 @@ from .geometry import (  # noqa: F401
     ricci_sp,
     ricci_su,
     riemann_from_structure,
+    slice_sectional,
     weyl_mixed_n3,
 )
 

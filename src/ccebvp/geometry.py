@@ -3,19 +3,22 @@
 The solution profile's log variables are converted to the slice components
 I_i(x); warped radii a_i = sinh(r) sqrt(I_i) give the radial sectional
 curvatures K0_i = -(d^2 a_i/dr^2)/a_i exactly, and tangential plane
-curvatures come from the homogeneous-slice curvature assembly (structure
-constants) through the Gauss equation.  r-derivatives always use the chain
-rule dx/dr = -x.
+curvatures come from the slice's intrinsic sectional curvatures through the
+Gauss equation.  The intrinsic curvatures are closed forms in the I_i: the
+Berger-sphere formulas (O'Neill's, for the canonical variation of the Hopf
+fibration) on the SU slices and Milnor's left-invariant formula on the
+generalized Berger S^3.  The structure-constant assembly of the full slice
+Riemann tensor (riemann_from_structure) is kept as their oracle.
+r-derivatives always use the chain rule dx/dr = -x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 
 import numpy as np
 
-from .structure import StructureConstants, has_slice_structure, slice_structure
+from .structure import StructureConstants
 from .systems import BoundaryData, DomainError, UsageError, family
 
 
@@ -65,10 +68,6 @@ class MetricProfile:
         if abs(self.x[j] - x) > 1e-9:
             raise UsageError(f"x={x} is not a node of this profile")
         return j
-
-    def slice_metric(self) -> np.ndarray:
-        """Diagonal of the slice metric h at every node, shape (N, n)."""
-        return np.repeat(self.I, self.multiplicities, axis=0).T
 
     def a_log_deriv_r(self):
         """(a_i'/a_i) in r at every node: coth(r) - x L'/2."""
@@ -148,7 +147,8 @@ def riemann_from_structure(sc: StructureConstants, h: np.ndarray) -> SliceCurvat
 
     The Ricci tensor is assembled with the invariant-frame homogeneous-space
     formula; the full Riemann tensor comes from the Christoffel symbols and
-    their theta-derivatives, giving the tangential sectional curvatures.
+    their theta-derivatives, giving the coordinate-plane sectional curvatures.
+    This is the oracle for the closed forms of slice_sectional.
     """
     sc.validate()
     d = sc.dim
@@ -161,58 +161,53 @@ def riemann_from_structure(sc: StructureConstants, h: np.ndarray) -> SliceCurvat
 
 
 def _riemann_up(C, dC, h):
-    """Rup[..., i, j, k, l], the components of R(d_i, d_j)d_k, for diagonal
-    metrics h of shape (..., d), one metric per leading index."""
+    """Rup[i, j, k, l], the components of R(d_i, d_j)d_k, for the diagonal metric h."""
     Gam, dGam = _christoffels(C, dC, h)
     # dGam[s,i,j,p] = d_s Gam_ij^p;  R(d_i,d_j)d_k has components
     # Rup[i,j,k,l] = d_i Gam_jk^l - d_j Gam_ik^l + Gam_ie^l Gam_jk^e - Gam_je^l Gam_ik^e
     return (
         dGam
-        - np.swapaxes(dGam, -4, -3)
-        + np.einsum("...iel,...jke->...ijkl", Gam, Gam)
-        - np.einsum("...jel,...ike->...ijkl", Gam, Gam)
+        - np.swapaxes(dGam, 0, 1)
+        + np.einsum("iel,jke->ijkl", Gam, Gam)
+        - np.einsum("jel,ike->ijkl", Gam, Gam)
     )
 
 
 def _sectional(Rup, h):
     """Coordinate-plane sectional curvatures R_ijji / (h_i h_j), with R_ijji = Rup[i,j,j,i] h_i."""
-    hi, hj = h[..., :, None], h[..., None, :]
-    return np.einsum("...ijji->...ij", Rup) * hi / (hi * hj)
+    hi, hj = h[:, None], h[None, :]
+    return np.einsum("ijji->ij", Rup) * hi / (hi * hj)
 
 
 def _christoffels(C, dC, h):
-    """Gam[..., i, j, p] = Gam_ij^p and dGam[..., s, i, j, p] = d_s Gam_ij^p
-    for diagonal metrics h of shape (..., d); a contraction with g or g^-1
-    picks one term, so it is a product with h or 1/h."""
+    """Gam[i, j, p] = Gam_ij^p and dGam[s, i, j, p] = d_s Gam_ij^p for the
+    diagonal metric h; a contraction with g or g^-1 picks one term, so it is
+    a product with h or 1/h."""
     hinv = 1.0 / h
-    hi = h[..., :, None, None]  # h on the first of three trailing axes
-    hj = h[..., None, :, None]  # on the second
-    hk = h[..., None, None, :]  # on the third
+    hi = h[:, None, None]  # h on the first of three axes
+    hj = h[None, :, None]  # on the second
+    hk = h[None, None, :]  # on the third
     Ct = C.transpose(0, 2, 1)
     # dg[q, i, j] = d_q g_ij = -C_qi^m g_mj - C_qj^m g_mi
     dg = -(C * hk) - Ct * hj
-    dginv = -(hinv[..., None, :, None] * dg) * hinv[..., None, None, :]
+    dginv = -(hinv[None, :, None] * dg) * hinv[None, None, :]
     sym = -(C + C.transpose(1, 0, 2))  # -(C_ij^p + C_ji^p)
     # inner[i, j, q] = -C_iq^m g_mj - C_jq^m g_mi + C_qi^m g_mj + C_qj^m g_mi
     inner = -(Ct * hj) - C.transpose(2, 0, 1) * hi + C.transpose(1, 2, 0) * hj + C.transpose(2, 1, 0) * hi
-    Gam = 0.5 * (sym + hinv[..., None, None, :] * inner)
+    Gam = 0.5 * (sym + hinv * inner)
     # derivative: product rule through dC and dg
     dsym = -(dC + dC.transpose(0, 2, 1, 3))
     dinner = (
-        -(dC.transpose(0, 1, 3, 2) * hj[..., None, :, :, :])
-        - np.einsum("iqm,...smj->...sijq", C, dg)
-        - dC.transpose(0, 3, 1, 2) * hi[..., None, :, :, :]
-        - np.einsum("jqm,...smi->...sijq", C, dg)
-        + dC.transpose(0, 2, 3, 1) * hj[..., None, :, :, :]
-        + np.einsum("qim,...smj->...sijq", C, dg)
-        + dC.transpose(0, 3, 2, 1) * hi[..., None, :, :, :]
-        + np.einsum("qjm,...smi->...sijq", C, dg)
+        -(dC.transpose(0, 1, 3, 2) * hj)
+        - np.einsum("iqm,smj->sijq", C, dg)
+        - dC.transpose(0, 3, 1, 2) * hi
+        - np.einsum("jqm,smi->sijq", C, dg)
+        + dC.transpose(0, 2, 3, 1) * hj
+        + np.einsum("qim,smj->sijq", C, dg)
+        + dC.transpose(0, 3, 2, 1) * hi
+        + np.einsum("qjm,smi->sijq", C, dg)
     )
-    dGam = 0.5 * (
-        dsym
-        + np.einsum("...spq,...ijq->...sijp", dginv, inner)
-        + hinv[..., None, None, None, :] * dinner
-    )
+    dGam = 0.5 * (dsym + np.einsum("spq,ijq->sijp", dginv, inner) + hinv * dinner)
     return Gam, dGam
 
 
@@ -266,34 +261,55 @@ class CurvatureSample:
     value: float
 
 
+def slice_sectional(bd: BoundaryData, I) -> list:
+    """Intrinsic sectional curvatures of the slice metric with distinct
+    components I (rows of any common shape), in closed form: one
+    (plane, ia, ib, K) per monitored plane class, where plane is the sample
+    name and ia, ib are the plane's distinct directions (0-based).  The Sp
+    slice has none.
+
+    SU, t = I1/I2: the fibre with a horizontal direction t/I2, a J-pair of
+    horizontal directions (4 - 3t)/I2, and any other horizontal pair 1/I2
+    (n >= 5 only).  Generalized Berger: Milnor's formula with
+    lam_i = 2 sqrt(I_i/(I_j I_k)), mu_i = sum(lam)/2 - lam_i, r_i = 2 mu_j mu_k
+    and K_ij = (r_i + r_j - r_k)/2.
+    """
+    fam = bd.kind.family
+    if fam == "su":
+        I1, I2 = I
+        t = I1 / I2
+        planes = [("tangential-1-2", 0, 1, t / I2), ("tangential-2-2", 1, 1, (4.0 - 3.0 * t) / I2)]
+        if bd.n >= 5:
+            planes.append(("tangential-2-2-nonJ", 1, 1, 1.0 / I2))
+        return planes
+    if fam == "gberger":
+        lam = 2.0 * np.sqrt(I / (np.roll(I, -1, axis=0) * np.roll(I, -2, axis=0)))
+        mu = lam.sum(axis=0) / 2.0 - lam
+        r = 2.0 * np.roll(mu, -1, axis=0) * np.roll(mu, -2, axis=0)
+        pairs = ((0, 1), (0, 2), (1, 2))
+        return [(f"tangential-{i + 1}-{j + 1}", i, j, (r[i] + r[j] - r[3 - i - j]) / 2.0) for i, j in pairs]
+    return []
+
+
 def curvature_samples(profile) -> list:
-    """Sectional-curvature samples at every node: all radial planes, then all
-    tangential coordinate planes where a structure-constant table exists
-    (slice dimensions 3 and 5; the Sp slice is radial-only by design).  The
-    slice curvature of every node comes from one node-batched assembly."""
+    """Sectional-curvature samples at every node: all radial planes, then one
+    tangential plane per class of slice_sectional (none on the radial-only Sp
+    slice).  Each tangential value is the closed-form intrinsic curvature
+    over sinh^2 r minus the second fundamental form term of the Gauss
+    equation, evaluated for all nodes at once."""
     mp = reconstruct_metric(profile)
-    bd = profile.bd
     xs = mp.x.tolist()
     rad = radial_sectional_all(mp)
     names = [f"radial-{i + 1}" for i in range(len(rad))]
     samples = [CurvatureSample(x, nm, v) for x, row in zip(xs, rad.T.tolist()) for nm, v in zip(names, row)]
-    if bd.kind.family == "sp" or not has_slice_structure(bd.n):
+    planes = slice_sectional(profile.bd, mp.I)
+    if not planes:
         return samples
-    sc = slice_structure(bd.n)
-    # one coordinate plane (a, b) per distinct pair of slice directions (ia, ib)
-    full_idx = np.repeat(np.arange(len(rad)), mp.multiplicities)
-    planes = {}
-    for a, b in combinations(range(bd.n), 2):
-        planes.setdefault((full_idx[a], full_idx[b]), (a, b))
-    ia, ib = np.array(list(planes)).T
-    a, b = np.array(list(planes.values())).T
-    h = mp.slice_metric()
+    names, ia, ib, intr = map(list, zip(*planes))
     sinh2 = ((1.0 - mp.x**2) / (2.0 * mp.x)) ** 2
-    intr = _sectional(_riemann_up(sc.C, sc.dC, h), h)[:, a, b] / sinh2[:, None]
     rat = mp.a_log_deriv_r()
-    amb = intr - rat[ia].T * rat[ib].T
-    names = [f"tangential-{i + 1}-{j + 1}" for i, j in planes]
-    samples += [CurvatureSample(x, nm, v) for x, row in zip(xs, amb.tolist()) for nm, v in zip(names, row)]
+    amb = np.array(intr) / sinh2 - rat[ia] * rat[ib]
+    samples += [CurvatureSample(x, nm, v) for x, row in zip(xs, amb.T.tolist()) for nm, v in zip(names, row)]
     return samples
 
 

@@ -8,9 +8,10 @@ rational data.  From the frame matrix X and its inverse Z the tables
     dC_sij^p = -C_is^b C_bj^p - delta_ip delta_sj
     T_ij^p = C_ij^p - C_ji^p          (antisymmetric in i, j)
 
-follow in closed form; dT feeds the curvature assembly of the homogeneous
-slices.  Tables are provided for S^3 (the SU(2)-invariant frame used by the
-generalized Berger and n=3 families) and S^5 = SU(3)/SU(2).
+follow in closed form; they feed geometry.riemann_from_structure, the slice
+curvature assembly that checks the closed-form slice curvatures.  Tables are
+provided for S^3 (the SU(2)-invariant frame used by the generalized Berger
+and n=3 families) and S^5 = SU(3)/SU(2).
 """
 
 from __future__ import annotations
@@ -137,10 +138,6 @@ def slice_structure(n: int) -> StructureConstants:
         else:
             raise UsageError(f"no structure-constant table for slice dimension {n}")
     return _cache[n]
-
-
-def has_slice_structure(n: int) -> bool:
-    return n in (3, 5)
 
 
 # Lie brackets [Y_c, Y_b] = sum_a alpha[(c,b)][a] Y_a for the S^5 frame

@@ -31,6 +31,39 @@ def synthetic_mp(bd, xs, L, Lp, Lpp):
                            np.asarray(Lp), np.asarray(Lpp))
 
 
+def coordinate_planes(sc, multiplicities):
+    """Every coordinate plane (a, b) of a structure table with its sample name
+    and its distinct directions: a pair inside one direction class is a J-pair
+    iff its bracket has a component along e_1 (sc.T[a, b, 0] != 0)."""
+    full = np.repeat(np.arange(len(multiplicities)), multiplicities)
+    out = []
+    for a in range(sc.dim):
+        for b in range(a + 1, sc.dim):
+            ia, ib = full[a], full[b]
+            name = f"tangential-{ia + 1}-{ib + 1}"
+            if ia == ib and sc.T[a, b, 0] == 0:
+                name += "-nonJ"
+            out.append(((a, b), name, (ia, ib)))
+    return out
+
+
+def by_plane(samples):
+    """{plane: values in node order} of a list of curvature samples."""
+    out = {}
+    for s in samples:
+        out.setdefault(s.plane, []).append(s.value)
+    return {k: np.array(v) for k, v in out.items()}
+
+
+def su_direction_traces(P, n):
+    """Ricci of the SU directions e_1 and e_2 from per-plane samples (equal -n on Einstein profiles)."""
+    d1 = P["radial-1"] + (n - 1) * P["tangential-1-2"]
+    d2 = P["radial-2"] + P["tangential-1-2"] + P["tangential-2-2"]
+    if n >= 5:
+        d2 = d2 + (n - 3) * P["tangential-2-2-nonJ"]
+    return d1, d2
+
+
 class TestReconstruct:
     def test_zero_profile_unit_metric(self):
         prof = round_profile()
@@ -144,6 +177,23 @@ class TestSliceAssembly:
             assert np.abs(np.diag(out.ricci) - milnor).max() < 1e-12
             assert np.abs(out.ricci - out.ricci_riemann).max() < 1e-12
 
+    @pytest.mark.parametrize("kind, n", [(SU, 3), (SU, 5), (GBERGER, 3)])
+    def test_closed_forms_match_structure_assembly(self, kind, n):
+        # every coordinate plane of the table against its Berger / Milnor closed form
+        bd = BoundaryData(kind, n, tuple([1.0] * kind.free_count))
+        sc = slice_structure(n)
+        mult = G.direction_multiplicities(bd)
+        planes = coordinate_planes(sc, mult)
+        rng = np.random.RandomState(11)
+        for _ in range(200):
+            I = np.exp(rng.uniform(-1.5, 1.5, len(mult)))
+            sect = G.riemann_from_structure(sc, np.repeat(I, mult)).sectional
+            closed = {nm: ((ia, ib), K) for nm, ia, ib, K in G.slice_sectional(bd, I)}
+            assert {name for _, name, _ in planes} == set(closed)
+            for (a, b), name, dirs in planes:
+                assert closed[name][0] == dirs
+                assert abs(closed[name][1] - sect[a, b]) <= 1e-13 * max(1.0, abs(sect[a, b]))
+
     def test_guards(self):
         sc = slice_structure(5)
         with pytest.raises(UsageError):
@@ -189,6 +239,35 @@ class TestGauss:
             total = rad["radial-1"] + (prof.bd.n - 1) * tan["tangential-1-2"]
             assert total == pytest.approx(-prof.bd.n, abs=2e-6)
 
+    @pytest.mark.parametrize("n, phi", [(3, 0.5), (5, 0.6), (7, 0.8), (7, 1.25), (9, 0.8), (9, 1.25)])
+    def test_su_direction_traces(self, n, phi):
+        # Ric = -n g along e_1 and e_2.  For n >= 5, e_2 lies in one J-pair
+        # plane and n - 3 planes of curvature 1/I2: sampling the J-pair alone
+        # leaves the e_2 trace about 1.5 off.  n = 7 and 9 have no structure table.
+        prof = solved_profile(phi=phi, n=n, grid=384, tol=1e-8)
+        P = by_plane(G.curvature_samples(prof))
+        assert ("tangential-2-2-nonJ" in P) == (n >= 5)
+        d1, d2 = su_direction_traces(P, n)
+        assert np.abs(d1 + n).max() <= 1e-10
+        assert np.abs(d2 + n).max() <= 1e-10
+
+    def test_su5_nonJ_plane_carries_the_maximum(self):
+        # on su5 0.6 a 1/I2 plane is curved more positively than every other monitored plane
+        prof = solved_profile(phi=0.6, n=5, grid=768, tol=1e-10)
+        P = by_plane(G.curvature_samples(prof))
+        nonj = P.pop("tangential-2-2-nonJ")
+        assert nonj.max() > max(v.max() for v in P.values())
+
+    def test_gberger_direction_traces(self):
+        # radial-i plus the three tangential planes through e_i equals -3
+        prof, rep = solve_bvp(BoundaryData(GBERGER, 3, (0.9, 1.05)),
+                              SolveOptions(grid=256, tol=1e-10, refine_rounds=0, coarse_stage=0))
+        assert rep.converged
+        P = by_plane(G.curvature_samples(prof))
+        for i in (1, 2, 3):
+            total = P[f"radial-{i}"] + sum(P[f"tangential-{min(i, j)}-{max(i, j)}"] for j in (1, 2, 3) if j != i)
+            assert np.abs(total + 3).max() <= 1e-10
+
     @pytest.mark.parametrize("kind, n, phi0", [(GBERGER, 3, (0.95, 1.02)), (SU, 3, (0.5,)), (SU, 5, (0.6,))])
     def test_batched_samples_match_per_node_oracle(self, kind, n, phi0):
         # every node on its own: riemann_from_structure, then the Gauss equation
@@ -198,23 +277,23 @@ class TestGauss:
         mp = G.reconstruct_metric(prof)
         sc = slice_structure(n)
         rad = G.radial_sectional_all(mp)
-        full = np.repeat(np.arange(len(rad)), mp.multiplicities)
         radial, tangential = [], []
-        for j, h in enumerate(mp.slice_metric()):
+        for j, h in enumerate(np.repeat(mp.I, mp.multiplicities, axis=0).T):
             x = float(mp.x[j])
             radial += [(x, f"radial-{i + 1}", float(rad[i, j])) for i in range(len(rad))]
             sect = G.riemann_from_structure(sc, h).sectional
             sinh2 = ((1.0 - mp.x[j] ** 2) / (2.0 * mp.x[j])) ** 2
             seen = set()
-            for a in range(n):
-                for b in range(a + 1, n):
-                    ia, ib = full[a], full[b]
-                    if (ia, ib) not in seen:
-                        seen.add((ia, ib))
-                        amb = G.gauss_tangential(mp, sect[a, b] / sinh2, ia + 1, ib + 1, x)
-                        tangential.append((x, f"tangential-{ia + 1}-{ib + 1}", amb))
+            for (a, b), name, (ia, ib) in coordinate_planes(sc, mp.multiplicities):
+                if name not in seen:
+                    seen.add(name)
+                    amb = G.gauss_tangential(mp, sect[a, b] / sinh2, ia + 1, ib + 1, x)
+                    tangential.append((x, name, amb))
+        want = radial + tangential
         got = [(s.x, s.plane, s.value) for s in G.curvature_samples(prof)]
-        assert got == radial + tangential
+        assert [g[:2] for g in got] == [w[:2] for w in want]
+        for (_, _, v), (_, _, ref) in zip(got, want):
+            assert abs(v - ref) <= 1e-13 * max(1.0, abs(ref))
 
     def test_round_samples_all_minus_one(self):
         for kind, n in ((GBERGER, 3), (SU, 5)):
