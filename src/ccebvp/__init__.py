@@ -56,6 +56,7 @@ from .solver import (  # noqa: F401
 
 from .geometry import (  # noqa: F401
     CurvatureSample,
+    CurvatureSamples,
     MetricProfile,
     curvature_samples,
     gauss_tangential,

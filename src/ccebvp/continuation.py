@@ -86,18 +86,23 @@ def detect_curvature_event(profile, samples=None):
     """First node (in x) where any monitored plane curvature reaches zero.
 
     samples are the profile's curvature samples, computed here when not given.
+    The witness is the first plane, in row order, within 1e-12 of the node's
+    largest value: planes equal in exact arithmetic (radial-1 and
+    tangential-2-2 on Einstein SU n=3 profiles) differ there by roundoff only.
     """
     if samples is None:
         samples = geom.curvature_samples(profile)
-    for s in sorted(samples, key=lambda t: t.x):
-        if s.value >= 0.0:
-            at_x = [t for t in samples if t.x == s.x]
-            return max(at_x, key=lambda t: t.value)
-    return None
+    hits = np.flatnonzero((samples.values >= 0.0).any(axis=0))
+    if not hits.size:
+        return None
+    j = hits[0]
+    col = samples.values[:, j]
+    p = int(np.argmax(col >= col.max() - 1e-12))
+    return geom.CurvatureSample(float(samples.x[j]), samples.planes[p], float(col[p]))
 
 
 def max_curvature(profile) -> float:
-    return max(s.value for s in geom.curvature_samples(profile))
+    return float(geom.curvature_samples(profile).values.max())
 
 
 def _solve_at(plan: SweepPlan, lam: float, warm=None):
@@ -161,7 +166,7 @@ def _record(plan, lam, prof, rep, samples):
         lam,
         rep.converged,
         prof.k0,
-        max(s.value for s in samples),
+        float(samples.values.max()),
         tuple(float(np.real(c)) for c in prof.free.coeffs),
         ver.overall_pass,
         rep.iterations,

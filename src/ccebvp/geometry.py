@@ -9,6 +9,8 @@ Berger-sphere formulas (O'Neill's, for the canonical variation of the Hopf
 fibration) on the SU slices and Milnor's left-invariant formula on the
 generalized Berger S^3.  The structure-constant assembly of the full slice
 Riemann tensor (riemann_from_structure) is kept as their oracle.
+curvature_samples returns every monitored plane at every node as one
+(plane x node) array with its node x and plane names.
 r-derivatives always use the chain rule dx/dr = -x.
 """
 
@@ -256,6 +258,8 @@ def gauss_tangential(mp: MetricProfile, slice_curv: float, i: int, j: int, x: fl
 
 @dataclass
 class CurvatureSample:
+    """A curvature event's witness: the plane, its node x and its value there."""
+
     x: float
     plane: str
     value: float
@@ -291,26 +295,29 @@ def slice_sectional(bd: BoundaryData, I) -> list:
     return []
 
 
-def curvature_samples(profile) -> list:
-    """Sectional-curvature samples at every node: all radial planes, then one
-    tangential plane per class of slice_sectional (none on the radial-only Sp
-    slice).  Each tangential value is the closed-form intrinsic curvature
-    over sinh^2 r minus the second fundamental form term of the Gauss
-    equation, evaluated for all nodes at once."""
+@dataclass
+class CurvatureSamples:
+    """Sectional curvatures of one profile: values[p, j] is plane planes[p]
+    at node x[j]."""
+
+    x: np.ndarray  # (N,)
+    planes: tuple
+    values: np.ndarray  # (P, N)
+
+
+def curvature_samples(profile) -> CurvatureSamples:
+    """Sectional curvatures at every node: one row per radial plane, then one
+    per tangential plane class of slice_sectional (none on the radial-only Sp
+    slice).  Each tangential row is the closed-form intrinsic curvature over
+    sinh^2 r minus the second fundamental form term of the Gauss equation."""
     mp = reconstruct_metric(profile)
-    xs = mp.x.tolist()
     rad = radial_sectional_all(mp)
-    names = [f"radial-{i + 1}" for i in range(len(rad))]
-    samples = [CurvatureSample(x, nm, v) for x, row in zip(xs, rad.T.tolist()) for nm, v in zip(names, row)]
-    planes = slice_sectional(profile.bd, mp.I)
-    if not planes:
-        return samples
-    names, ia, ib, intr = map(list, zip(*planes))
+    tangential = slice_sectional(profile.bd, mp.I)
     sinh2 = ((1.0 - mp.x**2) / (2.0 * mp.x)) ** 2
     rat = mp.a_log_deriv_r()
-    amb = np.array(intr) / sinh2 - rat[ia] * rat[ib]
-    samples += [CurvatureSample(x, nm, v) for x, row in zip(xs, amb.T.tolist()) for nm, v in zip(names, row)]
-    return samples
+    planes = [f"radial-{i + 1}" for i in range(len(rad))] + [nm for nm, *_ in tangential]
+    amb = [K / sinh2 - rat[ia] * rat[ib] for _, ia, ib, K in tangential]
+    return CurvatureSamples(mp.x, tuple(planes), np.vstack([rad, *amb]))
 
 
 _WEYL_PERMUTATIONS = ((1, 2, 3), (2, 3, 1), (3, 1, 2), (1, 3, 2), (2, 1, 3), (3, 2, 1))

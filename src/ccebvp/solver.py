@@ -175,9 +175,6 @@ class SolutionProfile:
     def origin_series(self):
         return fg_series_origin(self.bd, self.free, self.origin_order, k0=self.k0)
 
-    def infinity_series(self):
-        return series_infinity(self.bd.kind, self.bd.n, self.infinity_order, self.infinity_free)
-
     def constraint_values(self) -> np.ndarray:
         """First integral at every node (uses the eliminated second derivatives)."""
         fam = family(self.bd.kind, self.bd.n)
@@ -569,7 +566,7 @@ def solve_bvp(bd: BoundaryData, opts: SolveOptions | None = None, guess: Solutio
         prof, rep = newton_solve(bd, mesh, start, opts, counters)
     elif opts.coarse_stage and opts.grid > 1.5 * opts.coarse_stage and not bd.is_round:
         cmesh = make_mesh(opts.coarse_stage, opts.xl, opts.xr, opts.grading, opts.stretch)
-        copts = SolveOptions(**{**opts.__dict__, "tol": max(opts.tol, 1e-9), "grid": opts.coarse_stage})
+        copts = replace(opts, tol=max(opts.tol, 1e-9), grid=opts.coarse_stage)
         cprof, crep = _cold_solve(bd, cmesh, copts, counters)
         if crep.residual_norm <= 1e3 * copts.tol:
             start = as_guess_for(bd, cprof, opts, mesh)

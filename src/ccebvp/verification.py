@@ -175,7 +175,7 @@ def check_weyl_bound(profile, samples=None) -> CheckRecord:
         return CheckRecord("weyl-bound", "weyl-norm-bound", 0.0, None, None, applicable=False)
     if samples is None:
         samples = geom.curvature_samples(profile)
-    if max(s.value for s in samples) > 1e-8:
+    if samples.values.max() > 1e-8:
         # the bound's hypothesis (nonpositive curvature) fails
         return CheckRecord("weyl-bound", "weyl-norm-bound", 0.0, None, None, applicable=False)
     worst = geom.weyl_mixed_max_n3(geom.reconstruct_metric(profile))
@@ -187,7 +187,7 @@ def pinching_report(profile, samples=None) -> CheckRecord:
     """Max |K + 1| over monitored planes (informational)."""
     if samples is None:
         samples = geom.curvature_samples(profile)
-    worst = max(abs(s.value + 1.0) for s in samples)
+    worst = np.abs(samples.values + 1.0).max()
     return CheckRecord("pinching", "curvature-pinching", float(worst), None, None)
 
 

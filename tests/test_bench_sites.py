@@ -8,6 +8,7 @@ from pathlib import Path
 
 import ccebvp
 import ccebvp.cli  # noqa: F401  (traced too; the package does not import it itself)
+from ccebvp.continuation import SweepPlan
 from ccebvp.systems import SU, BoundaryData
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -44,3 +45,17 @@ def test_hooks_accept_what_the_package_returns():
     assert {"solver.solve_bvp", "solver.assemble", "solver.splu", "verification.run_verification"} <= names
     # every assembly returns the Jacobian values with the residual
     assert all(s.attrs.get("jac_bytes", 0) > 0 for s in tr.spans if s.name == "solver.assemble")
+
+
+def test_hooks_accept_what_a_sweep_returns():
+    tracing = load_tracing()
+    tr = tracing.Tracer()
+    tr.install(tracing.sites(ccebvp))
+    try:
+        opts = ccebvp.solver.SolveOptions(grid=96, tol=1e-6, refine_rounds=0, coarse_stage=0)
+        trace = ccebvp.continuation.sweep(SweepPlan(SU, 3, lam_end=0.9, step=0.05, options=opts))
+    finally:
+        tr.uninstall()
+    assert trace.stop_reason == "path-end"
+    names = {s.name for s in tr.spans}
+    assert {"continuation.sweep", "continuation.detect_event", "geometry.curvature_samples"} <= names

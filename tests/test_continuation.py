@@ -15,7 +15,7 @@ from ccebvp.continuation import (
     detect_curvature_event,
     sweep,
 )
-from ccebvp.geometry import CurvatureSample
+from ccebvp.geometry import CurvatureSample, CurvatureSamples
 from ccebvp.solver import SolveOptions, solve_bvp
 from ccebvp.systems import SU, BoundaryData, UsageError
 
@@ -64,6 +64,17 @@ class TestDetect:
         assert sample is not None
         assert sample.x == pytest.approx(x)
         assert sample.value == pytest.approx(0.1, abs=1e-9)
+
+    def test_witness_tie_goes_to_the_first_plane(self):
+        # radial-1 and tangential-2-2 agree in exact arithmetic on Einstein SU n=3
+        # profiles; 2.5e-15 of roundoff must not pick the witness
+        planes = ("radial-1", "radial-2", "tangential-1-2", "tangential-2-2")
+        values = np.array([[-0.2, 5.399070961125546e-07],
+                           [-0.3, -0.5],
+                           [-0.4, -0.6],
+                           [-0.25, 5.399070985845356e-07]])
+        w = detect_curvature_event(None, CurvatureSamples(np.array([0.8, 0.85]), planes, values))
+        assert (w.x, w.plane, w.value) == (0.85, "radial-1", 5.399070961125546e-07)
 
     def test_thresholding(self):
         # a profile whose largest curvature is about -0.2 has no event

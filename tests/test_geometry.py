@@ -48,11 +48,8 @@ def coordinate_planes(sc, multiplicities):
 
 
 def by_plane(samples):
-    """{plane: values in node order} of a list of curvature samples."""
-    out = {}
-    for s in samples:
-        out.setdefault(s.plane, []).append(s.value)
-    return {k: np.array(v) for k, v in out.items()}
+    """{plane: values in node order} of a curvature-samples record."""
+    return dict(zip(samples.planes, samples.values))
 
 
 def su_direction_traces(P, n):
@@ -232,9 +229,9 @@ class TestGauss:
         samples = G.curvature_samples(prof)
         for j in (10, 60, 120):
             x = float(mp.x[j])
-            at_x = [s for s in samples if s.x == x]
-            rad = {s.plane: s.value for s in at_x if s.plane.startswith("radial")}
-            tan = {s.plane: s.value for s in at_x if s.plane.startswith("tangential")}
+            at_x = dict(zip(samples.planes, samples.values[:, samples.x == x][:, 0]))
+            rad = {nm: v for nm, v in at_x.items() if nm.startswith("radial")}
+            tan = {nm: v for nm, v in at_x.items() if nm.startswith("tangential")}
             # direction e_1 (multiplicity-1 slot): radial-1 + (n-1) tangential-(1,2)
             total = rad["radial-1"] + (prof.bd.n - 1) * tan["tangential-1-2"]
             assert total == pytest.approx(-prof.bd.n, abs=2e-6)
@@ -290,15 +287,34 @@ class TestGauss:
                     amb = G.gauss_tangential(mp, sect[a, b] / sinh2, ia + 1, ib + 1, x)
                     tangential.append((x, name, amb))
         want = radial + tangential
-        got = [(s.x, s.plane, s.value) for s in G.curvature_samples(prof)]
+        S = G.curvature_samples(prof)
+        got = [(float(x), nm, float(v)) for rows in (slice(None, len(rad)), slice(len(rad), None))
+               for x, col in zip(S.x, S.values[rows].T) for nm, v in zip(S.planes[rows], col)]
         assert [g[:2] for g in got] == [w[:2] for w in want]
         for (_, _, v), (_, _, ref) in zip(got, want):
             assert abs(v - ref) <= 1e-13 * max(1.0, abs(ref))
 
+    @pytest.mark.parametrize("kind, n, phi0, sp", [(GBERGER, 3, (0.95, 1.02), False), (SU, 3, (0.5,), False),
+                                                  (SU, 5, (0.6,), False), (SP, 7, (1.0, 1.0, 1.0), True)])
+    def test_record_shape(self, kind, n, phi0, sp):
+        # one row per plane, radial first, one column per mesh node; the Sp slice is radial-only
+        bd = BoundaryData(kind, n, phi0)
+        prof, rep = solve_bvp(bd, SolveOptions(grid=96, tol=1e-6, refine_rounds=0, coarse_stage=0,
+                                               experimental_sp=sp))
+        assert rep.converged
+        S = G.curvature_samples(prof)
+        mp = G.reconstruct_metric(prof)
+        radial = tuple(f"radial-{i + 1}" for i in range(len(mp.I)))
+        tangential = tuple(nm for nm, *_ in G.slice_sectional(bd, mp.I))
+        assert np.array_equal(S.x, prof.mesh.nodes)
+        assert S.planes == radial + tangential
+        assert (tangential == ()) == sp
+        assert S.values.shape == (len(S.planes), prof.mesh.n_nodes)
+
     def test_round_samples_all_minus_one(self):
         for kind, n in ((GBERGER, 3), (SU, 5)):
             prof = round_profile(kind, n)
-            vals = np.array([s.value for s in G.curvature_samples(prof)])
+            vals = G.curvature_samples(prof).values
             np.testing.assert_allclose(vals, -1.0, atol=1e-9)
 
 
