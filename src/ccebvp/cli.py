@@ -98,7 +98,6 @@ def cmd_sweep(args) -> int:
         cfg.kind,
         cfg.n,
         lam_end=cfg.sweep_end,
-        lam_start=cfg.sweep_start,
         step=cfg.sweep_step,
         min_step=cfg.sweep_min_step,
         max_step=cfg.sweep_max_step,

@@ -33,7 +33,6 @@ class RunConfig:
     quiet: bool = False
     seed_mode: str = "blend"
     experimental_sp: bool = False
-    sweep_start: float = 1.0
     sweep_end: float | None = None
     sweep_step: float = 0.05
     sweep_min_step: float = 1e-4
@@ -58,7 +57,6 @@ _PARSERS = {
     "quiet": lambda s: s.lower() in ("1", "true", "yes"),
     "seed_mode": str,
     "experimental_sp": lambda s: s.lower() in ("1", "true", "yes"),
-    "sweep_start": float,
     "sweep_end": float,
     "sweep_step": float,
     "sweep_min_step": float,
@@ -109,8 +107,6 @@ def _validate(cfg: RunConfig):
     if cfg.seed_mode not in ("blend", "zero"):
         raise ParseError("seed_mode must be 'blend' or 'zero'", key="seed_mode")
     if cfg.sweep_end is not None:
-        if cfg.sweep_start != 1.0:
-            raise ParseError("sweeps start at ratio 1", key="sweep_start")
         if cfg.sweep_end <= 0:
             raise ParseError("sweep_end must be positive", key="sweep_end")
         if not (0 < cfg.sweep_min_step <= cfg.sweep_step <= cfg.sweep_max_step):

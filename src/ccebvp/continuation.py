@@ -26,7 +26,6 @@ class SweepPlan:
     kind: SystemKind
     n: int
     lam_end: float
-    lam_start: float = 1.0
     step: float = 0.05
     min_step: float = 1e-4
     max_step: float = 0.1
@@ -36,8 +35,6 @@ class SweepPlan:
     )
 
     def __post_init__(self):
-        if self.lam_start != 1.0:
-            raise UsageError("sweep paths start at the round sphere (ratio 1)")
         if self.step <= 0 or self.min_step <= 0 or self.max_step < self.step:
             raise UsageError("sweep steps must be positive with min <= step <= max")
         if self.lam_end <= 0:
@@ -120,15 +117,16 @@ def sweep(plan: SweepPlan, tol: float | None = None) -> ContinuationTrace:
     """
     if tol is not None:
         plan = replace(plan, options=replace(plan.options, tol=tol))
-    direction = 1.0 if plan.lam_end >= plan.lam_start else -1.0
-    prof, rep = _solve_at(plan, plan.lam_start)
+    lam = 1.0  # every path starts at the round sphere
+    direction = 1.0 if plan.lam_end >= lam else -1.0
+    prof, rep = _solve_at(plan, lam)
     if not rep.converged:
         raise RuntimeError("the round-sphere solve failed; sweep cannot start")
-    records = [_record(plan, plan.lam_start, prof, rep, geom.curvature_samples(prof))]
-    if plan.lam_end == plan.lam_start:
+    records = [_record(plan, lam, prof, rep, geom.curvature_samples(prof))]
+    if plan.lam_end == lam:
         return ContinuationTrace(plan, records, "path-end")
 
-    lam, step, streak = plan.lam_start, plan.step, 0
+    step, streak = plan.step, 0
     prev = prof
     while True:
         target = lam + direction * step

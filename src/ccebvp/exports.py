@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, geometry
 from .series import NonlocalParams
-from .solver import Mesh, SolutionProfile
+from .solver import INFINITY_ORDER, Mesh, SolutionProfile, origin_order
 from .systems import GBERGER, SP, SU, BoundaryData
 
 PROFILE_SCHEMA = "cce-profile-v1"
@@ -83,9 +83,9 @@ def export_profile_csv(profile: SolutionProfile, path: str) -> None:
         "# infinity_free=" + ",".join(fmt(c) for c in profile.infinity_free),
         f"# tol={fmt(profile.tol)}",
         f"# converged={str(profile.converged).lower()}",
-        f"# grading={profile.mesh.grading}",
-        f"# origin_order={profile.origin_order}",
-        f"# infinity_order={profile.infinity_order}",
+        "# grading=endpoint-clustered",
+        f"# origin_order={origin_order(profile.bd.n)}",
+        f"# infinity_order={INFINITY_ORDER}",
     ]
     lines = meta + [",".join(names)]
     for row in rows:
@@ -120,7 +120,7 @@ def load_profile_csv(path: str) -> SolutionProfile:
     inf_free = np.array([float(v) for v in meta["infinity_free"].split(",")])
     prof = SolutionProfile(
         bd,
-        Mesh(col["x"], meta.get("grading", "endpoint-clustered")),
+        Mesh(col["x"]),
         y,
         yp,
         k0var=float(meta["k0var"]),
@@ -128,8 +128,6 @@ def load_profile_csv(path: str) -> SolutionProfile:
         infinity_free=inf_free,
         converged=meta.get("converged") == "true",
         tol=float(meta["tol"]),
-        origin_order=int(meta["origin_order"]),
-        infinity_order=int(meta["infinity_order"]),
     )
     return prof
 

@@ -26,6 +26,7 @@ from .systems import (
     DomainError,
     Family,
     SeriesRecursionError,
+    StateVector,
     SystemKind,
     UsageError,
     family,
@@ -338,8 +339,6 @@ def evaluate_tangents(sc: SeriesCoefficients, x):
 
 def evaluate_series(sc: SeriesCoefficients, x):
     """State (y, y', y'') of the series at x, inside its trust radius."""
-    from .systems import StateVector
-
     xs = np.asarray(x, dtype=float)
     if sc.endpoint == "origin":
         if np.any(xs < 0) or np.any(xs > TRUST_RADIUS):

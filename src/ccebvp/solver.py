@@ -21,7 +21,7 @@ from scipy.sparse.linalg import splu
 
 from . import systems as sysm
 from .series import (
-    DEFAULT_INFINITY_ORDER,
+    TRUST_RADIUS,
     NonlocalParams,
     evaluate_series,
     evaluate_tangents,
@@ -35,11 +35,21 @@ from .systems import BoundaryData, DomainError, UsageError, family
 _G1 = 0.5 - np.sqrt(3.0) / 6.0
 _G2 = 0.5 + np.sqrt(3.0) / 6.0
 
+# the interior mesh spans [XL, XR]; the endpoint series close it on both sides
+XL, XR = 0.1, 0.85
+# density ratio of the endpoint-clustered grading toward x=1
+STRETCH = 1.5
+# truncation orders of the endpoint series: origin_order(n) at x=0, INFINITY_ORDER at x=1
+INFINITY_ORDER = 26
+
+
+def origin_order(n: int) -> int:
+    return n + 23
+
 
 @dataclass(frozen=True)
 class Mesh:
     nodes: np.ndarray
-    grading: str = "endpoint-clustered"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -50,8 +60,6 @@ class Mesh:
             raise UsageError("mesh nodes must be strictly increasing")
         if nodes[0] <= 0.0 or nodes[-1] >= 1.0:
             raise DomainError("mesh must lie strictly inside (0,1)")
-        from .series import TRUST_RADIUS
-
         if nodes[0] > TRUST_RADIUS or nodes[-1] < 1.0 - TRUST_RADIUS:
             raise DomainError("mesh endpoints must lie inside the series trust radii")
 
@@ -60,28 +68,22 @@ class Mesh:
         return len(self.nodes)
 
 
-def make_mesh(num=128, xl=0.1, xr=0.85, grading="endpoint-clustered", stretch=1.5) -> Mesh:
-    """Mesh on [xl, xr].
+def make_mesh(num=128) -> Mesh:
+    """Endpoint-clustered mesh of num nodes on [XL, XR].
 
-    Endpoint-clustered grading blends a cosine map (mild refinement toward
-    both series interfaces; the first-integral sensitivity grows like 1/x at
-    the left, the solution derivatives at the right) with a uniform map, then
-    stretches toward x=1 by the given density ratio.  The blend keeps the
-    smallest spacing proportional to 1/num so the 1/h^2 roundoff floor of the
+    The grading blends a cosine map (mild refinement toward both series
+    interfaces; the first-integral sensitivity grows like 1/x at the left,
+    the solution derivatives at the right) with a uniform map, then stretches
+    toward x=1 by the density ratio STRETCH.  The blend keeps the smallest
+    spacing proportional to 1/num so the 1/h^2 roundoff floor of the
     collocation residual stays below tight tolerances.
     """
     s = np.linspace(0.0, 1.0, num)
-    if grading == "uniform":
-        g = s
-    elif grading == "endpoint-clustered":
-        w = 0.4
-        g = (1.0 - w) * s + w * 0.5 * (1.0 - np.cos(np.pi * s))
-        if stretch != 1.0:
-            beta = np.log(stretch)
-            g = 1.0 - (np.exp(beta * (1.0 - g)) - 1.0) / (np.exp(beta) - 1.0)
-    else:
-        raise UsageError(f"unknown grading {grading!r}")
-    return Mesh(xl + (xr - xl) * g, grading)
+    w = 0.4
+    g = (1.0 - w) * s + w * 0.5 * (1.0 - np.cos(np.pi * s))
+    beta = np.log(STRETCH)
+    g = 1.0 - (np.exp(beta * (1.0 - g)) - 1.0) / (np.exp(beta) - 1.0)
+    return Mesh(XL + (XR - XL) * g)
 
 
 @dataclass
@@ -89,14 +91,7 @@ class SolveOptions:
     grid: int = 128
     tol: float = 1e-10
     max_iter: int = 40
-    xl: float = 0.1
-    xr: float = 0.85
-    grading: str = "endpoint-clustered"
-    stretch: float = 1.5
-    origin_order: int | None = None  # default n + 23
-    infinity_order: int = 26
     refine_rounds: int = 3
-    refine_target: float | None = None
     seed_mode: str = "blend"  # 'blend' | 'zero'
     experimental_sp: bool = False
     coarse_stage: int = 96  # warm-start grids larger than ~1.5x this
@@ -116,7 +111,6 @@ class SolveReport:
     refinements: int = 0
     constraint_drift: float = np.inf
     failure_reason: str = ""
-    retried: bool = False
     wall_time: float = 0.0
     # work done over the whole solve (every Newton run of a solve_bvp call)
     counters: dict = field(default_factory=_zero_counters)
@@ -132,7 +126,6 @@ class SolveReport:
             "refinements": self.refinements,
             "constraint_drift": self.constraint_drift,
             "failure_reason": self.failure_reason,
-            "retried": self.retried,
             "counters": dict(self.counters),
         }
 
@@ -149,8 +142,6 @@ class SolutionProfile:
     converged: bool = False
     residual_norm: float = np.inf
     tol: float = 1e-10
-    origin_order: int | None = None
-    infinity_order: int = DEFAULT_INFINITY_ORDER
 
     def __post_init__(self):
         fam = family(self.bd.kind, self.bd.n)
@@ -158,8 +149,6 @@ class SolutionProfile:
             self.free = NonlocalParams.zeros(self.bd.kind)
         if self.infinity_free is None:
             self.infinity_free = np.zeros(fam.m - 1)
-        if self.origin_order is None:
-            self.origin_order = self.bd.n + 23
 
     @property
     def k0(self) -> float:
@@ -173,7 +162,7 @@ class SolutionProfile:
         return -sysm.evo_residuals(fam, self.mesh.nodes, self.y.T, self.yp.T, z.T).T
 
     def origin_series(self):
-        return fg_series_origin(self.bd, self.free, self.origin_order, k0=self.k0)
+        return fg_series_origin(self.bd, self.free, origin_order(self.bd.n), k0=self.k0)
 
     def constraint_values(self) -> np.ndarray:
         """First integral at every node (uses the eliminated second derivatives)."""
@@ -231,8 +220,6 @@ def _unpack(bd, mesh, u, opts):
         free=NonlocalParams(tuple(u[2 * m * N + 1 : 2 * m * N + m])),
         infinity_free=u[2 * m * N + m :].copy(),
         tol=opts.tol,
-        origin_order=opts.origin_order or bd.n + 23,
-        infinity_order=opts.infinity_order,
     )
 
 
@@ -282,7 +269,6 @@ def assemble_collocation(
     bd: BoundaryData,
     mesh: Mesh,
     guess: SolutionProfile,
-    opts: SolveOptions | None = None,
     counters: dict | None = None,
 ):
     """Residual vector and Jacobian values of the square discrete system.
@@ -301,8 +287,6 @@ def assemble_collocation(
     sparsity pattern _jacobian_pattern(m, N) (jacobian_matrix assembles the
     sparse matrix).
     """
-    if opts is None:
-        opts = SolveOptions()
     if counters is None:
         counters = _zero_counters()
     fam = family(bd.kind, bd.n)
@@ -312,12 +296,11 @@ def assemble_collocation(
     counters["assemblies"] += 1
     xs = mesh.nodes
     y, yp = guess.y, guess.yp
-    oorder = opts.origin_order or bd.n + 23
 
     # --- endpoint matching
-    scL = fg_series_origin(bd, guess.free, oorder, log_k0=guess.k0var, tangents=True)
+    scL = fg_series_origin(bd, guess.free, origin_order(bd.n), log_k0=guess.k0var, tangents=True)
     yL, ypL, jacL = _closure(scL, xs[0])
-    scR = series_infinity(bd.kind, bd.n, opts.infinity_order, guess.infinity_free, tangents=True)
+    scR = series_infinity(bd.kind, bd.n, INFINITY_ORDER, guess.infinity_free, tangents=True)
     yR, ypR, jacR = _closure(scR, xs[-1])
 
     # --- collocation rows, in (interval, Gauss point, equation) order
@@ -391,15 +374,7 @@ def seed_profile(bd: BoundaryData, mesh: Mesh, opts: SolveOptions | None = None)
         yp = np.zeros_like(y)
     else:
         y, yp = seed_values(bd, mesh.nodes)
-    return SolutionProfile(
-        bd,
-        mesh,
-        y,
-        yp,
-        tol=opts.tol,
-        origin_order=opts.origin_order or bd.n + 23,
-        infinity_order=opts.infinity_order,
-    )
+    return SolutionProfile(bd, mesh, y, yp, tol=opts.tol)
 
 
 def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=None):
@@ -419,7 +394,7 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=Non
     u = _pack(guess)
 
     def assemble(uv):
-        return assemble_collocation(bd, mesh, _unpack(bd, mesh, uv, opts), opts, counters=counters)
+        return assemble_collocation(bd, mesh, _unpack(bd, mesh, uv, opts), counters=counters)
 
     m, N = guess.y.shape
 
@@ -515,11 +490,7 @@ def refine_mesh(profile: SolutionProfile, target: float) -> Mesh:
     if not np.any(bad):
         return profile.mesh
     mids = 0.5 * (xs[:-1] + xs[1:])[bad]
-    return Mesh(np.sort(np.concatenate([xs, mids])), profile.mesh.grading)
-
-
-def _halfway_round(bd: BoundaryData) -> BoundaryData:
-    return BoundaryData(bd.kind, bd.n, tuple(np.sqrt(np.asarray(bd.phi0))))
+    return Mesh(np.sort(np.concatenate([xs, mids])))
 
 
 def as_guess_for(bd, prof, opts, mesh=None):
@@ -537,57 +508,40 @@ def as_guess_for(bd, prof, opts, mesh=None):
     )
 
 
-def _cold_solve(bd, mesh, opts, counters):
-    """Seeded Newton with one homotopy retry through half-round data."""
-    prof, rep = newton_solve(bd, mesh, seed_profile(bd, mesh, opts), opts, counters)
-    if not rep.converged and rep.residual_norm > 1e3 * opts.tol and not bd.is_round:
-        bdh = _halfway_round(bd)
-        half, _ = newton_solve(bdh, mesh, seed_profile(bdh, mesh, opts), opts, counters)
-        if half.residual_norm <= 1e3 * opts.tol:
-            prof, rep = newton_solve(bd, mesh, as_guess_for(bd, half, opts), opts, counters)
-            rep.retried = True
-    return prof, rep
+def solve_bvp(bd: BoundaryData, opts: SolveOptions | None = None):
+    """Newton-solve from one start, then refine while the drift gate is unmet.
 
-
-def solve_bvp(bd: BoundaryData, opts: SolveOptions | None = None, guess: SolutionProfile | None = None):
-    """Seed (through a coarse warm-up stage for large grids), Newton-solve,
-    then refine while the converged-profile gates are unmet; one homotopy
-    retry through half-round data on a cold-start failure."""
+    The start is the seed profile.  On non-round data with a grid above
+    1.5*coarse_stage it is instead the coarse_stage-node solve (at tol
+    max(tol, 1e-9)) interpolated onto the mesh, when that solve's residual
+    is within 1e3 of its tol.  A solve that fails keeps its failure_reason.
+    """
     if opts is None:
         opts = SolveOptions()
     if bd.kind.family == "sp" and not opts.experimental_sp:
         raise UsageError(
             "the Sp family solve path is experimental; set experimental_sp=True to enable"
         )
-    mesh = make_mesh(opts.grid, opts.xl, opts.xr, opts.grading, opts.stretch)
+    mesh = make_mesh(opts.grid)
     counters = _zero_counters()
-    if guess is not None:
-        start = as_guess_for(bd, guess, opts, mesh)
-        prof, rep = newton_solve(bd, mesh, start, opts, counters)
-    elif opts.coarse_stage and opts.grid > 1.5 * opts.coarse_stage and not bd.is_round:
-        cmesh = make_mesh(opts.coarse_stage, opts.xl, opts.xr, opts.grading, opts.stretch)
+    start = seed_profile(bd, mesh, opts)
+    if opts.coarse_stage and opts.grid > 1.5 * opts.coarse_stage and not bd.is_round:
+        cmesh = make_mesh(opts.coarse_stage)
         copts = replace(opts, tol=max(opts.tol, 1e-9), grid=opts.coarse_stage)
-        cprof, crep = _cold_solve(bd, cmesh, copts, counters)
+        cprof, crep = newton_solve(bd, cmesh, seed_profile(bd, cmesh, copts), copts, counters)
         if crep.residual_norm <= 1e3 * copts.tol:
             start = as_guess_for(bd, cprof, opts, mesh)
-            prof, rep = newton_solve(bd, mesh, start, opts, counters)
-            rep.retried = crep.retried
-        else:
-            prof, rep = _cold_solve(bd, mesh, opts, counters)
-    else:
-        prof, rep = _cold_solve(bd, mesh, opts, counters)
+    prof, rep = newton_solve(bd, mesh, start, opts, counters)
 
     rounds = 0
     while rep.residual_norm <= opts.tol and not prof.converged and rounds < opts.refine_rounds:
         # converged in residual but the constraint drift gate failed: refine
-        target = opts.refine_target if opts.refine_target is not None else 10.0 * opts.tol
-        newmesh = refine_mesh(prof, target)
+        newmesh = refine_mesh(prof, 10.0 * opts.tol)
         if newmesh.n_nodes == prof.mesh.n_nodes:
             break
         prof2, rep2 = newton_solve(bd, newmesh, as_guess_for(bd, prof, opts, newmesh), opts, counters)
         rounds += 1
         rep2.refinements = rounds
-        rep2.retried = rep.retried
         prof, rep = prof2, rep2
         if rep.residual_norm > opts.tol:
             break

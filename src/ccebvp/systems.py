@@ -527,20 +527,6 @@ def y1prime_closed_form_gb(x, yp2, yp3, ups):
     return 6.0 / (x * (1.0 - x * x)) * (1.0 + x * x - np.sqrt(rad))
 
 
-def y1prime_closed_form(fam: Family, x, yp_rest, g):
-    """General minus-root closed form: y1' from Phi = 0.
-
-    yp_rest are the derivatives of the non-K unknowns and g is the source sum
-    S(y)/(16 n) = n - (n+1)(K phi)^(-1/n) + ... for the family at the state.
-    """
-    n = fam.n
-    quad = yp_rest @ fam.rmat[1:, 1:] @ yp_rest
-    rad = (1 + x * x) ** 2 + (x * (1 - x * x) / (2.0 * n)) ** 2 * quad - 4.0 * x * x * g / n
-    if np.any(rad < 0):
-        raise InfeasibleStateError("negative radicand in closed form for y1'")
-    return 2.0 * n / (x * (1.0 - x * x)) * (1.0 + x * x - np.sqrt(rad))
-
-
 def jacobian_state(kind: SystemKind, n: int, s: StateVector):
     """Analytic partials of (evo rows, constraint) w.r.t. (y, yp, ypp).
 

@@ -40,12 +40,6 @@ class VerificationReport:
     def overall_pass(self) -> bool:
         return all(r.ok for r in self.records)
 
-    def record(self, name: str) -> CheckRecord:
-        for r in self.records:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
 
 def _interior(profile):
     return slice(1, profile.mesh.n_nodes - 1)

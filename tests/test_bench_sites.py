@@ -3,6 +3,8 @@ reads what they return; every attribute it names must exist and every hook
 must accept what the package returns, so a rename or a return-type change
 fails here rather than in the benchmark."""
 
+import ast
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -11,7 +13,8 @@ import ccebvp.cli  # noqa: F401  (traced too; the package does not import it its
 from ccebvp.continuation import SweepPlan
 from ccebvp.systems import SU, BoundaryData
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def load_tracing():
@@ -59,3 +62,21 @@ def test_hooks_accept_what_a_sweep_returns():
     assert trace.stop_reason == "path-end"
     names = {s.name for s in tr.spans}
     assert {"continuation.sweep", "continuation.detect_event", "geometry.curvature_samples"} <= names
+
+
+def test_workload_options_exist():
+    # every keyword the benchmark passes to SolveOptions or SweepPlan must be
+    # a field, so deleting an option it sets fails here, not in a bench run
+    classes = {"SolveOptions": ccebvp.solver.SolveOptions, "SweepPlan": SweepPlan}
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    seen = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name in classes:
+            fields = {f.name for f in dataclasses.fields(classes[name])}
+            for kw in node.keywords:
+                assert kw.arg in fields, f"bench/workloads.py passes {kw.arg}= to {name}"
+            seen.add(name)
+    assert seen == set(classes)

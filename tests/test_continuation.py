@@ -27,8 +27,6 @@ def quick_opts(grid=96, tol=1e-6):
 class TestPlan:
     def test_validation(self):
         with pytest.raises(UsageError):
-            SweepPlan(SU, 5, lam_end=0.5, lam_start=0.9)
-        with pytest.raises(UsageError):
             SweepPlan(SU, 5, lam_end=-0.1)
         with pytest.raises(UsageError):
             SweepPlan(SU, 5, lam_end=0.5, step=0.2, max_step=0.1)

@@ -36,9 +36,7 @@ class TestMesh:
             Mesh(np.array([0.3, 0.5, 0.7, 0.9]))  # left end outside trust radius
 
     def test_make_mesh_grading(self):
-        u = make_mesh(32, grading="uniform")
-        assert np.allclose(np.diff(u.nodes), np.diff(u.nodes)[0])
-        c = make_mesh(64, grading="endpoint-clustered", stretch=3.0)
+        c = make_mesh(64)
         h = np.diff(c.nodes)
         # clustered toward x=1: right spacing finer than mid spacing
         assert h[-1] < h[len(h) // 2]
@@ -49,8 +47,8 @@ class TestAssemble:
     def test_round_zero_guess_residual_zero(self):
         bd = BoundaryData(SU, 5, (1.0,))
         opts = small_opts()
-        mesh = make_mesh(opts.grid, opts.xl, opts.xr)
-        F, J = assemble_collocation(bd, mesh, seed_profile(bd, mesh, opts), opts)
+        mesh = make_mesh(opts.grid)
+        F, J = assemble_collocation(bd, mesh, seed_profile(bd, mesh, opts))
         J = jacobian_matrix(J, bd.kind.unknowns, mesh.n_nodes).toarray()
         assert np.all(F == 0.0)
         assert J.shape == (F.size, F.size)
@@ -59,8 +57,8 @@ class TestAssemble:
     def test_square_system(self, kind, n, phi0):
         bd = BoundaryData(kind, n, phi0)
         opts = small_opts(grid=12)
-        mesh = make_mesh(12, opts.xl, opts.xr)
-        F, J = assemble_collocation(bd, mesh, seed_profile(bd, mesh, opts), opts)
+        mesh = make_mesh(12)
+        F, J = assemble_collocation(bd, mesh, seed_profile(bd, mesh, opts))
         m = kind.unknowns
         J = jacobian_matrix(J, m, 12).toarray()
         assert F.size == 2 * m * 12 + 2 * m - 1
@@ -69,12 +67,12 @@ class TestAssemble:
     def test_jacobian_matches_finite_differences(self):
         bd = BoundaryData(SU, 5, (0.8,))
         opts = small_opts(grid=10)
-        mesh = make_mesh(10, opts.xl, opts.xr)
+        mesh = make_mesh(10)
         rng = np.random.RandomState(1)
         u = _pack(seed_profile(bd, mesh, opts))
         u += rng.uniform(-0.03, 0.03, u.size)
         p = _unpack(bd, mesh, u, opts)
-        F, J = assemble_collocation(bd, mesh, p, opts)
+        F, J = assemble_collocation(bd, mesh, p)
         J = jacobian_matrix(J, bd.kind.unknowns, 10).toarray()
         h = 1e-7
         worst = 0.0
@@ -82,8 +80,8 @@ class TestAssemble:
             up, um = u.copy(), u.copy()
             up[k] += h
             um[k] -= h
-            Fp = assemble_collocation(bd, mesh, _unpack(bd, mesh, up, opts), opts)[0]
-            Fm = assemble_collocation(bd, mesh, _unpack(bd, mesh, um, opts), opts)[0]
+            Fp = assemble_collocation(bd, mesh, _unpack(bd, mesh, up, opts))[0]
+            Fm = assemble_collocation(bd, mesh, _unpack(bd, mesh, um, opts))[0]
             col = (Fp - Fm) / (2 * h)
             worst = max(worst, np.abs(col - J[:, k]).max())
         assert worst / max(1.0, np.abs(J).max()) <= 1e-6
@@ -94,8 +92,8 @@ class TestAssemble:
         opts = small_opts()
 
         def jac_bytes(num):
-            mesh = make_mesh(num, opts.xl, opts.xr)
-            return assemble_collocation(bd, mesh, seed_profile(bd, mesh, opts), opts)[1].nbytes
+            mesh = make_mesh(num)
+            return assemble_collocation(bd, mesh, seed_profile(bd, mesh, opts))[1].nbytes
 
         assert jac_bytes(128) <= 2.2 * jac_bytes(64)
 
@@ -118,10 +116,10 @@ class TestAssemble:
     def test_dimension_mismatch(self):
         bd = BoundaryData(SU, 5, (0.8,))
         opts = small_opts()
-        mesh = make_mesh(16, opts.xl, opts.xr)
-        other = make_mesh(20, opts.xl, opts.xr)
+        mesh = make_mesh(16)
+        other = make_mesh(20)
         with pytest.raises(UsageError):
-            assemble_collocation(bd, mesh, seed_profile(bd, other, opts), opts)
+            assemble_collocation(bd, mesh, seed_profile(bd, other, opts))
 
 
 class TestNewton:
@@ -157,6 +155,22 @@ class TestNewton:
         else:
             assert rep.failure_reason != ""
 
+    def test_failed_start_is_not_retried(self, monkeypatch):
+        # a cold-start failure is reported as it is: one Newton run, no
+        # re-solve from other data
+        import ccebvp.solver as solver
+
+        real, runs = solver.newton_solve, []
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "newton_solve", counted)
+        prof, rep = solve_bvp(BoundaryData(SU, 5, (0.1,)), small_opts(grid=48))
+        assert len(runs) == 1
+        assert not rep.converged and rep.failure_reason != ""
+
     def test_two_seeds_agree(self):
         bd = BoundaryData(SU, 5, (0.85,))
         p1, r1 = solve_bvp(bd, small_opts(grid=96, tol=1e-7, seed_mode="blend"))
@@ -184,8 +198,8 @@ class TestNewton:
 
     def test_counters_over_refinement_rounds(self):
         bd = BoundaryData(SU, 5, (0.8,))
-        rep = solve_bvp(bd, small_opts(grid=64, refine_rounds=2, refine_target=1e-8))[1]
-        assert rep.refinements == 2 and not rep.retried
+        rep = solve_bvp(bd, small_opts(grid=64, refine_rounds=2))[1]
+        assert rep.refinements == 2
         newton_runs = 1 + rep.refinements
         assert rep.counters["assemblies"] == rep.counters["lu_factorisations"] + newton_runs
 
@@ -209,7 +223,7 @@ class TestNewton:
         monkeypatch.setattr(solver, "assemble_collocation", breaks_at_first_trial)
         bd = BoundaryData(SU, 5, (0.8,))
         opts = small_opts(grid=96, tol=1e-7)
-        mesh = make_mesh(opts.grid, opts.xl, opts.xr)
+        mesh = make_mesh(opts.grid)
         prof, rep = newton_solve(bd, mesh, seed_profile(bd, mesh, opts), opts)
         assert rep.damping_history[0] == 0.5
         assert rep.converged and rep.failure_reason == ""
@@ -244,7 +258,7 @@ class TestRefine:
         # manufactured curvature in y2 near x=1: inserts nodes in the last decile
         bd = BoundaryData(SU, 5, (0.8,))
         opts = small_opts(grid=48)
-        mesh = make_mesh(48, opts.xl, opts.xr)
+        mesh = make_mesh(48)
         prof = seed_profile(bd, mesh, opts)
         xs = mesh.nodes
         bump = np.exp(-(((xs - 0.82) / 0.01) ** 2))
@@ -261,7 +275,7 @@ class TestRefine:
     def test_refinement_reduces_drift(self):
         bd = BoundaryData(SU, 5, (0.8,))
         p0, r0 = solve_bvp(bd, small_opts(grid=64, tol=1e-9, refine_rounds=0))
-        p1, r1 = solve_bvp(bd, small_opts(grid=64, tol=1e-9, refine_rounds=2, refine_target=1e-8))
+        p1, r1 = solve_bvp(bd, small_opts(grid=64, tol=1e-9, refine_rounds=2))
         assert r1.refinements >= 1
         assert r1.constraint_drift < r0.constraint_drift
 
