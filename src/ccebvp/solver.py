@@ -8,6 +8,10 @@ Gauss-point collocations of the regularized evolution equations per unknown;
 the first integral is anchored once, at the mid node, in exchange for the two
 y1 collocations of the adjacent interval (constraint propagation makes them
 redundant there).
+
+The Jacobian is kept as its blocks and factored by block cyclic reduction
+with orthogonal pair eliminations (CyclicReduction), in numpy alone: O(N)
+storage and work, and no sparse-matrix library to import.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from . import systems as sysm
 from .series import (
@@ -283,9 +285,13 @@ def assemble_collocation(
     after the solve.  Each assembly builds both endpoint series once, with
     their tangent tables, and is tallied in counters["assemblies"].
 
-    The Jacobian is returned as the 1-D array of its values on the fixed
-    sparsity pattern _jacobian_pattern(m, N) (jacobian_matrix assembles the
-    sparse matrix).
+    The Jacobian is returned as the 1-D array of its values, block by block:
+    the (2m-1) x (1+m) origin rows (node 0's matching slot, then log K(0) and
+    the nonlocal coefficients), the (N-1, 2m, 4m) interval blocks (columns
+    :2m on node j, 2m: on node j+1), and the 2m x m rows at x=1 (node N-1's
+    slot, then the free coefficients).  Unknowns: node j holds y at 2m*j + k
+    and y' at 2m*j + m + k, then the 2m-1 endpoint parameters.  splu factors
+    it.
     """
     if counters is None:
         counters = _zero_counters()
@@ -326,37 +332,82 @@ def assemble_collocation(
     return F, np.concatenate([JL.ravel(), Jc.ravel(), np.hstack([ones, -jacR]).ravel()])
 
 
-def _jacobian_pattern(m, N):
-    """(row, col) of each value assemble_collocation returns, in its order.
+class CyclicReduction:
+    """Factor of the collocation Jacobian by block cyclic reduction.
 
-    Unknowns: node j holds y at 2m*j + k and y' at 2m*j + m + k, then the
-    2m-1 endpoint parameters (log K(0) and the m-1 nonlocal coefficients,
-    then the m-1 free coefficients at x=1).  Before the shed row m, interval
-    j's dense 2m x 4m collocation block has rows 2m + 2m*j + (g*m + i) and
-    columns 2m*j + (s*m + k), its two node slots.
+    The interval blocks [A_j | B_j] (A_j on node j, B_j on node j+1) are
+    reduced pairwise, level by level: stacking [B_j; A_{j+1}] for even j and
+    applying the transpose of its complete QR factor to the two block rows
+    eliminates node j+1, leaving a block that links node j to node j+2 (an
+    odd last block carries over unchanged).  When one block is left it links
+    the first node to the last, and together with the endpoint matching rows
+    it forms one dense (6m-1)-square system in the two end nodes and the
+    endpoint parameters.  Each eliminated node is then recovered, level by
+    level in reverse, through its stored operator
+    R^-1 [Q_top^T | -Q_top^T [A;0] | -Q_top^T [0;B]] applied to its pair's
+    right-hand side and its two neighbours (Wright 1992; the orthogonal
+    reduction keeps it stable without pivoting across blocks).  Storage is
+    O(N).  An exactly singular system raises np.linalg.LinAlgError.
     """
-    r = np.arange(2 * m)[:, None]
-    tail = 2 * m * N + np.arange(2 * m - 1)
 
-    def matching(row0, node, inputs):
-        cols = np.hstack([2 * m * node + r, np.broadcast_to(inputs, (2 * m, inputs.size))])
-        return np.broadcast_to(row0 + r, cols.shape), cols
+    def __init__(self, J, m, N):
+        w = 2 * m
+        no = (w - 1) * (m + 1)
+        ni = no + (N - 1) * 2 * w * w
+        JL, JR = J[:no].reshape(w - 1, m + 1), J[ni:].reshape(w, m)
+        blocks = J[no:ni].reshape(N - 1, w, 2 * w)
+        A, B = blocks[:, :, :w], blocks[:, :, w:]
+        nodes = np.arange(N)
+        # per level: (Q_bot^T, back-substitution operator, left, eliminated, right node indices)
+        self.levels = []
+        while len(A) > 1:
+            k = len(A) // 2
+            Q, R = np.linalg.qr(np.concatenate([B[: 2 * k : 2], A[1 : 2 * k : 2]], axis=1), mode="complete")
+            Qt = Q.transpose(0, 2, 1)
+            QA = Qt[:, :, :w] @ A[: 2 * k : 2]
+            QB = Qt[:, :, w:] @ B[1 : 2 * k : 2]
+            ops = np.linalg.inv(R[:, :w]) @ np.concatenate([Qt[:, :w], -QA[:, :w], -QB[:, :w]], axis=2)
+            self.levels.append((Qt[:, w:].copy(), ops, nodes[: 2 * k : 2], nodes[1 : 2 * k : 2], nodes[2 : 2 * k + 1 : 2]))
+            A = np.concatenate([QA[:, w:], A[2 * k :]])
+            B = np.concatenate([QB[:, w:], B[2 * k :]])
+            nodes = np.concatenate([nodes[: 2 * k + 1 : 2], nodes[2 * k + 1 :]])
+        # unknowns (first node, last node, origin parameters, x=1 parameters);
+        # rows (origin matching, the last block, x=1 matching)
+        E = np.zeros((3 * w - 1, 3 * w - 1))
+        E[: w - 1, :w] = np.delete(np.eye(w), m, axis=0) * JL[:, :1]
+        E[: w - 1, 2 * w : 2 * w + m] = JL[:, 1:]
+        E[w - 1 : 2 * w - 1, :w] = A[0]
+        E[w - 1 : 2 * w - 1, w : 2 * w] = B[0]
+        E[2 * w - 1 :, w : 2 * w] = np.eye(w) * JR[:, :1]
+        E[2 * w - 1 :, 2 * w + m :] = JR[:, 1:]
+        self.ends = E
+        self.m, self.N = m, N
 
-    rL, cL = (np.delete(a, m, axis=0) for a in matching(0, 0, tail[:m]))
-    j, g, i, s, k = np.indices((N - 1, 2, m, 4, m))
-    rR, cR = matching(2 * m * N, N - 1, tail[m:])
-    rows = np.concatenate([rL.ravel(), (2 * m + 2 * m * j + m * g + i).ravel(), rR.ravel()])
-    cols = np.concatenate([cL.ravel(), (2 * m * j + m * s + k).ravel(), cR.ravel()])
-    return rows - (rows > m), cols
+    def solve(self, rhs):
+        """x with J x = rhs, for rhs in assemble_collocation's row order."""
+        w, N = 2 * self.m, self.N
+        f = rhs[w - 1 : -w].reshape(N - 1, w)
+        pairs = []
+        for Qb, ops, *_ in self.levels:
+            k = len(ops)
+            pair = f[: 2 * k].reshape(k, 2 * w)
+            pairs.append(pair)
+            f = np.concatenate([(Qb @ pair[:, :, None])[:, :, 0], f[2 * k :]])
+        z = np.linalg.solve(self.ends, np.concatenate([rhs[: w - 1], f[0], rhs[-w:]]))
+        x = np.empty((N, w))
+        x[0], x[-1] = z[:w], z[w : 2 * w]
+        for (_, ops, left, mid, right), pair in zip(self.levels[::-1], pairs[::-1]):
+            v = np.concatenate([pair, x[left], x[right]], axis=1)
+            x[mid] = (ops @ v[:, :, None])[:, :, 0]
+        return np.concatenate([x.ravel(), z[2 * w :]])
 
 
-def jacobian_matrix(J, m, N):
-    """Sparse (CSC) Jacobian from assemble_collocation's values; exact zeros
-    are dropped, so the fill-reducing ordering sees only the true nonzeros."""
-    nU = 2 * m * N + 2 * m - 1
-    A = csc_matrix((J, _jacobian_pattern(m, N)), shape=(nU, nU))
-    A.eliminate_zeros()
-    return A
+def splu(J, m, N):
+    """Factor the collocation Jacobian whose values J come from
+    assemble_collocation (m unknowns, N nodes) by block cyclic reduction;
+    the returned CyclicReduction's .solve(rhs) solves J x = rhs.  The name
+    is kept for the span solver.splu that bench/tracing.py records."""
+    return CyclicReduction(J, m, N)
 
 
 # ---------------------------------------------------------------------------
@@ -400,17 +451,21 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=Non
 
     def factor(J):
         counters["lu_factorisations"] += 1
-        return splu(jacobian_matrix(J, m, N))
+        return splu(J, m, N)
 
-    def trial(uv):
-        # extreme trial states can overflow the exponential sources or break
-        # the series recursion; the line search treats that as a rejection
+    def trial(uv, lu, bound):
+        # affine-invariant (natural) monotonicity: accept uv when
+        # |J^-1 F(uv)|, with the current factorization, is within bound.
+        # Extreme trial states can overflow the exponential sources, break the
+        # series recursion or overflow that norm; the line search treats any
+        # of it as a rejection
         try:
             with np.errstate(over="raise", invalid="raise"):
                 F, J = assemble(uv)
+                accept = np.all(np.isfinite(F)) and float(np.linalg.norm(lu.solve(-F))) <= bound
         except (sysm.SeriesRecursionError, FloatingPointError, np.linalg.LinAlgError):
             return None
-        return (F, J) if np.all(np.isfinite(F)) else None
+        return (F, J) if accept else None
 
     F, J = assemble(u)
     norm = float(np.abs(F).max())
@@ -421,19 +476,18 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=Non
         try:
             lu = factor(J)
             step = lu.solve(-F)
-        except (np.linalg.LinAlgError, RuntimeError, ValueError):
+        except np.linalg.LinAlgError:
             rep.failure_reason = "singular linearization"
             break
-        # affine-invariant (natural) monotonicity: compare J^-1 F along the
-        # step using the current factorization; Armijo halving, floor 2^-20
+        # Armijo halving on the natural monotonicity test, floor 2^-20
         dnorm = float(np.linalg.norm(step))
         if not np.isfinite(dnorm) or dnorm == 0.0:
             rep.failure_reason = "singular linearization"
             break
         lam = 1.0
         while lam >= 2.0**-20:
-            FJ = trial(u + lam * step)
-            if FJ is not None and float(np.linalg.norm(lu.solve(-FJ[0]))) <= (1.0 - 0.5 * lam) * dnorm:
+            FJ = trial(u + lam * step, lu, (1.0 - 0.5 * lam) * dnorm)
+            if FJ is not None:
                 break
             lam *= 0.5
         else:
@@ -457,7 +511,7 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=Non
             lu = factor(J)
             ut = u + lu.solve(-F)
             Ft, Jt = assemble(ut)
-        except (np.linalg.LinAlgError, RuntimeError, ValueError, sysm.SeriesRecursionError):
+        except (np.linalg.LinAlgError, sysm.SeriesRecursionError):
             break
         nt = float(np.abs(Ft).max())
         if not np.isfinite(nt) or nt > norm:

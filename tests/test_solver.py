@@ -1,6 +1,12 @@
 """Collocation assembly and Newton driver tests (small grids; the acceptance
 module runs the production-size cases)."""
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,15 +15,45 @@ from ccebvp.solver import (
     SolveOptions,
     SolutionProfile,
     assemble_collocation,
-    jacobian_matrix,
     make_mesh,
     newton_solve,
     refine_mesh,
     seed_profile,
     solve_bvp,
+    splu,
 )
-from ccebvp.solver import _jacobian_pattern, _pack, _unpack
+from ccebvp.solver import _pack, _unpack
 from ccebvp.systems import GBERGER, SP, SU, BoundaryData, DomainError, UsageError
+
+
+def _jacobian_pattern(m, N):
+    """(row, col) of each value assemble_collocation returns, in its order.
+
+    Unknowns: node j holds y at 2m*j + k and y' at 2m*j + m + k, then the
+    2m-1 endpoint parameters (log K(0) and the m-1 nonlocal coefficients,
+    then the m-1 free coefficients at x=1).  Before the shed row m, interval
+    j's dense 2m x 4m collocation block has rows 2m + 2m*j + (g*m + i) and
+    columns 2m*j + (s*m + k), its two node slots.
+    """
+    r = np.arange(2 * m)[:, None]
+    tail = 2 * m * N + np.arange(2 * m - 1)
+
+    def matching(row0, node, inputs):
+        cols = np.hstack([2 * m * node + r, np.broadcast_to(inputs, (2 * m, inputs.size))])
+        return np.broadcast_to(row0 + r, cols.shape), cols
+
+    rL, cL = (np.delete(a, m, axis=0) for a in matching(0, 0, tail[:m]))
+    j, g, i, s, k = np.indices((N - 1, 2, m, 4, m))
+    rR, cR = matching(2 * m * N, N - 1, tail[m:])
+    rows = np.concatenate([rL.ravel(), (2 * m + 2 * m * j + m * g + i).ravel(), rR.ravel()])
+    cols = np.concatenate([cL.ravel(), (2 * m * j + m * s + k).ravel(), cR.ravel()])
+    return rows - (rows > m), cols
+
+
+def dense_jacobian(J, m, N):
+    A = np.zeros((2 * m * N + 2 * m - 1,) * 2)
+    A[_jacobian_pattern(m, N)] = J
+    return A
 
 
 def small_opts(**kw):
@@ -49,7 +85,7 @@ class TestAssemble:
         opts = small_opts()
         mesh = make_mesh(opts.grid)
         F, J = assemble_collocation(bd, mesh, seed_profile(bd, mesh, opts))
-        J = jacobian_matrix(J, bd.kind.unknowns, mesh.n_nodes).toarray()
+        J = dense_jacobian(J, bd.kind.unknowns, mesh.n_nodes)
         assert np.all(F == 0.0)
         assert J.shape == (F.size, F.size)
 
@@ -60,7 +96,7 @@ class TestAssemble:
         mesh = make_mesh(12)
         F, J = assemble_collocation(bd, mesh, seed_profile(bd, mesh, opts))
         m = kind.unknowns
-        J = jacobian_matrix(J, m, 12).toarray()
+        J = dense_jacobian(J, m, 12)
         assert F.size == 2 * m * 12 + 2 * m - 1
         assert J.shape == (F.size, F.size)
 
@@ -73,7 +109,7 @@ class TestAssemble:
         u += rng.uniform(-0.03, 0.03, u.size)
         p = _unpack(bd, mesh, u, opts)
         F, J = assemble_collocation(bd, mesh, p)
-        J = jacobian_matrix(J, bd.kind.unknowns, 10).toarray()
+        J = dense_jacobian(J, bd.kind.unknowns, 10)
         h = 1e-7
         worst = 0.0
         for k in range(u.size):
@@ -120,6 +156,75 @@ class TestAssemble:
         other = make_mesh(20)
         with pytest.raises(UsageError):
             assemble_collocation(bd, mesh, seed_profile(bd, other, opts))
+
+
+def perturbed_jacobian(bd, N):
+    # a seed guess with uniform noise, as in test_jacobian_matches_finite_differences
+    opts = small_opts(grid=N, experimental_sp=True)
+    mesh = make_mesh(N)
+    u = _pack(seed_profile(bd, mesh, opts))
+    u += np.random.RandomState(1).uniform(-0.03, 0.03, u.size)
+    return assemble_collocation(bd, mesh, _unpack(bd, mesh, u, opts))
+
+
+FAMILIES = [
+    BoundaryData(SU, 3, (0.7,)),
+    BoundaryData(SU, 5, (0.8,)),
+    BoundaryData(GBERGER, 3, (0.93, 1.04)),
+    BoundaryData(SP, 7, (1.02, 1.0, 1.0)),
+]
+
+
+class TestCyclicReduction:
+    @pytest.mark.parametrize("N", [4, 5, 12, 97])  # odd and even block counts
+    @pytest.mark.parametrize("bd", FAMILIES, ids=lambda bd: f"{bd.kind.family}{bd.n}")
+    def test_matches_dense_solve(self, bd, N):
+        m = bd.kind.unknowns
+        F, J = perturbed_jacobian(bd, N)
+        x = splu(J, m, N).solve(F)
+        A = dense_jacobian(J, m, N)
+        ref = np.linalg.solve(A, F)
+        norm = np.linalg.norm
+        assert norm(A @ x - F, np.inf) <= 1e-12 * (norm(A, np.inf) * norm(x, np.inf) + norm(F, np.inf))
+        assert norm(x - ref, np.inf) <= 1e-8 * norm(ref, np.inf)
+
+    @pytest.mark.parametrize("block", [0, 5, 10])
+    def test_zeroed_block_is_singular(self, block):
+        bd = BoundaryData(SU, 5, (0.8,))
+        m, N = bd.kind.unknowns, 12
+        F, J = perturbed_jacobian(bd, N)
+        size, start = 8 * m * m, (2 * m - 1) * (m + 1)
+        J[start + block * size : start + (block + 1) * size] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            splu(J, m, N).solve(F)
+
+    def test_repeat_solves_bit_identical(self):
+        bd = BoundaryData(GBERGER, 3, (0.93, 1.04))
+        F, J = perturbed_jacobian(bd, 97)
+        lu = splu(J, bd.kind.unknowns, 97)
+        rhs = F.copy()
+        x1 = lu.solve(F)
+        assert np.array_equal(lu.solve(F), x1) and np.array_equal(F, rhs)
+
+    def test_factor_storage_linear_in_nodes(self):
+        bd = BoundaryData(GBERGER, 3, (0.95, 1.02))
+        opts = small_opts()
+
+        def factor_bytes(num):
+            mesh = make_mesh(num)
+            J = assemble_collocation(bd, mesh, seed_profile(bd, mesh, opts))[1]
+            lu = splu(J, bd.kind.unknowns, num)
+            return lu.ends.nbytes + sum(a.nbytes for level in lu.levels for a in level)
+
+        assert factor_bytes(128) <= 2.2 * factor_bytes(64)
+
+
+def test_package_imports_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys; import ccebvp, ccebvp.cli; print([k for k in sys.modules if k.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestNewton:
@@ -170,6 +275,17 @@ class TestNewton:
         prof, rep = solve_bvp(BoundaryData(SU, 5, (0.1,)), small_opts(grid=48))
         assert len(runs) == 1
         assert not rep.converged and rep.failure_reason != ""
+
+    def test_wild_trial_leaks_no_warning(self):
+        # the monotonicity test of a wild trial overflows; that is a rejection
+        # inside the line search, not a RuntimeWarning for the caller
+        bd = BoundaryData(SU, 5, (0.1,))
+        quiet = solve_bvp(bd, small_opts(grid=48))[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            strict = solve_bvp(bd, small_opts(grid=48))[1]
+        assert strict.summary() == quiet.summary()
+        assert strict.failure_reason != ""
 
     def test_two_seeds_agree(self):
         bd = BoundaryData(SU, 5, (0.85,))
