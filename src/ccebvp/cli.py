@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .config import ParseError, parse_config
 from .continuation import SweepPlan, sweep
@@ -22,40 +23,49 @@ from .exports import (
     load_profile_csv,
     report_document,
 )
-from .solver import SolveOptions, solve_bvp
+from .solver import solve_bvp
 from .systems import DomainError, UsageError
 from .verification import run_verification, uniqueness_diagnostic
 
 
+def _fail(code, msg):
+    print(msg, file=sys.stderr)
+    raise SystemExit(code)
+
+
+def _load(path):
+    try:
+        return load_profile_csv(path)
+    except (OSError, ValueError, KeyError) as e:
+        _fail(3, f"cannot load profile: {e}")
+
+
+def _write(*jobs):
+    """Run each (writer, obj, path) job in turn; a failed write exits 3."""
+    try:
+        for writer, obj, path in jobs:
+            writer(obj, path)
+    except OSError as e:
+        _fail(3, f"write failed: {e}")
+
+
 def _load_config(args):
     try:
-        text = open(args.config).read()
+        with open(args.config) as f:
+            text = f.read()
     except OSError as e:
-        print(f"cannot read config: {e}", file=sys.stderr)
-        raise SystemExit(3)
+        _fail(3, f"cannot read config: {e}")
     try:
         cfg = parse_config(text)
-    except ParseError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        raise SystemExit(1)
+        flags = {k: getattr(args, k) for k in ("grid", "tol") if getattr(args, k) is not None}
+        cfg.options = replace(cfg.options, **flags)
+    except (ParseError, UsageError) as e:
+        _fail(1, f"config error: {e}")
     if args.out is not None:
         cfg.out = args.out
-    if args.grid is not None:
-        cfg.grid = args.grid
-    if args.tol is not None:
-        cfg.tol = args.tol
     if args.quiet:
         cfg.quiet = True
     return cfg, config_hash(text)
-
-
-def _options(cfg) -> SolveOptions:
-    return SolveOptions(
-        grid=cfg.grid,
-        tol=cfg.tol,
-        seed_mode=cfg.seed_mode,
-        experimental_sp=cfg.experimental_sp,
-    )
 
 
 def _say(cfg, *msg):
@@ -66,17 +76,14 @@ def _say(cfg, *msg):
 def cmd_solve(args) -> int:
     cfg, digest = _load_config(args)
     try:
-        prof, rep = solve_bvp(cfg.boundary_data(), _options(cfg))
+        prof, rep = solve_bvp(cfg.boundary_data(), cfg.options)
     except (UsageError, DomainError) as e:
-        print(f"solve error: {e}", file=sys.stderr)
-        return 1
+        _fail(1, f"solve error: {e}")
     report = run_verification(prof)
-    try:
-        export_profile_csv(prof, os.path.join(cfg.out, "profile.csv"))
-        export_json(report_document(report, prof, digest), os.path.join(cfg.out, "report.json"))
-    except OSError as e:
-        print(f"write failed: {e}", file=sys.stderr)
-        return 3
+    _write(
+        (export_profile_csv, prof, os.path.join(cfg.out, "profile.csv")),
+        (export_json, report_document(report, prof, digest), os.path.join(cfg.out, "report.json")),
+    )
     _say(cfg, f"converged={rep.converged} iterations={rep.iterations} "
               f"residual={rep.residual_norm:.3e} drift={rep.constraint_drift:.3e}")
     for r in report.records:
@@ -89,33 +96,17 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, digest = _load_config(args)
-    if cfg.sweep_end is None:
-        print("config error: sweep_end is required for the sweep command", file=sys.stderr)
-        return 1
-    opts = _options(cfg)
-    opts.refine_rounds = 0
-    plan = SweepPlan(
-        cfg.kind,
-        cfg.n,
-        lam_end=cfg.sweep_end,
-        step=cfg.sweep_step,
-        min_step=cfg.sweep_min_step,
-        max_step=cfg.sweep_max_step,
-        event_tol=cfg.event_tol,
-        options=opts,
-    )
+    if "lam_end" not in cfg.sweep:
+        _fail(1, "config error: sweep_end is required for the sweep command")
+    plan = SweepPlan(cfg.kind, cfg.n, options=replace(cfg.options, refine_rounds=0), **cfg.sweep)
     try:
         trace = sweep(plan)
     except (UsageError, DomainError, RuntimeError) as e:
-        print(f"sweep error: {e}", file=sys.stderr)
-        return 1
-    try:
-        export_trace_csv(trace, os.path.join(cfg.out, "trace.csv"))
-        if trace.event is not None:
-            export_json(event_document(trace.event, digest), os.path.join(cfg.out, "event.json"))
-    except OSError as e:
-        print(f"write failed: {e}", file=sys.stderr)
-        return 3
+        _fail(1, f"sweep error: {e}")
+    jobs = [(export_trace_csv, trace, os.path.join(cfg.out, "trace.csv"))]
+    if trace.event is not None:
+        jobs.append((export_json, event_document(trace.event, digest), os.path.join(cfg.out, "event.json")))
+    _write(*jobs)
     _say(cfg, f"stop_reason={trace.stop_reason} records={len(trace.records)}")
     if trace.event is not None:
         _say(cfg, f"event bracket={trace.event.bracket} width={trace.event.width:.3e}")
@@ -123,33 +114,20 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        prof = load_profile_csv(args.profile)
-    except (OSError, ValueError, KeyError) as e:
-        print(f"cannot load profile: {e}", file=sys.stderr)
-        return 3
+    prof = _load(args.profile)
     if args.profile2 is not None:
-        try:
-            other = load_profile_csv(args.profile2)
-        except (OSError, ValueError, KeyError) as e:
-            print(f"cannot load profile: {e}", file=sys.stderr)
-            return 3
+        other = _load(args.profile2)
         try:
             ledger = uniqueness_diagnostic(prof, other)
         except UsageError as e:
-            print(f"verify error: {e}", file=sys.stderr)
-            return 1
+            _fail(1, f"verify error: {e}")
         for i, v in enumerate(ledger.variations):
             print(f"V(z{i + 1}) = {v:.6e}")
         print(f"forces_zero={ledger.forces_zero}")
         return 0 if ledger.forces_zero else 2
     report = run_verification(prof)
     out = args.out or os.path.dirname(os.path.abspath(args.profile))
-    try:
-        export_json(report_document(report, prof), os.path.join(out, "report.json"))
-    except OSError as e:
-        print(f"write failed: {e}", file=sys.stderr)
-        return 3
+    _write((export_json, report_document(report, prof), os.path.join(out, "report.json")))
     for r in report.records:
         status = "n/a" if not r.applicable else ("pass" if r.ok else "FAIL")
         print(f"  {r.name}: {status} (margin {r.margin:.3e})")
@@ -157,11 +135,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        prof = load_profile_csv(args.profile)
-    except (OSError, ValueError, KeyError) as e:
-        print(f"cannot load profile: {e}", file=sys.stderr)
-        return 3
+    prof = _load(args.profile)
     names_doc = {
         "schema": "cce-profile-json-v1",
         "system": prof.bd.kind.family,
@@ -176,11 +150,7 @@ def cmd_export(args) -> int:
         "infinity_free": list(prof.infinity_free),
     }
     out = args.out or os.path.dirname(os.path.abspath(args.profile))
-    try:
-        export_json(names_doc, os.path.join(out, "profile.json"))
-    except OSError as e:
-        print(f"write failed: {e}", file=sys.stderr)
-        return 3
+    _write((export_json, names_doc, os.path.join(out, "profile.json")))
     return 0
 
 

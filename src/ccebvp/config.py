@@ -1,17 +1,19 @@
 """Flat key=value run configuration.
 
-One `key = value` per line, `#` comments; unknown keys are errors.  All
-numeric fields are validated against the module preconditions before any
-solve starts.
+One `key = value` per line, `#` comments; unknown keys are errors.  Each
+solver or sweep key sets one field of `SolveOptions` or `SweepPlan`, which
+hold the defaults and the checks; a failed check is a config error before
+any solve starts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import re
+from dataclasses import dataclass, field
 
-from .systems import GBERGER, SP, SU, BoundaryData, DomainError, UsageError
-
-_KINDS = {"gberger": GBERGER, "su": SU, "sp": SP}
+from .continuation import SweepPlan
+from .solver import SolveOptions
+from .systems import KINDS, BoundaryData, DomainError, UsageError
 
 
 class ParseError(ValueError):
@@ -27,48 +29,48 @@ class RunConfig:
     system: str
     n: int
     phi0: tuple
-    grid: int = 128
-    tol: float = 1e-10
     out: str = "."
     quiet: bool = False
-    seed_mode: str = "blend"
-    experimental_sp: bool = False
-    sweep_end: float | None = None
-    sweep_step: float = 0.05
-    sweep_min_step: float = 1e-4
-    sweep_max_step: float = 0.1
-    event_tol: float = 1e-6
+    options: SolveOptions = field(default_factory=SolveOptions)
+    sweep: dict = field(default_factory=dict)  # SweepPlan keywords; lam_end set by sweep_end
 
     @property
     def kind(self):
-        return _KINDS[self.system]
+        return KINDS[self.system]
 
     def boundary_data(self) -> BoundaryData:
         return BoundaryData(self.kind, self.n, self.phi0)
 
 
-_PARSERS = {
-    "system": str,
-    "n": int,
-    "phi0": lambda s: tuple(float(p) for p in s.split(",")),
-    "grid": int,
-    "tol": float,
-    "out": str,
-    "quiet": lambda s: s.lower() in ("1", "true", "yes"),
-    "seed_mode": str,
-    "experimental_sp": lambda s: s.lower() in ("1", "true", "yes"),
-    "sweep_end": float,
-    "sweep_step": float,
-    "sweep_min_step": float,
-    "sweep_max_step": float,
-    "event_tol": float,
+def _flag(s):
+    return s.lower() in ("1", "true", "yes")
+
+
+# config key -> (where its value goes: the RunConfig itself, its SolveOptions
+# or its SweepPlan keywords; the field name there; the value parser)
+_KEYS = {
+    "system": ("run", "system", str),
+    "n": ("run", "n", int),
+    "phi0": ("run", "phi0", lambda s: tuple(float(p) for p in s.split(","))),
+    "out": ("run", "out", str),
+    "quiet": ("run", "quiet", _flag),
+    "grid": ("options", "grid", int),
+    "tol": ("options", "tol", float),
+    "seed_mode": ("options", "seed_mode", str),
+    "experimental_sp": ("options", "experimental_sp", _flag),
+    "sweep_end": ("sweep", "lam_end", float),
+    "sweep_step": ("sweep", "step", float),
+    "sweep_min_step": ("sweep", "min_step", float),
+    "sweep_max_step": ("sweep", "max_step", float),
+    "event_tol": ("sweep", "event_tol", float),
 }
 
 _REQUIRED = ("system", "n", "phi0")
 
 
 def parse_config(text: str) -> RunConfig:
-    values = {}
+    values = {"run": {}, "options": {}, "sweep": {}}
+    lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -77,41 +79,34 @@ def parse_config(text: str) -> RunConfig:
             raise ParseError("expected 'key = value'", line=lineno)
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _PARSERS:
+        if key not in _KEYS:
             raise ParseError(f"unknown key {key!r}", key=key, line=lineno)
+        where, name, parse = _KEYS[key]
         try:
-            values[key] = _PARSERS[key](val)
+            values[where][name] = parse(val)
         except ValueError as e:
             raise ParseError(f"bad value for {key!r}: {val!r}", key=key, line=lineno) from e
+        lines[key] = lineno
+    run = values["run"]
     for req in _REQUIRED:
-        if req not in values:
+        if req not in run:
             raise ParseError(f"missing required key {req!r}", key=req)
-    if values["system"] not in _KINDS:
-        raise ParseError(f"system must be one of {sorted(_KINDS)}", key="system")
+    if run["system"] not in KINDS:
+        raise ParseError(f"system must be one of {sorted(KINDS)}", key="system")
 
-    cfg = RunConfig(**values)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig):
+    cfg = RunConfig(**run, sweep=values["sweep"])
     try:
         cfg.boundary_data()
     except (UsageError, DomainError) as e:
         key = "n" if "dimension" in str(e) else "phi0"
         raise ParseError(str(e), key=key) from e
-    if cfg.grid < 8:
-        raise ParseError("grid must be at least 8", key="grid")
-    if cfg.tol <= 0:
-        raise ParseError("tol must be positive", key="tol")
-    if cfg.seed_mode not in ("blend", "zero"):
-        raise ParseError("seed_mode must be 'blend' or 'zero'", key="seed_mode")
-    if cfg.sweep_end is not None:
-        if cfg.sweep_end <= 0:
-            raise ParseError("sweep_end must be positive", key="sweep_end")
-        if not (0 < cfg.sweep_min_step <= cfg.sweep_step <= cfg.sweep_max_step):
-            raise ParseError(
-                "need 0 < sweep_min_step <= sweep_step <= sweep_max_step", key="sweep_step"
-            )
-    if cfg.event_tol <= 0:
-        raise ParseError("event_tol must be positive", key="event_tol")
+    try:
+        cfg.options = SolveOptions(**values["options"])
+        if "lam_end" in cfg.sweep:
+            SweepPlan(cfg.kind, cfg.n, options=cfg.options, **cfg.sweep)
+    except UsageError as e:
+        # the first solver or sweep key whose field the failed check names
+        named = set(re.findall(r"\w+", str(e)))
+        key = next((k for k, (where, name, _) in _KEYS.items() if where != "run" and name in named), None)
+        raise ParseError(str(e), key=key, line=lines.get(key)) from e
+    return cfg

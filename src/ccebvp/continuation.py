@@ -23,6 +23,9 @@ DEFAULT_EVENT_TOL = 1e-6
 
 @dataclass
 class SweepPlan:
+    """A path from the round sphere to lam_end.  Without options each step
+    solves at grid 384, tol 3e-8 and no refinement rounds."""
+
     kind: SystemKind
     n: int
     lam_end: float
@@ -31,14 +34,18 @@ class SweepPlan:
     max_step: float = 0.1
     event_tol: float = DEFAULT_EVENT_TOL
     options: SolveOptions = field(
-        default_factory=lambda: SolveOptions(grid=384, tol=3e-8, refine_rounds=0, coarse_stage=96)
+        default_factory=lambda: SolveOptions(grid=384, tol=3e-8, refine_rounds=0)
     )
 
     def __post_init__(self):
-        if self.step <= 0 or self.min_step <= 0 or self.max_step < self.step:
-            raise UsageError("sweep steps must be positive with min <= step <= max")
-        if self.lam_end <= 0:
-            raise UsageError("the ratio parameter must stay positive")
+        if not 0 < self.min_step <= self.step <= self.max_step:
+            raise UsageError(
+                f"need 0 < min_step <= step <= max_step, got {self.min_step}, {self.step}, {self.max_step}"
+            )
+        if not self.lam_end > 0:
+            raise UsageError(f"lam_end must be positive, got {self.lam_end}")
+        if not self.event_tol > 0:
+            raise UsageError(f"event_tol must be positive, got {self.event_tol}")
 
     def boundary_data(self, lam: float) -> BoundaryData:
         # SU family: phi(0) = lambda per the continuity-method normalization;
@@ -178,7 +185,8 @@ def bisect_event(trace: ContinuationTrace, tol_lambda: float = DEFAULT_EVENT_TOL
 
     Each midpoint is re-solved (warm-started from the nearest converged
     profile); a solver failure inside the bracket returns the widest
-    certified bracket with an annotation.
+    certified bracket with an annotation.  So does a bracket of adjacent
+    floats, which no tol_lambda below their spacing can shrink further.
     """
     plan = trace.plan
     if len(trace.records) < 2:
@@ -202,6 +210,9 @@ def bisect_event(trace: ContinuationTrace, tol_lambda: float = DEFAULT_EVENT_TOL
     annotation = ""
     while abs(hi - lo) > tol_lambda:
         mid = 0.5 * (lo + hi)
+        if not min(lo, hi) < mid < max(lo, hi):
+            annotation = "bracket at floating-point resolution"
+            break
         prof = solve_at(mid)
         if prof is None:
             annotation = f"solver failure at lambda={mid!r}; widest certified bracket returned"

@@ -20,14 +20,12 @@ import numpy as np
 from . import __version__, geometry
 from .series import NonlocalParams
 from .solver import INFINITY_ORDER, Mesh, SolutionProfile, origin_order
-from .systems import GBERGER, SP, SU, BoundaryData
+from .systems import KINDS, BoundaryData
 
 PROFILE_SCHEMA = "cce-profile-v1"
 TRACE_SCHEMA = "cce-trace-v1"
 REPORT_SCHEMA = "cce-report-v1"
 EVENT_SCHEMA = "cce-event-v1"
-
-_KINDS = {"gberger": GBERGER, "su": SU, "sp": SP}
 
 
 def fmt(x) -> str:
@@ -111,7 +109,7 @@ def load_profile_csv(path: str) -> SolutionProfile:
         raise ValueError(f"{path} does not contain a profile table")
     data = np.array(rows).T
     col = {name: data[i] for i, name in enumerate(names)}
-    kind = _KINDS[meta["system"]]
+    kind = KINDS[meta["system"]]
     bd = BoundaryData(kind, int(meta["n"]), tuple(float(p) for p in meta["phi0"].split(",")))
     m = kind.unknowns
     y = np.vstack([col[f"y{i + 1}"] for i in range(m)])

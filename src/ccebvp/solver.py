@@ -43,6 +43,10 @@ XL, XR = 0.1, 0.85
 STRETCH = 1.5
 # truncation orders of the endpoint series: origin_order(n) at x=0, INFINITY_ORDER at x=1
 INFINITY_ORDER = 26
+# fewest nodes a collocation mesh may have
+MIN_NODES = 4
+# a solve converges when its first-integral drift is within DRIFT_GATE * tol
+DRIFT_GATE = 10.0
 
 
 def origin_order(n: int) -> int:
@@ -56,8 +60,8 @@ class Mesh:
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
-        if nodes.ndim != 1 or len(nodes) < 4:
-            raise UsageError("mesh needs at least 4 nodes")
+        if nodes.ndim != 1 or len(nodes) < MIN_NODES:
+            raise UsageError(f"mesh needs at least {MIN_NODES} nodes")
         if np.any(np.diff(nodes) <= 0):
             raise UsageError("mesh nodes must be strictly increasing")
         if nodes[0] <= 0.0 or nodes[-1] >= 1.0:
@@ -97,6 +101,14 @@ class SolveOptions:
     seed_mode: str = "blend"  # 'blend' | 'zero'
     experimental_sp: bool = False
     coarse_stage: int = 96  # warm-start grids larger than ~1.5x this
+
+    def __post_init__(self):
+        if self.grid < MIN_NODES:
+            raise UsageError(f"grid must be at least {MIN_NODES}, got {self.grid}")
+        if not self.tol > 0:
+            raise UsageError(f"tol must be positive, got {self.tol}")
+        if self.seed_mode not in ("blend", "zero"):
+            raise UsageError(f"seed_mode must be 'blend' or 'zero', got {self.seed_mode!r}")
 
 
 def _zero_counters():
@@ -506,7 +518,7 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=Non
     # discrete root; extra full steps in the quadratic basin are cheap and
     # bring the drift down to the root's own value
     polish = 0
-    while norm <= tol and drift > 10.0 * tol and polish < 2:
+    while norm <= tol and drift > DRIFT_GATE * tol and polish < 2:
         try:
             lu = factor(J)
             ut = u + lu.solve(-F)
@@ -526,7 +538,7 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=Non
     prof.residual_norm = norm
     rep.residual_norm = norm
     rep.constraint_drift = drift
-    prof.converged = bool(norm <= tol and drift <= 10.0 * tol)
+    prof.converged = bool(norm <= tol and drift <= DRIFT_GATE * tol)
     rep.converged = prof.converged
     if not rep.converged and not rep.failure_reason:
         rep.failure_reason = "max iterations" if norm > tol else "constraint drift"
@@ -590,7 +602,7 @@ def solve_bvp(bd: BoundaryData, opts: SolveOptions | None = None):
     rounds = 0
     while rep.residual_norm <= opts.tol and not prof.converged and rounds < opts.refine_rounds:
         # converged in residual but the constraint drift gate failed: refine
-        newmesh = refine_mesh(prof, 10.0 * opts.tol)
+        newmesh = refine_mesh(prof, DRIFT_GATE * opts.tol)
         if newmesh.n_nodes == prof.mesh.n_nodes:
             break
         prof2, rep2 = newton_solve(bd, newmesh, as_guess_for(bd, prof, opts, newmesh), opts, counters)

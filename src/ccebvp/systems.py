@@ -82,6 +82,8 @@ class SystemKind:
 GBERGER = SystemKind("gberger")
 SU = SystemKind("su")
 SP = SystemKind("sp")
+# family name (as in configs and profile headers) -> system kind
+KINDS = {"gberger": GBERGER, "su": SU, "sp": SP}
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as geom
+from .solver import DRIFT_GATE
 from .systems import UsageError, family
 
 DEADBAND = 1e-9
@@ -89,9 +90,9 @@ def check_monotonicity(profile) -> list:
 
 
 def check_constraint_drift(profile) -> CheckRecord:
-    """Sup-norm of the first integral at the nodes against ten times the solve tolerance."""
+    """Sup-norm of the first integral at the nodes against DRIFT_GATE times the solve tolerance."""
     drift = float(np.abs(profile.constraint_values()).max())
-    thr = 10.0 * profile.tol
+    thr = DRIFT_GATE * profile.tol
     return CheckRecord("constraint-drift", "first-integral-propagation", drift, thr, bool(drift <= thr))
 
 

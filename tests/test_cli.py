@@ -2,10 +2,13 @@
 
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ccebvp import cli
 from ccebvp.cli import main
 from ccebvp.config import ParseError, parse_config
 from ccebvp.exports import export_profile_csv, fmt, load_profile_csv
@@ -16,7 +19,7 @@ from ccebvp.systems import SU, BoundaryData
 class TestConfig:
     def test_minimal_defaults(self):
         cfg = parse_config("system = su\nn = 5\nphi0 = 0.8\n")
-        assert cfg.grid == 128 and cfg.tol == 1e-10
+        assert cfg.options.grid == 128 and cfg.options.tol == 1e-10
         assert cfg.phi0 == (0.8,) and cfg.out == "."
 
     def test_comments_and_whitespace(self):
@@ -38,6 +41,29 @@ class TestConfig:
     def test_missing_required(self):
         with pytest.raises(ParseError, match="phi0"):
             parse_config("system = su\nn = 5\n")
+
+    def test_small_grid_parses(self):
+        # the floor is the mesh's own, 4 nodes
+        assert parse_config("system = su\nn = 5\nphi0 = 0.8\ngrid = 6\n").options.grid == 6
+
+    @pytest.mark.parametrize("line, key", [
+        ("grid = 2", "grid"),
+        ("tol = -1", "tol"),
+        ("seed_mode = zeros", "seed_mode"),
+        ("sweep_end = 0", "sweep_end"),
+        ("sweep_step = 0.05\nsweep_min_step = 0.2\nsweep_end = 0.5", "sweep_step"),
+        ("event_tol = 0\nsweep_end = 0.5", "event_tol"),
+    ])
+    def test_failed_check_names_key(self, line, key):
+        with pytest.raises(ParseError, match=f"key '{key}', line 4"):
+            parse_config(f"system = su\nn = 3\nphi0 = 0.8\n{line}\n")
+
+    def test_readme_configs_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        assert blocks
+        for block in blocks:
+            parse_config(block)
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +241,11 @@ class TestFlagOverrides:
         rows = [l for l in lines if l and not l.startswith("#") and not l.startswith("x,")]
         assert len(rows) == 24
         assert any("tol=1e-08" in l for l in lines)
+
+    @pytest.mark.parametrize("flag", [["--tol", "-1"], ["--grid", "2"]])
+    def test_bad_flag_exits_before_solving(self, tmp_path, monkeypatch, flag):
+        calls = []
+        monkeypatch.setattr(cli, "solve_bvp", lambda *a: calls.append(a))
+        cfg = write_cfg(tmp_path, "system = gberger\nn = 3\nphi0 = 1,1\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet", *flag]) == 1
+        assert calls == []

@@ -30,6 +30,10 @@ class TestPlan:
             SweepPlan(SU, 5, lam_end=-0.1)
         with pytest.raises(UsageError):
             SweepPlan(SU, 5, lam_end=0.5, step=0.2, max_step=0.1)
+        with pytest.raises(UsageError):
+            SweepPlan(SU, 3, lam_end=0.5, step=0.05, min_step=0.2, max_step=0.3)
+        with pytest.raises(UsageError):
+            SweepPlan(SU, 3, lam_end=0.5, event_tol=0)
 
     def test_boundary_data_map(self):
         plan = SweepPlan(SU, 5, lam_end=0.5)
@@ -130,6 +134,22 @@ class TestBisect:
         ev = bisect_event(tr, 1e-6, solve_at=lambda lam: lam,
                           detect=lambda p: detect(p) if p == "event-profile" else None)
         assert seen == ["event-profile"] and ev.witness is w
+
+    def test_tolerance_below_float_spacing_stops(self):
+        # no bisection can shrink a bracket of adjacent floats to 1e-20
+        tr, w = synthetic_trace(2.0, 2.05)
+        calls = []
+
+        def solve_at(lam):
+            calls.append(lam)
+            if len(calls) > 200:
+                raise RuntimeError("bisection did not stop")
+            return lam
+
+        ev = bisect_event(tr, 1e-20, solve_at=solve_at, detect=lambda lam: w if lam >= 2.03 else None)
+        lo, hi = ev.bracket
+        assert np.nextafter(lo, np.inf) == hi and lo < 2.03 <= hi
+        assert "floating-point" in ev.annotation
 
     def test_failure_returns_certified_bracket(self):
         tr, w = synthetic_trace(0.8, 0.3)

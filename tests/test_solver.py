@@ -62,6 +62,13 @@ def small_opts(**kw):
     return SolveOptions(**base)
 
 
+class TestOptions:
+    @pytest.mark.parametrize("kw", [{"grid": 3}, {"tol": 0.0}, {"tol": -1.0}, {"seed_mode": "zeros"}])
+    def test_checks(self, kw):
+        with pytest.raises(UsageError, match=next(iter(kw))):
+            SolveOptions(**kw)
+
+
 class TestMesh:
     def test_validation(self):
         with pytest.raises(UsageError):
