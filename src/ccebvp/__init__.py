@@ -12,23 +12,14 @@ __version__ = "0.1.0"
 
 from .systems import (  # noqa: F401
     GBERGER,
-    SP,
     SU,
     BoundaryData,
     DomainError,
     InfeasibleStateError,
-    ResidualVector,
     StateVector,
     SystemKind,
     UsageError,
-    constraint_gberger,
-    constraint_sp,
-    constraint_su,
     family,
-    jacobian_state,
-    residual_gberger,
-    residual_sp,
-    residual_su,
     upsilon,
     y1prime_closed_form_gb,
 )
@@ -63,7 +54,6 @@ from .geometry import (  # noqa: F401
     k0_bounds_check,
     radial_sectional,
     reconstruct_metric,
-    ricci_sp,
     ricci_su,
     riemann_from_structure,
     slice_sectional,

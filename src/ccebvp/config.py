@@ -18,8 +18,9 @@ from .systems import KINDS, BoundaryData, DomainError, UsageError
 
 class ParseError(ValueError):
     def __init__(self, message, key=None, line=None):
-        where = f" (key {key!r}, line {line})" if key else ""
-        super().__init__(message + where)
+        where = [f"key {key!r}"] if key else []
+        where += [f"line {line}"] if line else []
+        super().__init__(message + (f" ({', '.join(where)})" if where else ""))
         self.key = key
         self.line = line
 
@@ -57,7 +58,6 @@ _KEYS = {
     "grid": ("options", "grid", int),
     "tol": ("options", "tol", float),
     "seed_mode": ("options", "seed_mode", str),
-    "experimental_sp": ("options", "experimental_sp", _flag),
     "sweep_end": ("sweep", "lam_end", float),
     "sweep_step": ("sweep", "step", float),
     "sweep_min_step": ("sweep", "min_step", float),
@@ -92,14 +92,17 @@ def parse_config(text: str) -> RunConfig:
         if req not in run:
             raise ParseError(f"missing required key {req!r}", key=req)
     if run["system"] not in KINDS:
-        raise ParseError(f"system must be one of {sorted(KINDS)}", key="system")
+        raise ParseError(f"system must be one of {sorted(KINDS)}", key="system", line=lines["system"])
 
     cfg = RunConfig(**run, sweep=values["sweep"])
     try:
+        cfg.kind.validate_dimension(cfg.n)
+    except UsageError as e:
+        raise ParseError(str(e), key="n", line=lines["n"]) from e
+    try:
         cfg.boundary_data()
     except (UsageError, DomainError) as e:
-        key = "n" if "dimension" in str(e) else "phi0"
-        raise ParseError(str(e), key=key) from e
+        raise ParseError(str(e), key="phi0", line=lines["phi0"]) from e
     try:
         cfg.options = SolveOptions(**values["options"])
         if "lam_end" in cfg.sweep:

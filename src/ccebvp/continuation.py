@@ -52,9 +52,7 @@ class SweepPlan:
         # generalized Berger sweeps walk the Berger line (phi2 = 1).
         if self.kind.family == "su":
             return BoundaryData(self.kind, self.n, (lam,))
-        if self.kind.family == "gberger":
-            return BoundaryData(self.kind, self.n, (lam, 1.0))
-        raise UsageError("sweeps cover the su and gberger families")
+        return BoundaryData(self.kind, self.n, (lam, 1.0))
 
 
 @dataclass

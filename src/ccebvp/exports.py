@@ -109,7 +109,10 @@ def load_profile_csv(path: str) -> SolutionProfile:
         raise ValueError(f"{path} does not contain a profile table")
     data = np.array(rows).T
     col = {name: data[i] for i, name in enumerate(names)}
-    kind = KINDS[meta["system"]]
+    system = meta.get("system")
+    if system not in KINDS:
+        raise ValueError(f"unknown system {system!r}, expected one of {sorted(KINDS)}")
+    kind = KINDS[system]
     bd = BoundaryData(kind, int(meta["n"]), tuple(float(p) for p in meta["phi0"].split(",")))
     m = kind.unknowns
     y = np.vstack([col[f"y{i + 1}"] for i in range(m)])

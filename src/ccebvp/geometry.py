@@ -30,24 +30,16 @@ class InfeasibleProfileError(DomainError):
 
 def log_component_matrix(bd: BoundaryData) -> np.ndarray:
     """Matrix W with log I = W y for the distinct slice directions."""
-    n, fam = bd.n, bd.kind.family
-    if fam == "gberger":
+    if bd.kind.family == "gberger":
         return np.array([[1.0, -2.0, -1.0], [1.0, 1.0, -1.0], [1.0, 1.0, 2.0]]) / 3.0
-    if fam == "su":
-        return np.array([[1.0, 1.0 - n], [1.0, 1.0]]) / n
-    w4 = np.array([1.0, -1.0, -1.0, -1.0]) / n
-    rows = [w4 + e for e in np.eye(4)[1:]]
-    rows.append(w4)
-    return np.array(rows)
+    n = bd.n
+    return np.array([[1.0, 1.0 - n], [1.0, 1.0]]) / n
 
 
 def direction_multiplicities(bd: BoundaryData) -> np.ndarray:
-    n, fam = bd.n, bd.kind.family
-    if fam == "gberger":
+    if bd.kind.family == "gberger":
         return np.array([1, 1, 1])
-    if fam == "su":
-        return np.array([1, n - 1])
-    return np.array([1, 1, 1, n - 3])
+    return np.array([1, bd.n - 1])
 
 
 @dataclass
@@ -122,17 +114,6 @@ def ricci_su(I1, I2, n) -> np.ndarray:
     first = (n - 1.0) * I1 * I1 / (I2 * I2)
     rest = (n + 1.0) - 2.0 * I1 / I2
     return np.array([first] + [rest] * (n - 1))
-
-
-def ricci_sp(t1, t2, t3, n) -> np.ndarray:
-    """Closed-form diagonal Ricci entries of the Sp slice in the t-variables."""
-    if n % 4 != 3:
-        raise UsageError("Sp slice needs n = 3 mod 4")
-    e1 = 4.0 * n * t1 * t1 + 2.0 * (t1 * t1 - (t2 - t3) ** 2) / (t2 * t3)
-    e2 = 4.0 * n * t2 * t2 + 2.0 * (t2 * t2 - (t1 - t3) ** 2) / (t1 * t3)
-    e3 = 4.0 * n * t3 * t3 + 2.0 * (t3 * t3 - (t1 - t2) ** 2) / (t1 * t2)
-    rest = 4.0 * n + 8.0 - 2.0 * (t1 + t2 + t3)
-    return np.array([e1, e2, e3] + [rest] * (n - 3))
 
 
 @dataclass
@@ -269,8 +250,7 @@ def slice_sectional(bd: BoundaryData, I) -> list:
     """Intrinsic sectional curvatures of the slice metric with distinct
     components I (rows of any common shape), in closed form: one
     (plane, ia, ib, K) per monitored plane class, where plane is the sample
-    name and ia, ib are the plane's distinct directions (0-based).  The Sp
-    slice has none.
+    name and ia, ib are the plane's distinct directions (0-based).
 
     SU, t = I1/I2: the fibre with a horizontal direction t/I2, a J-pair of
     horizontal directions (4 - 3t)/I2, and any other horizontal pair 1/I2
@@ -278,21 +258,18 @@ def slice_sectional(bd: BoundaryData, I) -> list:
     lam_i = 2 sqrt(I_i/(I_j I_k)), mu_i = sum(lam)/2 - lam_i, r_i = 2 mu_j mu_k
     and K_ij = (r_i + r_j - r_k)/2.
     """
-    fam = bd.kind.family
-    if fam == "su":
-        I1, I2 = I
-        t = I1 / I2
-        planes = [("tangential-1-2", 0, 1, t / I2), ("tangential-2-2", 1, 1, (4.0 - 3.0 * t) / I2)]
-        if bd.n >= 5:
-            planes.append(("tangential-2-2-nonJ", 1, 1, 1.0 / I2))
-        return planes
-    if fam == "gberger":
+    if bd.kind.family == "gberger":
         lam = 2.0 * np.sqrt(I / (np.roll(I, -1, axis=0) * np.roll(I, -2, axis=0)))
         mu = lam.sum(axis=0) / 2.0 - lam
         r = 2.0 * np.roll(mu, -1, axis=0) * np.roll(mu, -2, axis=0)
         pairs = ((0, 1), (0, 2), (1, 2))
         return [(f"tangential-{i + 1}-{j + 1}", i, j, (r[i] + r[j] - r[3 - i - j]) / 2.0) for i, j in pairs]
-    return []
+    I1, I2 = I
+    t = I1 / I2
+    planes = [("tangential-1-2", 0, 1, t / I2), ("tangential-2-2", 1, 1, (4.0 - 3.0 * t) / I2)]
+    if bd.n >= 5:
+        planes.append(("tangential-2-2-nonJ", 1, 1, 1.0 / I2))
+    return planes
 
 
 @dataclass
@@ -307,8 +284,7 @@ class CurvatureSamples:
 
 def curvature_samples(profile) -> CurvatureSamples:
     """Sectional curvatures at every node: one row per radial plane, then one
-    per tangential plane class of slice_sectional (none on the radial-only Sp
-    slice).  Each tangential row is the closed-form intrinsic curvature over
+    per tangential plane class of slice_sectional.  Each tangential row is the closed-form intrinsic curvature over
     sinh^2 r minus the second fundamental form term of the Gauss equation."""
     mp = reconstruct_metric(profile)
     rad = radial_sectional_all(mp)
@@ -361,7 +337,7 @@ WEYL_BOUND_N3 = 2.0 * np.sqrt(6.0)
 
 
 def k0_lower_bound(bd: BoundaryData):
-    """Closed-form lower bound for K(0); None for families without one."""
+    """Closed-form lower bound for K(0); None where the data give none."""
     if bd.kind.family == "gberger":
         p1, p2 = bd.phi0
         b0 = (
@@ -373,12 +349,10 @@ def k0_lower_bound(bd: BoundaryData):
             - p1 ** (2 / 3) * p2 ** (4 / 3)
         )
         return (b0 / 3.0) ** 3 if b0 > 0 else None
-    if bd.kind.family == "su":
-        phi, n = bd.phi0[0], bd.n
-        if phi <= 1.0 / (n + 1):
-            return None
-        return ((n + 1) * phi - 1.0) ** n / (n * phi ** ((n + 1.0) / n)) ** n
-    return None
+    phi, n = bd.phi0[0], bd.n
+    if phi <= 1.0 / (n + 1):
+        return None
+    return ((n + 1) * phi - 1.0) ** n / (n * phi ** ((n + 1.0) / n)) ** n
 
 
 @dataclass

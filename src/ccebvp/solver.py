@@ -99,7 +99,6 @@ class SolveOptions:
     max_iter: int = 40
     refine_rounds: int = 3
     seed_mode: str = "blend"  # 'blend' | 'zero'
-    experimental_sp: bool = False
     coarse_stage: int = 96  # warm-start grids larger than ~1.5x this
 
     def __post_init__(self):
@@ -584,10 +583,6 @@ def solve_bvp(bd: BoundaryData, opts: SolveOptions | None = None):
     """
     if opts is None:
         opts = SolveOptions()
-    if bd.kind.family == "sp" and not opts.experimental_sp:
-        raise UsageError(
-            "the Sp family solve path is experimental; set experimental_sp=True to enable"
-        )
     mesh = make_mesh(opts.grid)
     counters = _zero_counters()
     start = seed_profile(bd, mesh, opts)

@@ -1,11 +1,10 @@
 """Pointwise residual, constraint and Jacobian evaluators for the reduced
 Einstein ODE systems on x in [0,1].
 
-Three families are supported, written in the log variables y_i:
+Two families are supported, written in the log variables y_i:
 
 * generalized Berger sphere (n=3, unknowns y1=log K, y2=log phi1, y3=log phi2)
 * SU-invariant spheres (n=2k+1, unknowns y1=log K, y2=log phi)
-* Sp-invariant spheres (n=4k+3, unknowns y1=log K, y2..y4=log t_i)
 
 Every second-order equation of each family fits the template
 
@@ -47,13 +46,13 @@ class SeriesRecursionError(RuntimeError):
     """Endpoint series recursion hit a vanishing indicial factor or inconsistency."""
 
 
-_FAMILIES = ("gberger", "su", "sp")
-_UNKNOWNS = {"gberger": 3, "su": 2, "sp": 4}
+_FAMILIES = ("gberger", "su")
+_UNKNOWNS = {"gberger": 3, "su": 2}
 
 
 @dataclass(frozen=True)
 class SystemKind:
-    """Which reduced system: 'gberger', 'su' or 'sp'."""
+    """Which reduced system: 'gberger' or 'su'."""
 
     family: str
 
@@ -75,15 +74,12 @@ class SystemKind:
             raise UsageError(f"boundary dimension must be odd and >= 3, got {n}")
         if self.family == "gberger" and n != 3:
             raise UsageError("generalized Berger system requires n = 3")
-        if self.family == "sp" and n % 4 != 3:
-            raise UsageError(f"Sp system requires n = 3 mod 4, got {n}")
 
 
 GBERGER = SystemKind("gberger")
 SU = SystemKind("su")
-SP = SystemKind("sp")
 # family name (as in configs and profile headers) -> system kind
-KINDS = {"gberger": GBERGER, "su": SU, "sp": SP}
+KINDS = {"gberger": GBERGER, "su": SU}
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,7 @@ class BoundaryData:
 
     @property
     def in_admissible_window(self) -> bool:
-        """SU admissible window 1/(n+1) < phi(0) < n+1; other families unrestricted."""
+        """SU admissible window 1/(n+1) < phi(0) < n+1; gberger unrestricted."""
         if self.kind.family == "su":
             return 1.0 / (self.n + 1) < self.phi0[0] < self.n + 1
         return True
@@ -123,7 +119,7 @@ class BoundaryData:
 
 @dataclass
 class StateVector:
-    """Point state (x, y, y', y'') handed to the pointwise evaluators."""
+    """Point state (x, y, y', y'') of an endpoint series at one x."""
 
     x: float
     y: np.ndarray
@@ -134,20 +130,6 @@ class StateVector:
         self.y = np.atleast_1d(np.asarray(self.y, dtype=float))
         self.yp = np.atleast_1d(np.asarray(self.yp, dtype=float))
         self.ypp = np.atleast_1d(np.asarray(self.ypp, dtype=float))
-
-
-@dataclass
-class ResidualVector:
-    evo: np.ndarray
-    constraint: float
-
-
-def _check_state(fam: "Family", s: StateVector) -> None:
-    m = fam.m
-    if not (len(s.y) == len(s.yp) == len(s.ypp) == m):
-        raise UsageError(f"state arrays must have length {m} for {fam.kind.family}")
-    if not 0.0 <= s.x <= 1.0:
-        raise DomainError(f"x must lie in [0,1], got {s.x}")
 
 
 class Family:
@@ -172,17 +154,9 @@ class Family:
         if fam == "gberger":
             q1[1:, 1:] = np.array([[1.0, 0.5], [0.5, 1.0]]) / 3.0
             self.sing[1] = self.sing[2] = (2.0, 4.0)
-        elif fam == "su":
+        else:
             q1[1, 1] = (n - 1.0) / (2 * n)
             self.sing[1] = (n - 1.0, n + 1.0)
-        else:
-            u = np.ones(3)
-            mat = (n - 3.0) * np.outer(u, u)
-            for i in range(3):
-                v = n * np.eye(3)[i] - u
-                mat += np.outer(v, v)
-            q1[1:, 1:] = mat / (2.0 * n * n)
-            self.sing[1:4] = (n - 1.0, n + 1.0)
         self.q1 = q1
 
         # constraint quadratic form: Phi = (y1')^2 - y'^T R y' - ...
@@ -197,7 +171,7 @@ class Family:
         # the exact integer cancellation at the zero state survives
         self.cphi = 2.0 * n / (n - 1.0)
 
-        # which equation the reported evo_1 is: eq 1 for gberger, eq 2 for su/sp
+        # which equation the reported evo_1 is: eq 1 for gberger, eq 2 for su
         self.evo1_is_eq1 = fam == "gberger"
 
     # -- source sums ---------------------------------------------------------
@@ -254,46 +228,14 @@ def _source_tables(fam: str, n: int):
         )
         return [src2, src3], (s2_w, s2_v)
 
-    if fam == "su":
-        c = 8.0 * (n + 1.0)
-        src2 = ([c, -c], [(-1.0 / n, -(n + 1.0) / n), (-1.0 / n, -1.0 / n)])
-        d = 8.0 * (n - 1.0)
-        s2 = (
-            [d * n, -d * (n + 1.0), d],
-            [(0.0, 0.0), (-1.0 / n, -1.0 / n), (-1.0 / n, -(n + 1.0) / n)],
-        )
-        return [src2], s2
-
-    # sp: prefactor (K^-1 t1 t2 t3)^(1/n) = exp(vp . y)
-    vp = np.array([-1.0, 1.0, 1.0, 1.0]) / n
-    e = np.eye(4)[1:]  # unit vectors for y2, y3, y4
-
-    def bracket(i):
-        j, k = [a for a in range(3) if a != i]
-        return [
-            (n - 1.0, e[i]),
-            (2.0, e[j]),
-            (2.0, e[k]),
-            (-(n + 5.0), np.zeros(4)),
-            (2.0, e[i] - e[j] - e[k]),
-            (-2.0, -e[i] + e[j] - e[k]),
-            (-2.0, -e[i] - e[j] + e[k]),
-            (4.0, -e[i]),
-        ]
-
-    srcs = []
-    for i in range(3):
-        w = [-8.0 * wi for wi, _ in bracket(i)]
-        v = [vp + vi for _, vi in bracket(i)]
-        srcs.append((w, v))
-
-    phi_br = [(float((n - 3) * (n + 5)), np.zeros(4))]
-    phi_br += [(-(n - 3.0), e[i]) for i in range(3)]
-    phi_br += [(4.0, -e[i]) for i in range(3)]
-    phi_br += [(-2.0, e[i] - e[j] - e[k]) for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
-    s2_w = [8.0 * n * (n - 1.0)] + [-8.0 * wi for wi, _ in phi_br]
-    s2_v = [np.zeros(4)] + [vi for _, vi in phi_br]
-    return srcs, (s2_w, s2_v)
+    c = 8.0 * (n + 1.0)
+    src2 = ([c, -c], [(-1.0 / n, -(n + 1.0) / n), (-1.0 / n, -1.0 / n)])
+    d = 8.0 * (n - 1.0)
+    s2 = (
+        [d * n, -d * (n + 1.0), d],
+        [(0.0, 0.0), (-1.0 / n, -1.0 / n), (-1.0 / n, -(n + 1.0) / n)],
+    )
+    return [src2], s2
 
 
 _family_cache: dict = {}
@@ -407,9 +349,9 @@ def constraint_residual(fam, x, y, yp, ypp):
 def evo_residuals(fam, x, y, yp, ypp):
     """Per-unknown evolution residuals, stacked on the last axis.
 
-    Row 0 is eq 1 for the generalized Berger family and eq 2 for SU/Sp (the
+    Row 0 is eq 1 for the generalized Berger family and eq 2 for SU (the
     form whose source term feeds the origin curvature identity); rows
-    1..m-1 are the phi/t equations.
+    1..m-1 are the phi equations.
     """
     first = eq1_residual if fam.evo1_is_eq1 else eq2_residual
     rows = [first(fam, x, y, yp, ypp)]
@@ -479,45 +421,6 @@ def upsilon(K, phi1, phi2):
     return 3.0 - fam.expsum(fam.s2, y) / 16.0
 
 
-def residual_gberger(s: StateVector) -> ResidualVector:
-    fam = family(GBERGER, 3)
-    _check_state(fam, s)
-    evo = evo_residuals(fam, s.x, s.y, s.yp, s.ypp)
-    return ResidualVector(evo, float(constraint_residual(fam, s.x, s.y, s.yp, s.ypp)))
-
-
-def constraint_gberger(s: StateVector) -> float:
-    fam = family(GBERGER, 3)
-    _check_state(fam, s)
-    return float(constraint_residual(fam, s.x, s.y, s.yp, s.ypp))
-
-
-def residual_su(n: int, s: StateVector) -> ResidualVector:
-    fam = family(SU, n)
-    _check_state(fam, s)
-    evo = evo_residuals(fam, s.x, s.y, s.yp, s.ypp)
-    return ResidualVector(evo, float(constraint_residual(fam, s.x, s.y, s.yp, s.ypp)))
-
-
-def constraint_su(n: int, s: StateVector) -> float:
-    fam = family(SU, n)
-    _check_state(fam, s)
-    return float(constraint_residual(fam, s.x, s.y, s.yp, s.ypp))
-
-
-def residual_sp(n: int, s: StateVector) -> ResidualVector:
-    fam = family(SP, n)
-    _check_state(fam, s)
-    evo = evo_residuals(fam, s.x, s.y, s.yp, s.ypp)
-    return ResidualVector(evo, float(constraint_residual(fam, s.x, s.y, s.yp, s.ypp)))
-
-
-def constraint_sp(n: int, s: StateVector) -> float:
-    fam = family(SP, n)
-    _check_state(fam, s)
-    return float(constraint_residual(fam, s.x, s.y, s.yp, s.ypp))
-
-
 def y1prime_closed_form_gb(x, yp2, yp3, ups):
     """Closed form for y1' from the n=3 first integral (minus-root branch)."""
     if not 0.0 < x < 1.0:
@@ -528,21 +431,3 @@ def y1prime_closed_form_gb(x, yp2, yp3, ups):
         raise InfeasibleStateError("negative radicand: state violates 3 - Upsilon > 0")
     return 6.0 / (x * (1.0 - x * x)) * (1.0 + x * x - np.sqrt(rad))
 
-
-def jacobian_state(kind: SystemKind, n: int, s: StateVector):
-    """Analytic partials of (evo rows, constraint) w.r.t. (y, yp, ypp).
-
-    Returns an array of shape (m+1, 3, m): row r, block b (0=y, 1=yp, 2=ypp).
-    """
-    fam = family(kind, n)
-    _check_state(fam, s)
-    dy, dyp, dypp = evo_jacobian(fam, s.x, s.y, s.yp, s.ypp)
-    cy, cyp, cypp = constraint_jacobian(fam, s.x, s.y, s.yp, s.ypp)
-    out = np.zeros((fam.m + 1, 3, fam.m))
-    out[: fam.m, 0] = dy
-    out[: fam.m, 1] = dyp
-    out[: fam.m, 2] = dypp
-    out[fam.m, 0] = cy
-    out[fam.m, 1] = cyp
-    out[fam.m, 2] = cypp
-    return out

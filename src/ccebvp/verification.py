@@ -71,7 +71,7 @@ def check_monotonicity(profile) -> list:
                 bool(vals.min() > -DEADBAND),
             )
         )
-    elif bd.kind.family == "gberger":
+    else:
         p1, p2 = bd.phi0
         hypothesis = p1 < 1.0 and p1 * p2 < 1.0 and p1 + p1 * p2 > 1.0
         for name, f in (

@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from ccebvp.series import NonlocalParams, fg_series_origin, series_infinity
-from ccebvp.systems import GBERGER, SP, SU, BoundaryData
+from ccebvp.systems import GBERGER, SU, BoundaryData
 
 H = 1e-80  # the solver's complex-step width
 INFINITY_ORDER = 26
@@ -34,11 +34,6 @@ CASES = {
     "gberger_090_105": (
         GBERGER, 3, (0.9, 1.05), -0.0004760897, (-6.889446967100944, 2.393599695950305),
         (-0.051, 0.024),
-    ),
-    "sp7": (
-        SP, 7, (1.1, 0.9, 1.05), -0.014757569120222103,
-        (398.4392260505461, -173.23583195375764, 64.68203758413149),
-        (0.06524325, -0.08056033, 0.03723047),
     ),
 }
 

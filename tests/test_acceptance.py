@@ -14,7 +14,7 @@ from ccebvp import verification as verif
 from ccebvp.continuation import SweepPlan, bisect_event, sweep
 from ccebvp.solver import SolveOptions, solve_bvp
 from ccebvp.structure import slice_structure
-from ccebvp.systems import GBERGER, SP, SU, BoundaryData
+from ccebvp.systems import GBERGER, SU, BoundaryData
 
 TOL = 1e-10
 GRID = 768
@@ -61,12 +61,10 @@ def grid_family():
 @pytest.fixture(scope="session")
 def round_profiles():
     out = {}
-    for kind, n in ((GBERGER, 3), (SU, 3), (SU, 5), (SU, 7), (SP, 7)):
+    for kind, n in ((GBERGER, 3), (SU, 3), (SU, 5), (SU, 7)):
         bd = BoundaryData(kind, n, tuple([1.0] * kind.free_count))
         t0 = time.perf_counter()
-        prof, rep = solve_bvp(
-            bd, acc_options(grid=128, experimental_sp=(kind.family == "sp"))
-        )
+        prof, rep = solve_bvp(bd, acc_options(grid=128))
         out[(kind.family, n)] = (prof, rep, time.perf_counter() - t0)
     return out
 

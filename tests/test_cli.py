@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccebvp import cli
+from ccebvp import cli, config
 from ccebvp.cli import main
 from ccebvp.config import ParseError, parse_config
 from ccebvp.exports import export_profile_csv, fmt, load_profile_csv
@@ -57,6 +57,22 @@ class TestConfig:
     def test_failed_check_names_key(self, line, key):
         with pytest.raises(ParseError, match=f"key '{key}', line 4"):
             parse_config(f"system = su\nn = 3\nphi0 = 0.8\n{line}\n")
+
+    def test_line_named_when_known(self):
+        with pytest.raises(ParseError) as e:
+            parse_config("system = su\nn = 5\n")
+        assert "None" not in str(e.value) and str(e.value).endswith("(key 'phi0')")
+        with pytest.raises(ParseError, match="key 'phi0', line 3"):
+            parse_config("system = su\nn = 5\nphi0 = -1\n")
+
+    def test_dimension_error_names_n(self):
+        # a bad n is reported under n, even when phi0 has the wrong length for it
+        with pytest.raises(ParseError, match="n = 3 .key 'n', line 2"):
+            parse_config("system = gberger\nn = 5\nphi0 = 1,1\n")
+
+    def test_removed_family_rejected(self):
+        with pytest.raises(ParseError, match="key 'system', line 1"):
+            parse_config("system = sp\nn = 7\nphi0 = 1,1,1\n")
 
     def test_readme_configs_parse(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -177,6 +193,19 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--quiet"]) == 1
 
 
+class TestReadmeKeyTable:
+    OWNERS = {"run": "RunConfig", "options": "SolveOptions", "sweep": "SweepPlan"}
+
+    def test_table_matches_config_keys(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = readme[readme.index("| key | sets | default | rule |"):].split("\n\n", 1)[0]
+        rows = [[c.strip().strip("`") for c in line.strip("|").split("|")] for line in table.splitlines()[2:]]
+        assert [r[0] for r in rows] == list(config._KEYS)
+        for key, sets, *_ in rows:
+            where, name, _ = config._KEYS[key]
+            assert sets == f"{self.OWNERS[where]}.{name}", key
+
+
 class TestVerifyExport:
     def test_verify_single(self, small_profile, tmp_path):
         p = tmp_path / "profile.csv"
@@ -192,6 +221,14 @@ class TestVerifyExport:
         assert rc == 0
         outtext = capsys.readouterr().out
         assert "V(z1)" in outtext and "forces_zero=True" in outtext
+
+    def test_unknown_system_exit_three(self, small_profile, tmp_path, capsys):
+        p = tmp_path / "profile.csv"
+        export_profile_csv(small_profile, str(p))
+        p.write_text(p.read_text().replace("# system=su\n", "# system=sp\n"))
+        assert main(["verify", str(p), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "'sp'" in err and "gberger" in err
 
     def test_export_json(self, small_profile, tmp_path):
         p = tmp_path / "profile.csv"

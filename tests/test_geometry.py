@@ -8,13 +8,12 @@ import pytest
 from ccebvp import geometry as G
 from ccebvp.solver import SolveOptions, solve_bvp
 from ccebvp.structure import slice_structure
-from ccebvp.systems import GBERGER, SP, SU, BoundaryData, UsageError
+from ccebvp.systems import GBERGER, SU, BoundaryData, UsageError
 
 
 def round_profile(kind=SU, n=5, grid=48):
     bd = BoundaryData(kind, n, tuple([1.0] * kind.free_count))
-    prof, rep = solve_bvp(bd, SolveOptions(grid=grid, refine_rounds=0, coarse_stage=0,
-                                           experimental_sp=(kind.family == "sp")))
+    prof, rep = solve_bvp(bd, SolveOptions(grid=grid, refine_rounds=0, coarse_stage=0))
     assert rep.converged
     return prof
 
@@ -81,16 +80,6 @@ class TestReconstruct:
         W = G.log_component_matrix(BoundaryData(GBERGER, 3, (1.0, 1.0)))
         np.testing.assert_allclose(W @ np.zeros(3), 0.0, atol=0)
 
-    def test_sp_inversion(self):
-        bd = BoundaryData(SP, 7, (2.0, 1.0, 1.0))
-        W = G.log_component_matrix(bd)
-        y = np.array([np.log(3.0), np.log(2.0), 0.0, np.log(0.5)])
-        I = np.exp(W @ y)
-        K = I[0] * I[1] * I[2] * I[3] ** (bd.n - 3)
-        assert K == pytest.approx(3.0, rel=1e-12)
-        assert I[0] / I[3] == pytest.approx(2.0, rel=1e-12)
-        assert I[2] / I[3] == pytest.approx(0.5, rel=1e-12)
-
 
 class TestRadial:
     def test_hyperbolic_minus_one(self):
@@ -132,16 +121,6 @@ class TestRicciFormulas:
         r2 = G.ricci_su(4.0, 2.0, 5)
         assert r1[0] == pytest.approx(r2[0])  # first entry depends on I1/I2 only
         assert r1[1] == pytest.approx(r2[1])  # second is affine in I1/I2
-
-    def test_sp_round(self):
-        np.testing.assert_allclose(G.ricci_sp(1.0, 1.0, 1.0, 7), 30.0, rtol=0)
-
-    def test_sp_values_and_symmetry(self):
-        r = G.ricci_sp(2.0, 1.0, 1.0, 7)
-        assert r[0] == pytest.approx(4 * 7 * 4 + 2 * 4 / 1.0)  # 120
-        swapped = G.ricci_sp(1.0, 2.0, 1.0, 7)
-        assert swapped[1] == pytest.approx(r[0]) and swapped[0] == pytest.approx(r[1])
-        assert swapped[-1] == pytest.approx(r[-1])
 
 
 class TestSliceAssembly:
@@ -294,13 +273,11 @@ class TestGauss:
         for (_, _, v), (_, _, ref) in zip(got, want):
             assert abs(v - ref) <= 1e-13 * max(1.0, abs(ref))
 
-    @pytest.mark.parametrize("kind, n, phi0, sp", [(GBERGER, 3, (0.95, 1.02), False), (SU, 3, (0.5,), False),
-                                                  (SU, 5, (0.6,), False), (SP, 7, (1.0, 1.0, 1.0), True)])
-    def test_record_shape(self, kind, n, phi0, sp):
-        # one row per plane, radial first, one column per mesh node; the Sp slice is radial-only
+    @pytest.mark.parametrize("kind, n, phi0", [(GBERGER, 3, (0.95, 1.02)), (SU, 3, (0.5,)), (SU, 5, (0.6,))])
+    def test_record_shape(self, kind, n, phi0):
+        # one row per plane, radial first, one column per mesh node
         bd = BoundaryData(kind, n, phi0)
-        prof, rep = solve_bvp(bd, SolveOptions(grid=96, tol=1e-6, refine_rounds=0, coarse_stage=0,
-                                               experimental_sp=sp))
+        prof, rep = solve_bvp(bd, SolveOptions(grid=96, tol=1e-6, refine_rounds=0, coarse_stage=0))
         assert rep.converged
         S = G.curvature_samples(prof)
         mp = G.reconstruct_metric(prof)
@@ -308,7 +285,7 @@ class TestGauss:
         tangential = tuple(nm for nm, *_ in G.slice_sectional(bd, mp.I))
         assert np.array_equal(S.x, prof.mesh.nodes)
         assert S.planes == radial + tangential
-        assert (tangential == ()) == sp
+        assert tangential
         assert S.values.shape == (len(S.planes), prof.mesh.n_nodes)
 
     def test_round_samples_all_minus_one(self):

@@ -21,7 +21,6 @@ from ccebvp.series import (
 )
 from ccebvp.systems import (
     GBERGER,
-    SP,
     SU,
     BoundaryData,
     DomainError,
@@ -110,13 +109,11 @@ class TestOrigin:
 
     @pytest.mark.parametrize(
         "kind,n,phi0",
-        [(GBERGER, 3, (0.9, 1.1)), (SU, 5, (0.8,)), (SP, 7, (1.1, 0.9, 1.05))],
+        [(GBERGER, 3, (0.9, 1.1)), (SU, 5, (0.8,))],
     )
     def test_residual_convergence_order(self, kind, n, phi0):
-        # The series closes {first integral, phi/t equations}; for gberger and
-        # su the remaining y1 equations follow by constraint propagation.  The
-        # Sp evolution system is not cross-consistent off the round point, so
-        # for sp only the closed set is measured.
+        # The series closes {first integral, phi equations}; the remaining y1
+        # equations follow by constraint propagation.
         bd = BoundaryData(kind, n, phi0)
         free = NonlocalParams(tuple(0.1 * (i + 1) for i in range(kind.free_count)))
         sc = fg_series_origin(bd, free, k0=0.93)
@@ -127,10 +124,7 @@ class TestOrigin:
             st = evaluate_series(sc, float(x))
             evo = S.evo_residuals(fam, st.x, st.y, st.yp, st.ypp)
             con = S.constraint_residual(fam, st.x, st.y, st.yp, st.ypp)
-            vals = [abs(con), np.abs(evo[1:]).max()]
-            if kind.family != "sp":
-                vals.append(abs(evo[0]))
-            res.append(max(vals))
+            res.append(max(abs(con), np.abs(evo[1:]).max(), abs(evo[0])))
         res = np.array(res)
         order = np.polyfit(np.log(xs), np.log(res + 1e-300), 1)[0]
         # truncation at order P leaves residual O(x^(P-1))
@@ -163,7 +157,7 @@ class TestInfinity:
         assert np.all(sc.table == 0.0)
 
     @pytest.mark.parametrize(
-        "kind,n", [(GBERGER, 3), (SU, 5), (SP, 7)]
+        "kind,n", [(GBERGER, 3), (SU, 5)]
     )
     def test_boundary_conditions_exact(self, kind, n):
         rng = np.random.RandomState(4)
@@ -276,7 +270,7 @@ class TestFrozenTables:
     def assert_table(got, want):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
-    @pytest.mark.parametrize("case", ["su3", "su5", "su7", "gberger_095_102", "gberger_090_105", "sp7"])
+    @pytest.mark.parametrize("case", ["su3", "su5", "su7", "gberger_095_102", "gberger_090_105"])
     def test_matches_frozen(self, frozen, case):
         kind, n = SystemKind(str(frozen[f"{case}/family"])), int(frozen[f"{case}/n"])
         bd = BoundaryData(kind, n, tuple(frozen[f"{case}/phi0"]))

@@ -23,7 +23,7 @@ from ccebvp.solver import (
     splu,
 )
 from ccebvp.solver import _pack, _unpack
-from ccebvp.systems import GBERGER, SP, SU, BoundaryData, DomainError, UsageError
+from ccebvp.systems import GBERGER, SU, BoundaryData, DomainError, UsageError
 
 
 def _jacobian_pattern(m, N):
@@ -167,7 +167,7 @@ class TestAssemble:
 
 def perturbed_jacobian(bd, N):
     # a seed guess with uniform noise, as in test_jacobian_matches_finite_differences
-    opts = small_opts(grid=N, experimental_sp=True)
+    opts = small_opts(grid=N)
     mesh = make_mesh(N)
     u = _pack(seed_profile(bd, mesh, opts))
     u += np.random.RandomState(1).uniform(-0.03, 0.03, u.size)
@@ -178,7 +178,6 @@ FAMILIES = [
     BoundaryData(SU, 3, (0.7,)),
     BoundaryData(SU, 5, (0.8,)),
     BoundaryData(GBERGER, 3, (0.93, 1.04)),
-    BoundaryData(SP, 7, (1.02, 1.0, 1.0)),
 ]
 
 
@@ -356,13 +355,6 @@ class TestNewton:
         assert len(calls) == rep.counters["lu_factorisations"] + 1 + rejected
         assert rep.counters["assemblies"] == len(calls) - 1  # the injected call did no work
 
-    def test_sp_requires_flag(self):
-        bd = BoundaryData(SP, 7, (1.0, 1.0, 1.0))
-        with pytest.raises(UsageError):
-            solve_bvp(bd, small_opts())
-        prof, rep = solve_bvp(bd, small_opts(grid=64, experimental_sp=True))
-        assert rep.converged and rep.iterations <= 1  # round data
-
     def test_interpolate_roundtrip(self):
         bd = BoundaryData(SU, 5, (0.8,))
         prof, rep = solve_bvp(bd, small_opts(grid=64, tol=1e-9))
@@ -478,15 +470,3 @@ class TestScalingAndExtras:
         from ccebvp.verification import run_verification
 
         assert run_verification(prof).overall_pass
-
-    def test_sp_experimental_runs_without_crash(self):
-        # the Sp evolution system is kept verbatim and is not cross-consistent
-        # off the round point; the experimental path must run and report
-        # honestly rather than crash or silently succeed
-        bd = BoundaryData(SP, 7, (1.02, 1.0, 1.0))
-        prof, rep = solve_bvp(bd, small_opts(grid=64, tol=1e-9, experimental_sp=True))
-        assert rep.residual_norm < 1e-6  # the discrete system itself is solvable
-        if rep.converged:
-            from ccebvp.verification import run_verification
-
-            assert run_verification(prof).overall_pass
