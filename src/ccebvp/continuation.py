@@ -9,7 +9,7 @@ bisected in the parameter until the bracket is tight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,8 +17,6 @@ from . import geometry as geom
 from .solver import SolveOptions, as_guess_for, newton_solve, solve_bvp
 from .systems import BoundaryData, SystemKind, UsageError
 from .verification import run_verification
-
-DEFAULT_EVENT_TOL = 1e-6
 
 
 @dataclass
@@ -32,7 +30,7 @@ class SweepPlan:
     step: float = 0.05
     min_step: float = 1e-4
     max_step: float = 0.1
-    event_tol: float = DEFAULT_EVENT_TOL
+    event_tol: float = 1e-6
     options: SolveOptions = field(
         default_factory=lambda: SolveOptions(grid=384, tol=3e-8, refine_rounds=0)
     )
@@ -42,8 +40,8 @@ class SweepPlan:
             raise UsageError(
                 f"need 0 < min_step <= step <= max_step, got {self.min_step}, {self.step}, {self.max_step}"
             )
-        if not self.lam_end > 0:
-            raise UsageError(f"lam_end must be positive, got {self.lam_end}")
+        if not 0 < self.lam_end < np.inf:
+            raise UsageError(f"lam_end must be positive and finite, got {self.lam_end}")
         if not self.event_tol > 0:
             raise UsageError(f"event_tol must be positive, got {self.event_tol}")
 
@@ -103,10 +101,6 @@ def detect_curvature_event(profile, samples=None):
     return geom.CurvatureSample(float(samples.x[j]), samples.planes[p], float(col[p]))
 
 
-def max_curvature(profile) -> float:
-    return float(geom.curvature_samples(profile).values.max())
-
-
 def _solve_at(plan: SweepPlan, lam: float, warm=None):
     bd = plan.boundary_data(lam)
     opts = plan.options
@@ -115,13 +109,8 @@ def _solve_at(plan: SweepPlan, lam: float, warm=None):
     return solve_bvp(bd, opts)
 
 
-def sweep(plan: SweepPlan, tol: float | None = None) -> ContinuationTrace:
-    """Walk the parameter path; returns the trace with its stop reason.
-
-    tol overrides the plan's solve tolerance; the plan passed in is not changed.
-    """
-    if tol is not None:
-        plan = replace(plan, options=replace(plan.options, tol=tol))
+def sweep(plan: SweepPlan) -> ContinuationTrace:
+    """Walk the parameter path; returns the trace with its stop reason."""
     lam = 1.0  # every path starts at the round sphere
     direction = 1.0 if plan.lam_end >= lam else -1.0
     prof, rep = _solve_at(plan, lam)
@@ -149,9 +138,7 @@ def sweep(plan: SweepPlan, tol: float | None = None) -> ContinuationTrace:
         sample = detect_curvature_event(prof, samples)
         if sample is not None:
             records.append(rec)
-            event = bisect_event(
-                ContinuationTrace(plan, records, "event"), plan.event_tol
-            )
+            event = bisect_event(ContinuationTrace(plan, records, "event"))
             return ContinuationTrace(plan, records, "event", event)
         records.append(rec)
         prev, lam = prof, target
@@ -177,14 +164,14 @@ def _record(plan, lam, prof, rep, samples):
     )
 
 
-def bisect_event(trace: ContinuationTrace, tol_lambda: float = DEFAULT_EVENT_TOL,
-                 solve_at=None, detect=None) -> EventRecord:
-    """Shrink the (no-event, event) parameter bracket by bisection.
+def bisect_event(trace: ContinuationTrace, solve_at=None, detect=None) -> EventRecord:
+    """Shrink the (no-event, event) parameter bracket by bisection to the
+    plan's event_tol.
 
     Each midpoint is re-solved (warm-started from the nearest converged
     profile); a solver failure inside the bracket returns the widest
     certified bracket with an annotation.  So does a bracket of adjacent
-    floats, which no tol_lambda below their spacing can shrink further.
+    floats, which no event_tol below their spacing can shrink further.
     """
     plan = trace.plan
     if len(trace.records) < 2:
@@ -206,7 +193,7 @@ def bisect_event(trace: ContinuationTrace, tol_lambda: float = DEFAULT_EVENT_TOL
 
     witness = None
     annotation = ""
-    while abs(hi - lo) > tol_lambda:
+    while abs(hi - lo) > plan.event_tol:
         mid = 0.5 * (lo + hi)
         if not min(lo, hi) < mid < max(lo, hi):
             annotation = "bracket at floating-point resolution"

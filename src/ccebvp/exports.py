@@ -91,6 +91,18 @@ def export_profile_csv(profile: SolutionProfile, path: str) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _header(meta, key, count=None):
+    """Header value of key; with count, its comma-separated floats, which must number count."""
+    if key not in meta:
+        raise ValueError(f"profile header {key!r} is missing")
+    if count is None:
+        return meta[key]
+    vals = [float(v) for v in meta[key].split(",")]
+    if len(vals) != count:
+        raise ValueError(f"profile header {key!r} needs {count} values, got {len(vals)}")
+    return vals
+
+
 def load_profile_csv(path: str) -> SolutionProfile:
     meta, names, rows = {}, None, []
     with open(path, "r") as f:
@@ -109,28 +121,25 @@ def load_profile_csv(path: str) -> SolutionProfile:
         raise ValueError(f"{path} does not contain a profile table")
     data = np.array(rows).T
     col = {name: data[i] for i, name in enumerate(names)}
-    system = meta.get("system")
+    system = _header(meta, "system")
     if system not in KINDS:
         raise ValueError(f"unknown system {system!r}, expected one of {sorted(KINDS)}")
     kind = KINDS[system]
-    bd = BoundaryData(kind, int(meta["n"]), tuple(float(p) for p in meta["phi0"].split(",")))
     m = kind.unknowns
+    bd = BoundaryData(kind, int(_header(meta, "n")), tuple(_header(meta, "phi0", kind.free_count)))
     y = np.vstack([col[f"y{i + 1}"] for i in range(m)])
     yp = np.vstack([col[f"yp{i + 1}"] for i in range(m)])
-    free = NonlocalParams(tuple(float(v) for v in meta["free"].split(",")))
-    inf_free = np.array([float(v) for v in meta["infinity_free"].split(",")])
-    prof = SolutionProfile(
+    return SolutionProfile(
         bd,
         Mesh(col["x"]),
         y,
         yp,
-        k0var=float(meta["k0var"]),
-        free=free,
-        infinity_free=inf_free,
-        converged=meta.get("converged") == "true",
-        tol=float(meta["tol"]),
+        k0var=float(_header(meta, "k0var")),
+        free=NonlocalParams(tuple(_header(meta, "free", kind.free_count))),
+        infinity_free=np.array(_header(meta, "infinity_free", m - 1)),
+        converged=_header(meta, "converged") == "true",
+        tol=float(_header(meta, "tol")),
     )
-    return prof
 
 
 def export_trace_csv(trace, path: str) -> None:

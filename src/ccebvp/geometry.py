@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .structure import StructureConstants
-from .systems import BoundaryData, DomainError, UsageError, family
+from .systems import BoundaryData, DomainError, UsageError
 
 
 class InfeasibleProfileError(DomainError):
@@ -57,12 +57,6 @@ class MetricProfile:
     def multiplicities(self):
         return direction_multiplicities(self.bd)
 
-    def node_index(self, x: float) -> int:
-        j = int(np.argmin(np.abs(self.x - x)))
-        if abs(self.x[j] - x) > 1e-9:
-            raise UsageError(f"x={x} is not a node of this profile")
-        return j
-
     def a_log_deriv_r(self):
         """(a_i'/a_i) in r at every node: coth(r) - x L'/2."""
         coth = (1.0 + self.x**2) / (1.0 - self.x**2)
@@ -84,12 +78,6 @@ def reconstruct_metric(profile) -> MetricProfile:
     if not np.all(np.isfinite(I)):
         raise InfeasibleProfileError("non-finite metric components")
     return MetricProfile(bd, profile.mesh.nodes.copy(), I, L, Lp, Lpp)
-
-
-def radial_sectional(mp: MetricProfile, i: int, x: float) -> float:
-    """Sectional curvature of the (radial, e_i) plane at node x (i 1-based)."""
-    j = mp.node_index(x)
-    return float(radial_sectional_all(mp)[i - 1, j])
 
 
 def radial_sectional_all(mp: MetricProfile) -> np.ndarray:
@@ -225,18 +213,6 @@ def _ricci_invariant_frame(C, T, dT, g, ginv):
     return t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8 + t9 + t10 + t11
 
 
-def gauss_tangential(mp: MetricProfile, slice_curv: float, i: int, j: int, x: float) -> float:
-    """Ambient tangential sectional curvature via the Gauss equation.
-
-    slice_curv is the intrinsic sectional curvature of the geodesic-sphere
-    slice (with its induced metric) for the plane (e_i, e_j); the second
-    fundamental form contributes -(a_i'/a_i)(a_j'/a_j) in r-derivatives.
-    """
-    k = mp.node_index(x)
-    rat = mp.a_log_deriv_r()
-    return float(slice_curv - rat[i - 1, k] * rat[j - 1, k])
-
-
 @dataclass
 class CurvatureSample:
     """A curvature event's witness: the plane, its node x and its value there."""
@@ -299,16 +275,18 @@ def curvature_samples(profile) -> CurvatureSamples:
 _WEYL_PERMUTATIONS = ((1, 2, 3), (2, 3, 1), (3, 1, 2), (1, 3, 2), (2, 1, 3), (3, 2, 1))
 
 
-def _weyl_mixed(mp: MetricProfile, i: int, p: int, q: int, j):
-    """Mixed Weyl component magnitude for the direction permutation (i, p, q)
-    at node index (or index array / slice) j of an n=3 profile."""
+def weyl_mixed_n3(mp: MetricProfile, i: int, p: int, q: int) -> np.ndarray:
+    """|W|-type mixed Weyl component magnitude for the direction permutation
+    (i, p, q) of (1, 2, 3) at every node of an n=3 profile."""
     if mp.bd.n != 3:
         raise UsageError("weyl_mixed_n3 requires an n=3 profile")
+    if sorted((i, p, q)) != [1, 2, 3]:
+        raise UsageError("(i, p, q) must be a permutation of (1, 2, 3)")
     full = np.repeat(np.arange(mp.I.shape[0]), mp.multiplicities)
     ii, pp, qq = full[i - 1], full[p - 1], full[q - 1]
-    x = mp.x[j]
-    Li, Lp_, Lq = mp.L[ii, j], mp.L[pp, j], mp.L[qq, j]
-    dLi, dLp, dLq = mp.Lp[ii, j], mp.Lp[pp, j], mp.Lp[qq, j]
+    x = mp.x
+    Li, Lp_, Lq = mp.L[ii], mp.L[pp], mp.L[qq]
+    dLi, dLp, dLq = mp.Lp[ii], mp.Lp[pp], mp.Lp[qq]
     # bracket = Ii^1/2 Ip^-1/2 + Ii^-1/2 Ip^1/2 - Ii^-1/2 Ip^-1/2 Iq
     e1 = np.exp((Li - Lp_) / 2.0)
     e2 = np.exp((Lp_ - Li) / 2.0)
@@ -321,16 +299,9 @@ def _weyl_mixed(mp: MetricProfile, i: int, p: int, q: int, j):
     return 2.0 * x * x / (1.0 - x * x) * np.exp(-Lq / 2.0) * np.abs(der)
 
 
-def weyl_mixed_n3(mp: MetricProfile, i: int, p: int, q: int, x: float) -> float:
-    """|W|-type mixed Weyl component magnitude for the n=3 families at node x."""
-    if sorted((i, p, q)) != [1, 2, 3]:
-        raise UsageError("(i, p, q) must be a permutation of (1, 2, 3)")
-    return float(_weyl_mixed(mp, i, p, q, mp.node_index(x)))
-
-
 def weyl_mixed_max_n3(mp: MetricProfile) -> float:
     """Largest weyl_mixed_n3 value over every node and every permutation of (1, 2, 3)."""
-    return float(max(_weyl_mixed(mp, *perm, slice(None)).max() for perm in _WEYL_PERMUTATIONS))
+    return float(max(weyl_mixed_n3(mp, *perm).max() for perm in _WEYL_PERMUTATIONS))
 
 
 WEYL_BOUND_N3 = 2.0 * np.sqrt(6.0)
@@ -352,28 +323,7 @@ def k0_lower_bound(bd: BoundaryData):
     phi, n = bd.phi0[0], bd.n
     if phi <= 1.0 / (n + 1):
         return None
-    return ((n + 1) * phi - 1.0) ** n / (n * phi ** ((n + 1.0) / n)) ** n
+    # the ratio ((n+1) phi - 1) / (n phi^((n+1)/n)), formed before its n-th
+    # power so that no intermediate overflows at large phi
+    return ((n + 1.0 - 1.0 / phi) / (n * phi ** (1.0 / n))) ** n
 
-
-@dataclass
-class K0BoundsReport:
-    k0: float
-    lower_bound: float | None
-    upper_ok: bool
-    lower_ok: bool | None
-    boundary_case: bool
-
-    @property
-    def passed(self):
-        low = True if self.lower_ok is None else self.lower_ok
-        return (self.upper_ok and low) or self.boundary_case
-
-
-def k0_bounds_check(bd: BoundaryData, K0: float) -> K0BoundsReport:
-    """Report K(0) against the volume-comparison upper bound 1 and the
-    family's closed-form lower bound (round data sits exactly on the boundary)."""
-    lb = k0_lower_bound(bd)
-    boundary = bd.is_round and abs(K0 - 1.0) <= 1e-10
-    upper_ok = K0 < 1.0
-    lower_ok = None if lb is None else K0 > lb
-    return K0BoundsReport(float(K0), lb, upper_ok, lower_ok, boundary)

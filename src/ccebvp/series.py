@@ -26,7 +26,6 @@ from .systems import (
     DomainError,
     Family,
     SeriesRecursionError,
-    StateVector,
     SystemKind,
     UsageError,
     family,
@@ -338,7 +337,8 @@ def evaluate_tangents(sc: SeriesCoefficients, x):
 
 
 def evaluate_series(sc: SeriesCoefficients, x):
-    """State (y, y', y'') of the series at x, inside its trust radius."""
+    """(y, y', y'') of the series at x, inside its trust radius: each (m,) at a
+    scalar x, (m,) + x.shape at an array x."""
     xs = np.asarray(x, dtype=float)
     if sc.endpoint == "origin":
         if np.any(xs < 0) or np.any(xs > TRUST_RADIUS):
@@ -348,8 +348,6 @@ def evaluate_series(sc: SeriesCoefficients, x):
         if np.any(xs > 1) or np.any(xs < 1.0 - TRUST_RADIUS):
             raise DomainError(f"x={x} outside infinity series trust radius")
         y, yp, ypp = _eval_table(sc.table, 1.0 - xs, -1.0)
-    if np.ndim(x) == 0 and not np.iscomplexobj(sc.table):
-        return StateVector(float(x), y, yp, ypp)
     return y.T, yp.T, ypp.T
 
 

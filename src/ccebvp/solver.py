@@ -47,6 +47,8 @@ INFINITY_ORDER = 26
 MIN_NODES = 4
 # a solve converges when its first-integral drift is within DRIFT_GATE * tol
 DRIFT_GATE = 10.0
+# Newton steps a solve may take before it fails with "max iterations"
+MAX_ITER = 40
 
 
 def origin_order(n: int) -> int:
@@ -96,7 +98,6 @@ def make_mesh(num=128) -> Mesh:
 class SolveOptions:
     grid: int = 128
     tol: float = 1e-10
-    max_iter: int = 40
     refine_rounds: int = 3
     seed_mode: str = "blend"  # 'blend' | 'zero'
     coarse_stage: int = 96  # warm-start grids larger than ~1.5x this
@@ -441,7 +442,7 @@ def seed_profile(bd: BoundaryData, mesh: Mesh, opts: SolveOptions | None = None)
 
 def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=None):
     """Damped Newton (Armijo halving, minimum damping 2^-20) on the collocation
-    system, to opts.tol within opts.max_iter steps.
+    system, to opts.tol within MAX_ITER steps.
 
     Every point is assembled once, residual and Jacobian together: the
     accepted line-search trial's assembly drives the next step.  counters,
@@ -481,7 +482,7 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=Non
     F, J = assemble(u)
     norm = float(np.abs(F).max())
     rep.residual_history.append(norm)
-    for it in range(opts.max_iter):
+    for it in range(MAX_ITER):
         if norm <= tol:
             break
         try:

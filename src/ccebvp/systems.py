@@ -98,8 +98,8 @@ class BoundaryData:
             raise UsageError(
                 f"{self.kind.family} needs {self.kind.free_count} boundary ratios, got {len(phi0)}"
             )
-        if any(p <= 0 for p in phi0):
-            raise DomainError(f"boundary ratios must be positive, got {phi0}")
+        if not all(0.0 < p < np.inf for p in phi0):
+            raise DomainError(f"boundary ratios must be positive and finite, got {phi0}")
 
     @property
     def in_admissible_window(self) -> bool:
@@ -115,21 +115,6 @@ class BoundaryData:
     def y_boundary(self) -> np.ndarray:
         """Values of (y_2, ..., y_m) at x = 0."""
         return np.log(np.asarray(self.phi0))
-
-
-@dataclass
-class StateVector:
-    """Point state (x, y, y', y'') of an endpoint series at one x."""
-
-    x: float
-    y: np.ndarray
-    yp: np.ndarray
-    ypp: np.ndarray
-
-    def __post_init__(self):
-        self.y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        self.yp = np.atleast_1d(np.asarray(self.yp, dtype=float))
-        self.ypp = np.atleast_1d(np.asarray(self.ypp, dtype=float))
 
 
 class Family:

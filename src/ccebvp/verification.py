@@ -8,7 +8,7 @@ than failed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,12 +156,14 @@ def check_apriori_bounds(profile) -> list:
 
 
 def check_k0_window(profile) -> CheckRecord:
-    rep = geom.k0_bounds_check(profile.bd, profile.k0)
-    lb = rep.lower_bound if rep.lower_bound is not None else 0.0
-    margin = float(min(profile.k0 - lb, 1.0 - profile.k0))
-    if rep.boundary_case:
+    """K(0) strictly between k0_lower_bound (0 where there is none) and the
+    volume-comparison bound 1; round data sit exactly on the boundary K(0) = 1."""
+    k0 = profile.k0
+    if profile.bd.is_round and abs(k0 - 1.0) <= 1e-10:
         return CheckRecord("k0-window", "determinant-ratio-window", 0.0, None, True)
-    return CheckRecord("k0-window", "determinant-ratio-window", margin, 0.0, bool(rep.passed))
+    lb = geom.k0_lower_bound(profile.bd)
+    margin = float(min(k0 - (0.0 if lb is None else lb), 1.0 - k0))
+    return CheckRecord("k0-window", "determinant-ratio-window", margin, 0.0, bool(margin > 0.0))
 
 
 def check_weyl_bound(profile, samples=None) -> CheckRecord:

@@ -34,6 +34,11 @@ class TestConfig:
         with pytest.raises(ParseError, match="positive"):
             parse_config("system = su\nn = 5\nphi0 = -1\n")
 
+    @pytest.mark.parametrize("ratio", ["nan", "inf"])
+    def test_non_finite_ratio_rejected(self, ratio):
+        with pytest.raises(ParseError, match="finite.*key 'phi0', line 3"):
+            parse_config(f"system = su\nn = 5\nphi0 = {ratio}\n")
+
     def test_unknown_key_named(self):
         with pytest.raises(ParseError, match="frobnicate.*line 2"):
             parse_config("system = su\nfrobnicate = 1\nn = 5\nphi0 = 0.8\n")
@@ -51,6 +56,7 @@ class TestConfig:
         ("tol = -1", "tol"),
         ("seed_mode = zeros", "seed_mode"),
         ("sweep_end = 0", "sweep_end"),
+        ("sweep_end = inf", "sweep_end"),
         ("sweep_step = 0.05\nsweep_min_step = 0.2\nsweep_end = 0.5", "sweep_step"),
         ("event_tol = 0\nsweep_end = 0.5", "event_tol"),
     ])
@@ -160,6 +166,13 @@ class TestSolveCommand:
         cfg = write_cfg(tmp_path, "system = su\nn = 4\nphi0 = 0.8\n")
         assert main(["solve", "--config", cfg, "--quiet"]) == 1
 
+    def test_non_finite_ratio_exit_one(self, tmp_path, capsys):
+        # rejected as a config error before any solve, not after it
+        cfg = write_cfg(tmp_path, "system = su\nn = 5\nphi0 = nan\ngrid = 16\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "profile.csv").exists()
+
     def test_determinism_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, "system = su\nn = 5\nphi0 = 0.9\ngrid = 48\ntol = 1e-6\n")
         outs = []
@@ -229,6 +242,21 @@ class TestVerifyExport:
         assert main(["verify", str(p), "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "'sp'" in err and "gberger" in err
+
+    @pytest.mark.parametrize("header, value, message", [
+        ("n", None, "'n' is missing"),
+        ("free", "0.1,0.2", "'free' needs 1 values, got 2"),
+        ("infinity_free", "0.1,0.2,0.3", "'infinity_free' needs 1 values, got 3"),
+    ])
+    def test_bad_header_exit_three(self, small_profile, tmp_path, capsys, header, value, message):
+        # a missing header line, or one with the wrong count, is named on load
+        p = tmp_path / "profile.csv"
+        export_profile_csv(small_profile, str(p))
+        line = "" if value is None else f"# {header}={value}\n"
+        p.write_text(re.sub(f"^# {header}=.*\n", line, p.read_text(), flags=re.M))
+        assert main(["verify", str(p), "--out", str(tmp_path)]) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_export_json(self, small_profile, tmp_path):
         p = tmp_path / "profile.csv"

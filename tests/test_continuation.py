@@ -1,8 +1,6 @@
 """Continuation tests: degenerate plans, event detection on manufactured
 profiles, synthetic-family bisection, and a short real sweep."""
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,7 @@ from ccebvp.continuation import (
     detect_curvature_event,
     sweep,
 )
-from ccebvp.geometry import CurvatureSample, CurvatureSamples
+from ccebvp.geometry import CurvatureSample, CurvatureSamples, curvature_samples
 from ccebvp.solver import SolveOptions, solve_bvp
 from ccebvp.systems import SU, BoundaryData, UsageError
 
@@ -34,6 +32,11 @@ class TestPlan:
             SweepPlan(SU, 3, lam_end=0.5, step=0.05, min_step=0.2, max_step=0.3)
         with pytest.raises(UsageError):
             SweepPlan(SU, 3, lam_end=0.5, event_tol=0)
+
+    @pytest.mark.parametrize("lam_end", [np.nan, np.inf])
+    def test_non_finite_end_rejected(self, lam_end):
+        with pytest.raises(UsageError, match="lam_end"):
+            SweepPlan(SU, 3, lam_end=lam_end)
 
     def test_boundary_data_map(self):
         plan = SweepPlan(SU, 5, lam_end=0.5)
@@ -82,14 +85,12 @@ class TestDetect:
         # a profile whose largest curvature is about -0.2 has no event
         prof, rep = solve_bvp(BoundaryData(SU, 3, (0.45,)), quick_opts(160))
         assert rep.converged
-        from ccebvp.continuation import max_curvature
-
-        assert -1.0 < max_curvature(prof) < 0.0
+        assert -1.0 < curvature_samples(prof).values.max() < 0.0
         assert detect_curvature_event(prof) is None
 
 
-def synthetic_trace(lam_lo, lam_hi):
-    plan = SweepPlan(SU, 3, lam_end=lam_hi)
+def synthetic_trace(lam_lo, lam_hi, event_tol=1e-6):
+    plan = SweepPlan(SU, 3, lam_end=lam_hi, event_tol=event_tol)
     w = CurvatureSample(0.5, "radial-1", 0.01)
     records = [
         TraceRecord(lam_lo, True, 1.0, -0.2, (0.0,), True, 1, None),
@@ -101,7 +102,7 @@ def synthetic_trace(lam_lo, lam_hi):
 class TestBisect:
     def test_already_tight(self):
         tr, w = synthetic_trace(0.5, 0.5 + 1e-7)
-        ev = bisect_event(tr, 1e-6, solve_at=lambda lam: object(), detect=lambda p: None)
+        ev = bisect_event(tr, solve_at=lambda lam: object(), detect=lambda p: None)
         assert ev.width <= 1e-6
 
     def test_synthetic_crossing(self):
@@ -114,7 +115,7 @@ class TestBisect:
         def detect(lam):
             return CurvatureSample(0.4, "radial-1", 0.5 - lam) if lam <= 0.5 else None
 
-        ev = bisect_event(tr, 1e-6, solve_at=solve_at, detect=detect)
+        ev = bisect_event(tr, solve_at=solve_at, detect=detect)
         assert ev.width <= 1e-6
         assert abs(ev.lam_event - 0.5) <= 1e-6
         assert ev.witness.plane == "radial-1"
@@ -128,16 +129,16 @@ class TestBisect:
             seen.append(p)
             return w if p == "event-profile" or p <= 0.5 else None
 
-        ev = bisect_event(tr, 1e-6, solve_at=lambda lam: lam, detect=detect)
+        ev = bisect_event(tr, solve_at=lambda lam: lam, detect=detect)
         assert "event-profile" not in seen and ev.witness is w
         seen.clear()
-        ev = bisect_event(tr, 1e-6, solve_at=lambda lam: lam,
+        ev = bisect_event(tr, solve_at=lambda lam: lam,
                           detect=lambda p: detect(p) if p == "event-profile" else None)
         assert seen == ["event-profile"] and ev.witness is w
 
     def test_tolerance_below_float_spacing_stops(self):
         # no bisection can shrink a bracket of adjacent floats to 1e-20
-        tr, w = synthetic_trace(2.0, 2.05)
+        tr, w = synthetic_trace(2.0, 2.05, event_tol=1e-20)
         calls = []
 
         def solve_at(lam):
@@ -146,14 +147,14 @@ class TestBisect:
                 raise RuntimeError("bisection did not stop")
             return lam
 
-        ev = bisect_event(tr, 1e-20, solve_at=solve_at, detect=lambda lam: w if lam >= 2.03 else None)
+        ev = bisect_event(tr, solve_at=solve_at, detect=lambda lam: w if lam >= 2.03 else None)
         lo, hi = ev.bracket
         assert np.nextafter(lo, np.inf) == hi and lo < 2.03 <= hi
         assert "floating-point" in ev.annotation
 
     def test_failure_returns_certified_bracket(self):
         tr, w = synthetic_trace(0.8, 0.3)
-        ev = bisect_event(tr, 1e-6, solve_at=lambda lam: None, detect=lambda p: None)
+        ev = bisect_event(tr, solve_at=lambda lam: None, detect=lambda p: None)
         assert ev.annotation != ""
         assert ev.bracket == (0.3, 0.8)
 
@@ -165,13 +166,6 @@ class TestSweep:
         assert tr.stop_reason == "path-end"
         assert len(tr.records) == 1 and tr.event is None
         assert tr.records[0].max_curvature == pytest.approx(-1.0, abs=1e-9)
-
-    def test_tol_override_leaves_plan_unchanged(self):
-        plan = SweepPlan(SU, 3, lam_end=1.0, options=quick_opts(48))
-        before = copy.deepcopy(plan.options)
-        tr = sweep(plan, tol=1e-9)
-        assert plan.options == before
-        assert tr.plan.options.tol == 1e-9 and tr.plan.options.grid == 48
 
     def test_short_decreasing_sweep(self):
         plan = SweepPlan(SU, 3, lam_end=0.85, step=0.05)

@@ -2,10 +2,13 @@
 formulas, the Weyl component, and the K(0) bounds.  Independent oracles:
 hyperbolic identities, Milnor's S^3 Ricci formula, and direct evaluation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from ccebvp import geometry as G
+from ccebvp import verification as V
 from ccebvp.solver import SolveOptions, solve_bvp
 from ccebvp.structure import slice_structure
 from ccebvp.systems import GBERGER, SU, BoundaryData, UsageError
@@ -87,7 +90,7 @@ class TestRadial:
         mp = G.reconstruct_metric(prof)
         K = G.radial_sectional_all(mp)
         np.testing.assert_allclose(K, -1.0, atol=1e-12)
-        assert G.radial_sectional(mp, 1, float(mp.x[3])) == pytest.approx(-1.0, abs=1e-12)
+        assert K[0, 3] == pytest.approx(-1.0, abs=1e-12)
 
     def test_flat_radial_direction(self):
         # a = r (flat cone): L = 2 log(r / sinh r), K0 = 0
@@ -189,7 +192,8 @@ class TestGauss:
         mp = G.reconstruct_metric(prof)
         x = float(mp.x[5])
         sinh2 = ((1 - x * x) / (2 * x)) ** 2
-        amb = G.gauss_tangential(mp, 1.0 / sinh2, 1, 2, x)
+        rat = mp.a_log_deriv_r()
+        amb = 1.0 / sinh2 - rat[0, 5] * rat[1, 5]
         assert amb == pytest.approx(-1.0, abs=1e-12)
 
     def test_zero_second_fundamental_form(self):
@@ -199,7 +203,8 @@ class TestGauss:
         coth = (1 + xs**2) / (1 - xs**2)
         Lp = 2 * coth / xs
         mp = synthetic_mp(bd, xs, np.zeros((2, 3)), np.tile(Lp, (2, 1)), np.zeros((2, 3)))
-        assert G.gauss_tangential(mp, 0.37, 1, 2, 0.5) == pytest.approx(0.37, abs=1e-12)
+        rat = mp.a_log_deriv_r()
+        assert 0.37 - rat[0, 1] * rat[1, 1] == pytest.approx(0.37, abs=1e-12)
 
     def test_einstein_tangential_consistency(self):
         # sum of all plane curvatures through one direction equals -n
@@ -253,6 +258,7 @@ class TestGauss:
         mp = G.reconstruct_metric(prof)
         sc = slice_structure(n)
         rad = G.radial_sectional_all(mp)
+        rat = mp.a_log_deriv_r()
         radial, tangential = [], []
         for j, h in enumerate(np.repeat(mp.I, mp.multiplicities, axis=0).T):
             x = float(mp.x[j])
@@ -263,7 +269,7 @@ class TestGauss:
             for (a, b), name, (ia, ib) in coordinate_planes(sc, mp.multiplicities):
                 if name not in seen:
                     seen.add(name)
-                    amb = G.gauss_tangential(mp, sect[a, b] / sinh2, ia + 1, ib + 1, x)
+                    amb = sect[a, b] / sinh2 - rat[ia, j] * rat[ib, j]
                     tangential.append((x, name, amb))
         want = radial + tangential
         S = G.curvature_samples(prof)
@@ -300,7 +306,7 @@ class TestWeyl:
         bd = BoundaryData(GBERGER, 3, (1.0, 1.0))
         xs = np.array([0.3, 0.5])
         mp = synthetic_mp(bd, xs, np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2)))
-        assert G.weyl_mixed_n3(mp, 1, 2, 3, 0.5) == 0.0
+        assert G.weyl_mixed_n3(mp, 1, 2, 3)[1] == 0.0
 
     def test_berger_line(self):
         # I = (t(x), 1, 1): value = 2x^2/(1-x^2) |d/dx sqrt(t)|
@@ -312,21 +318,25 @@ class TestWeyl:
         mp = synthetic_mp(bd, xs, L, Lp, np.zeros((3, 1)))
         x = 0.4
         oracle = 2 * x * x / (1 - x * x) * abs(tp / (2 * np.sqrt(t0)))
-        assert G.weyl_mixed_n3(mp, 1, 2, 3, x) == pytest.approx(oracle, rel=1e-12)
+        assert G.weyl_mixed_n3(mp, 1, 2, 3)[0] == pytest.approx(oracle, rel=1e-12)
 
     def test_usage_guards(self):
         prof = round_profile(SU, 5)
         mp = G.reconstruct_metric(prof)
         with pytest.raises(UsageError):
-            G.weyl_mixed_n3(mp, 1, 2, 3, float(mp.x[0]))
+            G.weyl_mixed_n3(mp, 1, 2, 3)
+        bd = BoundaryData(GBERGER, 3, (1.0, 1.0))
+        mp3 = synthetic_mp(bd, [0.5], np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((3, 1)))
+        with pytest.raises(UsageError, match="permutation"):
+            G.weyl_mixed_n3(mp3, 1, 1, 3)
 
 
 class TestK0Bounds:
     def test_round_boundary_case(self):
         bd = BoundaryData(GBERGER, 3, (1.0, 1.0))
-        rep = G.k0_bounds_check(bd, 1.0)
-        assert rep.boundary_case and rep.passed
-        assert rep.lower_bound == pytest.approx(1.0)
+        rec = V.check_k0_window(SimpleNamespace(bd=bd, k0=1.0))
+        assert rec.passed and rec.threshold is None  # on the boundary, not inside
+        assert G.k0_lower_bound(bd) == pytest.approx(1.0)
 
     def test_su_bound_formula(self):
         bd = BoundaryData(SU, 5, (0.8,))
@@ -336,9 +346,14 @@ class TestK0Bounds:
 
     def test_solved_k0_in_window(self):
         prof = solved_profile()
-        rep = G.k0_bounds_check(prof.bd, prof.k0)
-        assert rep.passed and rep.upper_ok and rep.lower_ok
-        assert rep.lower_bound < prof.k0 < 1.0
+        rec = V.check_k0_window(prof)
+        assert rec.passed and rec.margin > 0.0
+        assert G.k0_lower_bound(prof.bd) < prof.k0 < 1.0
+
+    def test_su_bound_no_overflow(self):
+        # ((n+1) phi - 1)^n alone overflows a float here; the bound is (8/7)^7 / phi
+        lb = G.k0_lower_bound(BoundaryData(SU, 7, (1e50,)))
+        assert lb == pytest.approx((8 / 7) ** 7 / 1e50, rel=1e-13)
 
     def test_outside_window_none(self):
         assert G.k0_lower_bound(BoundaryData(SU, 5, (1e-6,))) is None

@@ -121,9 +121,9 @@ class TestOrigin:
         xs = np.array([0.08, 0.04, 0.02])
         res = []
         for x in xs:
-            st = evaluate_series(sc, float(x))
-            evo = S.evo_residuals(fam, st.x, st.y, st.yp, st.ypp)
-            con = S.constraint_residual(fam, st.x, st.y, st.yp, st.ypp)
+            y, yp, ypp = evaluate_series(sc, float(x))
+            evo = S.evo_residuals(fam, float(x), y, yp, ypp)
+            con = S.constraint_residual(fam, float(x), y, yp, ypp)
             res.append(max(abs(con), np.abs(evo[1:]).max(), abs(evo[0])))
         res = np.array(res)
         order = np.polyfit(np.log(xs), np.log(res + 1e-300), 1)[0]
@@ -137,10 +137,10 @@ class TestOrigin:
             bd = BoundaryData(kind, n, phi0)
             free = NonlocalParams(tuple(0.2 for _ in range(kind.free_count)))
             sc = fg_series_origin(bd, free, order=n + 15, k0=0.9)
-            st = evaluate_series(sc, 0.05)
+            y, yp, ypp = evaluate_series(sc, 0.05)
             fam = family(kind, n)
-            evo = S.evo_residuals(fam, st.x, st.y, st.yp, st.ypp)
-            con = S.constraint_residual(fam, st.x, st.y, st.yp, st.ypp)
+            evo = S.evo_residuals(fam, 0.05, y, yp, ypp)
+            con = S.constraint_residual(fam, 0.05, y, yp, ypp)
             assert max(np.abs(evo).max(), abs(con)) < 5e-12
 
     def test_guards(self):
@@ -163,9 +163,9 @@ class TestInfinity:
         rng = np.random.RandomState(4)
         free = rng.uniform(-0.5, 0.5, kind.unknowns - 1)
         sc = series_infinity(kind, n, free=free)
-        st = evaluate_series(sc, 1.0)
-        assert np.all(st.y == 0.0)
-        assert np.all(st.yp == 0.0)
+        y, yp, _ = evaluate_series(sc, 1.0)
+        assert np.all(y == 0.0)
+        assert np.all(yp == 0.0)
         # second-order coefficients of the non-K unknowns are the free values
         np.testing.assert_allclose(sc.table[1:, 2], free, atol=1e-14)
 
@@ -176,8 +176,8 @@ class TestInfinity:
         us = np.array([0.04, 0.02, 0.01])
         res = []
         for u in us:
-            st = evaluate_series(sc, 1.0 - float(u))
-            evo = S.evo_residuals(fam, st.x, st.y, st.yp, st.ypp)
+            y, yp, ypp = evaluate_series(sc, 1.0 - float(u))
+            evo = S.evo_residuals(fam, 1.0 - float(u), y, yp, ypp)
             res.append(np.abs(evo).max())
         order = np.polyfit(np.log(us), np.log(np.array(res) + 1e-300), 1)[0]
         assert order > sc.order - 2.5
@@ -188,8 +188,8 @@ class TestInfinity:
             sc = series_infinity(kind, n, free=np.asarray(free))
             fam = family(kind, n)
             for u in (0.05, 0.02):
-                st = evaluate_series(sc, 1.0 - u)
-                con = S.constraint_residual(fam, st.x, st.y, st.yp, st.ypp)
+                y, yp, ypp = evaluate_series(sc, 1.0 - u)
+                con = S.constraint_residual(fam, 1.0 - u, y, yp, ypp)
                 assert abs(con) < 200 * u ** (sc.order - 1)
 
     def test_even_in_geodesic_distance(self):
@@ -210,24 +210,25 @@ class TestEvaluate:
         table = np.zeros((1, 5))
         table[0, 2] = c
         sc = SeriesCoefficients("origin", SU, 5, 4, table)
-        st = evaluate_series(sc, 0.1)
-        assert st.y[0] == pytest.approx(0.01 * c, rel=1e-15)
-        assert st.yp[0] == pytest.approx(0.2 * c, rel=1e-15)
-        assert st.ypp[0] == pytest.approx(2.0 * c, rel=1e-15)
+        y, yp, ypp = evaluate_series(sc, 0.1)
+        assert y.shape == yp.shape == ypp.shape == (1,)
+        assert y[0] == pytest.approx(0.01 * c, rel=1e-15)
+        assert yp[0] == pytest.approx(0.2 * c, rel=1e-15)
+        assert ypp[0] == pytest.approx(2.0 * c, rel=1e-15)
 
     def test_matches_naive_polynomial_oracle(self):
         rng = np.random.RandomState(9)
         table = rng.uniform(-1, 1, (2, 9))
         sc = SeriesCoefficients("origin", SU, 5, 8, table)
         x = 0.12
-        st = evaluate_series(sc, x)
+        got = evaluate_series(sc, x)
         for i in range(2):
             y = sum(table[i, k] * x**k for k in range(9))
             yp = sum(k * table[i, k] * x ** (k - 1) for k in range(1, 9))
             ypp = sum(k * (k - 1) * table[i, k] * x ** (k - 2) for k in range(2, 9))
-            assert st.y[i] == pytest.approx(y, rel=1e-14)
-            assert st.yp[i] == pytest.approx(yp, rel=1e-14)
-            assert st.ypp[i] == pytest.approx(ypp, rel=1e-14)
+            assert got[0][i] == pytest.approx(y, rel=1e-14)
+            assert got[1][i] == pytest.approx(yp, rel=1e-14)
+            assert got[2][i] == pytest.approx(ypp, rel=1e-14)
 
     def test_trust_radius(self):
         sc = fg_series_origin(BoundaryData(SU, 5, (0.8,)), NonlocalParams.zeros(SU))

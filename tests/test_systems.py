@@ -262,6 +262,11 @@ class TestBoundaryData:
             BoundaryData(GBERGER, 5, (0.9, 1.1))
         with pytest.raises(DomainError):
             BoundaryData(SU, 5, (-1.0,))
+        for ratio in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="finite"):
+                BoundaryData(SU, 5, (ratio,))
+            with pytest.raises(DomainError, match="finite"):
+                BoundaryData(GBERGER, 3, (0.9, ratio))
         with pytest.raises(UsageError):
             BoundaryData(SU, 5, (0.9, 1.0))
 
