@@ -107,9 +107,12 @@ def cmd_sweep(args) -> int:
     if trace.event is not None:
         jobs.append((export_json, event_document(trace.event, digest), os.path.join(cfg.out, "event.json")))
     _write(*jobs)
-    _say(cfg, f"stop_reason={trace.stop_reason} records={len(trace.records)}")
+    _say(cfg, f"stop_reason={trace.stop_reason} records={len(trace.records)} rejected={len(trace.rejected)}")
+    for lam, reason in trace.rejected:
+        _say(cfg, f"  rejected lambda={lam!r}: {reason}")
     if trace.event is not None:
-        _say(cfg, f"event bracket={trace.event.bracket} width={trace.event.width:.3e}")
+        ev = trace.event
+        _say(cfg, f"event bracket={ev.bracket} width={ev.width:.3e} solves={ev.solves}")
     return 2 if trace.stop_reason == "min-step" else 0
 
 

@@ -1,20 +1,24 @@
 """Boundary-parameter continuation from the round sphere.
 
-The sweep walks the ratio parameter away from 1, warm-starting each solve
-from the previous converged profile, with adaptive steps (halve on failure,
-grow after three straight successes).  It stops at the path end, at the
-first curvature-sign event, or on min-step exhaustion; an event is then
-bisected in the parameter until the bracket is tight.
+The sweep walks the ratio parameter away from 1 as a predictor-corrector:
+each solve starts from the linear extrapolation in the parameter of the two
+nearest converged profiles (from the previous profile alone on the first
+step), with adaptive steps (halve on failure, grow after three straight
+successes).  It stops at the path end, at the first curvature-sign event,
+or on min-step exhaustion.  An event is then located by a safeguarded
+root-finder on the largest monitored curvature and certified by a bracket
+of width event_tol centred on the root estimate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry as geom
-from .solver import SolveOptions, as_guess_for, newton_solve, solve_bvp
+from .solver import SolveOptions, as_guess_for, newton_solve, secant_guess, solve_bvp
 from .systems import BoundaryData, SystemKind, UsageError
 from .verification import run_verification
 
@@ -72,6 +76,7 @@ class EventRecord:
     witness: geom.CurvatureSample
     width: float
     annotation: str = ""
+    solves: int = 0  # solves the location took
 
 
 @dataclass
@@ -80,6 +85,7 @@ class ContinuationTrace:
     records: list
     stop_reason: str  # 'event' | 'path-end' | 'min-step'
     event: EventRecord | None = None
+    rejected: list = field(default_factory=list)  # (lambda, failure_reason) of each halved step
 
 
 def detect_curvature_event(profile, samples=None):
@@ -101,12 +107,23 @@ def detect_curvature_event(profile, samples=None):
     return geom.CurvatureSample(float(samples.x[j]), samples.planes[p], float(col[p]))
 
 
-def _solve_at(plan: SweepPlan, lam: float, warm=None):
+def _solve_at(plan: SweepPlan, lam: float, near=()):
+    """Solve at lam: from the seed when near, a collection of converged
+    (lambda, profile) pairs, is empty; else from the linear prediction
+    through the pair nearest lam and the next nearest on its mesh, or from
+    the nearest alone when no other shares its mesh."""
     bd = plan.boundary_data(lam)
     opts = plan.options
-    if warm is not None:
-        return newton_solve(bd, warm.mesh, as_guess_for(bd, warm, opts), opts)
-    return solve_bvp(bd, opts)
+    if not near:
+        return solve_bvp(bd, opts)
+    (mu, p), *rest = sorted(near, key=lambda pair: abs(pair[0] - lam))
+    same = [(nu, q) for nu, q in rest if np.array_equal(q.mesh.nodes, p.mesh.nodes)]
+    if same:
+        nu, q = same[0]
+        guess = secant_guess(bd, p, q, (lam - mu) / (nu - mu), opts)
+    else:
+        guess = as_guess_for(bd, p, opts)
+    return newton_solve(bd, p.mesh, guess, opts)
 
 
 def sweep(plan: SweepPlan) -> ContinuationTrace:
@@ -117,33 +134,33 @@ def sweep(plan: SweepPlan) -> ContinuationTrace:
     if not rep.converged:
         raise RuntimeError("the round-sphere solve failed; sweep cannot start")
     records = [_record(plan, lam, prof, rep, geom.curvature_samples(prof))]
+    trace = ContinuationTrace(plan, records, "path-end")
     if plan.lam_end == lam:
-        return ContinuationTrace(plan, records, "path-end")
+        return trace
 
     step, streak = plan.step, 0
-    prev = prof
     while True:
         target = lam + direction * step
         if direction * (target - plan.lam_end) >= 0.0:
             target = plan.lam_end
-        prof, rep = _solve_at(plan, target, warm=prev)
+        prof, rep = _solve_at(plan, target, [(r.lam, r.profile) for r in records[-2:]])
         if not rep.converged:
+            trace.rejected.append((target, rep.failure_reason))
             step *= 0.5
             streak = 0
             if step < plan.min_step:
-                return ContinuationTrace(plan, records, "min-step")
+                trace.stop_reason = "min-step"
+                return trace
             continue
         samples = geom.curvature_samples(prof)
-        rec = _record(plan, target, prof, rep, samples)
-        sample = detect_curvature_event(prof, samples)
-        if sample is not None:
-            records.append(rec)
-            event = bisect_event(ContinuationTrace(plan, records, "event"))
-            return ContinuationTrace(plan, records, "event", event)
-        records.append(rec)
-        prev, lam = prof, target
+        records.append(_record(plan, target, prof, rep, samples))
+        if detect_curvature_event(prof, samples) is not None:
+            trace.stop_reason = "event"
+            trace.event = bisect_event(trace)
+            return trace
+        lam = target
         if lam == plan.lam_end:
-            return ContinuationTrace(plan, records, "path-end")
+            return trace
         streak += 1
         if streak >= 3:
             step = min(step * 1.5, plan.max_step)
@@ -164,52 +181,132 @@ def _record(plan, lam, prof, rep, samples):
     )
 
 
-def bisect_event(trace: ContinuationTrace, solve_at=None, detect=None) -> EventRecord:
-    """Shrink the (no-event, event) parameter bracket by bisection to the
-    plan's event_tol.
+def _detect(profile):
+    samples = geom.curvature_samples(profile)
+    return detect_curvature_event(profile, samples), float(samples.values.max())
 
-    Each midpoint is re-solved (warm-started from the nearest converged
-    profile); a solver failure inside the bracket returns the widest
-    certified bracket with an annotation.  So does a bracket of adjacent
-    floats, which no event_tol below their spacing can shrink further.
+
+def _root_estimate(ends, points):
+    """Secant root through the two latest points when it falls strictly
+    inside the bracket, else the regula falsi root of the bracket ends."""
+    (a, ga), (b, gb) = ends
+    (p, gp), (q, gq) = points[-2:]
+    if gp != gq:
+        x = q - gq * (q - p) / (gq - gp)
+        if min(a, b) < x < max(a, b):
+            return x
+    return b - gb * (b - a) / (gb - ga)
+
+
+def bisect_event(trace: ContinuationTrace, solve_at=None, detect=None) -> EventRecord:
+    """Locate the curvature event between the trace's last two records (no
+    event, event) to the plan's event_tol.
+
+    The root-finder works on g(lambda), the largest monitored curvature,
+    which is >= 0 exactly where an event is detected.  Each estimate of its
+    root (_root_estimate) is projected toward the bracket midpoint as in ITP
+    (Oliveira and Takahashi 2020), so that whatever g is, the bracket after
+    k solves is under event_tol * 2**(n - k) with
+    n = ceil(log2(width / event_tol)) + 2: two solves more than bisection at
+    worst.  An estimate more than event_tol/2 inside both ends is certified
+    by a solve just inside event_tol/2 on either side of it, no-event side
+    first; a certified pair is returned, centred on the estimate.
+
+    Each solve starts from the linear interpolation of the two nearest
+    converged profiles.  A solver failure returns the widest certified
+    bracket with an annotation; so does a bracket of adjacent floats, which
+    no event_tol below their spacing can shrink further.  The seams:
+    solve_at(lam) returns a profile or None, and detect(profile) returns the
+    event's CurvatureSample (or None) and g.  The name is kept for the span
+    continuation.bisect_event that bench/tracing.py records.
     """
     plan = trace.plan
+    tol = plan.event_tol
     if len(trace.records) < 2:
-        raise UsageError("bisection needs a no-event record and an event record")
+        raise UsageError("locating an event needs a no-event record and an event record")
     lo_rec, hi_rec = trace.records[-2], trace.records[-1]
-    lo, hi = lo_rec.lam, hi_rec.lam
     if solve_at is None:
-        profiles = {lo: lo_rec.profile, hi: hi_rec.profile}
+        near = {lo_rec.lam: lo_rec.profile, hi_rec.lam: hi_rec.profile}
 
         def solve_at(lam):
-            nearest = profiles[min(profiles, key=lambda mu: abs(mu - lam))]
-            prof, rep = _solve_at(plan, lam, warm=nearest)
+            prof, rep = _solve_at(plan, lam, near.items())
             if rep.converged:
-                profiles[lam] = prof
+                near[lam] = prof
             return prof if rep.converged else None
 
     if detect is None:
-        detect = detect_curvature_event
+        detect = _detect
 
+    ends = [(lo_rec.lam, lo_rec.max_curvature), (hi_rec.lam, hi_rec.max_curvature)]  # (no event, event)
+    points = list(ends)  # every (lambda, g) evaluated, latest last
+    # the schedule and the certified pairs aim at 2 * half, just under tol,
+    # so that rounding cannot push a bracket width over tol
+    half = 0.5 * tol * (1.0 - 2.0**-20)
+    width = abs(hi_rec.lam - lo_rec.lam)
+    n_max = 2 + (math.ceil(math.log2(width / tol)) if width > tol else 0)
     witness = None
+    lam_event = None
     annotation = ""
-    while abs(hi - lo) > plan.event_tol:
-        mid = 0.5 * (lo + hi)
-        if not min(lo, hi) < mid < max(lo, hi):
+
+    def budget(k):
+        # the widest bracket allowed after k solves
+        return math.ldexp(2 * half, n_max - k)
+
+    def probe(lam):
+        # solve at lam and move the bracket end on its side: None on a
+        # solver failure, else whether lam shows the event
+        nonlocal witness
+        prof = solve_at(lam)
+        if prof is None:
+            return None
+        sample, g = detect(prof)
+        ends[sample is not None] = (lam, g)
+        points.append((lam, g))
+        if sample is not None:
+            witness = sample
+        return sample is not None
+
+    solves = 0
+    while abs(ends[1][0] - ends[0][0]) > tol:
+        (a, _), (b, _) = ends
+        w, s, mid = abs(b - a), (1.0 if b > a else -1.0), 0.5 * (a + b)
+        if not min(a, b) < mid < max(a, b):
             annotation = "bracket at floating-point resolution"
             break
-        prof = solve_at(mid)
-        if prof is None:
-            annotation = f"solver failure at lambda={mid!r}; widest certified bracket returned"
-            break
-        sample = detect(prof)
-        if sample is None:
-            lo = mid
+        est = _root_estimate(ends, points)
+        d = (est - mid) * s  # offset from the midpoint toward the event end
+        pair = (est - s * half, est + s * half)
+        # a failed first probe leaves w/2 + d - half after one solve, a
+        # failed second one w/2 - d - half after two
+        if (
+            solves + 2 <= n_max
+            and w / 2 - half - budget(solves + 2) <= d <= budget(solves + 1) - w / 2 + half
+            and min(a, b) < min(pair) and max(pair) < max(a, b)
+            and 0.0 < abs(pair[1] - pair[0]) <= tol
+        ):
+            for want, lam in zip((False, True), pair):
+                solves += 1
+                hit = probe(lam)
+                if hit is not want:
+                    break
+            else:
+                lam_event = est
+                break
         else:
-            hi = mid
-            witness = sample
+            r = max(budget(solves + 1) - w / 2, 0.0)
+            lam = mid + s * min(max(d, -r), r)
+            if not min(a, b) < lam < max(a, b):
+                lam = mid
+            solves += 1
+            hit = probe(lam)
+        if hit is None:
+            annotation = f"solver failure at lambda={lam!r}; widest certified bracket returned"
+            break
+
+    (a, _), (b, _) = ends
     if witness is None and hi_rec.profile is not None:
-        # no midpoint became the event: the witness is the event record's own
-        witness = detect(hi_rec.profile)
-    lam_event = 0.5 * (lo + hi)
-    return EventRecord(lam_event, (min(lo, hi), max(lo, hi)), witness, abs(hi - lo), annotation)
+        # no probe showed the event: the witness is the event record's own
+        witness = detect(hi_rec.profile)[0]
+    if lam_event is None:
+        lam_event = 0.5 * (a + b)
+    return EventRecord(lam_event, (min(a, b), max(a, b)), witness, abs(b - a), annotation, solves)

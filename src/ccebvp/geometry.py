@@ -310,16 +310,15 @@ WEYL_BOUND_N3 = 2.0 * np.sqrt(6.0)
 def k0_lower_bound(bd: BoundaryData):
     """Closed-form lower bound for K(0); None where the data give none."""
     if bd.kind.family == "gberger":
-        p1, p2 = bd.phi0
-        b0 = (
-            2.0 * (p1 * p1 * p2) ** (1 / 3)
-            + 2.0 * (p2 / p1) ** (1 / 3)
-            + 2.0 * (p1 * p2 * p2) ** (-1 / 3)
-            - p1 ** (-4 / 3) * p2 ** (-2 / 3)
-            - p1 ** (2 / 3) * p2 ** (-2 / 3)
-            - p1 ** (2 / 3) * p2 ** (4 / 3)
-        )
-        return (b0 / 3.0) ** 3 if b0 > 0 else None
+        # b0 = (2P(Q+1) - 1 - P^2 (Q-1)^2) / (P^(4/3) Q^(2/3)) with (P, Q) = phi0;
+        # its sign is taken from the numerator over P before any power, so
+        # that no power overflows or underflows into a division
+        p, q = bd.phi0
+        s = 2.0 * (q + 1.0) - 1.0 / p - p * (q - 1.0) * (q - 1.0)
+        if not s > 0:
+            return None
+        c = s / p ** (1 / 3) / q ** (2 / 3) / 3.0
+        return c * c * c
     phi, n = bd.phi0[0], bd.n
     if phi <= 1.0 / (n + 1):
         return None

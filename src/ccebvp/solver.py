@@ -175,8 +175,11 @@ class SolutionProfile:
         z = np.zeros_like(self.y)
         return -sysm.evo_residuals(fam, self.mesh.nodes, self.y.T, self.yp.T, z.T).T
 
-    def origin_series(self):
-        return fg_series_origin(self.bd, self.free, origin_order(self.bd.n), k0=self.k0)
+    def origin_series(self, order=None):
+        """The origin series at the solve's order, or at order when given."""
+        if order is None:
+            order = origin_order(self.bd.n)
+        return fg_series_origin(self.bd, self.free, order, k0=self.k0)
 
     def constraint_values(self) -> np.ndarray:
         """First integral at every node (uses the eliminated second derivatives)."""
@@ -572,6 +575,16 @@ def as_guess_for(bd, prof, opts, mesh=None):
         prof, bd=bd, mesh=mesh, y=y, yp=yp, infinity_free=prof.infinity_free.copy(), tol=opts.tol,
         converged=False, residual_norm=np.inf,
     )
+
+
+def secant_guess(bd, p, q, t, opts):
+    """The unknowns of p + t (q - p) (values, endpoint parameters) as the
+    guess for bd at opts.tol: the linear interpolation (0 <= t <= 1) or
+    extrapolation of two profiles on one mesh."""
+    if not np.array_equal(p.mesh.nodes, q.mesh.nodes):
+        raise UsageError("secant_guess needs two profiles on one mesh")
+    u = _pack(p)
+    return _unpack(bd, p.mesh, u + t * (_pack(q) - u), opts)
 
 
 def solve_bvp(bd: BoundaryData, opts: SolveOptions | None = None):

@@ -173,6 +173,16 @@ class TestSolveCommand:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "profile.csv").exists()
 
+    @pytest.mark.parametrize("phi0", ["1e-300,1", "1,1e-200"])
+    def test_extreme_gberger_ratio_writes_report(self, tmp_path, phi0):
+        # the K(0) window check ran into an OverflowError / ZeroDivisionError here
+        cfg = write_cfg(tmp_path, f"system = gberger\nn = 3\nphi0 = {phi0}\ngrid = 64\n")
+        with np.errstate(all="ignore"):
+            rc = main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"])
+        assert rc in (1, 2)
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert any(c["name"] == "k0-window" for c in doc["checks"])
+
     def test_determinism_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, "system = su\nn = 5\nphi0 = 0.9\ngrid = 48\ntol = 1e-6\n")
         outs = []
@@ -279,6 +289,17 @@ class TestSweepMinStep:
         rc = main(["sweep", "--config", cfg, "--out", str(tmp_path), "--quiet"])
         assert rc == 2
         assert "stop_reason=min-step" in (tmp_path / "trace.csv").read_text()
+
+    def test_summary_lists_rejected_steps(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            "system = su\nn = 3\nphi0 = 1\ngrid = 24\ntol = 1e-12\n"
+            "sweep_end = 0.5\nsweep_step = 0.05\nsweep_min_step = 0.02\n",
+        )
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "stop_reason=min-step records=1 rejected=2"
+        assert lines[1].startswith("  rejected lambda=0.95: ") and lines[2].startswith("  rejected lambda=0.975: ")
 
 
 class TestFlaggedExit:

@@ -99,26 +99,71 @@ def synthetic_trace(lam_lo, lam_hi, event_tol=1e-6):
     return ContinuationTrace(plan, records, "event"), w
 
 
+def proxy(g, plane="radial-1"):
+    """A detect seam for solve_at(lam) = lam: the event sample where g >= 0, and g."""
+
+    def detect(lam):
+        v = g(lam)
+        return (CurvatureSample(0.4, plane, v) if v >= 0 else None), v
+
+    return detect
+
+
+def bisection_solves(width, tol):
+    return int(np.ceil(np.log2(width / tol)))
+
+
 class TestBisect:
     def test_already_tight(self):
         tr, w = synthetic_trace(0.5, 0.5 + 1e-7)
-        ev = bisect_event(tr, solve_at=lambda lam: object(), detect=lambda p: None)
+        ev = bisect_event(tr, solve_at=lambda lam: object(), detect=lambda p: (None, -1.0))
         assert ev.width <= 1e-6
 
     def test_synthetic_crossing(self):
         # proxy crosses zero at lambda = 0.5 exactly
         tr, w = synthetic_trace(0.8, 0.3)
-
-        def solve_at(lam):
-            return lam
-
-        def detect(lam):
-            return CurvatureSample(0.4, "radial-1", 0.5 - lam) if lam <= 0.5 else None
-
-        ev = bisect_event(tr, solve_at=solve_at, detect=detect)
+        ev = bisect_event(tr, solve_at=lambda lam: lam, detect=proxy(lambda lam: 0.5 - lam))
         assert ev.width <= 1e-6
         assert abs(ev.lam_event - 0.5) <= 1e-6
         assert ev.witness.plane == "radial-1"
+
+    def test_affine_one_estimate_two_certifications(self):
+        # g through the records' values (-0.2 at 0.8, 0.01 at 0.3): its secant
+        # root is exact, so the two solves beside it certify the bracket
+        tr, w = synthetic_trace(0.8, 0.3)
+        root = 0.8 - 0.5 * 0.2 / 0.21
+        calls = []
+
+        def solve_at(lam):
+            calls.append(lam)
+            return lam
+
+        ev = bisect_event(tr, solve_at=solve_at, detect=proxy(lambda lam: 0.21 * (0.8 - lam) / 0.5 - 0.2))
+        lo, hi = ev.bracket
+        assert ev.solves == len(calls) == 2 and ev.annotation == ""
+        assert calls[0] > calls[1]  # the no-event side (toward 0.8) is probed first
+        assert lo < root < hi and ev.width <= 1e-6 and hi - lo > 0.99e-6
+        assert ev.lam_event == pytest.approx(0.5 * (lo + hi), abs=1e-15)
+        assert ev.lam_event == pytest.approx(root, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            lambda lam: 40.0 * (lam - 0.41) if lam > 0.41 else 0.01 * (lam - 0.41),  # kinked at the root
+            lambda lam: -0.2 if lam < 0.41 else 0.01,  # flat on both sides
+            lambda lam: -0.2 if lam < 0.41 else (lam - 0.41) ** 3,  # flat, then cubic
+        ],
+        ids=["kinked", "step", "flat-cubic"],
+    )
+    def test_rough_proxy_bound(self, g):
+        # whatever g is, the ITP projection keeps the solves within two of
+        # plain bisection's
+        tr, w = synthetic_trace(0.3, 0.8)
+        ev = bisect_event(tr, solve_at=lambda lam: lam, detect=proxy(g))
+        lo, hi = ev.bracket
+        assert ev.annotation == "" and ev.width <= 1e-6
+        assert lo < 0.41 <= hi
+        assert ev.solves <= bisection_solves(0.5, 1e-6) + 2
 
     def test_event_record_detected_only_without_midpoint_event(self):
         tr, w = synthetic_trace(0.8, 0.3)
@@ -127,13 +172,14 @@ class TestBisect:
 
         def detect(p):
             seen.append(p)
-            return w if p == "event-profile" or p <= 0.5 else None
+            hit = p == "event-profile" or p <= 0.5
+            return (w if hit else None), (0.01 if hit else -0.2)
 
         ev = bisect_event(tr, solve_at=lambda lam: lam, detect=detect)
         assert "event-profile" not in seen and ev.witness is w
         seen.clear()
         ev = bisect_event(tr, solve_at=lambda lam: lam,
-                          detect=lambda p: detect(p) if p == "event-profile" else None)
+                          detect=lambda p: detect(p) if p == "event-profile" else (None, -0.2))
         assert seen == ["event-profile"] and ev.witness is w
 
     def test_tolerance_below_float_spacing_stops(self):
@@ -147,16 +193,32 @@ class TestBisect:
                 raise RuntimeError("bisection did not stop")
             return lam
 
-        ev = bisect_event(tr, solve_at=solve_at, detect=lambda lam: w if lam >= 2.03 else None)
+        ev = bisect_event(tr, solve_at=solve_at, detect=proxy(lambda lam: 0.01 if lam >= 2.03 else -0.2))
         lo, hi = ev.bracket
         assert np.nextafter(lo, np.inf) == hi and lo < 2.03 <= hi
         assert "floating-point" in ev.annotation
 
     def test_failure_returns_certified_bracket(self):
         tr, w = synthetic_trace(0.8, 0.3)
-        ev = bisect_event(tr, solve_at=lambda lam: None, detect=lambda p: None)
+        ev = bisect_event(tr, solve_at=lambda lam: None, detect=lambda p: (None, -0.2))
         assert ev.annotation != ""
         assert ev.bracket == (0.3, 0.8)
+
+    def test_failure_during_certification(self):
+        # the first certification solve passes, the second fails: the bracket
+        # certified so far comes back, with the failure named
+        tr, w = synthetic_trace(0.8, 0.3)
+        calls = []
+
+        def solve_at(lam):
+            calls.append(lam)
+            return lam if len(calls) == 1 else None
+
+        ev = bisect_event(tr, solve_at=solve_at, detect=proxy(lambda lam: 0.21 * (0.8 - lam) / 0.5 - 0.2))
+        assert len(calls) == 2 and ev.solves == 2
+        assert ev.bracket == (0.3, calls[0]) and ev.width == calls[0] - 0.3
+        assert ev.annotation.startswith(f"solver failure at lambda={calls[1]!r}")
+        assert ev.witness is None
 
 
 class TestSweep:
@@ -206,3 +268,51 @@ class TestSweep:
         its = [r.iterations for r in tr.records[1:]]
         avg = np.mean(its)
         assert max(its) <= max(3.0 * avg, 6.0)
+
+    def test_rejected_step_is_listed_and_skipped(self, monkeypatch):
+        from ccebvp import continuation
+
+        inner = continuation.newton_solve
+        failed = []
+
+        def fail_once(bd, *args, **kwargs):
+            prof, rep = inner(bd, *args, **kwargs)
+            if not failed and bd.phi0[0] < 0.92:
+                failed.append(bd.phi0[0])
+                rep.converged, rep.failure_reason = False, "injected"
+            return prof, rep
+
+        monkeypatch.setattr(continuation, "newton_solve", fail_once)
+        tr = sweep(SweepPlan(SU, 3, lam_end=0.85, step=0.05, options=quick_opts()))
+        lams = [r.lam for r in tr.records]
+        assert tr.stop_reason == "path-end" and tr.rejected == [(failed[0], "injected")]
+        # the failed step to 0.9 is not recorded: the sweep goes on at half the step
+        assert failed[0] == 0.95 - 0.05 and lams[:3] == [1.0, 0.95, 0.95 - 0.025]
+        assert lams[-1] == 0.85 and all(r.converged for r in tr.records)
+
+
+class TestPredictorCorrector:
+    def test_su3_up_sweep_counts(self, monkeypatch):
+        # SU n=3 up sweep as in the sweep-su3 bench: the secant predictor and
+        # the certified root-finder bound the work (63 Newton iterations and
+        # 17 event solves with warm starts and bisection)
+        from ccebvp import continuation
+
+        inner = continuation.newton_solve
+        iterations = []
+
+        def counted(*args, **kwargs):
+            prof, rep = inner(*args, **kwargs)
+            iterations.append(rep.iterations)
+            return prof, rep
+
+        monkeypatch.setattr(continuation, "newton_solve", counted)
+        opts = SolveOptions(grid=128, tol=3e-8, refine_rounds=0)
+        tr = sweep(SweepPlan(SU, 3, lam_end=3.0, step=0.05, event_tol=1e-6, options=opts))
+        ev = tr.event
+        assert tr.stop_reason == "event" and not tr.rejected and ev.annotation == ""
+        lo, hi = ev.bracket
+        assert ev.width <= 1e-6 and lo < 2.0409746 < hi
+        assert ev.lam_event == pytest.approx(0.5 * (lo + hi), abs=1e-15)
+        assert ev.solves <= 4 and len(iterations) == len(tr.records) - 1 + ev.solves
+        assert tr.records[0].iterations + sum(iterations) <= 45

@@ -357,3 +357,12 @@ class TestK0Bounds:
 
     def test_outside_window_none(self):
         assert G.k0_lower_bound(BoundaryData(SU, 5, (1e-6,))) is None
+
+    @pytest.mark.parametrize("phi0", [(1e-300, 1.0), (1.0, 1e-200), (1e300, 1.0)])
+    def test_gberger_bound_extreme_ratios(self, phi0):
+        # the six-power form overflowed, divided by zero or returned inf here
+        lb = G.k0_lower_bound(BoundaryData(GBERGER, 3, phi0))
+        assert lb is None or np.isfinite(lb)
+        if phi0[0] == 1e300:
+            # b0 = (4P - 1) / P^(4/3) on the Berger line Q = 1
+            assert lb == pytest.approx((4.0 / 3.0) ** 3 / 1e300, rel=1e-13)

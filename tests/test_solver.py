@@ -19,6 +19,7 @@ from ccebvp.solver import (
     make_mesh,
     newton_solve,
     refine_mesh,
+    secant_guess,
     seed_profile,
     solve_bvp,
     splu,
@@ -380,6 +381,19 @@ class TestNewton:
         y, yp = prof.interpolate(prof.mesh.nodes)
         assert np.abs(y - prof.y).max() < 1e-13
         assert np.abs(yp - prof.yp).max() < 1e-13
+
+    def test_secant_guess_is_linear_in_every_unknown(self):
+        opts = small_opts(grid=48, tol=1e-8)
+        p, _ = solve_bvp(BoundaryData(SU, 5, (0.8,)), opts)
+        q, _ = solve_bvp(BoundaryData(SU, 5, (0.9,)), opts)
+        bd = BoundaryData(SU, 5, (1.0,))
+        g = secant_guess(bd, p, q, 2.0, opts)
+        assert g.bd is bd and g.mesh is p.mesh and not g.converged
+        assert np.array_equal(_pack(g), _pack(p) + 2.0 * (_pack(q) - _pack(p)))
+        assert np.array_equal(_pack(secant_guess(bd, p, q, 0.0, opts)), _pack(p))
+        other = solve_bvp(BoundaryData(SU, 5, (0.9,)), small_opts(grid=40, tol=1e-8))[0]
+        with pytest.raises(UsageError, match="one mesh"):
+            secant_guess(bd, p, other, 0.5, opts)
 
 
 class TestRefine:
