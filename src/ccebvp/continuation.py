@@ -247,6 +247,7 @@ def bisect_event(trace: ContinuationTrace, solve_at=None, detect=None) -> EventR
     witness = None
     lam_event = None
     annotation = ""
+    solves = 0
 
     def budget(k):
         # the widest bracket allowed after k solves
@@ -255,7 +256,8 @@ def bisect_event(trace: ContinuationTrace, solve_at=None, detect=None) -> EventR
     def probe(lam):
         # solve at lam and move the bracket end on its side: None on a
         # solver failure, else whether lam shows the event
-        nonlocal witness
+        nonlocal witness, solves
+        solves += 1
         prof = solve_at(lam)
         if prof is None:
             return None
@@ -266,7 +268,6 @@ def bisect_event(trace: ContinuationTrace, solve_at=None, detect=None) -> EventR
             witness = sample
         return sample is not None
 
-    solves = 0
     while abs(ends[1][0] - ends[0][0]) > tol:
         (a, _), (b, _) = ends
         w, s, mid = abs(b - a), (1.0 if b > a else -1.0), 0.5 * (a + b)
@@ -285,7 +286,6 @@ def bisect_event(trace: ContinuationTrace, solve_at=None, detect=None) -> EventR
             and 0.0 < abs(pair[1] - pair[0]) <= tol
         ):
             for want, lam in zip((False, True), pair):
-                solves += 1
                 hit = probe(lam)
                 if hit is not want:
                     break
@@ -297,7 +297,6 @@ def bisect_event(trace: ContinuationTrace, solve_at=None, detect=None) -> EventR
             lam = mid + s * min(max(d, -r), r)
             if not min(a, b) < lam < max(a, b):
                 lam = mid
-            solves += 1
             hit = probe(lam)
         if hit is None:
             annotation = f"solver failure at lambda={lam!r}; widest certified bracket returned"
