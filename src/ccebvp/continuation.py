@@ -109,17 +109,16 @@ def detect_curvature_event(profile, samples=None):
 
 def _solve_at(plan: SweepPlan, lam: float, near=()):
     """Solve at lam: from the seed when near, a collection of converged
-    (lambda, profile) pairs, is empty; else from the linear prediction
-    through the pair nearest lam and the next nearest on its mesh, or from
-    the nearest alone when no other shares its mesh."""
+    (lambda, profile) pairs on one mesh, is empty; else from the linear
+    prediction through the two pairs nearest lam, or from the one pair
+    when there is only one."""
     bd = plan.boundary_data(lam)
     opts = plan.options
     if not near:
         return solve_bvp(bd, opts)
     (mu, p), *rest = sorted(near, key=lambda pair: abs(pair[0] - lam))
-    same = [(nu, q) for nu, q in rest if np.array_equal(q.mesh.nodes, p.mesh.nodes)]
-    if same:
-        nu, q = same[0]
+    if rest:
+        nu, q = rest[0]
         guess = secant_guess(bd, p, q, (lam - mu) / (nu - mu), opts)
     else:
         guess = as_guess_for(bd, p, opts)
@@ -186,11 +185,12 @@ def _detect(profile):
     return detect_curvature_event(profile, samples), float(samples.values.max())
 
 
-def _root_estimate(ends, points):
-    """Secant root through the two latest points when it falls strictly
-    inside the bracket, else the regula falsi root of the bracket ends."""
+def _root_estimate(ends, last):
+    """Secant root through the last two points evaluated when it falls
+    strictly inside the bracket, else the regula falsi root of the bracket
+    ends."""
     (a, ga), (b, gb) = ends
-    (p, gp), (q, gq) = points[-2:]
+    (p, gp), (q, gq) = last
     if gp != gq:
         x = q - gq * (q - p) / (gq - gp)
         if min(a, b) < x < max(a, b):
@@ -208,9 +208,13 @@ def bisect_event(trace: ContinuationTrace, solve_at=None, detect=None) -> EventR
     (Oliveira and Takahashi 2020), so that whatever g is, the bracket after
     k solves is under event_tol * 2**(n - k) with
     n = ceil(log2(width / event_tol)) + 2: two solves more than bisection at
-    worst.  An estimate more than event_tol/2 inside both ends is certified
-    by a solve just inside event_tol/2 on either side of it, no-event side
-    first; a certified pair is returned, centred on the estimate.
+    worst.  When the solve budget allows two more solves and an estimate
+    lies more than event_tol/2 inside both ends, certification is tried: a
+    solve just inside event_tol/2 on either side of it, no-event side first.
+    A certified pair is returned with lam_event the estimate.  Otherwise
+    (or when certification fails) the search takes a projected or
+    bisection step, and if it ends that way lam_event is the midpoint of
+    the final bracket.
 
     Each solve starts from the linear interpolation of the two nearest
     converged profiles.  A solver failure returns the widest certified
@@ -238,7 +242,7 @@ def bisect_event(trace: ContinuationTrace, solve_at=None, detect=None) -> EventR
         detect = _detect
 
     ends = [(lo_rec.lam, lo_rec.max_curvature), (hi_rec.lam, hi_rec.max_curvature)]  # (no event, event)
-    points = list(ends)  # every (lambda, g) evaluated, latest last
+    last = ends[:]  # the last two (lambda, g) evaluated, latest last
     # the schedule and the certified pairs aim at 2 * half, just under tol,
     # so that rounding cannot push a bracket width over tol
     half = 0.5 * tol * (1.0 - 2.0**-20)
@@ -256,14 +260,14 @@ def bisect_event(trace: ContinuationTrace, solve_at=None, detect=None) -> EventR
     def probe(lam):
         # solve at lam and move the bracket end on its side: None on a
         # solver failure, else whether lam shows the event
-        nonlocal witness, solves
+        nonlocal witness, solves, last
         solves += 1
         prof = solve_at(lam)
         if prof is None:
             return None
         sample, g = detect(prof)
         ends[sample is not None] = (lam, g)
-        points.append((lam, g))
+        last = [last[1], (lam, g)]
         if sample is not None:
             witness = sample
         return sample is not None
@@ -274,7 +278,7 @@ def bisect_event(trace: ContinuationTrace, solve_at=None, detect=None) -> EventR
         if not min(a, b) < mid < max(a, b):
             annotation = "bracket at floating-point resolution"
             break
-        est = _root_estimate(ends, points)
+        est = _root_estimate(ends, last)
         d = (est - mid) * s  # offset from the midpoint toward the event end
         pair = (est - s * half, est + s * half)
         # a failed first probe leaves w/2 + d - half after one solve, a

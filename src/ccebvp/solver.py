@@ -175,11 +175,10 @@ class SolutionProfile:
         z = np.zeros_like(self.y)
         return -sysm.evo_residuals(fam, self.mesh.nodes, self.y.T, self.yp.T, z.T).T
 
-    def origin_series(self, order=None):
-        """The origin series at the solve's order, or at order when given."""
-        if order is None:
-            order = origin_order(self.bd.n)
-        return fg_series_origin(self.bd, self.free, order, k0=self.k0)
+    def origin_series(self):
+        """The origin series to order n+2, the lowest the recursion accepts:
+        enough for the x^2 coefficients the origin identities read."""
+        return fg_series_origin(self.bd, self.free, self.bd.n + 2, k0=self.k0)
 
     def constraint_values(self) -> np.ndarray:
         """First integral at every node (uses the eliminated second derivatives)."""
@@ -581,8 +580,6 @@ def secant_guess(bd, p, q, t, opts):
     """The unknowns of p + t (q - p) (values, endpoint parameters) as the
     guess for bd at opts.tol: the linear interpolation (0 <= t <= 1) or
     extrapolation of two profiles on one mesh."""
-    if not np.array_equal(p.mesh.nodes, q.mesh.nodes):
-        raise UsageError("secant_guess needs two profiles on one mesh")
     u = _pack(p)
     return _unpack(bd, p.mesh, u + t * (_pack(q) - u), opts)
 

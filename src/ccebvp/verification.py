@@ -109,12 +109,8 @@ def origin_second_derivatives(bd, k0) -> np.ndarray:
 
 
 def check_origin_identities(profile, rtol=1e-6) -> list:
-    """Series second coefficients against the closed-form origin identities.
-
-    Only the x^2 column is read, so the series is built to the lowest order
-    the recursion accepts, n+2.
-    """
-    sc = profile.origin_series(profile.bd.n + 2)
+    """Series second coefficients against the closed-form origin identities."""
+    sc = profile.origin_series()
     target = origin_second_derivatives(profile.bd, profile.k0)
     got = 2.0 * sc.table[:, 2].real
     recs = []

@@ -391,9 +391,6 @@ class TestNewton:
         assert g.bd is bd and g.mesh is p.mesh and not g.converged
         assert np.array_equal(_pack(g), _pack(p) + 2.0 * (_pack(q) - _pack(p)))
         assert np.array_equal(_pack(secant_guess(bd, p, q, 0.0, opts)), _pack(p))
-        other = solve_bvp(BoundaryData(SU, 5, (0.9,)), small_opts(grid=40, tol=1e-8))[0]
-        with pytest.raises(UsageError, match="one mesh"):
-            secant_guess(bd, p, other, 0.5, opts)
 
 
 class TestRefine:
