@@ -12,6 +12,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .config import ParseError, parse_config
 from .continuation import SweepPlan, sweep
 from .exports import (
@@ -26,6 +28,12 @@ from .exports import (
 from .solver import solve_bvp
 from .systems import DomainError, UsageError
 from .verification import run_verification, uniqueness_diagnostic
+
+
+# a solve that fails on extreme data can leave a profile whose sources
+# overflow; its report and CSV carry the non-finite values (the checks fail
+# or read n/a), so numpy need not warn about them
+_NONFINITE_OK = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _fail(code, msg):
@@ -73,22 +81,29 @@ def _say(cfg, *msg):
         print(*msg)
 
 
+def _check_lines(report):
+    """One line per check: n/a, info (no threshold), pass or FAIL, with its margin."""
+    for r in report.records:
+        status = "n/a" if not r.applicable else "info" if r.passed is None else "pass" if r.ok else "FAIL"
+        yield f"  {r.name}: {status} (margin {r.margin:.3e})"
+
+
 def cmd_solve(args) -> int:
     cfg, digest = _load_config(args)
     try:
         prof, rep = solve_bvp(cfg.boundary_data(), cfg.options)
     except (UsageError, DomainError) as e:
         _fail(1, f"solve error: {e}")
-    report = run_verification(prof)
-    _write(
-        (export_profile_csv, prof, os.path.join(cfg.out, "profile.csv")),
-        (export_json, report_document(report, prof, digest), os.path.join(cfg.out, "report.json")),
-    )
+    with np.errstate(**_NONFINITE_OK):
+        report = run_verification(prof)
+        _write(
+            (export_profile_csv, prof, os.path.join(cfg.out, "profile.csv")),
+            (export_json, report_document(report, prof, digest), os.path.join(cfg.out, "report.json")),
+        )
     _say(cfg, f"converged={rep.converged} iterations={rep.iterations} "
               f"residual={rep.residual_norm:.3e} drift={rep.constraint_drift:.3e}")
-    for r in report.records:
-        status = "n/a" if not r.applicable else ("pass" if r.ok else "FAIL")
-        _say(cfg, f"  {r.name}: {status} (margin {r.margin:.3e})")
+    for line in _check_lines(report):
+        _say(cfg, line)
     if not rep.converged:
         return 1
     return 0 if report.overall_pass else 2
@@ -128,12 +143,12 @@ def cmd_verify(args) -> int:
             print(f"V(z{i + 1}) = {v:.6e}")
         print(f"forces_zero={ledger.forces_zero}")
         return 0 if ledger.forces_zero else 2
-    report = run_verification(prof)
+    with np.errstate(**_NONFINITE_OK):
+        report = run_verification(prof)
     out = args.out or os.path.dirname(os.path.abspath(args.profile))
     _write((export_json, report_document(report, prof), os.path.join(out, "report.json")))
-    for r in report.records:
-        status = "n/a" if not r.applicable else ("pass" if r.ok else "FAIL")
-        print(f"  {r.name}: {status} (margin {r.margin:.3e})")
+    for line in _check_lines(report):
+        print(line)
     return 0 if report.overall_pass else 2
 
 

@@ -57,7 +57,6 @@ _KEYS = {
     "quiet": ("run", "quiet", _flag),
     "grid": ("options", "grid", int),
     "tol": ("options", "tol", float),
-    "seed_mode": ("options", "seed_mode", str),
     "sweep_end": ("sweep", "lam_end", float),
     "sweep_step": ("sweep", "step", float),
     "sweep_min_step": ("sweep", "min_step", float),

@@ -99,7 +99,6 @@ class SolveOptions:
     grid: int = 128
     tol: float = 1e-10
     refine_rounds: int = 3
-    seed_mode: str = "blend"  # 'blend' | 'zero'
     coarse_stage: int = 96  # warm-start grids larger than ~1.5x this
 
     def __post_init__(self):
@@ -107,8 +106,6 @@ class SolveOptions:
             raise UsageError(f"grid must be at least {MIN_NODES}, got {self.grid}")
         if not self.tol > 0:
             raise UsageError(f"tol must be positive, got {self.tol}")
-        if self.seed_mode not in ("blend", "zero"):
-            raise UsageError(f"seed_mode must be 'blend' or 'zero', got {self.seed_mode!r}")
 
 
 def _zero_counters():
@@ -154,7 +151,6 @@ class SolutionProfile:
     free: NonlocalParams | None = None
     infinity_free: np.ndarray | None = None
     converged: bool = False
-    residual_norm: float = np.inf
     tol: float = 1e-10
 
     def __post_init__(self):
@@ -433,12 +429,7 @@ def seed_profile(bd: BoundaryData, mesh: Mesh, opts: SolveOptions | None = None)
     """Initial guess: smooth blend of the log boundary offsets (see seed_values)."""
     if opts is None:
         opts = SolveOptions()
-    if opts.seed_mode == "zero":
-        fam = family(bd.kind, bd.n)
-        y = np.zeros((fam.m, mesh.n_nodes))
-        yp = np.zeros_like(y)
-    else:
-        y, yp = seed_values(bd, mesh.nodes)
+    y, yp = seed_values(bd, mesh.nodes)
     return SolutionProfile(bd, mesh, y, yp, tol=opts.tol)
 
 
@@ -467,21 +458,26 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=Non
         counters["lu_factorisations"] += 1
         return splu(J, m, N)
 
-    def trial(uv, lu, bound):
-        # affine-invariant (natural) monotonicity: accept uv when
-        # |J^-1 F(uv)|, with the current factorization, is within bound.
-        # Extreme trial states can overflow the exponential sources, break the
-        # series recursion or overflow that norm; the line search treats any
-        # of it as a rejection
+    def trial(uv, lu=None, bound=np.inf):
+        # (F, J) at uv when F is finite and, given the current factorization
+        # lu, passes the affine-invariant (natural) monotonicity test
+        # |J^-1 F(uv)| <= bound; otherwise None.  Extreme states can overflow
+        # the exponential sources, break the series recursion or overflow
+        # that norm; any of it is a rejection, not a RuntimeWarning
         try:
             with np.errstate(over="raise", invalid="raise"):
                 F, J = assemble(uv)
-                accept = np.all(np.isfinite(F)) and float(np.linalg.norm(lu.solve(-F))) <= bound
+                accept = np.all(np.isfinite(F)) and (lu is None or float(np.linalg.norm(lu.solve(-F))) <= bound)
         except (sysm.SeriesRecursionError, FloatingPointError, np.linalg.LinAlgError):
             return None
         return (F, J) if accept else None
 
-    F, J = assemble(u)
+    FJ = trial(u)
+    if FJ is None:
+        rep.failure_reason = "non-finite start"
+        rep.wall_time = time.perf_counter() - t0
+        return _unpack(bd, mesh, u, opts), rep
+    F, J = FJ
     norm = float(np.abs(F).max())
     rep.residual_history.append(norm)
     for it in range(MAX_ITER):
@@ -537,7 +533,6 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=Non
         prof = _unpack(bd, mesh, u, opts)
         drift = float(np.abs(prof.constraint_values()).max())
 
-    prof.residual_norm = norm
     rep.residual_norm = norm
     rep.constraint_drift = drift
     prof.converged = bool(norm <= tol and drift <= DRIFT_GATE * tol)
@@ -548,17 +543,10 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=Non
     return prof, rep
 
 
-def refine_mesh(profile: SolutionProfile, target: float) -> Mesh:
-    """Insert midpoints of intervals whose interior equation residual exceeds target."""
-    fam = family(profile.bd.kind, profile.bd.n)
+def refine_mesh(profile: SolutionProfile) -> Mesh:
+    """profile's mesh with every interval halved at its midpoint."""
     xs = profile.mesh.nodes
-    x, Y, Yp, Ypp, _ = _collocation_state(profile.y, profile.yp, xs, 0.5)
-    res = np.abs(sysm.evo_residuals(fam, x, Y, Yp, Ypp) * (x * (1 - x * x))[:, None]).max(axis=1)
-    bad = res > target
-    if not np.any(bad):
-        return profile.mesh
-    mids = 0.5 * (xs[:-1] + xs[1:])[bad]
-    return Mesh(np.sort(np.concatenate([xs, mids])))
+    return Mesh(np.sort(np.concatenate([xs, 0.5 * (xs[:-1] + xs[1:])])))
 
 
 def as_guess_for(bd, prof, opts, mesh=None):
@@ -572,7 +560,7 @@ def as_guess_for(bd, prof, opts, mesh=None):
         y, yp = prof.interpolate(mesh.nodes)
     return replace(
         prof, bd=bd, mesh=mesh, y=y, yp=yp, infinity_free=prof.infinity_free.copy(), tol=opts.tol,
-        converged=False, residual_norm=np.inf,
+        converged=False,
     )
 
 
@@ -585,7 +573,9 @@ def secant_guess(bd, p, q, t, opts):
 
 
 def solve_bvp(bd: BoundaryData, opts: SolveOptions | None = None):
-    """Newton-solve from one start, then refine while the drift gate is unmet.
+    """Newton-solve from one start, then halve every mesh interval and
+    re-solve, up to refine_rounds times, while the residual meets tol and the
+    drift gate is unmet.
 
     The start is the seed profile.  On non-round data with a grid above
     1.5*coarse_stage it is instead the coarse_stage-node solve (at tol
@@ -604,17 +594,9 @@ def solve_bvp(bd: BoundaryData, opts: SolveOptions | None = None):
         if crep.residual_norm <= 1e3 * copts.tol:
             start = as_guess_for(bd, cprof, opts, mesh)
     prof, rep = newton_solve(bd, mesh, start, opts, counters)
-
-    rounds = 0
-    while rep.residual_norm <= opts.tol and not prof.converged and rounds < opts.refine_rounds:
-        # converged in residual but the constraint drift gate failed: refine
-        newmesh = refine_mesh(prof, DRIFT_GATE * opts.tol)
-        if newmesh.n_nodes == prof.mesh.n_nodes:
-            break
-        prof2, rep2 = newton_solve(bd, newmesh, as_guess_for(bd, prof, opts, newmesh), opts, counters)
-        rounds += 1
-        rep2.refinements = rounds
-        prof, rep = prof2, rep2
-        if rep.residual_norm > opts.tol:
-            break
+    while rep.residual_norm <= opts.tol and not prof.converged and rep.refinements < opts.refine_rounds:
+        rounds = rep.refinements + 1
+        mesh = refine_mesh(prof)
+        prof, rep = newton_solve(bd, mesh, as_guess_for(bd, prof, opts, mesh), opts, counters)
+        rep.refinements = rounds
     return prof, rep

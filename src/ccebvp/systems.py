@@ -1,5 +1,6 @@
 """Pointwise residual, constraint and Jacobian evaluators for the reduced
-Einstein ODE systems on x in [0,1].
+Einstein ODE systems at x strictly inside (0,1); the endpoint series cover
+the singular ends.
 
 Two families are supported, written in the log variables y_i:
 
@@ -25,9 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# Switch radius for the removable-singularity limit forms near x=0 and x=1.
-ENDPOINT_SWITCH = 1e-3
 
 
 class DomainError(ValueError):
@@ -173,12 +171,6 @@ class Family:
         w, v = table
         return np.exp(y @ v.T) @ (w[:, None] * v)
 
-    @staticmethod
-    def expsum_hess_dot(table, y, d):
-        """(Hessian of expsum) . d, shape (..., m)."""
-        w, v = table
-        return (np.exp(y @ v.T) * (d @ v.T)) @ (w[:, None] * v)
-
 
 def _source_tables(fam: str, n: int):
     """Weight/exponent tables: per-equation sources and the eq-2 source."""
@@ -234,62 +226,27 @@ def family(kind: SystemKind, n: int) -> Family:
 
 
 # ---------------------------------------------------------------------------
-# singular-term helpers with removable-singularity limit forms
+# singular and source terms, for x strictly inside (0, 1)
 # ---------------------------------------------------------------------------
 
 
-def _sing_term(a, b, x, yp, ypp):
-    """x^-1 (a + b x^2)(1-x^2)^-1 yp with the limit substitutions near x=0,1.
-
-    Near x=0 the smooth-state limit replaces yp/x by ypp; near x=1 it replaces
-    yp/(1-x^2) by -ypp/(2x).  The limits assume the state is compatible with
-    the boundary conditions (y'(0)=y'(1)=0); they stay finite for any input.
-    """
-    dyp, dypp = _sing_term_jac(a, b, x)
-    return dyp * yp + dypp * ypp
-
-
-def _sing_term_jac(a, b, x):
-    """Coefficients (w.r.t. yp, ypp) of _sing_term."""
+def _sing_coeff(a, b, x):
+    """Coefficient x^-1 (a + b x^2)(1-x^2)^-1 of y' in a singular term."""
     x = np.asarray(x, dtype=float)
     c = a + b * x * x
-    lo = x < ENDPOINT_SWITCH
-    hi = x > 1.0 - ENDPOINT_SWITCH
-    mid = ~(lo | hi)
-    xm = np.where(mid, x, 0.5)
-    dyp = np.where(mid, c / (xm * (1.0 - xm * xm)), 0.0)
-    xl = np.where(lo, x, 0.0)
-    dypp = np.where(lo, c / (1.0 - xl * xl), 0.0)
-    xs = np.where(hi, x, 0.5)
-    dypp = np.where(hi, -c / (2.0 * xs * xs), dypp)
-    return dyp, dypp
+    return c / (x * (1.0 - x * x))
 
 
-def _source_term(fam, table, x, y, ypp):
-    """(1-x^2)^-2 F(y) with the x=1 limit form (grad F . ypp)/8."""
+def _source_term(fam, table, x, y):
+    """(1-x^2)^-2 F(y)."""
     x = np.asarray(x, dtype=float)
-    hi = x > 1.0 - ENDPOINT_SWITCH
-    F = fam.expsum(table, y)
-    xm = np.where(hi, 0.5, x)
-    out = F / (1.0 - xm * xm) ** 2
-    if np.any(hi):
-        lim = np.sum(fam.expsum_grad(table, y) * ypp, axis=-1) / 8.0
-        out = np.where(hi, lim, out)
-    return out
+    return fam.expsum(table, y) / (1.0 - x * x) ** 2
 
 
-def _source_term_jac(fam, table, x, y, ypp):
-    """Partials of _source_term w.r.t. (y, ypp), both shaped (..., m)."""
+def _source_term_jac(fam, table, x, y):
+    """Partial of _source_term w.r.t. y, shaped (..., m)."""
     x = np.asarray(x, dtype=float)
-    hi = x > 1.0 - ENDPOINT_SWITCH
-    xm = np.where(hi, 0.5, x)
-    dy = fam.expsum_grad(table, y) / np.asarray((1.0 - xm * xm) ** 2)[..., None]
-    dypp = np.zeros_like(dy)
-    if np.any(hi):
-        dy_lim = fam.expsum_hess_dot(table, y, ypp) / 8.0
-        dy = np.where(hi[..., None], dy_lim, dy)
-        dypp = np.where(hi[..., None], fam.expsum_grad(table, y) / 8.0, dypp)
-    return dy, dypp
+    return fam.expsum_grad(table, y) / np.asarray((1.0 - x * x) ** 2)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -300,16 +257,16 @@ def _source_term_jac(fam, table, x, y, ypp):
 def eq1_residual(fam, x, y, yp, ypp):
     """Quadratic y1 equation (no source)."""
     quad = np.sum((yp @ fam.q1) * yp, axis=-1)
-    return ypp[..., 0] - _sing_term(*fam.sing[0], x, yp[..., 0], ypp[..., 0]) + quad
+    return ypp[..., 0] - _sing_coeff(*fam.sing[0], x) * yp[..., 0] + quad
 
 
 def eq2_residual(fam, x, y, yp, ypp):
     """Sourced y1 equation."""
     return (
         ypp[..., 0]
-        - _sing_term(*fam.sing[fam.m], x, yp[..., 0], ypp[..., 0])
+        - _sing_coeff(*fam.sing[fam.m], x) * yp[..., 0]
         + 0.5 * yp[..., 0] ** 2
-        + _source_term(fam, fam.s2, x, y, ypp)
+        + _source_term(fam, fam.s2, x, y)
     )
 
 
@@ -318,17 +275,18 @@ def eqi_residual(fam, i, x, y, yp, ypp):
     k = i - 1
     return (
         ypp[..., k]
-        - _sing_term(*fam.sing[k], x, yp[..., k], ypp[..., k])
+        - _sing_coeff(*fam.sing[k], x) * yp[..., k]
         + 0.5 * yp[..., 0] * yp[..., k]
-        + _source_term(fam, fam.src[k - 1], x, y, ypp)
+        + _source_term(fam, fam.src[k - 1], x, y)
     )
 
 
 def constraint_residual(fam, x, y, yp, ypp):
-    """First integral Phi; vanishes identically on exact solutions."""
+    """First integral Phi; vanishes identically on exact solutions.  It does
+    not depend on ypp, which is taken for the evaluators' common signature."""
     quad = yp[..., 0] ** 2 - np.sum((yp @ fam.rmat) * yp, axis=-1)
-    lin = -4.0 * fam.n * _sing_term(1.0, 1.0, x, yp[..., 0], ypp[..., 0])
-    return quad + lin + fam.cphi * _source_term(fam, fam.s2, x, y, ypp)
+    lin = -4.0 * fam.n * (_sing_coeff(1.0, 1.0, x) * yp[..., 0])
+    return quad + lin + fam.cphi * _source_term(fam, fam.s2, x, y)
 
 
 def evo_residuals(fam, x, y, yp, ypp):
@@ -346,49 +304,37 @@ def evo_residuals(fam, x, y, yp, ypp):
 
 
 def evo_jacobian(fam, x, y, yp, ypp):
-    """Partials of evo_residuals w.r.t. (y, yp, ypp): three (..., m, m) arrays."""
+    """Partials of evo_residuals w.r.t. (y, yp, ypp): three (..., m, m) arrays.
+    Every row is y_i'' plus terms in (x, y, y'), so the ypp partial is the
+    identity."""
     m = fam.m
     shape = np.broadcast_shapes(np.shape(x), y.shape[:-1])
     dy = np.zeros(shape + (m, m))
     dyp = np.zeros(shape + (m, m))
-    dypp = np.zeros(shape + (m, m))
 
     # row 0
     if fam.evo1_is_eq1:
-        cyp, cypp = _sing_term_jac(*fam.sing[0], x)
         dyp[..., 0, :] = 2.0 * (yp @ fam.q1)
-        dyp[..., 0, 0] -= cyp
-        dypp[..., 0, 0] = 1.0 - cypp
+        dyp[..., 0, 0] -= _sing_coeff(*fam.sing[0], x)
     else:
-        cyp, cypp = _sing_term_jac(*fam.sing[m], x)
-        sdy, sdypp = _source_term_jac(fam, fam.s2, x, y, ypp)
-        dy[..., 0, :] = sdy
-        dyp[..., 0, 0] = yp[..., 0] - cyp
-        dypp[..., 0, :] = sdypp
-        dypp[..., 0, 0] += 1.0 - cypp
+        dy[..., 0, :] = _source_term_jac(fam, fam.s2, x, y)
+        dyp[..., 0, 0] = yp[..., 0] - _sing_coeff(*fam.sing[m], x)
 
     for i in range(2, m + 1):
         k = i - 1
-        cyp, cypp = _sing_term_jac(*fam.sing[k], x)
-        sdy, sdypp = _source_term_jac(fam, fam.src[k - 1], x, y, ypp)
-        dy[..., k, :] = sdy
+        dy[..., k, :] = _source_term_jac(fam, fam.src[k - 1], x, y)
         dyp[..., k, 0] += 0.5 * yp[..., k]
-        dyp[..., k, k] += 0.5 * yp[..., 0] - cyp
-        dypp[..., k, :] = sdypp
-        dypp[..., k, k] += 1.0 - cypp
-    return dy, dyp, dypp
+        dyp[..., k, k] += 0.5 * yp[..., 0] - _sing_coeff(*fam.sing[k], x)
+    return dy, dyp, np.broadcast_to(np.eye(m), dy.shape).copy()
 
 
 def constraint_jacobian(fam, x, y, yp, ypp):
-    """Partials of the first integral w.r.t. (y, yp, ypp), each (..., m)."""
-    cyp, cypp = _sing_term_jac(1.0, 1.0, x)
-    sdy, sdypp = _source_term_jac(fam, fam.s2, x, y, ypp)
-    dy = fam.cphi * sdy
+    """Partials of the first integral w.r.t. (y, yp, ypp), each (..., m); the
+    ypp partial is zero."""
+    dy = fam.cphi * _source_term_jac(fam, fam.s2, x, y)
     dyp = -2.0 * (yp @ fam.rmat)
-    dyp[..., 0] += 2.0 * yp[..., 0] - 4.0 * fam.n * cyp
-    dypp = fam.cphi * sdypp
-    dypp[..., 0] += -4.0 * fam.n * cypp
-    return dy, dyp, dypp
+    dyp[..., 0] += 2.0 * yp[..., 0] - 4.0 * fam.n * _sing_coeff(1.0, 1.0, x)
+    return dy, dyp, np.zeros_like(dy)
 
 
 # ---------------------------------------------------------------------------

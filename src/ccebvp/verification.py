@@ -172,8 +172,8 @@ def check_weyl_bound(profile, samples=None) -> CheckRecord:
         return CheckRecord("weyl-bound", "weyl-norm-bound", 0.0, None, None, applicable=False)
     if samples is None:
         samples = geom.curvature_samples(profile)
-    if samples.values.max() > 1e-8:
-        # the bound's hypothesis (nonpositive curvature) fails
+    if not (np.all(np.isfinite(samples.values)) and samples.values.max() <= 1e-8):
+        # the bound's hypothesis (nonpositive curvature) fails or cannot be read
         return CheckRecord("weyl-bound", "weyl-norm-bound", 0.0, None, None, applicable=False)
     worst = geom.weyl_mixed_max_n3(geom.reconstruct_metric(profile))
     thr = geom.WEYL_BOUND_N3 + 1e-8

@@ -50,6 +50,20 @@ def test_hooks_accept_what_the_package_returns():
     assert all(s.attrs.get("jac_bytes", 0) > 0 for s in tr.spans if s.name == "solver.assemble")
 
 
+def test_refine_hook_reads_the_halving():
+    tracing = load_tracing()
+    tr = tracing.Tracer()
+    tr.install(tracing.sites(ccebvp))
+    try:
+        opts = ccebvp.solver.SolveOptions(grid=64, tol=1e-9, coarse_stage=0, refine_rounds=1)
+        _, rep = ccebvp.solver.solve_bvp(BoundaryData(SU, 5, (0.8,)), opts)
+    finally:
+        tr.uninstall()
+    assert rep.refinements == 1
+    (span,) = [s for s in tr.spans if s.name == "solver.refine_mesh"]
+    assert span.attrs["old"] == 64 and span.attrs["new"] == 2 * span.attrs["old"] - 1
+
+
 def test_hooks_accept_what_a_sweep_returns():
     tracing = load_tracing()
     tr = tracing.Tracer()

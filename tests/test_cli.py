@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,11 @@ class TestConfig:
         with pytest.raises(ParseError, match="frobnicate.*line 2"):
             parse_config("system = su\nfrobnicate = 1\nn = 5\nphi0 = 0.8\n")
 
+    def test_removed_seed_mode_key_rejected(self):
+        # configs written for the removed second start fail loudly
+        with pytest.raises(ParseError, match="unknown key 'seed_mode'.*line 4"):
+            parse_config("system = su\nn = 5\nphi0 = 0.8\nseed_mode = blend\n")
+
     def test_missing_required(self):
         with pytest.raises(ParseError, match="phi0"):
             parse_config("system = su\nn = 5\n")
@@ -54,7 +61,6 @@ class TestConfig:
     @pytest.mark.parametrize("line, key", [
         ("grid = 2", "grid"),
         ("tol = -1", "tol"),
-        ("seed_mode = zeros", "seed_mode"),
         ("sweep_end = 0", "sweep_end"),
         ("sweep_end = inf", "sweep_end"),
         ("sweep_step = 0.05\nsweep_min_step = 0.2\nsweep_end = 0.5", "sweep_step"),
@@ -182,6 +188,20 @@ class TestSolveCommand:
         assert rc in (1, 2)
         doc = json.loads((tmp_path / "report.json").read_text())
         assert any(c["name"] == "k0-window" for c in doc["checks"])
+
+    def test_non_finite_start_exits_one_without_warnings(self, tmp_path):
+        # the start itself overflows: the solve ends with its own reason, the
+        # report's checks fail or read n/a, and no numpy RuntimeWarning
+        # reaches stderr
+        cfg = write_cfg(tmp_path, "system = gberger\nn = 3\nphi0 = 1e-300,1\ngrid = 64\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-m", "ccebvp.cli", "solve", "--config", cfg, "--out", str(tmp_path)],
+                             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert out.returncode == 1
+        assert "RuntimeWarning" not in out.stderr
+        assert "  weyl-bound: n/a" in out.stdout and "  pinching: info (margin nan)" in out.stdout
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert not doc["converged"]
 
     def test_determinism_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, "system = su\nn = 5\nphi0 = 0.9\ngrid = 48\ntol = 1e-6\n")

@@ -4,15 +4,16 @@ to deliberate perturbations, hypothesis gating, and the uniqueness ledger."""
 import numpy as np
 import pytest
 
+from ccebvp import geometry as geom
 from ccebvp import verification as V
-from ccebvp.solver import SolveOptions, solve_bvp
+from ccebvp.solver import SolutionProfile, SolveOptions, make_mesh, newton_solve, solve_bvp
 from ccebvp.systems import GBERGER, SU, BoundaryData, UsageError
 
 
-def solve(kind, n, phi0, grid=96, tol=1e-7, **kw):
+def solve(kind, n, phi0, grid=96, tol=1e-7):
     prof, rep = solve_bvp(
         BoundaryData(kind, n, phi0),
-        SolveOptions(grid=grid, tol=tol, refine_rounds=0, coarse_stage=0, **kw),
+        SolveOptions(grid=grid, tol=tol, refine_rounds=0, coarse_stage=0),
     )
     assert rep.converged
     return prof
@@ -114,6 +115,20 @@ class TestAprioriBounds:
         assert not recs["apriori-y1-derivative"].passed
 
 
+class TestNonFiniteProfile:
+    def test_weyl_bound_not_applied_to_nan_curvature(self):
+        # gberger (1e-300, 1) fails at its start and leaves a profile whose
+        # curvature samples hold NaN and inf, so their max is NaN; NaN > 1e-8
+        # is False, so the bound was applied and reported a margin of 1.9e195
+        prof, rep = solve_bvp(BoundaryData(GBERGER, 3, (1e-300, 1.0)), SolveOptions(grid=64))
+        assert rep.failure_reason == "non-finite start"
+        with np.errstate(all="ignore"):
+            samples = geom.curvature_samples(prof)
+            rec = V.check_weyl_bound(prof, samples)
+        assert np.isnan(samples.values.max())
+        assert not rec.applicable and rec.passed is None
+
+
 class TestUniqueness:
     def test_identical_profiles_zero(self, su_profile):
         led = V.uniqueness_diagnostic(su_profile, su_profile)
@@ -121,9 +136,13 @@ class TestUniqueness:
         assert led.forces_zero
 
     def test_two_seeds(self):
-        bd = (SU, 5, (0.85,))
-        p1 = solve(*bd, seed_mode="blend")
-        p2 = solve(*bd, seed_mode="zero")
+        # the solve from the seed profile against a solve from the zero profile
+        bd = BoundaryData(SU, 5, (0.85,))
+        p1 = solve(bd.kind, bd.n, bd.phi0)
+        mesh = make_mesh(96)
+        zero = np.zeros((bd.kind.unknowns, mesh.n_nodes))
+        p2, rep = newton_solve(bd, mesh, SolutionProfile(bd, mesh, zero, zero.copy()), SolveOptions(grid=96, tol=1e-7))
+        assert rep.converged
         led = V.uniqueness_diagnostic(p1, p2)
         assert led.variations.max() <= 1e-7
         assert led.forces_zero
