@@ -113,7 +113,7 @@ def cmd_sweep(args) -> int:
     cfg, digest = _load_config(args)
     if "lam_end" not in cfg.sweep:
         _fail(1, "config error: sweep_end is required for the sweep command")
-    plan = SweepPlan(cfg.kind, cfg.n, options=replace(cfg.options, refine_rounds=0), **cfg.sweep)
+    plan = SweepPlan(cfg.kind, cfg.n, options=cfg.options, **cfg.sweep)
     try:
         trace = sweep(plan)
     except (UsageError, DomainError, RuntimeError) as e:

@@ -3,11 +3,12 @@
 The sweep walks the ratio parameter away from 1 as a predictor-corrector:
 each solve starts from the linear extrapolation in the parameter of the two
 nearest converged profiles (from the previous profile alone on the first
-step), with adaptive steps (halve on failure, grow after three straight
-successes).  It stops at the path end, at the first curvature-sign event,
-or on min-step exhaustion.  An event is then located by a safeguarded
-root-finder on the largest monitored curvature and certified by a bracket
-of width event_tol centred on the root estimate.
+step), with adaptive steps: they grow after three straight successes and
+never exceed half the distance to the last rejected parameter, so a failure
+halves the step and is never retried.  It stops at the path end, at the
+first curvature-sign event, or on min-step exhaustion.  An event is then
+located by a safeguarded root-finder on the largest monitored curvature and
+certified by a bracket of width event_tol centred on the root estimate.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from .verification import run_verification
 @dataclass
 class SweepPlan:
     """A path from the round sphere to lam_end.  Without options each step
-    solves at grid 384, tol 3e-8 and no refinement rounds."""
+    solves at grid 384, tol 3e-8.  Refinement never runs in a sweep: its
+    steps are Newton runs on the round start's mesh, and that start is
+    converged at its seed."""
 
     kind: SystemKind
     n: int
@@ -35,9 +38,7 @@ class SweepPlan:
     min_step: float = 1e-4
     max_step: float = 0.1
     event_tol: float = 1e-6
-    options: SolveOptions = field(
-        default_factory=lambda: SolveOptions(grid=384, tol=3e-8, refine_rounds=0)
-    )
+    options: SolveOptions = field(default_factory=lambda: SolveOptions(grid=384, tol=3e-8))
 
     def __post_init__(self):
         if not 0 < self.min_step <= self.step <= self.max_step:
@@ -85,19 +86,17 @@ class ContinuationTrace:
     records: list
     stop_reason: str  # 'event' | 'path-end' | 'min-step'
     event: EventRecord | None = None
-    rejected: list = field(default_factory=list)  # (lambda, failure_reason) of each halved step
+    rejected: list = field(default_factory=list)  # (lambda, failure_reason) of each rejected step
 
 
-def detect_curvature_event(profile, samples=None):
-    """First node (in x) where any monitored plane curvature reaches zero.
+def detect_curvature_event(samples):
+    """First node (in x) where any monitored plane curvature of a profile's
+    samples reaches zero.
 
-    samples are the profile's curvature samples, computed here when not given.
     The witness is the first plane, in row order, within 1e-12 of the node's
     largest value: planes equal in exact arithmetic (radial-1 and
     tangential-2-2 on Einstein SU n=3 profiles) differ there by roundoff only.
     """
-    if samples is None:
-        samples = geom.curvature_samples(profile)
     hits = np.flatnonzero((samples.values >= 0.0).any(axis=0))
     if not hits.size:
         return None
@@ -137,23 +136,26 @@ def sweep(plan: SweepPlan) -> ContinuationTrace:
     if plan.lam_end == lam:
         return trace
 
-    step, streak = plan.step, 0
+    step, streak, failed = plan.step, 0, None
     while True:
+        if failed is not None:
+            # at most half way to the last rejected lambda: a target never
+            # reaches it again, and a rejection halves the step
+            step = min(step, 0.5 * abs(failed - lam))
+        if step < plan.min_step:
+            trace.stop_reason = "min-step"
+            return trace
         target = lam + direction * step
         if direction * (target - plan.lam_end) >= 0.0:
             target = plan.lam_end
         prof, rep = _solve_at(plan, target, [(r.lam, r.profile) for r in records[-2:]])
         if not rep.converged:
             trace.rejected.append((target, rep.failure_reason))
-            step *= 0.5
-            streak = 0
-            if step < plan.min_step:
-                trace.stop_reason = "min-step"
-                return trace
+            failed, streak = target, 0
             continue
         samples = geom.curvature_samples(prof)
         records.append(_record(plan, target, prof, rep, samples))
-        if detect_curvature_event(prof, samples) is not None:
+        if detect_curvature_event(samples) is not None:
             trace.stop_reason = "event"
             trace.event = bisect_event(trace)
             return trace
@@ -182,7 +184,7 @@ def _record(plan, lam, prof, rep, samples):
 
 def _detect(profile):
     samples = geom.curvature_samples(profile)
-    return detect_curvature_event(profile, samples), float(samples.values.max())
+    return detect_curvature_event(samples), float(samples.values.max())
 
 
 def _root_estimate(ends, last):

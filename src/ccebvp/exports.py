@@ -143,6 +143,8 @@ def load_profile_csv(path: str) -> SolutionProfile:
 
 
 def export_trace_csv(trace, path: str) -> None:
+    """One row per record, then a '# rejected=lambda,failure_reason' line per
+    rejected step and the stop reason."""
     names = ["lambda", "converged", "K0", "max_curvature", "verification_pass", "iterations"]
     nfree = len(trace.records[0].free)
     names += [f"free{i + 1}" for i in range(nfree)]
@@ -157,6 +159,7 @@ def export_trace_csv(trace, path: str) -> None:
                str(r.verification_pass).lower(), str(r.iterations)]
         row += [fmt(c) for c in r.free]
         lines.append(",".join(row))
+    lines += [f"# rejected={fmt(lam)},{reason}" for lam, reason in trace.rejected]
     lines.append(f"# stop_reason={trace.stop_reason}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
@@ -226,6 +229,7 @@ def event_document(event, config_digest=""):
         if event.witness is not None
         else None,
         "annotation": event.annotation,
+        "solves": event.solves,
         "provenance": provenance(config_digest),
     }
 

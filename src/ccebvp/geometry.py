@@ -92,11 +92,6 @@ def radial_sectional_all(mp: MetricProfile) -> np.ndarray:
     )
 
 
-def radial_trace(mp: MetricProfile) -> np.ndarray:
-    """Multiplicity-weighted sum of radial curvatures (equals -n on Einstein profiles)."""
-    return mp.multiplicities @ radial_sectional_all(mp)
-
-
 def ricci_su(I1, I2, n) -> np.ndarray:
     """Closed-form diagonal Ricci of the SU slice: ((n-1)I1^2/I2^2, (n+1)-2I1/I2, ...)."""
     first = (n - 1.0) * I1 * I1 / (I2 * I2)
@@ -251,17 +246,21 @@ def slice_sectional(bd: BoundaryData, I) -> list:
 @dataclass
 class CurvatureSamples:
     """Sectional curvatures of one profile: values[p, j] is plane planes[p]
-    at node x[j]."""
+    at node x[j]; the radial planes come first, one per distinct direction.
+    metric is the reconstruction they were computed from."""
 
     x: np.ndarray  # (N,)
     planes: tuple
     values: np.ndarray  # (P, N)
+    metric: MetricProfile
 
 
 def curvature_samples(profile) -> CurvatureSamples:
     """Sectional curvatures at every node: one row per radial plane, then one
-    per tangential plane class of slice_sectional.  Each tangential row is the closed-form intrinsic curvature over
-    sinh^2 r minus the second fundamental form term of the Gauss equation."""
+    per tangential plane class of slice_sectional.  Each tangential row is
+    the closed-form intrinsic curvature over sinh^2 r minus the second
+    fundamental form term of the Gauss equation.  The profile's metric is
+    reconstructed once, here, and kept on the result for its other readers."""
     mp = reconstruct_metric(profile)
     rad = radial_sectional_all(mp)
     tangential = slice_sectional(profile.bd, mp.I)
@@ -269,7 +268,14 @@ def curvature_samples(profile) -> CurvatureSamples:
     rat = mp.a_log_deriv_r()
     planes = [f"radial-{i + 1}" for i in range(len(rad))] + [nm for nm, *_ in tangential]
     amb = [K / sinh2 - rat[ia] * rat[ib] for _, ia, ib, K in tangential]
-    return CurvatureSamples(mp.x, tuple(planes), np.vstack([rad, *amb]))
+    return CurvatureSamples(mp.x, tuple(planes), np.vstack([rad, *amb]), mp)
+
+
+def radial_trace(samples: CurvatureSamples) -> np.ndarray:
+    """Multiplicity-weighted sum of the radial rows of samples at every node
+    (equals -n on Einstein profiles)."""
+    mult = samples.metric.multiplicities
+    return mult @ samples.values[: len(mult)]
 
 
 _WEYL_PERMUTATIONS = ((1, 2, 3), (2, 3, 1), (3, 1, 2), (1, 3, 2), (2, 1, 3), (3, 2, 1))

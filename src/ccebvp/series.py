@@ -32,7 +32,6 @@ from .systems import (
 )
 
 TRUST_RADIUS = 0.15
-DEFAULT_INFINITY_ORDER = 6
 
 # consistency tolerance for the residual coefficient at a free (resonant)
 # order, relative to the source-weight scale
@@ -251,31 +250,20 @@ def _split(C, tangents):
 
 
 def fg_series_origin(
-    bd: BoundaryData,
-    free: NonlocalParams,
-    order: int | None = None,
-    k0=1.0,
-    log_k0=None,
-    tangents: bool = False,
+    bd: BoundaryData, free: NonlocalParams, order: int, log_k0, tangents: bool = False
 ) -> SeriesCoefficients:
-    """Origin expansion with boundary ratios from bd and determinant ratio k0.
+    """Origin expansion to x^order with boundary ratios from bd and
+    y1(0) = log_k0, the log of the determinant ratio K(0).
 
     Coefficients below order n are determined recursively; the order-n
     coefficients of the non-K unknowns carry the free nonlocal parameters.
-    log_k0 overrides k0 (the solver works in y1(0) = log K(0) directly).
     With tangents, the m tables d table / d (log K(0), free...) come from the
     same batched pass.
     """
     fam = family(bd.kind, bd.n)
-    if order is None:
-        order = bd.n + 4
     if order < bd.n + 2:
         raise UsageError(f"origin series order must be >= n+2 = {bd.n + 2}")
     free.validate(bd.kind)
-    if log_k0 is None:
-        if np.real(k0) <= 0:
-            raise DomainError("k0 must be positive")
-        log_k0 = np.log(k0)
     inputs = _batch(np.array([log_k0, *free.coeffs]), tangents)
     C = np.zeros((len(inputs), fam.m, order + 1), dtype=inputs.dtype)
     C[:, 0, 0] = inputs[:, 0]
@@ -286,9 +274,9 @@ def fg_series_origin(
 
 
 def series_infinity(
-    kind: SystemKind, n: int, order: int = DEFAULT_INFINITY_ORDER, free=None, tangents: bool = False
+    kind: SystemKind, n: int, order: int, free=None, tangents: bool = False
 ) -> SeriesCoefficients:
-    """Expansion at x=1 in powers of u=1-x.
+    """Expansion at x=1 in powers of u=1-x, to u^order.
 
     The free values are the u^2 coefficients of the non-K unknowns; the K
     series is slaved to them (its local solution manifold at the center has

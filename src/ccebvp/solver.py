@@ -171,11 +171,6 @@ class SolutionProfile:
         z = np.zeros_like(self.y)
         return -sysm.evo_residuals(fam, self.mesh.nodes, self.y.T, self.yp.T, z.T).T
 
-    def origin_series(self):
-        """The origin series to order n+2, the lowest the recursion accepts:
-        enough for the x^2 coefficients the origin identities read."""
-        return fg_series_origin(self.bd, self.free, self.bd.n + 2, k0=self.k0)
-
     def constraint_values(self) -> np.ndarray:
         """First integral at every node (uses the eliminated second derivatives)."""
         fam = family(self.bd.kind, self.bd.n)

@@ -96,31 +96,6 @@ def check_constraint_drift(profile) -> CheckRecord:
     return CheckRecord("constraint-drift", "first-integral-propagation", drift, thr, bool(drift <= thr))
 
 
-def origin_second_derivatives(bd, k0) -> np.ndarray:
-    """Closed forms for y_i''(0) from the equation balance at the origin."""
-    fam = family(bd.kind, bd.n)
-    y0 = np.concatenate([[np.log(k0)], bd.y_boundary()])
-    out = np.empty(fam.m)
-    out[0] = fam.cphi * fam.expsum(fam.s2, y0) / (4.0 * fam.n)
-    for i in range(1, fam.m):
-        a = fam.sing[i][0]
-        out[i] = fam.expsum(fam.src[i - 1], y0) / (a - 1.0)
-    return out
-
-
-def check_origin_identities(profile, rtol=1e-6) -> list:
-    """Series second coefficients against the closed-form origin identities."""
-    sc = profile.origin_series()
-    target = origin_second_derivatives(profile.bd, profile.k0)
-    got = 2.0 * sc.table[:, 2].real
-    recs = []
-    names = ["origin-identity-K"] + [f"origin-identity-ratio-{i}" for i in range(1, family(profile.bd.kind, profile.bd.n).m)]
-    for name, g, t in zip(names, got, target):
-        err = abs(g - t) / max(1.0, abs(t))
-        recs.append(CheckRecord(name, "origin-curvature-identity", float(err), rtol, bool(err <= rtol)))
-    return recs
-
-
 def check_apriori_bounds(profile) -> list:
     """Interior bound y1' < 4n x/(1-x^2) and ratio-range containment."""
     bd = profile.bd
@@ -166,32 +141,36 @@ def check_k0_window(profile) -> CheckRecord:
     return CheckRecord("k0-window", "determinant-ratio-window", margin, 0.0, bool(margin > 0.0))
 
 
-def check_weyl_bound(profile, samples=None) -> CheckRecord:
-    """n=3 mixed Weyl components against the nonpositively-curved bound 2*sqrt(6)."""
+def check_weyl_bound(profile, samples) -> CheckRecord:
+    """n=3 mixed Weyl components against the nonpositively-curved bound
+    2*sqrt(6), on the metric the curvature samples were computed from."""
     if profile.bd.n != 3:
         return CheckRecord("weyl-bound", "weyl-norm-bound", 0.0, None, None, applicable=False)
-    if samples is None:
-        samples = geom.curvature_samples(profile)
     if not (np.all(np.isfinite(samples.values)) and samples.values.max() <= 1e-8):
         # the bound's hypothesis (nonpositive curvature) fails or cannot be read
         return CheckRecord("weyl-bound", "weyl-norm-bound", 0.0, None, None, applicable=False)
-    worst = geom.weyl_mixed_max_n3(geom.reconstruct_metric(profile))
+    worst = geom.weyl_mixed_max_n3(samples.metric)
     thr = geom.WEYL_BOUND_N3 + 1e-8
     return CheckRecord("weyl-bound", "weyl-norm-bound", float(worst), thr, bool(worst <= thr))
 
 
-def pinching_report(profile, samples=None) -> CheckRecord:
+def pinching_report(samples) -> CheckRecord:
     """Max |K + 1| over monitored planes (informational)."""
-    if samples is None:
-        samples = geom.curvature_samples(profile)
     worst = np.abs(samples.values + 1.0).max()
     return CheckRecord("pinching", "curvature-pinching", float(worst), None, None)
 
 
-def check_radial_trace(profile) -> CheckRecord:
-    """Multiplicity-weighted radial curvature sum equals -n at every node."""
-    mp = geom.reconstruct_metric(profile)
-    err = float(np.abs(geom.radial_trace(mp) + profile.bd.n).max())
+def check_radial_trace(profile, samples) -> CheckRecord:
+    """geometry.radial_trace of samples against -n at every node.
+
+    What it measures differs by family, because the radial curvatures are
+    read through the second derivatives that the evolution equations
+    eliminate.  On SU the sum plus n is (n-1) x^2 Phi / (4n) at every node,
+    Phi being the first integral: a multiple of the constraint drift.  On
+    the generalized Berger family y1'' is eliminated through the y1 equation
+    the trace restates, so the sum is -n to roundoff on any profile.
+    """
+    err = float(np.abs(geom.radial_trace(samples) + profile.bd.n).max())
     return CheckRecord("radial-einstein-trace", "einstein-radial-trace", err, 1e-8, bool(err <= 1e-8))
 
 
@@ -255,19 +234,19 @@ def uniqueness_diagnostic(p1, p2) -> VariationLedger:
 def run_verification(profile, samples=None) -> VerificationReport:
     """Run every applicable check in a fixed order.
 
-    samples are the profile's curvature samples, computed here when not given.
+    samples are the profile's curvature samples, computed here when not
+    given; every check that reads curvature or the metric reads them.
     """
     if samples is None:
         samples = geom.curvature_samples(profile)
     return VerificationReport(
         [
             check_constraint_drift(profile),
-            check_radial_trace(profile),
+            check_radial_trace(profile, samples),
             *check_monotonicity(profile),
-            *check_origin_identities(profile),
             *check_apriori_bounds(profile),
             check_k0_window(profile),
             check_weyl_bound(profile, samples),
-            pinching_report(profile, samples),
+            pinching_report(samples),
         ]
     )

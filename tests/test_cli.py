@@ -322,6 +322,35 @@ class TestSweepMinStep:
         assert lines[1].startswith("  rejected lambda=0.95: ") and lines[2].startswith("  rejected lambda=0.975: ")
 
 
+class TestSweepTelemetry:
+    def test_trace_csv_lists_rejected_steps(self, tmp_path, capsys):
+        # the rejected steps that cce sweep prints are read back from trace.csv
+        cfg = write_cfg(
+            tmp_path,
+            "system = su\nn = 3\nphi0 = 1\ngrid = 24\ntol = 1e-12\n"
+            "sweep_end = 0.5\nsweep_step = 0.05\nsweep_min_step = 0.02\n",
+        )
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        printed = [line.strip() for line in capsys.readouterr().out.splitlines()[1:]]
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        rejected = [line[len("# rejected="):].split(",", 1) for line in lines if line.startswith("# rejected=")]
+        assert [lam for lam, _ in rejected] == ["0.95", "0.975"]
+        assert printed == [f"rejected lambda={lam}: {reason}" for lam, reason in rejected]
+        assert lines[-1] == "# stop_reason=min-step"
+
+    def test_event_json_records_solves(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            "system = su\nn = 3\nphi0 = 1\ngrid = 96\ntol = 1e-6\n"
+            "sweep_end = 2.5\nsweep_step = 0.1\nsweep_max_step = 0.2\n",
+        )
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads((tmp_path / "event.json").read_text())
+        assert doc["solves"] > 0 and f"solves={doc['solves']}" in out
+        assert not any(line.startswith("# rejected=") for line in (tmp_path / "trace.csv").read_text().splitlines())
+
+
 class TestFlaggedExit:
     def test_converged_but_flagged_exit_two(self, tmp_path):
         # converges at a loose tolerance but the hard radial-trace threshold

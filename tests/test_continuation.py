@@ -46,12 +46,12 @@ class TestPlan:
 class TestDetect:
     def test_hyperbolic_none(self):
         prof, rep = solve_bvp(BoundaryData(SU, 5, (1.0,)), quick_opts(48))
-        assert detect_curvature_event(prof) is None
+        assert detect_curvature_event(curvature_samples(prof)) is None
 
     def test_negative_profile_none(self):
         prof, rep = solve_bvp(BoundaryData(SU, 5, (0.9,)), quick_opts(128))
         assert rep.converged
-        assert detect_curvature_event(prof) is None
+        assert detect_curvature_event(curvature_samples(prof)) is None
 
     def test_manufactured_event(self):
         # manufacture a''/a so the radial curvature is +0.1 at exactly one node
@@ -65,7 +65,7 @@ class TestDetect:
         W = np.array([[1.0, 1.0 - 5], [1.0, 1.0]]) / 5.0
         ypp[:, j] = np.linalg.solve(W, np.array([-2.2 / (x * x), 0.0]))
         doctored = SimpleNamespace(bd=prof.bd, mesh=prof.mesh, y=prof.y, yp=prof.yp, ypp=ypp)
-        sample = detect_curvature_event(doctored)
+        sample = detect_curvature_event(curvature_samples(doctored))
         assert sample is not None
         assert sample.x == pytest.approx(x)
         assert sample.value == pytest.approx(0.1, abs=1e-9)
@@ -78,15 +78,16 @@ class TestDetect:
                            [-0.3, -0.5],
                            [-0.4, -0.6],
                            [-0.25, 5.399070985845356e-07]])
-        w = detect_curvature_event(None, CurvatureSamples(np.array([0.8, 0.85]), planes, values))
+        w = detect_curvature_event(CurvatureSamples(np.array([0.8, 0.85]), planes, values, None))
         assert (w.x, w.plane, w.value) == (0.85, "radial-1", 5.399070961125546e-07)
 
     def test_thresholding(self):
         # a profile whose largest curvature is about -0.2 has no event
         prof, rep = solve_bvp(BoundaryData(SU, 3, (0.45,)), quick_opts(160))
         assert rep.converged
-        assert -1.0 < curvature_samples(prof).values.max() < 0.0
-        assert detect_curvature_event(prof) is None
+        samples = curvature_samples(prof)
+        assert -1.0 < samples.values.max() < 0.0
+        assert detect_curvature_event(samples) is None
 
 
 def synthetic_trace(lam_lo, lam_hi, event_tol=1e-6):
@@ -283,12 +284,25 @@ class TestSweep:
             return prof, rep
 
         monkeypatch.setattr(continuation, "newton_solve", fail_once)
-        tr = sweep(SweepPlan(SU, 3, lam_end=0.85, step=0.05, options=quick_opts()))
+        plan = SweepPlan(SU, 3, lam_end=0.85, step=0.05, options=quick_opts())
+        tr = sweep(plan)
         lams = [r.lam for r in tr.records]
-        assert tr.stop_reason == "path-end" and tr.rejected == [(failed[0], "injected")]
-        # the failed step to 0.9 is not recorded: the sweep goes on at half the step
+        assert tr.rejected == [(failed[0], "injected")]
+        # the failed step to 0.9 is not recorded: the sweep goes on at half the
+        # step, and every later target stays short of 0.9, so it is never retried
         assert failed[0] == 0.95 - 0.05 and lams[:3] == [1.0, 0.95, 0.95 - 0.025]
-        assert lams[-1] == 0.85 and all(r.converged for r in tr.records)
+        assert all(lam > failed[0] for lam in lams) and all(r.converged for r in tr.records)
+        assert tr.stop_reason == "min-step" and lams[-1] - failed[0] < 2 * plan.min_step
+
+    def test_failed_lambda_is_not_retried(self):
+        # SU n=7 at grid 128 fails the drift gate from about 1.51 on; a step
+        # that succeeded after a rejection used to aim at the rejected lambda
+        # again (1.525 and 1.5125 were each rejected twice, 10 rejections)
+        opts = SolveOptions(grid=128, tol=3e-8, refine_rounds=0)
+        tr = sweep(SweepPlan(SU, 7, lam_end=3.0, options=opts))
+        lams = sorted(lam for lam, _ in tr.rejected)
+        assert len(lams) >= 2
+        assert all(b - a > 1e-12 for a, b in zip(lams, lams[1:]))
 
 
 class TestPredictorCorrector:

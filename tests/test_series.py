@@ -70,7 +70,7 @@ def gb_second_coeffs_oracle(k0, p1, p2):
 class TestOrigin:
     def test_round_zero(self):
         bd = BoundaryData(GBERGER, 3, (1.0, 1.0))
-        sc = fg_series_origin(bd, NonlocalParams.zeros(GBERGER))
+        sc = fg_series_origin(bd, NonlocalParams.zeros(GBERGER), 7, log_k0=0.0)
         assert np.all(sc.table == 0.0)
 
     def test_gb_origin_identities(self):
@@ -78,7 +78,7 @@ class TestOrigin:
         for _ in range(50):
             p1, p2, k0 = np.exp(rng.uniform(-0.3, 0.3, 3))
             bd = BoundaryData(GBERGER, 3, (p1, p2))
-            sc = fg_series_origin(bd, NonlocalParams.zeros(GBERGER), k0=k0)
+            sc = fg_series_origin(bd, NonlocalParams.zeros(GBERGER), 7, log_k0=np.log(k0))
             y1pp, y2pp, y3pp = gb_second_coeffs_oracle(k0, p1, p2)
             assert 2 * sc.table[0, 2] == pytest.approx(y1pp, rel=1e-11, abs=1e-11)
             assert 2 * sc.table[1, 2] == pytest.approx(y2pp, rel=1e-11, abs=1e-11)
@@ -88,7 +88,7 @@ class TestOrigin:
         # y2''(0) = 8(n+1)/(n-2) K0^(-1/n) phi0^(-(n+1)/n) (1 - phi0)
         for n, phi0, k0 in ((5, 0.8, 0.9), (7, 1.3, 0.95), (3, 0.7, 0.8)):
             bd = BoundaryData(SU, n, (phi0,))
-            sc = fg_series_origin(bd, NonlocalParams.zeros(SU), k0=k0)
+            sc = fg_series_origin(bd, NonlocalParams.zeros(SU), n + 4, log_k0=np.log(k0))
             y2pp = 8 * (n + 1) / (n - 2) * k0 ** (-1 / n) * phi0 ** (-(n + 1) / n) * (1 - phi0)
             assert 2 * sc.table[1, 2] == pytest.approx(y2pp, rel=1e-11)
             g0 = n - (n + 1) * (phi0 * k0) ** (-1 / n) + k0 ** (-1 / n) * phi0 ** (-(n + 1) / n)
@@ -96,8 +96,8 @@ class TestOrigin:
 
     def test_even_below_n_and_locality(self):
         bd = BoundaryData(SU, 5, (0.8,))
-        z = fg_series_origin(bd, NonlocalParams((0.0,)))
-        f = fg_series_origin(bd, NonlocalParams((0.37,)))
+        z = fg_series_origin(bd, NonlocalParams((0.0,)), 9, log_k0=0.0)
+        f = fg_series_origin(bd, NonlocalParams((0.37,)), 9, log_k0=0.0)
         # odd/low coefficients vanish below order n
         for k in (1, 3):
             np.testing.assert_allclose(z.table[:, k], 0.0, atol=1e-13)
@@ -116,7 +116,7 @@ class TestOrigin:
         # equations follow by constraint propagation.
         bd = BoundaryData(kind, n, phi0)
         free = NonlocalParams(tuple(0.1 * (i + 1) for i in range(kind.free_count)))
-        sc = fg_series_origin(bd, free, k0=0.93)
+        sc = fg_series_origin(bd, free, n + 4, log_k0=np.log(0.93))
         fam = family(kind, n)
         xs = np.array([0.08, 0.04, 0.02])
         res = []
@@ -136,7 +136,7 @@ class TestOrigin:
         for kind, n, phi0 in ((SU, 5, (0.6,)), (GBERGER, 3, (0.95, 1.02))):
             bd = BoundaryData(kind, n, phi0)
             free = NonlocalParams(tuple(0.2 for _ in range(kind.free_count)))
-            sc = fg_series_origin(bd, free, order=n + 15, k0=0.9)
+            sc = fg_series_origin(bd, free, n + 15, log_k0=np.log(0.9))
             y, yp, ypp = evaluate_series(sc, 0.05)
             fam = family(kind, n)
             evo = S.evo_residuals(fam, 0.05, y, yp, ypp)
@@ -146,14 +146,14 @@ class TestOrigin:
     def test_guards(self):
         bd = BoundaryData(SU, 5, (0.8,))
         with pytest.raises(UsageError):
-            fg_series_origin(bd, NonlocalParams.zeros(SU), order=5)
+            fg_series_origin(bd, NonlocalParams.zeros(SU), 5, log_k0=0.0)
         with pytest.raises(UsageError):
-            fg_series_origin(bd, NonlocalParams((0.1, 0.2)))
+            fg_series_origin(bd, NonlocalParams((0.1, 0.2)), 9, log_k0=0.0)
 
 
 class TestInfinity:
     def test_zero_free_zero_series(self):
-        sc = series_infinity(SU, 5)
+        sc = series_infinity(SU, 5, 6)
         assert np.all(sc.table == 0.0)
 
     @pytest.mark.parametrize(
@@ -162,7 +162,7 @@ class TestInfinity:
     def test_boundary_conditions_exact(self, kind, n):
         rng = np.random.RandomState(4)
         free = rng.uniform(-0.5, 0.5, kind.unknowns - 1)
-        sc = series_infinity(kind, n, free=free)
+        sc = series_infinity(kind, n, 6, free)
         y, yp, _ = evaluate_series(sc, 1.0)
         assert np.all(y == 0.0)
         assert np.all(yp == 0.0)
@@ -171,7 +171,7 @@ class TestInfinity:
 
     def test_residual_convergence_order(self):
         free = np.array([0.3, -0.2])
-        sc = series_infinity(GBERGER, 3, free=free)
+        sc = series_infinity(GBERGER, 3, 6, free)
         fam = family(GBERGER, 3)
         us = np.array([0.04, 0.02, 0.01])
         res = []
@@ -185,7 +185,7 @@ class TestInfinity:
     def test_constraint_vanishes_on_local_family(self):
         # the first integral is automatic for the slaved K series
         for kind, n, free in ((SU, 5, [0.25]), (GBERGER, 3, [0.2, -0.1])):
-            sc = series_infinity(kind, n, free=np.asarray(free))
+            sc = series_infinity(kind, n, 6, np.asarray(free))
             fam = family(kind, n)
             for u in (0.05, 0.02):
                 y, yp, ypp = evaluate_series(sc, 1.0 - u)
@@ -196,7 +196,7 @@ class TestInfinity:
         # y(x(r)) is even in r at the center: odd r-derivatives vanish
         from ccebvp.series import _eval_table
 
-        sc = series_infinity(SU, 5, free=np.array([0.4]))
+        sc = series_infinity(SU, 5, 6, np.array([0.4]))
         for r in (0.02, 0.05):
             up, um = 1.0 - np.exp(-r), 1.0 - np.exp(r)
             yp_, _, _ = _eval_table(sc.table, np.array([up]), 1.0)
@@ -231,10 +231,10 @@ class TestEvaluate:
             assert got[2][i] == pytest.approx(ypp, rel=1e-14)
 
     def test_trust_radius(self):
-        sc = fg_series_origin(BoundaryData(SU, 5, (0.8,)), NonlocalParams.zeros(SU))
+        sc = fg_series_origin(BoundaryData(SU, 5, (0.8,)), NonlocalParams.zeros(SU), 9, log_k0=0.0)
         with pytest.raises(DomainError):
             evaluate_series(sc, 0.3)
-        si = series_infinity(SU, 5)
+        si = series_infinity(SU, 5, 6)
         with pytest.raises(DomainError):
             evaluate_series(si, 0.5)
 
@@ -313,7 +313,7 @@ class TestFrozenTables:
     def test_complex_inputs_have_no_tangents(self):
         bd = BoundaryData(SU, 5, (0.8,))
         with pytest.raises(UsageError):
-            fg_series_origin(bd, NonlocalParams((0.1 + 1e-80j,)), tangents=True)
+            fg_series_origin(bd, NonlocalParams((0.1 + 1e-80j,)), 9, log_k0=0.0, tangents=True)
 
 
 class TestRecursionErrors:
@@ -323,7 +323,7 @@ class TestRecursionErrors:
     def builds(monkeypatch, fam, tangents):
         monkeypatch.setattr(series, "family", lambda kind, n: fam)
         return (
-            lambda: fg_series_origin(BoundaryData(SU, 5, (0.8,)), NonlocalParams((0.3,)), tangents=tangents),
+            lambda: fg_series_origin(BoundaryData(SU, 5, (0.8,)), NonlocalParams((0.3,)), 9, log_k0=0.0, tangents=tangents),
             lambda: series_infinity(SU, 5, 26, np.array([0.25]), tangents=tangents),
         )
 

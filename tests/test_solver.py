@@ -452,7 +452,7 @@ class TestConstraintPropagation:
         import ccebvp.systems as S
 
         bd = BoundaryData(SU, 5, (0.8,))
-        sc = fg_series_origin(bd, NonlocalParams((0.3,)), order=24, k0=0.95)
+        sc = fg_series_origin(bd, NonlocalParams((0.3,)), 24, log_k0=np.log(0.95))
         fam = S.family(SU, 5)
         for x in (0.05, 0.1, 0.14):
             y, yp, ypp = evaluate_series(sc, x)

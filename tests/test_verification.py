@@ -1,12 +1,16 @@
 """Verification-check tests: vacuous passes on the zero profile, sensitivity
-to deliberate perturbations, hypothesis gating, and the uniqueness ledger."""
+to deliberate perturbations, hypothesis gating, the uniqueness ledger, and a
+mutation suite that makes every emitted check fail."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ccebvp import geometry as geom
 from ccebvp import verification as V
-from ccebvp.solver import SolutionProfile, SolveOptions, make_mesh, newton_solve, solve_bvp
+from ccebvp.series import NonlocalParams
+from ccebvp.solver import SolutionProfile, SolveOptions, assemble_collocation, make_mesh, newton_solve, solve_bvp
 from ccebvp.systems import GBERGER, SU, BoundaryData, UsageError
 
 
@@ -73,26 +77,6 @@ class TestConstraintDrift:
         prof.y[0, prof.mesh.n_nodes // 2] += 1e-4
         rec = V.check_constraint_drift(prof)
         assert not rec.passed
-
-
-class TestOriginIdentities:
-    def test_round_both_sides_zero(self, round_profile):
-        recs = V.check_origin_identities(round_profile)
-        assert all(r.passed for r in recs)
-
-    def test_gb_identity(self, gb_profile):
-        recs = V.check_origin_identities(gb_profile)
-        assert all(r.passed for r in recs)
-        # the K identity is y1''(0) = 4(3 - Upsilon(0))
-        from ccebvp.systems import upsilon
-
-        target = 4.0 * (3.0 - upsilon(gb_profile.k0, *gb_profile.bd.phi0))
-        got = 2.0 * gb_profile.origin_series().table[0, 2]
-        assert got == pytest.approx(target, rel=1e-6, abs=1e-9)
-
-    def test_su_identity(self, su_profile):
-        recs = V.check_origin_identities(su_profile)
-        assert all(r.passed for r in recs)
 
 
 class TestAprioriBounds:
@@ -174,26 +158,24 @@ class TestReport:
         assert names[0] == "constraint-drift" and "pinching" in names
 
     def test_pinching_values(self, round_profile, su_profile):
-        rec = V.pinching_report(round_profile)
+        rec = V.pinching_report(geom.curvature_samples(round_profile))
         assert rec.margin <= 1e-9
-        rec = V.pinching_report(su_profile)
+        rec = V.pinching_report(geom.curvature_samples(su_profile))
         assert 0.0 < rec.margin < 1.0
 
     def test_weyl_gate_non_n3(self, su_profile):
-        rec = V.check_weyl_bound(su_profile)
+        rec = V.check_weyl_bound(su_profile, geom.curvature_samples(su_profile))
         assert not rec.applicable and rec.ok
 
     def test_weyl_bound_gb(self, gb_profile):
-        rec = V.check_weyl_bound(gb_profile)
+        rec = V.check_weyl_bound(gb_profile, geom.curvature_samples(gb_profile))
         assert rec.applicable and rec.passed
 
     def test_weyl_margin_is_max_of_scalar_components(self, gb_profile):
-        from ccebvp import geometry as geom
-
         mp = geom.reconstruct_metric(gb_profile)
         perms = ((1, 2, 3), (2, 3, 1), (3, 1, 2), (1, 3, 2), (2, 1, 3), (3, 2, 1))
         worst = max(float(geom.weyl_mixed_n3(mp, *perm).max()) for perm in perms)
-        rec = V.check_weyl_bound(gb_profile)
+        rec = V.check_weyl_bound(gb_profile, geom.curvature_samples(gb_profile))
         assert rec.applicable and rec.margin == worst
 
     def test_deterministic(self, su_profile):
@@ -202,3 +184,182 @@ class TestReport:
         assert [(r.name, r.margin, r.passed) for r in r1.records] == [
             (r.name, r.margin, r.passed) for r in r2.records
         ]
+
+
+class TestReconstruction:
+    @pytest.mark.parametrize("fixture", ["su_profile", "gb_profile"])
+    def test_one_metric_per_verification(self, request, monkeypatch, fixture):
+        # the curvature samples carry the metric the radial trace and the
+        # Weyl bound read; three reconstructions per gberger report before
+        profile = request.getfixturevalue(fixture)
+        calls = []
+        inner = geom.reconstruct_metric
+
+        def counted(prof):
+            calls.append(prof)
+            return inner(prof)
+
+        monkeypatch.setattr(geom, "reconstruct_metric", counted)
+        V.run_verification(profile)
+        assert calls == [profile]
+
+
+# -- the mutation suite: converged default-config profiles, each mutated so
+# that the named checks fail ------------------------------------------------
+
+CASES = {
+    "su5-0.8": BoundaryData(SU, 5, (0.8,)),
+    "gberger-0.95-1.02": BoundaryData(GBERGER, 3, (0.95, 1.02)),
+    "su3-1.5": BoundaryData(SU, 3, (1.5,)),
+}
+
+
+@pytest.fixture(scope="module")
+def converged():
+    out = {}
+    for key, bd in CASES.items():
+        prof, rep = solve_bvp(bd, SolveOptions())
+        assert rep.converged
+        out[key] = prof
+    return out
+
+
+def _with_rows(a, i, f):
+    """A copy of a whose rows i are replaced by f of them."""
+    a = a.copy()
+    a[i] = f(a[i])
+    return a
+
+
+def _sin7x(p, amp):
+    return amp * np.sin(7.0 * p.mesh.nodes)
+
+
+# name: (mutation, {case: checks that must fail})
+MUTATIONS = {
+    "y-times-1.01": (
+        lambda p: replace(p, y=p.y * 1.01),
+        {"su5-0.8": {"constraint-drift", "radial-einstein-trace"},
+         "gberger-0.95-1.02": {"constraint-drift"},
+         "su3-1.5": {"constraint-drift", "radial-einstein-trace"}},
+    ),
+    "k0var-plus-1e-4": (
+        lambda p: replace(p, k0var=p.k0var + 1e-4),
+        {"gberger-0.95-1.02": {"range-K"}},
+    ),
+    "k0var-plus-0.05": (
+        lambda p: replace(p, k0var=p.k0var + 0.05),
+        {key: {"range-K", "k0-window"} for key in CASES},
+    ),
+    "y-plus-1e-3-sin7x": (
+        lambda p: replace(p, y=p.y + _sin7x(p, 1e-3)),
+        {"gberger-0.95-1.02": {"range-ratio-2"}},
+    ),
+    "ratios-times-5": (
+        lambda p: replace(p, y=_with_rows(p.y, slice(1, None), lambda r: 5.0 * r)),
+        {"su5-0.8": {"range-ratio-1"}, "gberger-0.95-1.02": {"range-ratio-1", "range-ratio-2"}},
+    ),
+    "y1-derivative-minus-1e-3": (
+        lambda p: replace(p, yp=_with_rows(p.yp, 0, lambda r: r - 1e-3)),
+        {key: {"monotone-K"} for key in CASES},
+    ),
+    "derivatives-negated": (
+        lambda p: replace(p, yp=-p.yp),
+        {"su5-0.8": {"monotone-ratio"}, "su3-1.5": {"monotone-ratio"}},
+    ),
+    "derivatives-plus-0.1-sin7x": (
+        lambda p: replace(p, yp=p.yp + _sin7x(p, 0.1)),
+        {"gberger-0.95-1.02": {"monotone-ratio-1", "monotone-ratio-2", "monotone-ratio-product"}},
+    ),
+    "y1-derivative-plus-its-bound": (
+        lambda p: replace(p, yp=_with_rows(p.yp, 0, lambda r: r + 4.0 * p.bd.n * p.mesh.nodes / (1.0 - p.mesh.nodes**2))),
+        {key: {"apriori-y1-derivative"} for key in CASES},
+    ),
+    # a narrow window: x 10 still passes (4.85), x 12 turns the curvature
+    # positive and the bound no longer applies
+    "ratio-derivative-times-10.5": (
+        lambda p: replace(p, yp=_with_rows(p.yp, 1, lambda r: 10.5 * r)),
+        {"su3-1.5": {"weyl-bound"}},
+    ),
+}
+
+# mutations that pass every check although the discrete residual says the
+# profile is wrong: no check reads the endpoint parameters (ROADMAP item 11)
+UNSEEN = {
+    "nonlocal-times-1.1": (
+        lambda p: replace(p, free=NonlocalParams(tuple(1.1 * c for c in p.free.coeffs))),
+        {"su5-0.8": 1.1e-2, "gberger-0.95-1.02": 1.1e-2, "su3-1.5": 4.5e-2},
+    ),
+    "x1-coefficients-plus-1e-2": (
+        lambda p: replace(p, infinity_free=p.infinity_free + 1e-2),
+        {"su5-0.8": 3.8e-3, "gberger-0.95-1.02": 3.8e-3, "su3-1.5": 3.7e-3},
+    ),
+}
+
+
+def _report(prof):
+    with np.errstate(all="ignore"):
+        return {r.name: r for r in V.run_verification(prof).records}
+
+
+class TestMutations:
+    def test_unmutated_profiles_pass(self, converged):
+        for prof in converged.values():
+            assert all(r.ok for r in _report(prof).values())
+
+    @pytest.mark.parametrize(
+        "name, case", [(name, case) for name, (_, fails) in MUTATIONS.items() for case in fails]
+    )
+    def test_mutation_fails_its_checks(self, converged, name, case):
+        mutate, fails = MUTATIONS[name]
+        report = _report(mutate(converged[case]))
+        assert {k for k in fails[case] if report[k].passed is False} == fails[case]
+
+    def test_every_check_has_a_mutation(self, converged):
+        # every check that can pass or fail on these profiles is failed by
+        # at least one mutation above
+        emitted = {name for prof in converged.values() for name, r in _report(prof).items() if r.passed is not None}
+        covered = {check for _, fails in MUTATIONS.values() for checks in fails.values() for check in checks}
+        assert emitted - covered == set()
+
+    @pytest.mark.parametrize(
+        "name, case",
+        [
+            pytest.param(name, case, marks=pytest.mark.xfail(
+                strict=True, reason=f"passes every check at collocation residual {res:.1e} (ROADMAP item 11)"))
+            for name, (_, residuals) in UNSEEN.items() for case, res in residuals.items()
+        ],
+    )
+    def test_endpoint_parameter_mutation_fails_a_check(self, converged, name, case):
+        mutate, residuals = UNSEEN[name]
+        prof = mutate(converged[case])
+        F, _ = assemble_collocation(prof.bd, prof.mesh, prof)
+        assert np.abs(F).max() == pytest.approx(residuals[case], rel=0.05)
+        assert not all(r.ok for r in _report(prof).values())
+
+
+class TestRadialTraceLaw:
+    """What radial-einstein-trace measures: on SU a multiple of the first
+    integral, on gberger nothing above roundoff."""
+
+    @pytest.mark.parametrize("n, phi0", [(5, 0.8), (3, 1.5), (7, 2.0)])
+    def test_su_trace_is_a_multiple_of_the_first_integral(self, n, phi0):
+        prof, rep = solve_bvp(BoundaryData(SU, n, (phi0,)), SolveOptions())
+        assert rep.converged
+        rng = np.random.default_rng(n)
+        x = prof.mesh.nodes
+        for amp in (1e-3, 0.05):
+            p = replace(prof, y=prof.y * (1.0 + amp * rng.standard_normal(prof.y.shape)),
+                        yp=prof.yp * (1.0 + amp * rng.standard_normal(prof.yp.shape)))
+            samples = geom.curvature_samples(p)
+            trace = geom.radial_trace(samples) + n
+            law = (n - 1) * x * x * p.constraint_values() / (4.0 * n)
+            assert np.abs(trace - law).max() <= 1e-10 * np.abs(law).max()
+            assert V.check_radial_trace(p, samples).margin == np.abs(trace).max()
+
+    def test_gberger_trace_is_roundoff_under_every_mutation(self, converged):
+        # 4.4e-16 on most mutations; 3.2e-14 where y1' is raised to its bound
+        # (up to 37), against a gate of 1e-8
+        prof = converged["gberger-0.95-1.02"]
+        for mutate, _ in list(MUTATIONS.values()) + list(UNSEEN.values()):
+            assert _report(mutate(prof))["radial-einstein-trace"].margin <= 1e-13
