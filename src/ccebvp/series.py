@@ -7,16 +7,22 @@ forced by trace-freeness).  At x=1 (series in u = 1-x) the second-order
 coefficients of the non-K unknowns are free and everything else, including
 the whole K series, is slaved to them.
 
-Both recursions share one incremental engine over the regularized residual
-series of the closing equations (the first integral for y1 at the origin, the
-quadratic y1 equation at infinity, the phi/t equations for the rest): each
-order forms one residual coefficient per row, applies the exactly-linear map
-onto the order-k coefficients, and solves.  A batch axis carries the
-complex-step perturbations that give the tables' input tangents in one pass.
+Both recursions share one engine over the regularized residual series of
+the closing equations (the first integral for y1 at the origin, the quadratic
+y1 equation at infinity, the phi/t equations for the rest).  Its operators
+depend only on (family, endpoint, order) and are built once and cached: a
+kernel over the lags between orders that maps the history of lower orders
+(table columns, Cauchy coefficients of the quadratic terms, exponential
+source terms) onto each order's residual coefficient, and per order the
+negated inverse of the exactly-linear indicial map onto the order-k
+coefficients.  Each order then costs one product for its residual and one
+for its column.  A batch axis carries the complex-step perturbations that
+give the tables' input tangents in one pass.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,15 +82,24 @@ class SeriesCoefficients:
     tangents: np.ndarray | None = None
 
 
-# -- the incremental engine ---------------------------------------------------
+# -- the per-order operators --------------------------------------------------
 #
 # Every closing row is a sum of four convolutions of a fixed multiplier series
-# with a state series: y'' (of its own unknown), y' (of its own unknown), a
-# quadratic form in y', and the exponential source.  Column k of the table
-# enters row coefficient k-1 linearly through an indicial map, so each order
-# forms that one coefficient per row (a dot product per term), solves for
-# column k and then appends the state coefficients that column k completes.
-# A leading batch axis carries complex-step perturbations of the inputs.
+# with a state series: y'' and y' of its own unknown, a quadratic form in y',
+# and the exponential source.  Each state is linear in a history that the
+# recursion keeps one row per order t: D_t = t C_t and Y_t = t(t-1) C_t (the
+# y' and y'' coefficients of column t), the Cauchy coefficients t-1 of every
+# product y_a' y_c', and the exponential terms E_t.  Each convolution then
+# weighs order t by a multiplier coefficient that depends on k-t alone, so
+# residual coefficient k-1, less its part in column k, is one product of the
+# rows of orders k..0 with the first k+1 lags of one kernel that folds the
+# multipliers, the quadratic forms and the source weights W.  The history is
+# kept in reverse order so that those rows are one contiguous block.  Column
+# k enters coefficient k-1 through an indicial matrix; its negated inverse,
+# scaled to (D_k, Y_k), is the second product of the order.  Kernel and
+# inverses are built once per (Family object, endpoint, order) and cached; a
+# leading batch axis of the history carries complex-step perturbations of
+# the inputs.
 
 
 def _pderiv(c):
@@ -98,11 +113,15 @@ def _closing_rows(fam: Family, endpoint, L):
     """Multipliers (4, m, L) of the y'', y', quadratic and source terms, and the
     quadratic forms (m, m, m) of each row in y'.
 
-    Origin, in x: row 0 is x*Phi, rows i are x(1-x^2)E_{i+1}; the source state
-    is F itself.  Infinity, in u=1-x: row 0 is x(1-x^2)E_1, rows i are
-    x(1-x^2)E_{i+1}; the source term x(1-x^2)^-1 F is (1-u)(2-u)^-1 (F/u), so
-    the source state is F shifted by one (its constant coefficient vanishes
-    identically because the source weights cancel at y=0).
+    Origin, in x: row 0 is x*Phi/cphi, rows i are x(1-x^2)E_{i+1}; the source
+    state is F itself.  Dividing by cphi leaves every source multiplier dyadic,
+    so its products with the integer source weights are exact and the sources
+    cancel exactly at y=0 (round data) inside the operators as well.
+
+    Infinity, in u=1-x: row 0 is x(1-x^2)E_1, rows i are x(1-x^2)E_{i+1}; the
+    source term x(1-x^2)^-1 F is (1-u)(2-u)^-1 (F/u), so the source state is
+    F shifted by one (its constant coefficient vanishes identically because
+    the source weights cancel at y=0).
     """
     m = fam.m
     a, b = fam.sing[:m, 0], fam.sing[:m, 1]
@@ -115,15 +134,15 @@ def _closing_rows(fam: Family, endpoint, L):
         x1mx2 = np.zeros(L)  # x(1-x^2)
         x1mx2[1], x1mx2[3] = 1.0, -1.0
         mult[0, 1:] = x1mx2
-        mult[1, 0] = -4.0 * fam.n * np.where(j == 0, 1.0, 2.0 - 2.0 * odd)  # (1+x^2)/(1-x^2)
+        mult[1, 0] = -4.0 * fam.n / fam.cphi * np.where(j == 0, 1.0, 2.0 - 2.0 * odd)  # (1+x^2)/(1-x^2)
         mult[1, 1:, 0] = -a[1:]
         mult[1, 1:, 2] = -b[1:]
         mult[2, 0, 1] = 1.0  # x
         mult[2, 1:] = 0.5 * x1mx2
-        mult[3, 0] = fam.cphi * odd * (j + 1) / 2  # x(1-x^2)^-2
+        mult[3, 0] = odd * (j + 1) / 2  # x(1-x^2)^-2
         mult[3, 1:] = odd  # x(1-x^2)^-1
-        quad[0] = -fam.rmat
-        quad[0, 0, 0] += 1.0
+        quad[0] = -fam.rmat / fam.cphi
+        quad[0, 0, 0] += 1.0 / fam.cphi
     else:
         x1mx2 = np.zeros(L)  # u(1-u)(2-u)
         x1mx2[1:4] = 2.0, -3.0, 1.0
@@ -150,82 +169,143 @@ def _exp_terms(fam: Family):
     return V, W
 
 
-def _solve_recursion(fam: Family, C, endpoint, free_vals):
-    """Fill the batch of tables C (B, m, P+1) order by order, in place.
+@dataclass(frozen=True)
+class _Operators:
+    """The recursion's fixed operators for one (Family, endpoint, order).
 
-    Columns below the start order (1 at the origin, 2 at infinity) are given.
-    The residual coefficient at order k-1 is exactly linear in column k with an
-    analytic indicial map (the y1 row decouples, and the non-K block is
-    diagonal at the origin and diagonal plus half the source linearization at
-    infinity).  At the resonant order (n at the origin, 2 at infinity) the
-    non-K block is singular: free_vals (B, m-1) are inserted and the residual
-    coefficients checked for consistency.  The exponential sources advance by
-    J.C.P. Miller's power-series recurrence E_j = (1/j) sum_i i c_i E_{j-i};
-    column k enters E_k only through c_k E_0, added once the column is known.
-    Returns the consistency residual of each batch member.
+    History features per order: D (:m), Y (m:2m), the Cauchy coefficients
+    (2m:2m+m*m, pair (a, c) at 2m + a*m + c), the exponential terms (the rest).
     """
-    B, m, L = C.shape
-    P = L - 1
+
+    start: int  # first order the recursion solves for
+    free_order: int  # order whose non-K block is singular (the free values)
+    shift: int  # source coefficient j is W E_{j+shift}
+    # (order+1) lags of (features, m), flattened; its first k+1 lags map the
+    # history rows of orders k..0 to residual coefficient k-1 without column k
+    kernel: np.ndarray
+    # solve[k]: (m, 2m), that residual -> (D_k, Y_k); at free_order the y1
+    # entries alone
+    solve: list
+    free_block: np.ndarray  # non-K indicial block at free_order (consistency check)
+    singular: int | None  # order whose indicial factor vanishes, if any
+    VT: np.ndarray  # (m, T) exponents of the source terms
+    wsum: float  # source-weight scale of the consistency tolerance
+
+
+def _build_operators(fam: Family, endpoint, order) -> _Operators:
+    m, L = fam.m, order + 1
     origin = endpoint == "origin"
     start, free_order, shift, dsign = (1, fam.n, 0, 1.0) if origin else (2, 2, 1, -1.0)
-    mult, quad = _closing_rows(fam, endpoint, L)
+    mult, quad = _closing_rows(fam, endpoint, L + 1)  # y'' at lag l reads coefficient l+1
     V, W = _exp_terms(fam)
-    wsum = 1.0 + np.abs(W).sum(axis=1).max()
-    ab = fam.sing[1:m, 0] + fam.sing[1:m, 1]
+    fc, fe = 2 * m, 2 * m + m * m  # first Cauchy and first exponential feature
+    i = np.arange(m)
+    # lag l = k - t >= 1 for the column states (lag 0 is column k itself):
+    # y' coefficient k-1-l is dsign D_{k-l}, y'' coefficient k-2-l is Y_{k-l},
+    # the Cauchy coefficient k-1-l sits in order k-l; source coefficient j is
+    # W E_{j+shift}, so the source reaches lag 1-shift (partial E_k at
+    # infinity), and at infinity the history holds no E_0
+    kernel = np.zeros((L, fe + len(V), m))
+    kernel[1:, i, i] = dsign * mult[1][:, 1:L].T
+    kernel[1:, m + i, i] = mult[0][:, 2 : L + 1].T
+    kernel[1:, fc:fe] = mult[2][:, 1:L].T[:, None, :] * quad.reshape(m, m * m).T
+    lags = np.arange(1 - shift, L)
+    kernel[lags, fe:] = mult[3][:, lags - 1 + shift].T[:, None, :] * W.T
     lin = 0.5 * (W[1:] @ V)[:, 1:]  # half the source linearization at y=0
-
-    state = np.zeros((B, 4, m, L), dtype=C.dtype)  # y'', y', quadratic, source
-    ypp, yp, q, src = (state[:, s] for s in range(4))
-    E = np.zeros((B, len(V), L), dtype=C.dtype)
-    ic = np.zeros_like(E)  # i * c_i, c = V @ y
-
-    def commit(k):
-        ck = C[..., k] @ V.T
-        ic[..., k] = k * ck
-        if k == 0:
-            E[..., 0] = np.exp(ck)
+    solve = [None] * L
+    singular = free_block = None
+    for k in range(start, L):
+        # column k enters residual coefficient k-1 through y'' and y' of its own
+        # unknown and, at infinity, through the source as c_k E_0 with E_0 = 1
+        ind = np.diag(k * (k - 1.0) * mult[0, :, 1] + dsign * k * mult[1, :, 0])
+        if not origin:
+            ind[1:, 1:] += lin
+        if k == free_order:  # y1 alone; the free values fill the rest
+            free_block = ind[1:, 1:]
+            inv = np.zeros((m, m))
+            inv[0, 0] = 1.0 / ind[0, 0]
+        elif origin and np.any(np.diag(ind) == 0.0):
+            singular = k
+            break
         else:
-            E[..., k] += ck * E[..., 0]
-        if k >= shift:
-            src[..., k - shift] = E[..., k] @ W.T
-        if k >= 1:
-            yp[..., k - 1] = dsign * k * C[..., k]
-        if k >= 2:
-            ypp[..., k - 2] = k * (k - 1.0) * C[..., k]
+            inv = np.linalg.inv(ind)
+        solve[k] = np.concatenate([-k * inv.T, -k * (k - 1.0) * inv.T], axis=1)
+    wsum = 1.0 + np.abs(W).sum(axis=1).max()
+    return _Operators(
+        start, free_order, shift, kernel.reshape(-1, m), solve, free_block, singular, V.T.copy(), wsum
+    )
 
-    def row_coefficients(k):
-        return np.einsum("sil,bsil->bi", mult[..., :k], state[..., k - 1 :: -1])
 
-    for k in range(start):
-        commit(k)
+# built operators by Family object (not by (kind, n): an edited copy of a
+# family gets its own), then by (endpoint, order)
+_OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _operators(fam: Family, endpoint, order) -> _Operators:
+    built = _OPERATORS.setdefault(fam, {})
+    key = (endpoint, order)
+    if key not in built:
+        built[key] = _build_operators(fam, endpoint, order)
+    return built[key]
+
+
+def _solve_recursion(fam: Family, endpoint, order, col0, free_vals):
+    """Tables (B, m, order+1) of a batch with column 0 col0 (B, m), filled
+    order by order, and the consistency residual of each batch member.
+
+    The recursion starts at order 1 at the origin and at order 2 at infinity,
+    where columns 0 and 1 vanish.  The residual coefficient at order k-1 is
+    exactly linear in column k with an analytic indicial map (the y1 row
+    decouples, and the non-K block is diagonal at the origin and diagonal
+    plus half the source linearization at infinity).  At the resonant order
+    (n at the origin, 2 at infinity) the non-K block is singular: free_vals
+    (B, m-1) are inserted and the residual coefficients checked for
+    consistency.  The exponential terms advance by J.C.P. Miller's
+    power-series recurrence E_j = (1/j) sum_i i c_i E_{j-i}, where i c_i = V D_i;
+    column k enters E_k only through c_k E_0, added once the column is known.
+    """
+    ops = _operators(fam, endpoint, order)
+    B, m = col0.shape
+    T = ops.VT.shape[1]
+    F = ops.kernel.shape[0] // (order + 1)
+    H = np.zeros((B, order + 1, F), dtype=col0.dtype)  # row order - t holds order t
+    D, E = H[..., :m], H[..., F - T :]  # views
+    ic = np.zeros((B, T, order + 1), dtype=col0.dtype)  # i c_i, c = V C
+    e0 = np.exp(col0 @ ops.VT)
+    if not ops.shift:  # E_0 is a source state at the origin only
+        E[:, order] = e0
+    t = np.arange(1.0, order + 1)[:, None]  # D_t -> C_t
     consistency = np.zeros(B)
-    for k in range(start, P + 1):
-        E[..., k] = (ic[..., 1:k] * E[..., k - 1 : 0 : -1]).sum(axis=-1) / k
-        src[..., k - shift] = E[..., k] @ W.T
+    for k in range(ops.start, order + 1):
+        if k == ops.singular:
+            raise SeriesRecursionError(f"vanishing indicial factor at order {k}")
+        r = order - k  # the row of order k; rows r+1..order-1 hold orders k-1..1
         if k >= 2:
-            q[..., k - 2] = np.einsum("iac,bat,bct->bi", quad, yp[..., : k - 1], yp[..., k - 2 :: -1])
-        base = row_coefficients(k)
-        C[:, 0, k] = -base[:, 0] / (-4.0 * fam.n * k if origin else 2.0 * k * (k + 1.0))
-        if k == free_order:
-            C[:, 1:, k] = free_vals
-        elif origin:
-            diag = k * (k - 1.0 - fam.sing[1:m, 0])
-            if np.any(diag == 0.0):
-                raise SeriesRecursionError(f"vanishing indicial factor at order {k}")
-            C[:, 1:, k] = -base[:, 1:] / diag
-        else:
-            A = np.diag(2.0 * k * (k - 1.0) + ab * k) + lin
-            C[:, 1:, k] = np.linalg.solve(A, -base[:, 1:].T).T
-        commit(k)
-        if k == free_order:
-            consistency = np.abs(row_coefficients(k)[:, 1:]).max(axis=1)
-            cmax = np.abs(C[..., :k]).max(axis=(1, 2))
-            scale = wsum * k * k * (1.0 + cmax * cmax)
+            past = slice(r + 1, order)
+            E[:, r] = (ic[:, :, None, 1:k] @ E[:, past].transpose(0, 2, 1)[..., None])[..., 0, 0] / k
+            cauchy = D[:, order - 1 : r : -1].transpose(0, 2, 1) @ D[:, past]
+            H[:, r + 1, 2 * m : 2 * m + m * m] = cauchy.reshape(B, -1)
+        res = H[:, r:].reshape(B, -1) @ ops.kernel[: (k + 1) * F]
+        DY = res @ ops.solve[k]
+        if k == ops.free_order:
+            consistency = np.abs(res[:, 1:] + free_vals @ ops.free_block.T).max(axis=1)
+            low = np.abs(D[:, r + 1 : order]) / t[k - 2 :: -1]
+            cmax = np.maximum(np.abs(col0).max(axis=1), low.max(axis=(1, 2)))
+            scale = ops.wsum * k * k * (1.0 + cmax * cmax)
             if np.any(consistency > _CONSISTENCY_RTOL * scale):
                 raise SeriesRecursionError(
                     f"inconsistent resonant order {k}: residual {consistency.max():.3e}"
                 )
-    return consistency
+            DY[:, 1:m] = k * free_vals
+            DY[:, m + 1 :] = k * (k - 1.0) * free_vals
+        H[:, r, : 2 * m] = DY
+        ick = DY[:, :m] @ ops.VT
+        ic[:, :, k] = ick
+        E[:, r] += ick * e0 / k
+    C = np.empty((B, m, order + 1), dtype=col0.dtype)
+    C[:, :, 0] = col0
+    C[:, :, 1:] = (D[:, order - 1 :: -1] / t).transpose(0, 2, 1)
+    return C, consistency
 
 
 def _batch(inputs, tangents):
@@ -265,10 +345,10 @@ def fg_series_origin(
         raise UsageError(f"origin series order must be >= n+2 = {bd.n + 2}")
     free.validate(bd.kind)
     inputs = _batch(np.array([log_k0, *free.coeffs]), tangents)
-    C = np.zeros((len(inputs), fam.m, order + 1), dtype=inputs.dtype)
-    C[:, 0, 0] = inputs[:, 0]
-    C[:, 1:, 0] = bd.y_boundary()
-    cons = _solve_recursion(fam, C, "origin", inputs[:, 1:])
+    col0 = np.empty((len(inputs), fam.m), dtype=inputs.dtype)
+    col0[:, 0] = inputs[:, 0]
+    col0[:, 1:] = bd.y_boundary()
+    C, cons = _solve_recursion(fam, "origin", order, col0, inputs[:, 1:])
     table, tan = _split(C, tangents)
     return SeriesCoefficients("origin", bd.kind, bd.n, order, table, free, float(cons[0]), tan)
 
@@ -294,9 +374,9 @@ def series_infinity(
     if free.shape != (fam.m - 1,):
         raise UsageError(f"expected {fam.m - 1} free infinity coefficients")
     inputs = _batch(free, tangents)
-    D = np.zeros((len(inputs), fam.m, order + 1), dtype=inputs.dtype)
-    cons = _solve_recursion(fam, D, "infinity", inputs)
-    table, tan = _split(D, tangents)
+    col0 = np.zeros((len(inputs), fam.m), dtype=inputs.dtype)
+    C, cons = _solve_recursion(fam, "infinity", order, col0, inputs)
+    table, tan = _split(C, tangents)
     return SeriesCoefficients("infinity", kind, n, order, table, None, float(cons[0]), tan)
 
 
@@ -317,11 +397,16 @@ def _eval_table(table, t, dsign):
     return y, dsign * yp, ypp
 
 
-def evaluate_tangents(sc: SeriesCoefficients, x):
-    """d(y, y')/d input at one point x, shape (2m, inputs); needs sc.tangents."""
+def evaluate_closure(sc: SeriesCoefficients, x):
+    """(y, y', d(y, y')/d input) of the series at one point x: shapes (m,),
+    (m,) and (2m, inputs); needs sc.tangents.  The table and its tangent
+    tables share one pass (powers, derivative tables, products), with no y''."""
     t, dsign = (x, 1.0) if sc.endpoint == "origin" else (1.0 - x, -1.0)
-    ty, typ, _ = _eval_table(sc.tangents, t, dsign)
-    return np.concatenate([ty.T, typ.T])
+    tables = np.concatenate([sc.table[None], sc.tangents])
+    powers = np.asarray(t)[..., None] ** np.arange(tables.shape[-1])
+    y = powers @ np.swapaxes(tables, -1, -2)
+    yp = dsign * (powers @ np.swapaxes(_pderiv(tables), -1, -2))
+    return y[0], yp[0], np.concatenate([y[1:].T, yp[1:].T])
 
 
 def evaluate_series(sc: SeriesCoefficients, x):

@@ -25,8 +25,7 @@ from . import systems as sysm
 from .series import (
     TRUST_RADIUS,
     NonlocalParams,
-    evaluate_series,
-    evaluate_tangents,
+    evaluate_closure,
     fg_series_origin,
     seed_values,
     series_infinity,
@@ -172,9 +171,9 @@ class SolutionProfile:
         return -sysm.evo_residuals(fam, self.mesh.nodes, self.y.T, self.yp.T, z.T).T
 
     def constraint_values(self) -> np.ndarray:
-        """First integral at every node (uses the eliminated second derivatives)."""
+        """First integral at every node; it reads no second derivatives."""
         fam = family(self.bd.kind, self.bd.n)
-        return sysm.constraint_residual(fam, self.mesh.nodes, self.y.T, self.yp.T, self.ypp.T)
+        return sysm.constraint_residual(fam, self.mesh.nodes, self.y.T, self.yp.T, None)
 
     def interpolate(self, xq):
         """Hermite-cubic values and derivatives at query points inside the mesh."""
@@ -228,18 +227,6 @@ def _unpack(bd, mesh, u, opts):
         infinity_free=u[2 * m * N + m :].copy(),
         tol=opts.tol,
     )
-
-
-# ---------------------------------------------------------------------------
-# endpoint closures with their endpoint-parameter derivatives
-# ---------------------------------------------------------------------------
-
-
-def _closure(sc, x):
-    """Series value and derivative at x, and their Jacobian (2m, inputs) in
-    the series inputs, from sc's tangent tables."""
-    y, yp, _ = evaluate_series(sc, np.array([x]))
-    return y[:, 0], yp[:, 0], evaluate_tangents(sc, x)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +297,9 @@ def assemble_collocation(
 
     # --- endpoint matching
     scL = fg_series_origin(bd, guess.free, origin_order(bd.n), log_k0=guess.k0var, tangents=True)
-    yL, ypL, jacL = _closure(scL, xs[0])
+    yL, ypL, jacL = evaluate_closure(scL, xs[0])
     scR = series_infinity(bd.kind, bd.n, INFINITY_ORDER, guess.infinity_free, tangents=True)
-    yR, ypR, jacR = _closure(scR, xs[-1])
+    yR, ypR, jacR = evaluate_closure(scR, xs[-1])
 
     # --- collocation rows, in (interval, Gauss point, equation) order
     Fc = np.empty((N - 1, 2, m))

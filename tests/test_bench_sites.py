@@ -48,6 +48,9 @@ def test_hooks_accept_what_the_package_returns():
     assert {"solver.solve_bvp", "solver.assemble", "solver.splu", "verification.run_verification"} <= names
     # every assembly returns the Jacobian values with the residual
     assert all(s.attrs.get("jac_bytes", 0) > 0 for s in tr.spans if s.name == "solver.assemble")
+    # and reaches both series constructors through the names the tracer wraps
+    count = {name: sum(s.name == name for s in tr.spans) for name in ("solver.assemble", "series.origin", "series.infinity")}
+    assert count["series.origin"] == count["series.infinity"] == count["solver.assemble"] > 0
 
 
 def test_refine_hook_reads_the_halving():

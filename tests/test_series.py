@@ -13,8 +13,8 @@ from ccebvp import systems as S
 from ccebvp.series import (
     NonlocalParams,
     SeriesCoefficients,
+    evaluate_closure,
     evaluate_series,
-    evaluate_tangents,
     fg_series_origin,
     seed_values,
     series_infinity,
@@ -151,6 +151,17 @@ class TestOrigin:
             fg_series_origin(bd, NonlocalParams((0.1, 0.2)), 9, log_k0=0.0)
 
 
+@pytest.mark.parametrize("kind,n", [(SU, 3), (SU, 5), (SU, 7), (SU, 11), (SU, 13), (GBERGER, 3)])
+def test_round_tables_are_exactly_zero(kind, n):
+    # the integer source weights cancel exactly at y=0 inside the per-order
+    # operators, also where cphi = 2n/(n-1) is not a dyadic number (n=7, 11, 13)
+    bd = BoundaryData(kind, n, (1.0,) * kind.free_count)
+    for tangents in (False, True):
+        sc = fg_series_origin(bd, NonlocalParams.zeros(kind), n + 23, log_k0=0.0, tangents=tangents)
+        si = series_infinity(kind, n, 26, tangents=tangents)
+        assert np.all(sc.table == 0.0) and np.all(si.table == 0.0)
+
+
 class TestInfinity:
     def test_zero_free_zero_series(self):
         sc = series_infinity(SU, 5, 6)
@@ -230,6 +241,27 @@ class TestEvaluate:
             assert got[1][i] == pytest.approx(yp, rel=1e-14)
             assert got[2][i] == pytest.approx(ypp, rel=1e-14)
 
+    @pytest.mark.parametrize("endpoint", ["origin", "infinity"])
+    @pytest.mark.parametrize("kind,n,phi0", [(SU, 5, (0.6,)), (GBERGER, 3, (0.95, 1.02))])
+    def test_closure_matches_separate_evaluations(self, endpoint, kind, n, phi0):
+        # one pass gives bit for bit what evaluate_series and a separate
+        # evaluation of the tangent tables give
+        from ccebvp.series import _eval_table
+
+        if endpoint == "origin":
+            free = NonlocalParams(tuple(0.3 * (i + 1) for i in range(kind.free_count)))
+            sc = fg_series_origin(BoundaryData(kind, n, phi0), free, n + 23, log_k0=-0.01, tangents=True)
+            points = [(x, x, 1.0) for x in (0.1, 0.05, 0.1234567)]
+        else:
+            sc = series_infinity(kind, n, 26, np.linspace(-0.2, 0.1, kind.unknowns - 1), tangents=True)
+            points = [(x, 1.0 - x, -1.0) for x in (0.85, 0.9, 0.8765432)]
+        for x, t, dsign in points:
+            y, yp, jac = evaluate_closure(sc, x)
+            ys, yps, _ = evaluate_series(sc, np.array([x]))
+            ty, typ, _ = _eval_table(sc.tangents, t, dsign)
+            assert np.array_equal(y, ys[:, 0]) and np.array_equal(yp, yps[:, 0])
+            assert np.array_equal(jac, np.concatenate([ty.T, typ.T]))
+
     def test_trust_radius(self):
         sc = fg_series_origin(BoundaryData(SU, 5, (0.8,)), NonlocalParams.zeros(SU), 9, log_k0=0.0)
         with pytest.raises(DomainError):
@@ -299,7 +331,7 @@ class TestFrozenTables:
         bd = BoundaryData(GBERGER, 3, (0.95, 1.02))
         free, log_k0, order, x, eps = (-3.3, 1.1), 0.01, 26, 0.1, 1e-7
         sc = fg_series_origin(bd, NonlocalParams(free), order, log_k0=log_k0, tangents=True)
-        jac = evaluate_tangents(sc, x)
+        jac = evaluate_closure(sc, x)[2]
         inputs = np.array([log_k0, *free])
         for j in range(len(inputs)):
             cols = []
@@ -359,3 +391,78 @@ class TestRecursionErrors:
         _, infinity = self.builds(monkeypatch, fam, tangents)
         expected = 0.5 * abs(w[1] * 1e-12 * v[1, 1]) * 0.25
         assert infinity().consistency == pytest.approx(expected, rel=1e-3)
+
+
+class TestOperatorCache:
+    """The per-order operators are cached by (Family object, endpoint, order)."""
+
+    @pytest.mark.parametrize("kind,n,phi0", [(SU, 3, (1.5,)), (SU, 5, (0.6,)), (SU, 7, (0.9,)), (GBERGER, 3, (0.95, 1.02))])
+    def test_truncated_builds_match(self, kind, n, phi0):
+        # plain and tangent builds of both endpoints at several orders,
+        # interleaved; each matches the highest-order build truncated
+        bd = BoundaryData(kind, n, phi0)
+        free = NonlocalParams(tuple(0.4 * (-1) ** i for i in range(kind.free_count)))
+        ifree = np.linspace(-0.2, 0.15, kind.unknowns - 1)
+        builds = {
+            "origin": lambda order, tan: fg_series_origin(bd, free, order, log_k0=-0.01, tangents=tan),
+            "infinity": lambda order, tan: series_infinity(kind, n, order, ifree, tangents=tan),
+        }
+        orders = {"origin": (n + 2, n + 23, n + 40), "infinity": (3, 16, 26, 40)}
+        plan = [(e, order, tan) for e in orders for order in orders[e] for tan in (False, True)]
+        got = {}
+        for i in np.random.RandomState(n).permutation(len(plan)):
+            endpoint, order, tan = plan[i]
+            got[plan[i]] = builds[endpoint](order, tan)
+        for (endpoint, order, tan), sc in got.items():
+            top = got[endpoint, max(orders[endpoint]), tan]
+            TestFrozenTables.assert_table(sc.table, top.table[:, : order + 1])
+            if tan:
+                TestFrozenTables.assert_table(sc.tangents, top.tangents[..., : order + 1])
+            else:
+                assert sc.tangents is None
+
+    def test_second_build_reuses_operators(self, monkeypatch):
+        fam = copy.copy(family(SU, 5))
+        monkeypatch.setattr(series, "family", lambda kind, n: fam)
+        built = []
+        real = series._build_operators
+
+        def counted(f, endpoint, order):
+            built.append((endpoint, order))
+            return real(f, endpoint, order)
+
+        monkeypatch.setattr(series, "_build_operators", counted)
+        bd = BoundaryData(SU, 5, (0.8,))
+        for tangents in (False, True, False):
+            fg_series_origin(bd, NonlocalParams((0.3,)), 12, log_k0=0.0, tangents=tangents)
+            series_infinity(SU, 5, 12, np.array([0.25]), tangents=tangents)
+        fg_series_origin(bd, NonlocalParams((0.3,)), 13, log_k0=0.0)
+        assert built == [("origin", 12), ("infinity", 12), ("origin", 13)]
+
+    def test_edited_copies_get_their_own_operators(self, monkeypatch):
+        # copy.copy shares nothing with the cache of the family it copies:
+        # an edit breaks the copy's builds, and the original's stay as they were
+        bd = BoundaryData(SU, 5, (0.8,))
+
+        def builds():
+            return (
+                fg_series_origin(bd, NonlocalParams((0.3,)), 9, log_k0=0.0).table,
+                series_infinity(SU, 5, 26, np.array([0.25])).table,
+            )
+
+        before = builds()
+        singular = copy.copy(family(SU, 5))
+        singular.sing = singular.sing.copy()
+        singular.sing[1, 0] = 1.0
+        inconsistent = copy.copy(family(SU, 5))
+        w, v = inconsistent.src[0]
+        inconsistent.src = [(w * np.array([1.0, 1.01]), v)]
+        monkeypatch.setattr(series, "family", lambda kind, n: singular)
+        with pytest.raises(SeriesRecursionError, match="vanishing indicial factor at order 2"):
+            builds()
+        monkeypatch.setattr(series, "family", lambda kind, n: inconsistent)
+        with pytest.raises(SeriesRecursionError, match="inconsistent resonant order 2"):
+            series_infinity(SU, 5, 26, np.array([0.25]))
+        monkeypatch.undo()
+        for got, want in zip(builds(), before):
+            assert np.array_equal(got, want)

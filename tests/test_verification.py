@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from ccebvp import geometry as geom
+from ccebvp import systems as S
 from ccebvp import verification as V
+from ccebvp.exports import export_profile_csv
 from ccebvp.series import NonlocalParams
 from ccebvp.solver import SolutionProfile, SolveOptions, assemble_collocation, make_mesh, newton_solve, solve_bvp
 from ccebvp.systems import GBERGER, SU, BoundaryData, UsageError
@@ -77,6 +79,33 @@ class TestConstraintDrift:
         prof.y[0, prof.mesh.n_nodes // 2] += 1e-4
         rec = V.check_constraint_drift(prof)
         assert not rec.passed
+
+
+class TestEliminations:
+    """y'' is eliminated through the evolution equations once per verification
+    and once per export: the first integral does not read it."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        real = S.evo_residuals
+
+        def evo_residuals(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(S, "evo_residuals", evo_residuals)
+        return calls
+
+    def test_one_per_verification(self, monkeypatch, su_profile):
+        calls = self.counted(monkeypatch)
+        V.run_verification(su_profile)
+        assert len(calls) == 1
+
+    def test_one_per_export(self, monkeypatch, su_profile, tmp_path):
+        calls = self.counted(monkeypatch)
+        export_profile_csv(su_profile, str(tmp_path / "profile.csv"))
+        assert len(calls) == 1
 
 
 class TestAprioriBounds:
