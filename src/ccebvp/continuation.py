@@ -1,14 +1,15 @@
 """Boundary-parameter continuation from the round sphere.
 
 The sweep walks the ratio parameter away from 1 as a predictor-corrector:
-each solve starts from the linear extrapolation in the parameter of the two
-nearest converged profiles (from the previous profile alone on the first
-step), with adaptive steps: they grow after three straight successes and
-never exceed half the distance to the last rejected parameter, so a failure
-halves the step and is never retried.  It stops at the path end, at the
-first curvature-sign event, or on min-step exhaustion.  An event is then
-located by a safeguarded root-finder on the largest monitored curvature and
-certified by a bracket of width event_tol centred on the root estimate.
+each solve starts from the polynomial extrapolation in log lambda through
+the four nearest converged profiles, or through all of them while there
+are fewer (the boundary data enter the problem as log phi(0)).  Steps
+adapt: they grow after three straight successes and never exceed half the
+distance to the last rejected parameter, so a failure halves the step and
+is never retried.  It stops at the path end, at the first curvature-sign
+event, or on min-step exhaustion.  An event is then located by a
+safeguarded root-finder on the largest monitored curvature and certified by
+a bracket of width event_tol centred on the root estimate.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as geom
-from .solver import SolveOptions, as_guess_for, newton_solve, secant_guess, solve_bvp
+from .solver import SolveOptions, lagrange_guess, newton_solve, solve_bvp
 from .systems import BoundaryData, SystemKind, UsageError
 from .verification import run_verification
 
@@ -67,6 +68,7 @@ class TraceRecord:
     free: tuple
     verification_pass: bool
     iterations: int
+    start_residual: float  # the residual norm at the predicted start
     profile: object = None
 
 
@@ -106,22 +108,21 @@ def detect_curvature_event(samples):
     return geom.CurvatureSample(float(samples.x[j]), samples.planes[p], float(col[p]))
 
 
+PREDICTOR_POINTS = 4  # each prediction is the cubic through this many profiles
+
+
 def _solve_at(plan: SweepPlan, lam: float, near=()):
     """Solve at lam: from the seed when near, a collection of converged
-    (lambda, profile) pairs on one mesh, is empty; else from the linear
-    prediction through the two pairs nearest lam, or from the one pair
-    when there is only one."""
+    (lambda, profile) pairs on one mesh, is empty; else from the Lagrange
+    polynomial in log lambda through the PREDICTOR_POINTS pairs nearest
+    lam, or through all of them when there are fewer."""
     bd = plan.boundary_data(lam)
     opts = plan.options
     if not near:
         return solve_bvp(bd, opts)
-    (mu, p), *rest = sorted(near, key=lambda pair: abs(pair[0] - lam))
-    if rest:
-        nu, q = rest[0]
-        guess = secant_guess(bd, p, q, (lam - mu) / (nu - mu), opts)
-    else:
-        guess = as_guess_for(bd, p, opts)
-    return newton_solve(bd, p.mesh, guess, opts)
+    lams, profiles = zip(*sorted(near, key=lambda pair: abs(pair[0] - lam))[:PREDICTOR_POINTS])
+    guess = lagrange_guess(bd, [math.log(mu) for mu in lams], profiles, math.log(lam), opts)
+    return newton_solve(bd, profiles[0].mesh, guess, opts)
 
 
 def sweep(plan: SweepPlan) -> ContinuationTrace:
@@ -148,7 +149,7 @@ def sweep(plan: SweepPlan) -> ContinuationTrace:
         target = lam + direction * step
         if direction * (target - plan.lam_end) >= 0.0:
             target = plan.lam_end
-        prof, rep = _solve_at(plan, target, [(r.lam, r.profile) for r in records[-2:]])
+        prof, rep = _solve_at(plan, target, [(r.lam, r.profile) for r in records[-PREDICTOR_POINTS:]])
         if not rep.converged:
             trace.rejected.append((target, rep.failure_reason))
             failed, streak = target, 0
@@ -178,6 +179,7 @@ def _record(plan, lam, prof, rep, samples):
         tuple(float(np.real(c)) for c in prof.free.coeffs),
         ver.overall_pass,
         rep.iterations,
+        rep.residual_history[0],
         prof,
     )
 
@@ -218,8 +220,9 @@ def bisect_event(trace: ContinuationTrace, solve_at=None, detect=None) -> EventR
     bisection step, and if it ends that way lam_event is the midpoint of
     the final bracket.
 
-    Each solve starts from the linear interpolation of the two nearest
-    converged profiles.  A solver failure returns the widest certified
+    Each solve starts from the Lagrange polynomial in log lambda through the
+    four converged profiles nearest it among the trace's last four records
+    and the probes so far.  A solver failure returns the widest certified
     bracket with an annotation; so does a bracket of adjacent floats, which
     no event_tol below their spacing can shrink further.  The seams:
     solve_at(lam) returns a profile or None, and detect(profile) returns the
@@ -232,7 +235,7 @@ def bisect_event(trace: ContinuationTrace, solve_at=None, detect=None) -> EventR
         raise UsageError("locating an event needs a no-event record and an event record")
     lo_rec, hi_rec = trace.records[-2], trace.records[-1]
     if solve_at is None:
-        near = {lo_rec.lam: lo_rec.profile, hi_rec.lam: hi_rec.profile}
+        near = {r.lam: r.profile for r in trace.records[-PREDICTOR_POINTS:]}
 
         def solve_at(lam):
             prof, rep = _solve_at(plan, lam, near.items())

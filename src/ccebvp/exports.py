@@ -85,9 +85,8 @@ def export_profile_csv(profile: SolutionProfile, path: str) -> None:
         f"# origin_order={origin_order(profile.bd.n)}",
         f"# infinity_order={INFINITY_ORDER}",
     ]
-    lines = meta + [",".join(names)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+    # repr of a Python float is fmt's shortest round-trip decimal
+    lines = meta + [",".join(names)] + [",".join(map(repr, row)) for row in rows.tolist()]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -145,7 +144,7 @@ def load_profile_csv(path: str) -> SolutionProfile:
 def export_trace_csv(trace, path: str) -> None:
     """One row per record, then a '# rejected=lambda,failure_reason' line per
     rejected step and the stop reason."""
-    names = ["lambda", "converged", "K0", "max_curvature", "verification_pass", "iterations"]
+    names = ["lambda", "converged", "K0", "max_curvature", "verification_pass", "iterations", "start_residual"]
     nfree = len(trace.records[0].free)
     names += [f"free{i + 1}" for i in range(nfree)]
     lines = [
@@ -156,7 +155,7 @@ def export_trace_csv(trace, path: str) -> None:
     ]
     for r in trace.records:
         row = [fmt(r.lam), str(r.converged).lower(), fmt(r.k0), fmt(r.max_curvature),
-               str(r.verification_pass).lower(), str(r.iterations)]
+               str(r.verification_pass).lower(), str(r.iterations), fmt(r.start_residual)]
         row += [fmt(c) for c in r.free]
         lines.append(",".join(row))
     lines += [f"# rejected={fmt(lam)},{reason}" for lam, reason in trace.rejected]

@@ -546,12 +546,18 @@ def as_guess_for(bd, prof, opts, mesh=None):
     )
 
 
-def secant_guess(bd, p, q, t, opts):
-    """The unknowns of p + t (q - p) (values, endpoint parameters) as the
-    guess for bd at opts.tol: the linear interpolation (0 <= t <= 1) or
-    extrapolation of two profiles on one mesh."""
-    u = _pack(p)
-    return _unpack(bd, p.mesh, u + t * (_pack(q) - u), opts)
+def lagrange_guess(bd, nodes, profiles, t, opts):
+    """The guess for bd at opts.tol whose unknowns (values, endpoint
+    parameters) are the Lagrange polynomial through (nodes[i], profiles[i])
+    evaluated at t: the interpolation or extrapolation of profiles on one
+    mesh.  A single profile is reproduced with weight 1."""
+    w = np.ones(len(nodes))
+    for i, si in enumerate(nodes):
+        for j, sj in enumerate(nodes):
+            if j != i:
+                w[i] *= (t - sj) / (si - sj)
+    u = sum(wi * _pack(p) for wi, p in zip(w, profiles))
+    return _unpack(bd, profiles[0].mesh, u, opts)
 
 
 def solve_bvp(bd: BoundaryData, opts: SolveOptions | None = None):

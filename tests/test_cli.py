@@ -338,6 +338,25 @@ class TestSweepTelemetry:
         assert printed == [f"rejected lambda={lam}: {reason}" for lam, reason in rejected]
         assert lines[-1] == "# stop_reason=min-step"
 
+    def test_trace_csv_records_start_residual(self, tmp_path):
+        # each row's start_residual is the residual of its predicted start:
+        # zero at the round seed, and at most tol exactly where no Newton
+        # iteration was needed
+        cfg = write_cfg(
+            tmp_path,
+            "system = su\nn = 3\nphi0 = 1\ngrid = 96\ntol = 1e-6\n"
+            "sweep_end = 0.85\nsweep_step = 0.05\n",
+        )
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        lines = [l for l in (tmp_path / "trace.csv").read_text().splitlines() if not l.startswith("#")]
+        names = lines[0].split(",")
+        assert names[names.index("iterations") + 1] == "start_residual"
+        rows = [dict(zip(names, l.split(","))) for l in lines[1:]]
+        assert len(rows) == 4 and float(rows[0]["start_residual"]) == 0.0
+        for row in rows:
+            r = float(row["start_residual"])
+            assert np.isfinite(r) and (r <= 1e-6) == (row["iterations"] == "0")
+
     def test_event_json_records_solves(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,

@@ -94,8 +94,8 @@ def synthetic_trace(lam_lo, lam_hi, event_tol=1e-6):
     plan = SweepPlan(SU, 3, lam_end=lam_hi, event_tol=event_tol)
     w = CurvatureSample(0.5, "radial-1", 0.01)
     records = [
-        TraceRecord(lam_lo, True, 1.0, -0.2, (0.0,), True, 1, None),
-        TraceRecord(lam_hi, True, 1.0, 0.01, (0.0,), True, 1, None),
+        TraceRecord(lam_lo, True, 1.0, -0.2, (0.0,), True, 1, 1e-3, None),
+        TraceRecord(lam_hi, True, 1.0, 0.01, (0.0,), True, 1, 1e-3, None),
     ]
     return ContinuationTrace(plan, records, "event"), w
 
@@ -306,10 +306,9 @@ class TestSweep:
 
 
 class TestPredictorCorrector:
-    def test_su3_up_sweep_counts(self, monkeypatch):
-        # SU n=3 up sweep as in the sweep-su3 bench: the secant predictor and
-        # the certified root-finder bound the work (63 Newton iterations and
-        # 17 event solves with warm starts and bisection)
+    @staticmethod
+    def counted_sweep(monkeypatch, plan):
+        # the sweep, and the Newton iterations of every solve after the round start
         from ccebvp import continuation
 
         inner = continuation.newton_solve
@@ -321,12 +320,30 @@ class TestPredictorCorrector:
             return prof, rep
 
         monkeypatch.setattr(continuation, "newton_solve", counted)
+        return sweep(plan), iterations
+
+    def test_su3_up_sweep_counts(self, monkeypatch):
+        # SU n=3 up sweep as in the sweep-su3 bench: the cubic predictor in
+        # log lambda and the certified root-finder bound the work (63 Newton
+        # iterations and 17 event solves with warm starts and bisection)
         opts = SolveOptions(grid=128, tol=3e-8, refine_rounds=0)
-        tr = sweep(SweepPlan(SU, 3, lam_end=3.0, step=0.05, event_tol=1e-6, options=opts))
+        tr, iterations = self.counted_sweep(
+            monkeypatch, SweepPlan(SU, 3, lam_end=3.0, step=0.05, event_tol=1e-6, options=opts))
         ev = tr.event
         assert tr.stop_reason == "event" and not tr.rejected and ev.annotation == ""
         lo, hi = ev.bracket
         assert ev.width <= 1e-6 and lo < 2.0409746 < hi
         assert ev.lam_event == pytest.approx(0.5 * (lo + hi), abs=1e-15)
         assert ev.solves <= 4 and len(iterations) == len(tr.records) - 1 + ev.solves
-        assert tr.records[0].iterations + sum(iterations) <= 45
+        assert tr.records[0].iterations + sum(iterations) <= 17
+        # from the fourth record on, each prediction is a cubic and one
+        # iteration corrects it
+        assert [r.iterations for r in tr.records[3:]] == [1] * (len(tr.records) - 3)
+
+    def test_su3_down_sweep_counts(self, monkeypatch):
+        # the sweep-su3 bench's down sweep
+        opts = SolveOptions(grid=384, tol=3e-8, refine_rounds=0)
+        tr, iterations = self.counted_sweep(monkeypatch, SweepPlan(SU, 3, lam_end=0.3, step=0.05, options=opts))
+        assert tr.stop_reason == "path-end" and not tr.rejected and len(tr.records) == 11
+        assert len(iterations) == len(tr.records) - 1
+        assert tr.records[0].iterations + sum(iterations) <= 18

@@ -16,10 +16,10 @@ from ccebvp.solver import (
     SolveOptions,
     SolutionProfile,
     assemble_collocation,
+    lagrange_guess,
     make_mesh,
     newton_solve,
     refine_mesh,
-    secant_guess,
     seed_profile,
     solve_bvp,
     splu,
@@ -253,6 +253,21 @@ def test_src_has_no_unused_imports():
     assert unused == []
 
 
+def test_src_reads_no_environment():
+    # every setting is an option or a config key: no module reads os.environ
+    # or os.getenv, under its own name or imported from os
+    modules = sorted((Path(__file__).resolve().parents[1] / "src" / "ccebvp").glob("*.py"))
+    assert modules
+    reads = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                reads.append(f"{path.name}:{node.lineno}: {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno}: {a.name}" for a in node.names if a.name in ("environ", "getenv")]
+    assert reads == []
+
+
 class TestNewton:
     def test_round_immediate(self):
         bd = BoundaryData(GBERGER, 3, (1.0, 1.0))
@@ -395,15 +410,37 @@ class TestNewton:
         assert np.abs(y - prof.y).max() < 1e-13
         assert np.abs(yp - prof.yp).max() < 1e-13
 
-    def test_secant_guess_is_linear_in_every_unknown(self):
+    def test_lagrange_guess_is_linear_in_every_unknown(self):
         opts = small_opts(grid=48, tol=1e-8)
         p, _ = solve_bvp(BoundaryData(SU, 5, (0.8,)), opts)
         q, _ = solve_bvp(BoundaryData(SU, 5, (0.9,)), opts)
         bd = BoundaryData(SU, 5, (1.0,))
-        g = secant_guess(bd, p, q, 2.0, opts)
+        g = lagrange_guess(bd, [0.0, 1.0], [p, q], 2.0, opts)
         assert g.bd is bd and g.mesh is p.mesh and not g.converged
-        assert np.array_equal(_pack(g), _pack(p) + 2.0 * (_pack(q) - _pack(p)))
-        assert np.array_equal(_pack(secant_guess(bd, p, q, 0.0, opts)), _pack(p))
+        up, uq = _pack(p), _pack(q)
+        assert np.allclose(_pack(g), up + 2.0 * (uq - up), rtol=1e-14, atol=1e-14 * np.abs(up).max())
+        assert np.array_equal(_pack(lagrange_guess(bd, [0.0, 1.0], [p, q], 0.0, opts)), up)
+        assert np.array_equal(_pack(lagrange_guess(bd, [0.3], [p], 2.0, opts)), up)
+
+    def test_lagrange_guess_is_exact_on_cubics(self):
+        # four profiles whose unknowns are cubic in s = log(lambda) give back
+        # the cubic at a fifth s, inside or outside their span
+        opts = small_opts(grid=48, tol=1e-8)
+        base, _ = solve_bvp(BoundaryData(SU, 5, (0.8,)), opts)
+        u0 = _pack(base)
+        rng = np.random.default_rng(0)
+        c = rng.standard_normal((3, u0.size))
+
+        def cubic(s):
+            return u0 + c[0] * s + c[1] * s**2 + c[2] * s**3
+
+        bd = BoundaryData(SU, 5, (1.0,))
+        nodes = [np.log(lam) for lam in (1.0, 0.95, 0.9, 0.85)]
+        profiles = [_unpack(bd, base.mesh, cubic(s), opts) for s in nodes]
+        for lam in (0.8, 0.925, 1.1):
+            s = np.log(lam)
+            g = lagrange_guess(bd, nodes, profiles, s, opts)
+            assert np.abs(_pack(g) - cubic(s)).max() <= 1e-12 * np.abs(cubic(s)).max()
 
 
 class TestRefine:
