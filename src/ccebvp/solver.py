@@ -120,6 +120,9 @@ class SolveReport:
     damping_history: list = field(default_factory=list)
     refinements: int = 0
     constraint_drift: float = np.inf
+    # drift at the simplified Newton point u + dbar of the final iterate
+    # (None when the run took no step): what a polish step could reach
+    predicted_drift: float | None = None
     failure_reason: str = ""
     wall_time: float = 0.0
     # work done over the whole solve (every Newton run of a solve_bvp call)
@@ -135,6 +138,7 @@ class SolveReport:
             "damping_history": list(self.damping_history),
             "refinements": self.refinements,
             "constraint_drift": self.constraint_drift,
+            "predicted_drift": self.predicted_drift,
             "failure_reason": self.failure_reason,
             "counters": dict(self.counters),
         }
@@ -422,10 +426,22 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=Non
     Every point is assembled once, residual and Jacobian together: the
     accepted line-search trial's assembly drives the next step.  counters,
     when given, is shared with the other Newton runs of one solve.
+
+    An iterate that meets tol with its drift above DRIFT_GATE * tol is
+    polished by at most two full Newton steps, each kept only when the
+    residual does not grow and taken only when it can meet the gate.  The
+    accepted trial's simplified Newton correction dbar = -J(u_prev)^-1 F(u)
+    estimates the distance to the discrete root (Deuflhard's NLEQ-ERR), so
+    the drift at u + dbar (the report's predicted_drift) predicts what a
+    step reaches; when the mesh sets the drift it stays above the gate and
+    no step is taken.  After a kept step the prediction comes from that
+    step's factor; a run that met tol without a step has no dbar and
+    polishes unpredicted.
     """
     if opts is None:
         opts = SolveOptions()
     tol = opts.tol
+    gate = DRIFT_GATE * tol
     t0 = time.perf_counter()
     rep = SolveReport() if counters is None else SolveReport(counters=counters)
     counters = rep.counters
@@ -441,25 +457,44 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=Non
         return splu(J, m, N)
 
     def trial(uv, lu=None, bound=np.inf):
-        # (F, J) at uv when F is finite and, given the current factorization
-        # lu, passes the affine-invariant (natural) monotonicity test
-        # |J^-1 F(uv)| <= bound; otherwise None.  Extreme states can overflow
-        # the exponential sources, break the series recursion or overflow
-        # that norm; any of it is a rejection, not a RuntimeWarning
+        # (F, J, dbar) at uv when F is finite and, given the current
+        # factorization lu, the simplified Newton correction dbar = -lu^-1 F(uv)
+        # passes the affine-invariant (natural) monotonicity test
+        # |dbar| <= bound (dbar is None without lu); otherwise None.  Extreme
+        # states can overflow the exponential sources, break the series
+        # recursion or overflow that norm; any of it is a rejection, not a
+        # RuntimeWarning
         try:
             with np.errstate(over="raise", invalid="raise"):
                 F, J = assemble(uv)
-                accept = np.all(np.isfinite(F)) and (lu is None or float(np.linalg.norm(lu.solve(-F))) <= bound)
+                if not np.all(np.isfinite(F)):
+                    return None
+                dbar = None if lu is None else lu.solve(-F)
+                if dbar is not None and not float(np.linalg.norm(dbar)) <= bound:
+                    return None
         except (sysm.SeriesRecursionError, FloatingPointError, np.linalg.LinAlgError):
             return None
-        return (F, J) if accept else None
+        return F, J, dbar
+
+    def drift_at(uv):
+        return float(np.abs(_unpack(bd, mesh, uv, opts).constraint_values()).max())
+
+    def predict(uv, dbar):
+        # drift at the simplified Newton point uv + dbar; inf when it overflows
+        if dbar is None:
+            return None
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return drift_at(uv + dbar)
+        except FloatingPointError:
+            return np.inf
 
     FJ = trial(u)
     if FJ is None:
         rep.failure_reason = "non-finite start"
         rep.wall_time = time.perf_counter() - t0
         return _unpack(bd, mesh, u, opts), rep
-    F, J = FJ
+    F, J, dbar = FJ
     norm = float(np.abs(F).max())
     rep.residual_history.append(norm)
     for it in range(MAX_ITER):
@@ -486,38 +521,37 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=Non
             rep.failure_reason = "line search stalled"
             break
         u = u + lam * step
-        F, J = FJ
+        F, J, dbar = FJ
         rep.damping_history.append(lam)
         rep.iterations = it + 1
         norm = float(np.abs(F).max())
         rep.residual_history.append(norm)
 
-    prof = _unpack(bd, mesh, u, opts)
-    drift = float(np.abs(prof.constraint_values()).max())
+    drift, predicted = drift_at(u), predict(u, dbar)
     # polish: an iterate that just crossed tol may still sit well off the
-    # discrete root; extra full steps in the quadratic basin are cheap and
-    # bring the drift down to the root's own value
+    # discrete root, but no step lowers a drift that the mesh sets
     polish = 0
-    while norm <= tol and drift > DRIFT_GATE * tol and polish < 2:
+    while norm <= tol and drift > gate and polish < 2 and (predicted is None or predicted <= gate):
         try:
             lu = factor(J)
             ut = u + lu.solve(-F)
-            Ft, Jt = assemble(ut)
-        except (np.linalg.LinAlgError, sysm.SeriesRecursionError):
+        except np.linalg.LinAlgError:
             break
-        nt = float(np.abs(Ft).max())
-        if not np.isfinite(nt) or nt > norm:
+        FJ = trial(ut, lu)
+        nt = np.inf if FJ is None else float(np.abs(FJ[0]).max())
+        if nt > norm:
             break
-        u, F, J, norm = ut, Ft, Jt, nt
+        u, (F, J, dbar), norm = ut, FJ, nt
         rep.residual_history.append(norm)
         rep.iterations += 1
         polish += 1
-        prof = _unpack(bd, mesh, u, opts)
-        drift = float(np.abs(prof.constraint_values()).max())
+        drift, predicted = drift_at(u), predict(u, dbar)
 
+    prof = _unpack(bd, mesh, u, opts)
     rep.residual_norm = norm
     rep.constraint_drift = drift
-    prof.converged = bool(norm <= tol and drift <= DRIFT_GATE * tol)
+    rep.predicted_drift = predicted
+    prof.converged = bool(norm <= tol and drift <= gate)
     rep.converged = prof.converged
     if not rep.converged and not rep.failure_reason:
         rep.failure_reason = "max iterations" if norm > tol else "constraint drift"

@@ -15,6 +15,7 @@ from ccebvp.solver import (
     Mesh,
     SolveOptions,
     SolutionProfile,
+    as_guess_for,
     assemble_collocation,
     lagrange_guess,
     make_mesh,
@@ -377,6 +378,8 @@ class TestNewton:
         rep = solve_bvp(BoundaryData(SU, 5, (1.0,)), small_opts(grid=64))[1]
         assert rep.converged
         assert rep.counters == {"assemblies": 1, "lu_factorisations": 0}
+        # no step, so no simplified Newton point to predict the drift from
+        assert rep.predicted_drift is None and rep.summary()["predicted_drift"] is None
 
     def test_series_breakdown_at_trial_is_a_rejection(self, monkeypatch):
         import ccebvp.solver as solver
@@ -441,6 +444,124 @@ class TestNewton:
             s = np.log(lam)
             g = lagrange_guess(bd, nodes, profiles, s, opts)
             assert np.abs(_pack(g) - cubic(s)).max() <= 1e-12 * np.abs(cubic(s)).max()
+
+
+def polish_steps(rep):
+    # full Newton steps taken after the line search: residuals recorded
+    # beyond the start, less the line-search steps
+    return len(rep.residual_history) - 1 - len(rep.damping_history)
+
+
+def sweep_first_step(lam, grid):
+    """The SU n=3 sweep's first step: the round-sphere solve at tol 3e-8 as
+    the guess for ratio lam on its mesh."""
+    opts = SolveOptions(grid=grid, tol=3e-8, refine_rounds=0)
+    round_prof = solve_bvp(BoundaryData(SU, 3, (1.0,)), opts)[0]
+    bd = BoundaryData(SU, 3, (lam,))
+    return bd, round_prof.mesh, lagrange_guess(bd, [0.0], [round_prof], np.log(lam), opts), opts
+
+
+class TestPolish:
+    @pytest.mark.parametrize("lam,grid,drift", [(0.95, 384, 4.4e-11), (1.05, 128, 2.8e-9)])
+    def test_polish_that_meets_the_gate_is_taken(self, lam, grid, drift):
+        # two full steps meet tol with the drift above the gate; the drift
+        # at the simplified Newton point meets it, so the polish is taken
+        bd, mesh, guess, opts = sweep_first_step(lam, grid)
+        prof, rep = newton_solve(bd, mesh, guess, opts)
+        assert rep.damping_history == [1.0, 1.0] and polish_steps(rep) == 1
+        assert 1e-9 < rep.residual_history[-2] < 1e-8 and rep.residual_history[-1] < 1e-14
+        assert rep.converged and rep.constraint_drift == pytest.approx(drift, rel=0.05)
+        assert rep.predicted_drift <= 10 * opts.tol
+        assert rep.counters == {"assemblies": 4, "lu_factorisations": 3}
+
+    def test_polish_the_mesh_defeats_is_skipped(self, monkeypatch):
+        # the 96-node coarse stage meets its tol with a drift set by its
+        # mesh: no step can meet the gate, and none is taken
+        import ccebvp.solver as solver
+
+        real, reports = solver.newton_solve, []
+
+        def recorded(*args, **kwargs):
+            prof, rep = real(*args, **kwargs)
+            reports.append(rep)
+            return prof, rep
+
+        monkeypatch.setattr(solver, "newton_solve", recorded)
+        prof, rep = solve_bvp(BoundaryData(SU, 5, (0.8,)), SolveOptions(grid=768, tol=1e-10, refine_rounds=0))
+        coarse = reports[0]
+        assert len(reports) == 2 and polish_steps(coarse) == 0
+        assert coarse.failure_reason == "constraint drift" and coarse.predicted_drift > 10 * 1e-9
+        assert rep.converged and prof.mesh.n_nodes == 768
+        assert rep.counters == {"assemblies": 6, "lu_factorisations": 4}
+
+    def test_start_within_tol_polishes_unpredicted(self):
+        # a run that meets tol at its start has no simplified Newton
+        # correction: it polishes once, and that step's factor predicts the
+        # next, which the mesh defeats
+        bd = BoundaryData(SU, 5, (0.8,))
+        prof = solve_bvp(bd, small_opts())[0]
+        opts = small_opts(tol=3e-12)
+        start = as_guess_for(bd, prof, opts)
+        assert np.abs(assemble_collocation(bd, prof.mesh, start)[0]).max() <= opts.tol
+        rep = newton_solve(bd, prof.mesh, start, opts)[1]
+        assert rep.damping_history == [] and polish_steps(rep) == 1
+        assert rep.counters == {"assemblies": 2, "lu_factorisations": 1}
+        assert rep.failure_reason == "constraint drift" and rep.predicted_drift > 10 * opts.tol
+
+    def test_prediction_overflow_reads_inf(self):
+        # far outside the window the stalled run's simplified Newton point
+        # overflows the sources: the prediction reads inf, with no
+        # RuntimeWarning for the caller
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve_bvp(BoundaryData(SU, 3, (0.05,)), small_opts(grid=128))[1]
+        assert rep.failure_reason == "line search stalled" and rep.predicted_drift == np.inf
+
+    def test_overflow_at_polish_is_a_rejection(self, monkeypatch):
+        # an overflow while assembling the polish point rejects the step,
+        # inside the same guard as every line-search trial: the pre-polish
+        # iterate is kept and no RuntimeWarning reaches the caller
+        import ccebvp.solver as solver
+
+        bd, mesh, guess, opts = sweep_first_step(1.05, 128)
+        plain = newton_solve(bd, mesh, guess, opts)[1]
+        polish_call = len(plain.residual_history)  # the start, two steps, then the polish
+        real, calls = solver.assemble_collocation, []
+
+        def overflows_at_polish(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == polish_call:
+                np.float64(1e308) * np.float64(10.0)  # overflows: raises inside the guard, warns outside it
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "assemble_collocation", overflows_at_polish)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prof, rep = newton_solve(bd, mesh, guess, opts)
+        assert len(calls) == polish_call
+        assert rep.residual_history == plain.residual_history[:-1] and rep.iterations == 2
+        assert rep.failure_reason == "constraint drift" and not prof.converged
+        # the profile is the pre-polish iterate, bit for bit
+        assert np.abs(real(bd, mesh, prof)[0]).max() == rep.residual_norm == rep.residual_history[-1]
+
+    def test_default_config_outcomes_and_work(self):
+        # the five default `cce solve` cases at SolveOptions(): outcomes, node
+        # counts, and a ceiling on the Newton work, so futile polish steps
+        # cannot come back unseen
+        cases = [
+            ((SU, 5, (0.8,)), "", 509),
+            ((SU, 5, (0.25,)), "constraint drift", 1017),
+            ((SU, 3, (0.3,)), "constraint drift", 1017),
+            ((GBERGER, 3, (0.9, 1.05)), "", 255),
+            ((SU, 3, (1.5,)), "", 509),
+        ]
+        assemblies = factorisations = 0
+        for args, reason, nodes in cases:
+            prof, rep = solve_bvp(BoundaryData(*args), SolveOptions())
+            assert (rep.converged, rep.failure_reason, prof.mesh.n_nodes) == (reason == "", reason, nodes), args
+            assemblies += rep.counters["assemblies"]
+            factorisations += rep.counters["lu_factorisations"]
+        assert assemblies <= 47 and factorisations <= 31
 
 
 class TestRefine:
