@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import geometry
 from .config import ParseError, parse_config
 from .continuation import SweepPlan, sweep
 from .exports import (
@@ -49,10 +50,10 @@ def _load(path):
 
 
 def _write(*jobs):
-    """Run each (writer, obj, path) job in turn; a failed write exits 3."""
+    """Run each (writer, obj, path, *args) job in turn; a failed write exits 3."""
     try:
-        for writer, obj, path in jobs:
-            writer(obj, path)
+        for writer, obj, path, *rest in jobs:
+            writer(obj, path, *rest)
     except OSError as e:
         _fail(3, f"write failed: {e}")
 
@@ -95,9 +96,11 @@ def cmd_solve(args) -> int:
     except (UsageError, DomainError) as e:
         _fail(1, f"solve error: {e}")
     with np.errstate(**_NONFINITE_OK):
-        report = run_verification(prof)
+        # one curvature pass serves the checks and the CSV's curvature columns
+        samples = geometry.curvature_samples(prof)
+        report = run_verification(prof, samples)
         _write(
-            (export_profile_csv, prof, os.path.join(cfg.out, "profile.csv")),
+            (export_profile_csv, prof, os.path.join(cfg.out, "profile.csv"), samples),
             (export_json, report_document(report, prof, digest), os.path.join(cfg.out, "report.json")),
         )
     _say(cfg, f"converged={rep.converged} iterations={rep.iterations} "

@@ -1,9 +1,9 @@
 """Flat key=value run configuration.
 
-One `key = value` per line, `#` comments; unknown keys are errors.  Each
-solver or sweep key sets one field of `SolveOptions` or `SweepPlan`, which
-hold the defaults and the checks; a failed check is a config error before
-any solve starts.
+One `key = value` per line, `#` comments; unknown and repeated keys are
+errors.  Each solver or sweep key sets one field of `SolveOptions` or
+`SweepPlan`, which hold the defaults and the checks; a failed check is a
+config error before any solve starts.
 """
 
 from __future__ import annotations
@@ -80,6 +80,8 @@ def parse_config(text: str) -> RunConfig:
         key, val = key.strip(), val.strip()
         if key not in _KEYS:
             raise ParseError(f"unknown key {key!r}", key=key, line=lineno)
+        if key in lines:
+            raise ParseError(f"repeated key {key!r}, first set on line {lines[key]}", key=key, line=lineno)
         where, name, parse = _KEYS[key]
         try:
             values[where][name] = parse(val)

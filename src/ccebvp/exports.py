@@ -47,14 +47,18 @@ def _atomic_write(path, text):
         raise
 
 
-def profile_columns(profile: SolutionProfile):
-    """Column names and per-node data matrix for the profile CSV."""
+def profile_columns(profile: SolutionProfile, samples=None):
+    """Column names and per-node data matrix for the profile CSV.  The I and
+    max_radial_curvature columns read the profile's curvature samples (its
+    metric and radial rows), computed here when not given."""
+    if samples is None:
+        samples = geometry.curvature_samples(profile)
     m = profile.y.shape[0]
-    mp = geometry.reconstruct_metric(profile)
+    I = samples.metric.I
     phi = np.exp(profile.y[1:])
     K = np.exp(profile.y[0])
     Phi = profile.constraint_values()
-    maxrad = geometry.radial_sectional_all(mp).max(axis=0)
+    maxrad = samples.values[: len(I)].max(axis=0)
     names = (
         ["x"]
         + [f"y{i + 1}" for i in range(m)]
@@ -62,15 +66,15 @@ def profile_columns(profile: SolutionProfile):
         + ["K"]
         + [f"phi{i}" for i in range(1, m)]
         + ["Phi"]
-        + [f"I{i + 1}" for i in range(mp.I.shape[0])]
+        + [f"I{i + 1}" for i in range(len(I))]
         + ["max_radial_curvature"]
     )
-    cols = np.vstack([profile.mesh.nodes, profile.y, profile.yp, K[None], phi, Phi[None], mp.I, maxrad[None]])
+    cols = np.vstack([profile.mesh.nodes, profile.y, profile.yp, K[None], phi, Phi[None], I, maxrad[None]])
     return names, cols.T
 
 
-def export_profile_csv(profile: SolutionProfile, path: str) -> None:
-    names, rows = profile_columns(profile)
+def export_profile_csv(profile: SolutionProfile, path: str, samples=None) -> None:
+    names, rows = profile_columns(profile, samples)
     meta = [
         f"# schema={PROFILE_SCHEMA}",
         f"# system={profile.bd.kind.family}",

@@ -278,7 +278,10 @@ def radial_trace(samples: CurvatureSamples) -> np.ndarray:
     return mult @ samples.values[: len(mult)]
 
 
-_WEYL_PERMUTATIONS = ((1, 2, 3), (2, 3, 1), (3, 1, 2), (1, 3, 2), (2, 1, 3), (3, 2, 1))
+# the cyclic permutations only: (p, i, q) gives the bitwise value of
+# (i, p, q), since swapping i and p swaps the two terms of one sum and the
+# operands of two others, and IEEE addition commutes
+_WEYL_PERMUTATIONS = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 
 def weyl_mixed_n3(mp: MetricProfile, i: int, p: int, q: int) -> np.ndarray:

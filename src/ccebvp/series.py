@@ -111,7 +111,8 @@ def _pderiv(c):
 
 def _closing_rows(fam: Family, endpoint, L):
     """Multipliers (4, m, L) of the y'', y', quadratic and source terms, and the
-    quadratic forms (m, m, m) of each row in y'.
+    quadratic forms (m, m, m) of each row in y' (the family's, but for the
+    constraint row at the origin).
 
     Origin, in x: row 0 is x*Phi/cphi, rows i are x(1-x^2)E_{i+1}; the source
     state is F itself.  Dividing by cphi leaves every source multiplier dyadic,
@@ -128,8 +129,7 @@ def _closing_rows(fam: Family, endpoint, L):
     j = np.arange(L)
     odd = (j % 2 == 1).astype(float)
     mult = np.zeros((4, m, L))
-    quad = np.zeros((m, m, m))
-    quad[np.arange(1, m), 0, np.arange(1, m)] = 1.0  # y1' y_i'
+    quad = np.stack([eq.quad for eq in fam.eqs[:m]])
     if endpoint == "origin":
         x1mx2 = np.zeros(L)  # x(1-x^2)
         x1mx2[1], x1mx2[3] = 1.0, -1.0
@@ -138,7 +138,7 @@ def _closing_rows(fam: Family, endpoint, L):
         mult[1, 1:, 0] = -a[1:]
         mult[1, 1:, 2] = -b[1:]
         mult[2, 0, 1] = 1.0  # x
-        mult[2, 1:] = 0.5 * x1mx2
+        mult[2, 1:] = x1mx2
         mult[3, 0] = odd * (j + 1) / 2  # x(1-x^2)^-2
         mult[3, 1:] = odd  # x(1-x^2)^-1
         quad[0] = -fam.rmat / fam.cphi
@@ -150,16 +150,16 @@ def _closing_rows(fam: Family, endpoint, L):
         mult[1, :, 0] = -(a + b)  # -(a + b x^2), x = 1-u
         mult[1, :, 1] = 2.0 * b
         mult[1, :, 2] = -b
-        mult[2, 0] = x1mx2
-        mult[2, 1:] = 0.5 * x1mx2
+        mult[2] = x1mx2
         mult[3, 1:] = np.where(j == 0, 0.5, -(0.5 ** (j + 1)))  # (1-u)(2-u)^-1
-        quad[0] = fam.q1
     return mult, quad
 
 
 def _exp_terms(fam: Family):
-    """All exponential terms of the row sources: exponents V (T, m), weights W (m, T)."""
-    tables = (fam.s2, *fam.src)
+    """All exponential terms of the row sources: exponents V (T, m), weights W
+    (m, T); row 0 carries eq 2's source (the constraint's at the origin; eq 1,
+    row 0 at infinity, has none and its source multiplier is zero)."""
+    tables = [fam.eqs[i].src for i in (fam.m, *range(1, fam.m))]
     V = np.concatenate([v for _, v in tables])
     W = np.zeros((fam.m, len(V)))
     off = 0

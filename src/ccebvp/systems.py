@@ -9,16 +9,19 @@ Two families are supported, written in the log variables y_i:
 
 Every second-order equation of each family fits the template
 
-    y_i'' - x^-1 (a_i + b_i x^2) (1-x^2)^-1 y_i' + Q_i(y') + (1-x^2)^-2 F_i(y) = 0
+    y_u'' - x^-1 (a_i + b_i x^2) (1-x^2)^-1 y_u' + y'^T Q_i y' + (1-x^2)^-2 F_i(y) = 0
 
-where F_i is a weighted sum of exponentials of linear combinations of the y_j,
-and the first integral is
+for its unknown u, where F_i is a weighted sum of exponentials of linear
+combinations of the y_j, and the first integral is
 
     Phi = (y1')^2 - y'^T R y' - 4n x^-1 (1+x^2)(1-x^2)^-1 y1'
           + (1-x^2)^-2 S(y),      S = (2n/(n-1)) * (eq-2 source).
 
-The tables below encode each family once; residuals, constraints, state
-Jacobians and the endpoint series recursions are all driven from them.
+Family.eqs holds one entry (u, Q_i, F_i) per template equation: eq 1 (the
+quadratic y1 equation), the phi equations and eq 2 (the sourced y1
+equation).  One evaluator reads it for every evolution row and its
+Jacobian, the constraint takes R and S from it, and the endpoint series
+recursions take their closing rows' quadratic forms and sources from it.
 """
 
 from __future__ import annotations
@@ -115,8 +118,27 @@ class BoundaryData:
         return np.log(np.asarray(self.phi0))
 
 
+@dataclass(frozen=True)
+class Equation:
+    """One template equation, y_u'' - (singular term) y_u' + y'^T quad y'
+    + (1-x^2)^-2 sum_a w_a exp(v_a . y), for its unknown u; src is the
+    source table (weights w, exponent rows v), None for the sourceless eq 1."""
+
+    unknown: int
+    quad: np.ndarray  # (m, m)
+    src: tuple | None
+
+
 class Family:
-    """Numeric tables for one (kind, n) pair; see the module docstring."""
+    """Numeric tables for one (kind, n) pair; see the module docstring.
+
+    eqs[i] is template equation i and sing[i] its singular coefficient
+    (a_i, b_i): index 0 is the quadratic y1 equation (eq 1), 1..m-1 the phi
+    equations, m the sourced y1 equation (eq 2).  evo_rows names the
+    equation of each evolution row: rows 1..m-1 are the phi equations and
+    row 0 is eq 1 for the generalized Berger family and eq 2 for SU (the
+    form whose source term feeds the origin curvature identity).
+    """
 
     def __init__(self, kind: SystemKind, n: int):
         kind.validate_dimension(n)
@@ -125,14 +147,10 @@ class Family:
         self.m = kind.unknowns
         m, fam = self.m, kind.family
 
-        # singular coefficient (a_i, b_i) per equation; index 0 is the
-        # quadratic y1 equation, index m is the sourced y1 equation (eq 2).
         self.sing = np.zeros((m + 1, 2))
         self.sing[0] = (1.0, 3.0)
         self.sing[m] = (2 * n - 1.0, 2 * n + 1.0)
-
-        # quadratic form of eq-1 (coefficient matrix over y'):
-        q1 = np.zeros((m, m))
+        q1 = np.zeros((m, m))  # eq 1's quadratic form
         q1[0, 0] = 1.0 / (2 * n)
         if fam == "gberger":
             q1[1:, 1:] = np.array([[1.0, 0.5], [0.5, 1.0]]) / 3.0
@@ -140,40 +158,25 @@ class Family:
         else:
             q1[1, 1] = (n - 1.0) / (2 * n)
             self.sing[1] = (n - 1.0, n + 1.0)
-        self.q1 = q1
 
-        # constraint quadratic form: Phi = (y1')^2 - y'^T R y' - ...
-        self.rmat = np.zeros((m, m))
-        self.rmat[1:, 1:] = (2.0 * n / (n - 1.0)) * q1[1:, 1:]
+        self.eqs = [Equation(0, q1, None)]
+        # every sourced equation's quadratic term is y1' y_u' / 2
+        for u, (w, v) in zip((*range(1, m), 0), _source_tables(fam, n)):
+            quad = np.zeros((m, m))
+            quad[0, u] = 0.5
+            self.eqs.append(Equation(u, quad, (np.asarray(w), np.asarray(v))))
+        self.evo_rows = (0 if fam == "gberger" else m, *range(1, m))
 
-        srcs, s2 = _source_tables(fam, n)
-        # per-equation sources for unknowns 2..m: (weights, exponent matrix)
-        self.src = [(np.asarray(w), np.asarray(v)) for w, v in srcs]
-        self.s2 = (np.asarray(s2[0]), np.asarray(s2[1]))
-        # constraint source = cphi * (eq-2 source); applied after summation so
-        # the exact integer cancellation at the zero state survives
+        # constraint: Phi = (y1')^2 - y'^T R y' - ... + cphi (eq-2 source),
+        # the source scaled after summation so that the exact integer
+        # cancellation at the zero state survives
         self.cphi = 2.0 * n / (n - 1.0)
-
-        # which equation the reported evo_1 is: eq 1 for gberger, eq 2 for su
-        self.evo1_is_eq1 = fam == "gberger"
-
-    # -- source sums ---------------------------------------------------------
-
-    @staticmethod
-    def expsum(table, y):
-        """sum_a w_a exp(v_a . y) for y of shape (..., m)."""
-        w, v = table
-        return np.exp(y @ v.T) @ w
-
-    @staticmethod
-    def expsum_grad(table, y):
-        """Gradient of expsum w.r.t. y, shape (..., m)."""
-        w, v = table
-        return np.exp(y @ v.T) @ (w[:, None] * v)
+        self.rmat = np.zeros((m, m))
+        self.rmat[1:, 1:] = self.cphi * self.eqs[0].quad[1:, 1:]
 
 
 def _source_tables(fam: str, n: int):
-    """Weight/exponent tables: per-equation sources and the eq-2 source."""
+    """Weight/exponent tables of the sourced equations: the phi equations, then eq 2."""
     if fam == "gberger":
         ups = [  # Upsilon exponent terms: K^(-1/3) phi1^p phi2^q
             (2.0, (-1 / 3, 2 / 3, 1 / 3)),
@@ -203,7 +206,7 @@ def _source_tables(fam: str, n: int):
                 (-1 / 3, 2 / 3, -2 / 3),
             ],
         )
-        return [src2, src3], (s2_w, s2_v)
+        return [src2, src3, (s2_w, s2_v)]
 
     c = 8.0 * (n + 1.0)
     src2 = ([c, -c], [(-1.0 / n, -(n + 1.0) / n), (-1.0 / n, -1.0 / n)])
@@ -212,7 +215,7 @@ def _source_tables(fam: str, n: int):
         [d * n, -d * (n + 1.0), d],
         [(0.0, 0.0), (-1.0 / n, -1.0 / n), (-1.0 / n, -(n + 1.0) / n)],
     )
-    return [src2], s2
+    return [src2, s2]
 
 
 _family_cache: dict = {}
@@ -226,7 +229,8 @@ def family(kind: SystemKind, n: int) -> Family:
 
 
 # ---------------------------------------------------------------------------
-# singular and source terms, for x strictly inside (0, 1)
+# vectorised evaluators for x strictly inside (0, 1)
+# (x: (...,), y/yp/ypp: (..., m))
 # ---------------------------------------------------------------------------
 
 
@@ -237,48 +241,26 @@ def _sing_coeff(a, b, x):
     return c / (x * (1.0 - x * x))
 
 
-def _source_term(fam, table, x, y):
-    """(1-x^2)^-2 F(y)."""
+def _source_term(src, x, y):
+    """(1-x^2)^-2 sum_a w_a exp(v_a . y) for the source table src = (w, v)."""
+    w, v = src
     x = np.asarray(x, dtype=float)
-    return fam.expsum(table, y) / (1.0 - x * x) ** 2
+    return np.exp(y @ v.T) @ w / (1.0 - x * x) ** 2
 
 
-def _source_term_jac(fam, table, x, y):
+def _source_term_jac(src, x, y):
     """Partial of _source_term w.r.t. y, shaped (..., m)."""
+    w, v = src
     x = np.asarray(x, dtype=float)
-    return fam.expsum_grad(table, y) / np.asarray((1.0 - x * x) ** 2)[..., None]
+    return np.exp(y @ v.T) @ (w[:, None] * v) / np.asarray((1.0 - x * x) ** 2)[..., None]
 
 
-# ---------------------------------------------------------------------------
-# vectorised residual cores (x: (...,), y/yp/ypp: (..., m))
-# ---------------------------------------------------------------------------
-
-
-def eq1_residual(fam, x, y, yp, ypp):
-    """Quadratic y1 equation (no source)."""
-    quad = np.sum((yp @ fam.q1) * yp, axis=-1)
-    return ypp[..., 0] - _sing_coeff(*fam.sing[0], x) * yp[..., 0] + quad
-
-
-def eq2_residual(fam, x, y, yp, ypp):
-    """Sourced y1 equation."""
-    return (
-        ypp[..., 0]
-        - _sing_coeff(*fam.sing[fam.m], x) * yp[..., 0]
-        + 0.5 * yp[..., 0] ** 2
-        + _source_term(fam, fam.s2, x, y)
-    )
-
-
-def eqi_residual(fam, i, x, y, yp, ypp):
-    """Equation for unknown i (2-based: i in 2..m)."""
-    k = i - 1
-    return (
-        ypp[..., k]
-        - _sing_coeff(*fam.sing[k], x) * yp[..., k]
-        + 0.5 * yp[..., 0] * yp[..., k]
-        + _source_term(fam, fam.src[k - 1], x, y)
-    )
+def equation_residual(fam, i, x, y, yp, ypp):
+    """Residual of template equation i (indexed as fam.eqs)."""
+    eq = fam.eqs[i]
+    u = eq.unknown
+    r = ypp[..., u] - _sing_coeff(*fam.sing[i], x) * yp[..., u] + np.sum((yp @ eq.quad) * yp, axis=-1)
+    return r if eq.src is None else r + _source_term(eq.src, x, y)
 
 
 def constraint_residual(fam, x, y, yp, ypp):
@@ -286,52 +268,36 @@ def constraint_residual(fam, x, y, yp, ypp):
     not depend on ypp, which is taken for the evaluators' common signature."""
     quad = yp[..., 0] ** 2 - np.sum((yp @ fam.rmat) * yp, axis=-1)
     lin = -4.0 * fam.n * (_sing_coeff(1.0, 1.0, x) * yp[..., 0])
-    return quad + lin + fam.cphi * _source_term(fam, fam.s2, x, y)
+    return quad + lin + fam.cphi * _source_term(fam.eqs[fam.m].src, x, y)
 
 
 def evo_residuals(fam, x, y, yp, ypp):
-    """Per-unknown evolution residuals, stacked on the last axis.
-
-    Row 0 is eq 1 for the generalized Berger family and eq 2 for SU (the
-    form whose source term feeds the origin curvature identity); rows
-    1..m-1 are the phi equations.
-    """
-    first = eq1_residual if fam.evo1_is_eq1 else eq2_residual
-    rows = [first(fam, x, y, yp, ypp)]
-    for i in range(2, fam.m + 1):
-        rows.append(eqi_residual(fam, i, x, y, yp, ypp))
-    return np.stack(rows, axis=-1)
+    """Per-unknown evolution residuals, stacked on the last axis: row r is
+    template equation fam.evo_rows[r]."""
+    return np.stack([equation_residual(fam, i, x, y, yp, ypp) for i in fam.evo_rows], axis=-1)
 
 
 def evo_jacobian(fam, x, y, yp, ypp):
     """Partials of evo_residuals w.r.t. (y, yp, ypp): three (..., m, m) arrays.
-    Every row is y_i'' plus terms in (x, y, y'), so the ypp partial is the
+    Every row is y_u'' plus terms in (x, y, y'), so the ypp partial is the
     identity."""
     m = fam.m
     shape = np.broadcast_shapes(np.shape(x), y.shape[:-1])
     dy = np.zeros(shape + (m, m))
     dyp = np.zeros(shape + (m, m))
-
-    # row 0
-    if fam.evo1_is_eq1:
-        dyp[..., 0, :] = 2.0 * (yp @ fam.q1)
-        dyp[..., 0, 0] -= _sing_coeff(*fam.sing[0], x)
-    else:
-        dy[..., 0, :] = _source_term_jac(fam, fam.s2, x, y)
-        dyp[..., 0, 0] = yp[..., 0] - _sing_coeff(*fam.sing[m], x)
-
-    for i in range(2, m + 1):
-        k = i - 1
-        dy[..., k, :] = _source_term_jac(fam, fam.src[k - 1], x, y)
-        dyp[..., k, 0] += 0.5 * yp[..., k]
-        dyp[..., k, k] += 0.5 * yp[..., 0] - _sing_coeff(*fam.sing[k], x)
+    for r, i in enumerate(fam.evo_rows):
+        eq = fam.eqs[i]
+        if eq.src is not None:
+            dy[..., r, :] = _source_term_jac(eq.src, x, y)
+        dyp[..., r, :] = yp @ (eq.quad + eq.quad.T)
+        dyp[..., r, eq.unknown] -= _sing_coeff(*fam.sing[i], x)
     return dy, dyp, np.broadcast_to(np.eye(m), dy.shape).copy()
 
 
 def constraint_jacobian(fam, x, y, yp, ypp):
     """Partials of the first integral w.r.t. (y, yp, ypp), each (..., m); the
     ypp partial is zero."""
-    dy = fam.cphi * _source_term_jac(fam, fam.s2, x, y)
+    dy = fam.cphi * _source_term_jac(fam.eqs[fam.m].src, x, y)
     dyp = -2.0 * (yp @ fam.rmat)
     dyp[..., 0] += 2.0 * yp[..., 0] - 4.0 * fam.n * _sing_coeff(1.0, 1.0, x)
     return dy, dyp, np.zeros_like(dy)
@@ -348,8 +314,8 @@ def upsilon(K, phi1, phi2):
         raise DomainError("upsilon requires strictly positive arguments")
     y = np.log([K, phi1, phi2])
     fam = family(GBERGER, 3)
-    # S2 = 16*(3 - Upsilon): recover Upsilon from the eq-2 source table.
-    return 3.0 - fam.expsum(fam.s2, y) / 16.0
+    # eq 2's source at x = 0 is S2 = 16*(3 - Upsilon)
+    return 3.0 - _source_term(fam.eqs[fam.m].src, 0.0, y) / 16.0
 
 
 def y1prime_closed_form_gb(x, yp2, yp3, ups):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccebvp import cli, config
+from ccebvp import cli, config, geometry
 from ccebvp.cli import main
 from ccebvp.config import ParseError, parse_config
 from ccebvp.exports import export_profile_csv, fmt, load_profile_csv
@@ -49,6 +49,13 @@ class TestConfig:
         # configs written for the removed second start fail loudly
         with pytest.raises(ParseError, match="unknown key 'seed_mode'.*line 4"):
             parse_config("system = su\nn = 5\nphi0 = 0.8\nseed_mode = blend\n")
+
+    @pytest.mark.parametrize("repeat, line", [("n = 3", 4), ("grid = 64\ngrid = 96", 5)])
+    def test_repeated_key_named(self, repeat, line):
+        # a repeated key is an error, not a silent override by its last value
+        key = repeat.split()[0]
+        with pytest.raises(ParseError, match=f"repeated key '{key}'.*key '{key}', line {line}"):
+            parse_config(f"system = su\nn = 5\nphi0 = 0.8\n{repeat}\n")
 
     def test_missing_required(self):
         with pytest.raises(ParseError, match="phi0"):
@@ -202,6 +209,20 @@ class TestSolveCommand:
         assert "  weyl-bound: n/a" in out.stdout and "  pinching: info (margin nan)" in out.stdout
         doc = json.loads((tmp_path / "report.json").read_text())
         assert not doc["converged"]
+
+    def test_one_metric_reconstruction_per_solve(self, tmp_path, monkeypatch):
+        # the verification and the CSV's curvature columns share one curvature pass
+        calls = []
+        inner = geometry.reconstruct_metric
+
+        def counted(prof):
+            calls.append(prof)
+            return inner(prof)
+
+        monkeypatch.setattr(geometry, "reconstruct_metric", counted)
+        cfg = write_cfg(tmp_path, "system = su\nn = 5\nphi0 = 0.8\ngrid = 48\ntol = 1e-7\nquiet = 1\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) in (0, 2)
+        assert len(calls) == 1
 
     def test_determinism_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, "system = su\nn = 5\nphi0 = 0.9\ngrid = 48\ntol = 1e-6\n")

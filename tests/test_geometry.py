@@ -319,6 +319,17 @@ class TestWeyl:
         oracle = 2 * x * x / (1 - x * x) * abs(tp / (2 * np.sqrt(t0)))
         assert G.weyl_mixed_n3(mp, 1, 2, 3)[0] == pytest.approx(oracle, rel=1e-12)
 
+    @pytest.mark.parametrize("kind,phi0", [(SU, (1.5,)), (GBERGER, (0.95, 1.02))])
+    def test_swapped_pairs_are_bitwise_equal(self, kind, phi0):
+        # why weyl_mixed_max_n3 reads the three cyclic permutations only
+        prof, rep = solve_bvp(BoundaryData(kind, 3, phi0), SolveOptions(grid=64, tol=1e-7))
+        assert rep.converged
+        mp = G.reconstruct_metric(prof)
+        for i, p, q in G._WEYL_PERMUTATIONS:
+            assert np.array_equal(G.weyl_mixed_n3(mp, i, p, q), G.weyl_mixed_n3(mp, p, i, q))
+        perms = [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+        assert G.weyl_mixed_max_n3(mp) == max(float(G.weyl_mixed_n3(mp, *perm).max()) for perm in perms)
+
     def test_usage_guards(self):
         prof = round_profile(SU, 5)
         mp = G.reconstruct_metric(prof)

@@ -3,6 +3,7 @@ nonlocal parameters, constructional boundary conditions at x=1, and
 convergence order of the truncation error."""
 
 import copy
+import dataclasses
 import os
 
 import numpy as np
@@ -348,6 +349,16 @@ class TestFrozenTables:
             fg_series_origin(bd, NonlocalParams((0.1 + 1e-80j,)), 9, log_k0=0.0, tangents=True)
 
 
+def with_phi_source_weights(fam, scale):
+    """A copy of fam whose first phi equation has its source weights scaled
+    termwise; the table entry is replaced, fam's own is left as it was."""
+    edited = copy.copy(fam)
+    w, v = fam.eqs[1].src
+    edited.eqs = [*fam.eqs]
+    edited.eqs[1] = dataclasses.replace(fam.eqs[1], src=(w * scale, v))
+    return edited
+
+
 class TestRecursionErrors:
     """Hard cases for the two guards, on perturbed copies of a family."""
 
@@ -373,9 +384,7 @@ class TestRecursionErrors:
     def test_inconsistent_resonant_order(self, monkeypatch, tangents):
         # a 1% source weight breaks the cancellation that makes the u^2
         # coefficients at x=1 free
-        fam = copy.copy(family(SU, 5))
-        w, v = fam.src[0]
-        fam.src = [(w * np.array([1.0, 1.01]), v)]
+        fam = with_phi_source_weights(family(SU, 5), np.array([1.0, 1.01]))
         _, infinity = self.builds(monkeypatch, fam, tangents)
         with pytest.raises(SeriesRecursionError, match="inconsistent resonant order 2"):
             infinity()
@@ -385,9 +394,8 @@ class TestRecursionErrors:
         # a perturbation far inside the tolerance is accepted and reported: the
         # u^1 residual is half the weight change times its y2 exponent times
         # the free u^2 value
-        fam = copy.copy(family(SU, 5))
-        w, v = fam.src[0]
-        fam.src = [(w * np.array([1.0, 1.0 + 1e-12]), v)]
+        fam = with_phi_source_weights(family(SU, 5), np.array([1.0, 1.0 + 1e-12]))
+        w, v = family(SU, 5).eqs[1].src
         _, infinity = self.builds(monkeypatch, fam, tangents)
         expected = 0.5 * abs(w[1] * 1e-12 * v[1, 1]) * 0.25
         assert infinity().consistency == pytest.approx(expected, rel=1e-3)
@@ -454,9 +462,7 @@ class TestOperatorCache:
         singular = copy.copy(family(SU, 5))
         singular.sing = singular.sing.copy()
         singular.sing[1, 0] = 1.0
-        inconsistent = copy.copy(family(SU, 5))
-        w, v = inconsistent.src[0]
-        inconsistent.src = [(w * np.array([1.0, 1.01]), v)]
+        inconsistent = with_phi_source_weights(family(SU, 5), np.array([1.0, 1.01]))
         monkeypatch.setattr(series, "family", lambda kind, n: singular)
         with pytest.raises(SeriesRecursionError, match="vanishing indicial factor at order 2"):
             builds()

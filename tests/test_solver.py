@@ -254,6 +254,28 @@ def test_src_has_no_unused_imports():
     assert unused == []
 
 
+def test_src_private_helpers_have_readers():
+    # a private module-level function or class that nothing in the package
+    # names (as a name, an attribute or an import) is dead code
+    modules = sorted((Path(__file__).resolve().parents[1] / "src" / "ccebvp").glob("*.py"))
+    assert modules
+    defined, read = [], set()
+    for path in modules:
+        tree = ast.parse(path.read_text())
+        defined += [(path.name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+                    and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {a.name for a in node.names}
+    assert defined
+    assert [f"{mod}: {name}" for mod, name in defined if name not in read] == []
+
+
 def test_src_reads_no_environment():
     # every setting is an option or a config key: no module reads os.environ
     # or os.getenv, under its own name or imported from os

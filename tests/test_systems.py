@@ -147,10 +147,73 @@ class TestSU:
             for _ in range(10):
                 x = rng.uniform(0.05, 0.95)
                 y, yp, ypp = rng.uniform(-0.4, 0.4, (3, fam.m))
-                e1 = S.eq1_residual(fam, x, y, yp, ypp)
-                e2 = S.eq2_residual(fam, x, y, yp, ypp)
+                e1 = S.equation_residual(fam, 0, x, y, yp, ypp)
+                e2 = S.equation_residual(fam, fam.m, x, y, yp, ypp)
                 phi = S.constraint_residual(fam, x, y, yp, ypp)
                 assert phi == pytest.approx(2 * n / (n - 1) * (e2 - e1), rel=1e-11, abs=1e-11)
+
+
+def singular_coeff(a, b, x):
+    return (a + b * x * x) / (x * (1 - x * x))
+
+
+def template_oracles(kind, n):
+    """Term-by-term residual of each template equation, indexed as
+    Family.eqs: eq 1, the phi equations, eq 2."""
+
+    def su(x, y, yp, ypp):
+        K, phi = np.exp(y)
+        s = (1 - x * x) ** -2
+        return [
+            ypp[0] - singular_coeff(1, 3, x) * yp[0] + yp[0] ** 2 / (2 * n) + (n - 1) / (2 * n) * yp[1] ** 2,
+            ypp[1] - singular_coeff(n - 1, n + 1, x) * yp[1] + 0.5 * yp[0] * yp[1]
+            + s * 8 * (n + 1) * K ** (-1 / n) * (phi ** (-(n + 1) / n) - phi ** (-1 / n)),
+            ypp[0] - singular_coeff(2 * n - 1, 2 * n + 1, x) * yp[0] + 0.5 * yp[0] ** 2
+            + s * 8 * (n - 1) * (n - (n + 1) * (K * phi) ** (-1 / n) + K ** (-1 / n) * phi ** (-(n + 1) / n)),
+        ]
+
+    def gberger(x, y, yp, ypp):
+        K, p1, p2 = np.exp(y)
+        s = (1 - x * x) ** -2
+        c = 32 * s * K ** (-1 / 3)
+        return [
+            ypp[0] - singular_coeff(1, 3, x) * yp[0] + yp[0] ** 2 / 6 + (yp[1] ** 2 + yp[1] * yp[2] + yp[2] ** 2) / 3,
+            ypp[1] - singular_coeff(2, 4, x) * yp[1] + 0.5 * yp[0] * yp[1]
+            + c * ((p1 * p1 * p2) ** (1 / 3) - (p2 / p1) ** (1 / 3) - (p1 / p2) ** (2 / 3) + (p1 * p1 * p2) ** (-2 / 3)),
+            ypp[2] - singular_coeff(2, 4, x) * yp[2] + 0.5 * yp[0] * yp[2]
+            + c * ((p2 / p1) ** (1 / 3) - (p1 * p2 * p2) ** (-1 / 3) - (p1 * p1 * p2 ** 4) ** (1 / 3) + (p1 / p2) ** (2 / 3)),
+            ypp[0] - singular_coeff(5, 7, x) * yp[0] + 0.5 * yp[0] ** 2 + s * 16 * (3 - upsilon_oracle(K, p1, p2)),
+        ]
+
+    return gberger if kind == GBERGER else su
+
+
+class TestTemplateEquations:
+    @pytest.mark.parametrize("kind,n", [(GBERGER, 3), (SU, 3), (SU, 5), (SU, 7)])
+    def test_every_equation_matches_its_oracle(self, kind, n):
+        fam = family(kind, n)
+        oracle = template_oracles(kind, n)
+        rng = np.random.RandomState(n)
+        for _ in range(20):
+            x = rng.uniform(0.05, 0.95)
+            y, yp, ypp = rng.uniform(-0.5, 0.5, (3, fam.m))
+            want = oracle(x, y, yp, ypp)
+            assert len(want) == len(fam.eqs) == fam.m + 1
+            for i, w in enumerate(want):
+                assert S.equation_residual(fam, i, x, y, yp, ypp) == pytest.approx(w, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("kind,n", [(GBERGER, 3), (SU, 5)])
+    def test_evolution_rows(self, kind, n):
+        # row 0 is eq 1 on gberger and eq 2 on SU; rows 1..m-1 the phi equations
+        fam = family(kind, n)
+        first = 0 if kind == GBERGER else fam.m
+        assert fam.evo_rows == (first, *range(1, fam.m))
+        rng = np.random.RandomState(5)
+        x = rng.uniform(0.05, 0.95, 7)
+        y, yp, ypp = rng.uniform(-0.5, 0.5, (3, 7, fam.m))
+        evo = S.evo_residuals(fam, x, y, yp, ypp)
+        for r, i in enumerate(fam.evo_rows):
+            assert np.array_equal(evo[:, r], S.equation_residual(fam, i, x, y, yp, ypp))
 
 
 class TestConservation:
