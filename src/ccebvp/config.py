@@ -44,7 +44,8 @@ class RunConfig:
 
 
 def _flag(s):
-    return s.lower() in ("1", "true", "yes")
+    # a ValueError (so a ParseError naming the key) unless s is a boolean word
+    return ("0", "false", "no", "1", "true", "yes").index(s.lower()) >= 3
 
 
 # config key -> (where its value goes: the RunConfig itself, its SolveOptions

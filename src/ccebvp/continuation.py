@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as geom
-from .solver import SolveOptions, lagrange_guess, newton_solve, solve_bvp
+from .solver import SolveOptions, guess_from, newton_solve, solve_bvp
 from .systems import BoundaryData, SystemKind, UsageError
 from .verification import run_verification
 
@@ -111,6 +111,13 @@ def detect_curvature_event(samples):
 PREDICTOR_POINTS = 4  # each prediction is the cubic through this many profiles
 
 
+def lagrange_weights(nodes, t):
+    """The weight of each node's value in the Lagrange polynomial through
+    the nodes, evaluated at t; a single node has weight 1."""
+    return [math.prod(((t - sj) / (si - sj) for j, sj in enumerate(nodes) if j != i), start=1.0)
+            for i, si in enumerate(nodes)]
+
+
 def _solve_at(plan: SweepPlan, lam: float, near=()):
     """Solve at lam: from the seed when near, a collection of converged
     (lambda, profile) pairs on one mesh, is empty; else from the Lagrange
@@ -121,7 +128,7 @@ def _solve_at(plan: SweepPlan, lam: float, near=()):
     if not near:
         return solve_bvp(bd, opts)
     lams, profiles = zip(*sorted(near, key=lambda pair: abs(pair[0] - lam))[:PREDICTOR_POINTS])
-    guess = lagrange_guess(bd, [math.log(mu) for mu in lams], profiles, math.log(lam), opts)
+    guess = guess_from(bd, profiles, lagrange_weights([math.log(mu) for mu in lams], math.log(lam)), opts)
     return newton_solve(bd, profiles[0].mesh, guess, opts)
 
 
@@ -132,7 +139,7 @@ def sweep(plan: SweepPlan) -> ContinuationTrace:
     prof, rep = _solve_at(plan, lam)
     if not rep.converged:
         raise RuntimeError("the round-sphere solve failed; sweep cannot start")
-    records = [_record(plan, lam, prof, rep, geom.curvature_samples(prof))]
+    records = [_record(lam, prof, rep, geom.curvature_samples(prof))]
     trace = ContinuationTrace(plan, records, "path-end")
     if plan.lam_end == lam:
         return trace
@@ -155,7 +162,7 @@ def sweep(plan: SweepPlan) -> ContinuationTrace:
             failed, streak = target, 0
             continue
         samples = geom.curvature_samples(prof)
-        records.append(_record(plan, target, prof, rep, samples))
+        records.append(_record(target, prof, rep, samples))
         if detect_curvature_event(samples) is not None:
             trace.stop_reason = "event"
             trace.event = bisect_event(trace)
@@ -169,19 +176,11 @@ def sweep(plan: SweepPlan) -> ContinuationTrace:
             streak = 0
 
 
-def _record(plan, lam, prof, rep, samples):
+def _record(lam, prof, rep, samples):
+    free = tuple(float(np.real(c)) for c in prof.free.coeffs)
     ver = run_verification(prof, samples)
-    return TraceRecord(
-        lam,
-        rep.converged,
-        prof.k0,
-        float(samples.values.max()),
-        tuple(float(np.real(c)) for c in prof.free.coeffs),
-        ver.overall_pass,
-        rep.iterations,
-        rep.residual_history[0],
-        prof,
-    )
+    return TraceRecord(lam, rep.converged, prof.k0, float(samples.values.max()), free, ver.overall_pass,
+                       rep.iterations, rep.residual_history[0], prof)
 
 
 def _detect(profile):

@@ -32,9 +32,8 @@ from .series import (
 )
 from .systems import BoundaryData, DomainError, UsageError, family
 
-# Gauss-Legendre points on [0,1]
-_G1 = 0.5 - np.sqrt(3.0) / 6.0
-_G2 = 0.5 + np.sqrt(3.0) / 6.0
+# the two Gauss-Legendre points on [0,1], as a column against the intervals
+_GAUSS = np.array([[0.5 - np.sqrt(3.0) / 6.0], [0.5 + np.sqrt(3.0) / 6.0]])
 
 # the interior mesh spans [XL, XR]; the endpoint series close it on both sides
 XL, XR = 0.1, 0.85
@@ -105,6 +104,10 @@ class SolveOptions:
             raise UsageError(f"grid must be at least {MIN_NODES}, got {self.grid}")
         if not self.tol > 0:
             raise UsageError(f"tol must be positive, got {self.tol}")
+        if not (self.coarse_stage == 0 or self.coarse_stage >= MIN_NODES):
+            raise UsageError(f"coarse_stage must be 0 or at least {MIN_NODES}, got {self.coarse_stage}")
+        if not self.refine_rounds >= 0:
+            raise UsageError(f"refine_rounds must be at least 0, got {self.refine_rounds}")
 
 
 def _zero_counters():
@@ -177,7 +180,7 @@ class SolutionProfile:
     def constraint_values(self) -> np.ndarray:
         """First integral at every node; it reads no second derivatives."""
         fam = family(self.bd.kind, self.bd.n)
-        return sysm.constraint_residual(fam, self.mesh.nodes, self.y.T, self.yp.T, None)
+        return sysm.constraint_residual(fam, self.mesh.nodes, self.y.T, self.yp.T)
 
     def interpolate(self, xq):
         """Hermite-cubic values and derivatives at query points inside the mesh."""
@@ -252,14 +255,13 @@ def _hermite_weights(t, h):
 
 
 def _collocation_state(y, yp, xs, t):
-    """State (x, y, yp, ypp) at local point t of every interval; shapes (N-1, m)."""
+    """State (x, y, yp, ypp) at local point t (a scalar, or _GAUSS) of every
+    interval: x shaped as t * h, the others with a trailing axis of m."""
     h = np.diff(xs)
     x = xs[:-1] + t * h
-    wv, wd, ws = _hermite_weights(t, h)  # rows are interval arrays
-    parts = [y[:, :-1], yp[:, :-1], y[:, 1:], yp[:, 1:]]
-    Y = sum(w * p for w, p in zip(wv, parts)).T
-    Yp = sum(w * p for w, p in zip(wd, parts)).T
-    Ypp = sum(w * p for w, p in zip(ws, parts)).T
+    wv, wd, ws = _hermite_weights(t, h)  # rows are the four basis slots, each shaped as x
+    parts = [y[:, :-1].T, yp[:, :-1].T, y[:, 1:].T, yp[:, 1:].T]
+    Y, Yp, Ypp = (sum(w[..., None] * p for w, p in zip(wk, parts)) for wk in (wv, wd, ws))
     return x, Y, Yp, Ypp, (wv, wd, ws)
 
 
@@ -281,13 +283,15 @@ def assemble_collocation(
     after the solve.  Each assembly builds both endpoint series once, with
     their tangent tables, and is tallied in counters["assemblies"].
 
-    The Jacobian is returned as the 1-D array of its values, block by block:
-    the (2m-1) x (1+m) origin rows (node 0's matching slot, then log K(0) and
-    the nonlocal coefficients), the (N-1, 2m, 4m) interval blocks (columns
-    :2m on node j, 2m: on node j+1), and the 2m x m rows at x=1 (node N-1's
-    slot, then the free coefficients).  Unknowns: node j holds y at 2m*j + k
-    and y' at 2m*j + m + k, then the 2m-1 endpoint parameters.  splu factors
-    it.
+    The Jacobian is returned as the 1-D array of the values that vary, block
+    by block: the (2m-1) x m origin rows on log K(0) and the nonlocal
+    coefficients, the (N-1, 2m, 4m) interval blocks (columns :2m on node j,
+    2m: on node j+1), and the 2m x (m-1) rows at x=1 on the free
+    coefficients.  The matching rows' coefficient 1 on their own node slot
+    is not stored; splu places it.  Unknowns: node j holds y at 2m*j + k and
+    y' at 2m*j + m + k, then the 2m-1 endpoint parameters.  Both Gauss
+    points are collocated in one pass; the evolution rows' identity y''
+    partial enters each block's diagonal as W * (second-derivative weight).
     """
     if counters is None:
         counters = _zero_counters()
@@ -305,27 +309,29 @@ def assemble_collocation(
     scR = series_infinity(bd.kind, bd.n, INFINITY_ORDER, guess.infinity_free, tangents=True)
     yR, ypR, jacR = evaluate_closure(scR, xs[-1])
 
-    # --- collocation rows, in (interval, Gauss point, equation) order
-    Fc = np.empty((N - 1, 2, m))
-    Jc = np.empty((N - 1, 2, m, 4, m))
-    hj = np.diff(xs)
-    for g, t in enumerate((_G1, _G2)):
-        x, Y, Yp, Ypp, (wv, wd, ws) = _collocation_state(y, yp, xs, t)
-        # cell-width weighting keeps the 1/h^2 roundoff of the Hermite second
-        # derivative out of the residual norm (defect-integral scaling)
-        W = x * (1.0 - x * x) * hj
-        Fc[:, g] = sysm.evo_residuals(fam, x, Y, Yp, Ypp) * W[:, None]
-        dJ = sysm.evo_jacobian(fam, x, Y, Yp, Ypp)
-        dy, dyp, dypp = (d[:, :, None, :] * W[:, None, None, None] for d in dJ)
-        # axis 2: basis slots (ya, pa, yb, pb)
-        Jc[:, g] = dy * wv.T[:, None, :, None] + dyp * wd.T[:, None, :, None] + dypp * ws.T[:, None, :, None]
-
-    # the origin's y1' match (row m) is shed
+    # --- collocation rows at both Gauss points: arrays (point, interval, ...)
+    x, Y, Yp, Ypp, (wv, wd, ws) = _collocation_state(y, yp, xs, _GAUSS)
+    # cell-width weighting keeps the 1/h^2 roundoff of the Hermite second
+    # derivative out of the residual norm (defect-integral scaling)
+    W = (x * (1.0 - x * x) * np.diff(xs))[..., None]
+    # rows in (interval, Gauss point, equation) order; the origin's y1' match (row m) is shed
+    Fc = (sysm.evo_residuals(fam, x, Y, Yp, Ypp) * W).transpose(1, 0, 2)
     F = np.concatenate([y[:, 0] - yL, (yp[:, 0] - ypL)[1:], Fc.ravel(), y[:, -1] - yR, yp[:, -1] - ypR])
-    # matching rows: 1 on the node slot, then minus the closure's derivative in the series inputs
-    ones = np.ones((2 * m, 1))
-    JL = np.delete(np.hstack([ones, -jacL]), m, axis=0)
-    return F, np.concatenate([JL.ravel(), Jc.ravel(), np.hstack([ones, -jacR]).ravel()])
+
+    # matching rows: minus the closure's derivative in the series inputs
+    no, ni = (2 * m - 1) * m, (2 * m - 1) * m + 8 * m * m * (N - 1)
+    J = np.empty(ni + 2 * m * (m - 1))
+    J[:no], J[ni:] = np.delete(-jacL, m, axis=0).ravel(), -jacR.ravel()
+    # the blocks, written in place as (point, interval, equation, basis slot (ya, pa, yb, pb), unknown)
+    Jc = J[no:ni].reshape(N - 1, 2, m, 4, m).transpose(1, 0, 2, 3, 4)
+    dy, dyp = (d * W[..., None] for d in sysm.evo_jacobian(fam, x, Y, Yp))
+    for s in range(4):  # one slot at a time keeps the temporaries a quarter of the blocks
+        np.multiply(dy, wv[s][..., None, None], out=Jc[..., s, :])
+        Jc[..., s, :] += dyp * wd[s][..., None, None]
+    dypp = W * ws.transpose(1, 2, 0)
+    for k in range(m):
+        Jc[:, :, k, :, k] += dypp
+    return F, J
 
 
 class CyclicReduction:
@@ -337,9 +343,10 @@ class CyclicReduction:
     eliminates node j+1, leaving a block that links node j to node j+2 (an
     odd last block carries over unchanged).  When one block is left it links
     the first node to the last, and together with the endpoint matching rows
-    it forms one dense (6m-1)-square system in the two end nodes and the
-    endpoint parameters.  Each eliminated node is then recovered, level by
-    level in reverse, through its stored operator
+    (their unit coefficients on the end nodes, which J leaves out, placed
+    here) it forms one dense (6m-1)-square system in the two end nodes and
+    the endpoint parameters.  Each eliminated node is then recovered, level
+    by level in reverse, through its stored operator
     R^-1 [Q_top^T | -Q_top^T [A;0] | -Q_top^T [0;B]] applied to its pair's
     right-hand side and its two neighbours (Wright 1992; the orthogonal
     reduction keeps it stable without pivoting across blocks).  Storage is
@@ -348,9 +355,9 @@ class CyclicReduction:
 
     def __init__(self, J, m, N):
         w = 2 * m
-        no = (w - 1) * (m + 1)
+        no = (w - 1) * m
         ni = no + (N - 1) * 2 * w * w
-        JL, JR = J[:no].reshape(w - 1, m + 1), J[ni:].reshape(w, m)
+        JL, JR = J[:no].reshape(w - 1, m), J[ni:].reshape(w, m - 1)
         blocks = J[no:ni].reshape(N - 1, w, 2 * w)
         A, B = blocks[:, :, :w], blocks[:, :, w:]
         nodes = np.arange(N)
@@ -370,12 +377,12 @@ class CyclicReduction:
         # unknowns (first node, last node, origin parameters, x=1 parameters);
         # rows (origin matching, the last block, x=1 matching)
         E = np.zeros((3 * w - 1, 3 * w - 1))
-        E[: w - 1, :w] = np.delete(np.eye(w), m, axis=0) * JL[:, :1]
-        E[: w - 1, 2 * w : 2 * w + m] = JL[:, 1:]
+        E[: w - 1, :w] = np.delete(np.eye(w), m, axis=0)
+        E[: w - 1, 2 * w : 2 * w + m] = JL
         E[w - 1 : 2 * w - 1, :w] = A[0]
         E[w - 1 : 2 * w - 1, w : 2 * w] = B[0]
-        E[2 * w - 1 :, w : 2 * w] = np.eye(w) * JR[:, :1]
-        E[2 * w - 1 :, 2 * w + m :] = JR[:, 1:]
+        E[2 * w - 1 :, w : 2 * w] = np.eye(w)
+        E[2 * w - 1 :, 2 * w + m :] = JR
         self.ends = E
         self.m, self.N = m, N
 
@@ -565,33 +572,19 @@ def refine_mesh(profile: SolutionProfile) -> Mesh:
     return Mesh(np.sort(np.concatenate([xs, 0.5 * (xs[:-1] + xs[1:])])))
 
 
-def as_guess_for(bd, prof, opts, mesh=None):
-    """prof's unknowns (values, endpoint parameters) as the guess for bd at
-    opts.tol, Hermite-interpolated onto mesh when its nodes differ."""
-    if mesh is None:
-        mesh = prof.mesh
-    if np.array_equal(mesh.nodes, prof.mesh.nodes):
-        y, yp = prof.y.copy(), prof.yp.copy()
-    else:
-        y, yp = prof.interpolate(mesh.nodes)
-    return replace(
-        prof, bd=bd, mesh=mesh, y=y, yp=yp, infinity_free=prof.infinity_free.copy(), tol=opts.tol,
-        converged=False,
-    )
-
-
-def lagrange_guess(bd, nodes, profiles, t, opts):
+def guess_from(bd, profiles, weights, opts, mesh=None):
     """The guess for bd at opts.tol whose unknowns (values, endpoint
-    parameters) are the Lagrange polynomial through (nodes[i], profiles[i])
-    evaluated at t: the interpolation or extrapolation of profiles on one
-    mesh.  A single profile is reproduced with weight 1."""
-    w = np.ones(len(nodes))
-    for i, si in enumerate(nodes):
-        for j, sj in enumerate(nodes):
-            if j != i:
-                w[i] *= (t - sj) / (si - sj)
-    u = sum(wi * _pack(p) for wi, p in zip(w, profiles))
-    return _unpack(bd, profiles[0].mesh, u, opts)
+    parameters) are the weighted sum of the profiles' (all on one mesh),
+    Hermite-interpolated onto mesh when its nodes differ.  A single profile
+    with weight 1.0 is reproduced exactly."""
+    u = weights[0] * _pack(profiles[0])
+    for w, p in zip(weights[1:], profiles[1:]):
+        u = u + w * _pack(p)
+    guess = _unpack(bd, profiles[0].mesh, u, opts)
+    if mesh is None or np.array_equal(mesh.nodes, guess.mesh.nodes):
+        return guess
+    y, yp = guess.interpolate(mesh.nodes)
+    return replace(guess, mesh=mesh, y=y, yp=yp)
 
 
 def solve_bvp(bd: BoundaryData, opts: SolveOptions | None = None):
@@ -614,11 +607,11 @@ def solve_bvp(bd: BoundaryData, opts: SolveOptions | None = None):
         copts = replace(opts, tol=max(opts.tol, 1e-9), grid=opts.coarse_stage)
         cprof, crep = newton_solve(bd, cmesh, seed_profile(bd, cmesh, copts), copts, counters)
         if crep.residual_norm <= 1e3 * copts.tol:
-            start = as_guess_for(bd, cprof, opts, mesh)
+            start = guess_from(bd, [cprof], [1.0], opts, mesh)
     prof, rep = newton_solve(bd, mesh, start, opts, counters)
     while rep.residual_norm <= opts.tol and not prof.converged and rep.refinements < opts.refine_rounds:
         rounds = rep.refinements + 1
         mesh = refine_mesh(prof)
-        prof, rep = newton_solve(bd, mesh, as_guess_for(bd, prof, opts, mesh), opts, counters)
+        prof, rep = newton_solve(bd, mesh, guess_from(bd, [prof], [1.0], opts, mesh), opts, counters)
         rep.refinements = rounds
     return prof, rep

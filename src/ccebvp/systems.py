@@ -26,7 +26,7 @@ recursions take their closing rows' quadratic forms and sources from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,6 +127,11 @@ class Equation:
     unknown: int
     quad: np.ndarray  # (m, m)
     src: tuple | None
+    cols: np.ndarray | None = field(init=False)  # quad's nonzero columns; None when none is zero
+
+    def __post_init__(self):
+        nz = self.quad.any(axis=0)
+        object.__setattr__(self, "cols", None if nz.all() else np.flatnonzero(nz))
 
 
 class Family:
@@ -230,7 +235,7 @@ def family(kind: SystemKind, n: int) -> Family:
 
 # ---------------------------------------------------------------------------
 # vectorised evaluators for x strictly inside (0, 1)
-# (x: (...,), y/yp/ypp: (..., m))
+# (x: (...,), y/yp/ypp: (..., m); only the evolution residuals read ypp)
 # ---------------------------------------------------------------------------
 
 
@@ -259,13 +264,15 @@ def equation_residual(fam, i, x, y, yp, ypp):
     """Residual of template equation i (indexed as fam.eqs)."""
     eq = fam.eqs[i]
     u = eq.unknown
-    r = ypp[..., u] - _sing_coeff(*fam.sing[i], x) * yp[..., u] + np.sum((yp @ eq.quad) * yp, axis=-1)
+    # a form with zero columns is reduced over its nonzero ones only
+    q, ypq = (eq.quad, yp) if eq.cols is None else (eq.quad[:, eq.cols], yp[..., eq.cols])
+    r = ypp[..., u] - _sing_coeff(*fam.sing[i], x) * yp[..., u] + np.sum((yp @ q) * ypq, axis=-1)
     return r if eq.src is None else r + _source_term(eq.src, x, y)
 
 
-def constraint_residual(fam, x, y, yp, ypp):
+def constraint_residual(fam, x, y, yp):
     """First integral Phi; vanishes identically on exact solutions.  It does
-    not depend on ypp, which is taken for the evaluators' common signature."""
+    not depend on y''."""
     quad = yp[..., 0] ** 2 - np.sum((yp @ fam.rmat) * yp, axis=-1)
     lin = -4.0 * fam.n * (_sing_coeff(1.0, 1.0, x) * yp[..., 0])
     return quad + lin + fam.cphi * _source_term(fam.eqs[fam.m].src, x, y)
@@ -277,30 +284,28 @@ def evo_residuals(fam, x, y, yp, ypp):
     return np.stack([equation_residual(fam, i, x, y, yp, ypp) for i in fam.evo_rows], axis=-1)
 
 
-def evo_jacobian(fam, x, y, yp, ypp):
-    """Partials of evo_residuals w.r.t. (y, yp, ypp): three (..., m, m) arrays.
+def evo_jacobian(fam, x, y, yp):
+    """Partials of evo_residuals w.r.t. (y, yp): two (..., m, m) arrays.
     Every row is y_u'' plus terms in (x, y, y'), so the ypp partial is the
-    identity."""
-    m = fam.m
+    identity and is not returned; the collocation assembly adds it."""
     shape = np.broadcast_shapes(np.shape(x), y.shape[:-1])
-    dy = np.zeros(shape + (m, m))
-    dyp = np.zeros(shape + (m, m))
+    dy, dyp = np.zeros((2, *shape, fam.m, fam.m))
     for r, i in enumerate(fam.evo_rows):
         eq = fam.eqs[i]
         if eq.src is not None:
             dy[..., r, :] = _source_term_jac(eq.src, x, y)
         dyp[..., r, :] = yp @ (eq.quad + eq.quad.T)
         dyp[..., r, eq.unknown] -= _sing_coeff(*fam.sing[i], x)
-    return dy, dyp, np.broadcast_to(np.eye(m), dy.shape).copy()
+    return dy, dyp
 
 
-def constraint_jacobian(fam, x, y, yp, ypp):
-    """Partials of the first integral w.r.t. (y, yp, ypp), each (..., m); the
-    ypp partial is zero."""
+def constraint_jacobian(fam, x, y, yp):
+    """Partials of the first integral w.r.t. (y, yp), each (..., m); it does
+    not depend on y''."""
     dy = fam.cphi * _source_term_jac(fam.eqs[fam.m].src, x, y)
     dyp = -2.0 * (yp @ fam.rmat)
     dyp[..., 0] += 2.0 * yp[..., 0] - 4.0 * fam.n * _sing_coeff(1.0, 1.0, x)
-    return dy, dyp, np.zeros_like(dy)
+    return dy, dyp
 
 
 # ---------------------------------------------------------------------------

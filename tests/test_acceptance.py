@@ -14,7 +14,7 @@ from ccebvp import geometry as geom
 from ccebvp import verification as verif
 from ccebvp.continuation import SweepPlan, bisect_event, sweep
 from ccebvp.series import fg_series_origin
-from ccebvp.solver import SolutionProfile, SolveOptions, as_guess_for, make_mesh, newton_solve, solve_bvp
+from ccebvp.solver import SolutionProfile, SolveOptions, guess_from, make_mesh, newton_solve, solve_bvp
 from ccebvp.structure import slice_structure
 from ccebvp.systems import GBERGER, SU, BoundaryData
 
@@ -167,7 +167,7 @@ def zero_start_solve(bd, opts):
     copts = replace(opts, tol=max(opts.tol, 1e-9), grid=opts.coarse_stage)
     cmesh, mesh = make_mesh(copts.grid), make_mesh(opts.grid)
     cprof, crep = newton_solve(bd, cmesh, zero(cmesh, copts), copts)
-    start = as_guess_for(bd, cprof, opts, mesh) if crep.residual_norm <= 1e3 * copts.tol else zero(mesh, opts)
+    start = guess_from(bd, [cprof], [1.0], opts, mesh) if crep.residual_norm <= 1e3 * copts.tol else zero(mesh, opts)
     return newton_solve(bd, mesh, start, opts)
 
 

@@ -57,6 +57,17 @@ class TestConfig:
         with pytest.raises(ParseError, match=f"repeated key '{key}'.*key '{key}', line {line}"):
             parse_config(f"system = su\nn = 5\nphi0 = 0.8\n{repeat}\n")
 
+    @pytest.mark.parametrize("value", ["ture", "on", "2", ""])
+    def test_non_boolean_flag_named(self, value):
+        # a misspelt boolean is an error, not a silent false
+        with pytest.raises(ParseError, match=f"bad value for 'quiet'.*key 'quiet', line 4"):
+            parse_config(f"system = su\nn = 5\nphi0 = 0.8\nquiet = {value}\n")
+
+    @pytest.mark.parametrize("value, quiet", [("1", True), ("Yes", True), ("TRUE", True), ("0", False),
+                                              ("no", False), ("False", False)])
+    def test_boolean_words(self, value, quiet):
+        assert parse_config(f"system = su\nn = 5\nphi0 = 0.8\nquiet = {value}\n").quiet is quiet
+
     def test_missing_required(self):
         with pytest.raises(ParseError, match="phi0"):
             parse_config("system = su\nn = 5\n")

@@ -15,9 +15,8 @@ from ccebvp.solver import (
     Mesh,
     SolveOptions,
     SolutionProfile,
-    as_guess_for,
     assemble_collocation,
-    lagrange_guess,
+    guess_from,
     make_mesh,
     newton_solve,
     refine_mesh,
@@ -25,6 +24,7 @@ from ccebvp.solver import (
     solve_bvp,
     splu,
 )
+from ccebvp.continuation import lagrange_weights
 from ccebvp.solver import _pack, _unpack
 from ccebvp.systems import GBERGER, SU, BoundaryData, DomainError, UsageError
 
@@ -36,25 +36,36 @@ def _jacobian_pattern(m, N):
     2m-1 endpoint parameters (log K(0) and the m-1 nonlocal coefficients,
     then the m-1 free coefficients at x=1).  Before the shed row m, interval
     j's dense 2m x 4m collocation block has rows 2m + 2m*j + (g*m + i) and
-    columns 2m*j + (s*m + k), its two node slots.
+    columns 2m*j + (s*m + k), its two node slots; the matching rows store
+    their columns on the endpoint parameters only.
     """
     r = np.arange(2 * m)[:, None]
     tail = 2 * m * N + np.arange(2 * m - 1)
 
-    def matching(row0, node, inputs):
-        cols = np.hstack([2 * m * node + r, np.broadcast_to(inputs, (2 * m, inputs.size))])
+    def matching(row0, inputs):
+        cols = np.broadcast_to(inputs, (2 * m, inputs.size))
         return np.broadcast_to(row0 + r, cols.shape), cols
 
-    rL, cL = (np.delete(a, m, axis=0) for a in matching(0, 0, tail[:m]))
+    rL, cL = (np.delete(a, m, axis=0) for a in matching(0, tail[:m]))
     j, g, i, s, k = np.indices((N - 1, 2, m, 4, m))
-    rR, cR = matching(2 * m * N, N - 1, tail[m:])
+    rR, cR = matching(2 * m * N, tail[m:])
     rows = np.concatenate([rL.ravel(), (2 * m + 2 * m * j + m * g + i).ravel(), rR.ravel()])
     cols = np.concatenate([cL.ravel(), (2 * m * j + m * s + k).ravel(), cR.ravel()])
     return rows - (rows > m), cols
 
 
+def _unit_pattern(m, N):
+    """(row, col) of the matching rows' unit coefficients on their node slot,
+    which assemble_collocation leaves implicit."""
+    r = np.arange(2 * m)
+    rows = np.concatenate([np.delete(r, m), 2 * m * N + r])
+    cols = np.concatenate([np.delete(r, m), 2 * m * (N - 1) + r])
+    return rows - (rows > m), cols
+
+
 def dense_jacobian(J, m, N):
     A = np.zeros((2 * m * N + 2 * m - 1,) * 2)
+    A[_unit_pattern(m, N)] = 1.0
     A[_jacobian_pattern(m, N)] = J
     return A
 
@@ -66,7 +77,8 @@ def small_opts(**kw):
 
 
 class TestOptions:
-    @pytest.mark.parametrize("kw", [{"grid": 3}, {"tol": 0.0}, {"tol": -1.0}])
+    @pytest.mark.parametrize("kw", [{"grid": 3}, {"tol": 0.0}, {"tol": -1.0}, {"coarse_stage": -5},
+                                    {"coarse_stage": 2}, {"refine_rounds": -1}])
     def test_checks(self, kw):
         with pytest.raises(UsageError, match=next(iter(kw))):
             SolveOptions(**kw)
@@ -110,6 +122,13 @@ class TestAssemble:
         assert F.size == 2 * m * 12 + 2 * m - 1
         assert J.shape == (F.size, F.size)
 
+    @pytest.mark.parametrize("kind,n,phi0", [(SU, 5, (0.85,)), (GBERGER, 3, (0.93, 1.04))])
+    def test_stores_only_the_values_that_vary(self, kind, n, phi0):
+        # no unit coefficient of a matching row is stored
+        bd, mesh, m = BoundaryData(kind, n, phi0), make_mesh(12), kind.unknowns
+        J = assemble_collocation(bd, mesh, seed_profile(bd, mesh))[1]
+        assert J.size == (2 * m - 1) * m + 8 * m * m * 11 + 2 * m * (m - 1)
+
     def test_jacobian_matches_finite_differences(self):
         bd = BoundaryData(SU, 5, (0.8,))
         opts = small_opts(grid=10)
@@ -145,7 +164,8 @@ class TestAssemble:
 
     @pytest.mark.parametrize("m,N", [(1, 4), (2, 7), (3, 12)])
     def test_pattern_has_no_duplicates(self, m, N):
-        rows, cols = _jacobian_pattern(m, N)
+        # the stored values and the implicit unit coefficients together
+        rows, cols = map(np.concatenate, zip(_jacobian_pattern(m, N), _unit_pattern(m, N)))
         nU = 2 * m * N + 2 * m - 1
         assert rows.min() >= 0 and cols.min() >= 0 and rows.max() < nU and cols.max() < nU
         assert np.unique(rows * nU + cols).size == rows.size
@@ -153,7 +173,7 @@ class TestAssemble:
     @pytest.mark.parametrize("m,N", [(2, 7), (3, 12)])
     def test_collocation_entries_in_their_interval(self, m, N):
         rows, cols = _jacobian_pattern(m, N)
-        nend = (2 * m - 1) * (m + 1)  # origin entries come first
+        nend = (2 * m - 1) * m  # origin entries come first
         rc, cc = rows[nend : nend + 8 * m * m * (N - 1)], cols[nend : nend + 8 * m * m * (N - 1)]
         j = (rc - (2 * m - 1)) // (2 * m)
         assert np.array_equal(np.unique(j), np.arange(N - 1))
@@ -202,7 +222,7 @@ class TestCyclicReduction:
         bd = BoundaryData(SU, 5, (0.8,))
         m, N = bd.kind.unknowns, 12
         F, J = perturbed_jacobian(bd, N)
-        size, start = 8 * m * m, (2 * m - 1) * (m + 1)
+        size, start = 8 * m * m, (2 * m - 1) * m
         J[start + block * size : start + (block + 1) * size] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
             splu(J, m, N).solve(F)
@@ -274,6 +294,26 @@ def test_src_private_helpers_have_readers():
                 read |= {a.name for a in node.names}
     assert defined
     assert [f"{mod}: {name}" for mod, name in defined if name not in read] == []
+
+
+def test_src_function_parameters_are_read():
+    # a parameter that its function never reads is an argument every caller
+    # computes for nothing
+    modules = sorted((Path(__file__).resolve().parents[1] / "src" / "ccebvp").glob("*.py"))
+    assert modules
+    unread, checked = [], 0
+    for path in modules:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+            checked += len(params)
+            unread += [f"{path.name}:{fn.lineno}: {p}" for p in params if p not in read]
+    assert checked
+    assert unread == []
 
 
 def test_src_reads_no_environment():
@@ -440,12 +480,12 @@ class TestNewton:
         p, _ = solve_bvp(BoundaryData(SU, 5, (0.8,)), opts)
         q, _ = solve_bvp(BoundaryData(SU, 5, (0.9,)), opts)
         bd = BoundaryData(SU, 5, (1.0,))
-        g = lagrange_guess(bd, [0.0, 1.0], [p, q], 2.0, opts)
+        g = guess_from(bd, [p, q], lagrange_weights([0.0, 1.0], 2.0), opts)
         assert g.bd is bd and g.mesh is p.mesh and not g.converged
         up, uq = _pack(p), _pack(q)
         assert np.allclose(_pack(g), up + 2.0 * (uq - up), rtol=1e-14, atol=1e-14 * np.abs(up).max())
-        assert np.array_equal(_pack(lagrange_guess(bd, [0.0, 1.0], [p, q], 0.0, opts)), up)
-        assert np.array_equal(_pack(lagrange_guess(bd, [0.3], [p], 2.0, opts)), up)
+        assert np.array_equal(_pack(guess_from(bd, [p, q], lagrange_weights([0.0, 1.0], 0.0), opts)), up)
+        assert np.array_equal(_pack(guess_from(bd, [p], lagrange_weights([0.3], 2.0), opts)), up)
 
     def test_lagrange_guess_is_exact_on_cubics(self):
         # four profiles whose unknowns are cubic in s = log(lambda) give back
@@ -464,7 +504,7 @@ class TestNewton:
         profiles = [_unpack(bd, base.mesh, cubic(s), opts) for s in nodes]
         for lam in (0.8, 0.925, 1.1):
             s = np.log(lam)
-            g = lagrange_guess(bd, nodes, profiles, s, opts)
+            g = guess_from(bd, profiles, lagrange_weights(nodes, s), opts)
             assert np.abs(_pack(g) - cubic(s)).max() <= 1e-12 * np.abs(cubic(s)).max()
 
 
@@ -480,7 +520,7 @@ def sweep_first_step(lam, grid):
     opts = SolveOptions(grid=grid, tol=3e-8, refine_rounds=0)
     round_prof = solve_bvp(BoundaryData(SU, 3, (1.0,)), opts)[0]
     bd = BoundaryData(SU, 3, (lam,))
-    return bd, round_prof.mesh, lagrange_guess(bd, [0.0], [round_prof], np.log(lam), opts), opts
+    return bd, round_prof.mesh, guess_from(bd, [round_prof], lagrange_weights([0.0], np.log(lam)), opts), opts
 
 
 class TestPolish:
@@ -523,7 +563,7 @@ class TestPolish:
         bd = BoundaryData(SU, 5, (0.8,))
         prof = solve_bvp(bd, small_opts())[0]
         opts = small_opts(tol=3e-12)
-        start = as_guess_for(bd, prof, opts)
+        start = guess_from(bd, [prof], [1.0], opts)
         assert np.abs(assemble_collocation(bd, prof.mesh, start)[0]).max() <= opts.tol
         rep = newton_solve(bd, prof.mesh, start, opts)[1]
         assert rep.damping_history == [] and polish_steps(rep) == 1
@@ -635,8 +675,8 @@ class TestConstraintPropagation:
         sc = fg_series_origin(bd, NonlocalParams((0.3,)), 24, log_k0=np.log(0.95))
         fam = S.family(SU, 5)
         for x in (0.05, 0.1, 0.14):
-            y, yp, ypp = evaluate_series(sc, x)
-            assert abs(S.constraint_residual(fam, x, y, yp, ypp)) < 5e-7
+            y, yp, _ = evaluate_series(sc, x)
+            assert abs(S.constraint_residual(fam, x, y, yp)) < 5e-7
 
 
 class TestScalingAndExtras:

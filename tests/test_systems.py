@@ -40,9 +40,12 @@ def state(fam, x, y=None, yp=None, ypp=None):
 
 def stacked_jacobian(fam, x, y, yp, ypp):
     """Partials of (evo rows, constraint) w.r.t. (y, yp, ypp): shape (m+1, 3, m),
-    row r, block b (0=y, 1=yp, 2=ypp)."""
-    evo = np.stack(S.evo_jacobian(fam, x, y, yp, ypp), axis=1)
-    con = np.stack(S.constraint_jacobian(fam, x, y, yp, ypp))
+    row r, block b (0=y, 1=yp, 2=ypp).  The evaluators return the (y, yp)
+    partials; the ypp block is what they leave implicit: the identity for
+    the evolution rows (each is y_u'' plus terms in (x, y, y')) and zero for
+    the constraint."""
+    evo = np.stack([*S.evo_jacobian(fam, x, y, yp), np.eye(fam.m)], axis=1)
+    con = np.stack([*S.constraint_jacobian(fam, x, y, yp), np.zeros(fam.m)])
     return np.concatenate([evo, con[None]])
 
 
@@ -75,7 +78,7 @@ class TestZeroState:
         for x in (1e-5, 0.3, 0.5, 0.9, 1.0 - 1e-5):
             s = state(fam, x)
             evo = S.evo_residuals(fam, *s)
-            con = S.constraint_residual(fam, *s)
+            con = S.constraint_residual(fam, *s[:3])
             assert np.all(evo == 0.0)
             assert con == 0.0
 
@@ -85,7 +88,7 @@ class TestGBerger:
         # y1'=1, rest zero, x=1/2: Phi = 1 - 12*2*(5/4)*(4/3) = -39
         fam = family(GBERGER, 3)
         s = state(fam, 0.5, yp=np.array([1.0, 0.0, 0.0]))
-        assert S.constraint_residual(fam, *s) == pytest.approx(-39.0, abs=1e-12)
+        assert S.constraint_residual(fam, *s[:3]) == pytest.approx(-39.0, abs=1e-12)
 
     def test_polynomial_probe(self):
         # y1 = c x^2 near x=0: eq-1 residual = (-8c + 2c^2/3) x^2 - 8c x^4 + O(x^6)
@@ -118,7 +121,7 @@ class TestGBerger:
             assert rt[0] == pytest.approx(r[0], rel=1e-12, abs=1e-12)
             assert rt[1] == pytest.approx(r[1] + r[2], rel=1e-12, abs=1e-12)
             assert rt[2] == pytest.approx(-r[2], rel=1e-12, abs=1e-12)
-            c, ct = S.constraint_residual(fam, *s), S.constraint_residual(fam, *t)
+            c, ct = S.constraint_residual(fam, *s[:3]), S.constraint_residual(fam, *t[:3])
             assert ct == pytest.approx(c, rel=1e-12, abs=1e-12)
 
 
@@ -149,7 +152,7 @@ class TestSU:
                 y, yp, ypp = rng.uniform(-0.4, 0.4, (3, fam.m))
                 e1 = S.equation_residual(fam, 0, x, y, yp, ypp)
                 e2 = S.equation_residual(fam, fam.m, x, y, yp, ypp)
-                phi = S.constraint_residual(fam, x, y, yp, ypp)
+                phi = S.constraint_residual(fam, x, y, yp)
                 assert phi == pytest.approx(2 * n / (n - 1) * (e2 - e1), rel=1e-11, abs=1e-11)
 
 
@@ -233,17 +236,16 @@ class TestConservation:
             zero = np.zeros(fam.m)
             # Phi = (y1')^2 + b y1' + c: take the minus root of Phi = 0
             yp[0] = 0.0
-            c = S.constraint_residual(fam, x, y, yp, zero)
-            b = S.constraint_jacobian(fam, x, y, yp, zero)[1][0]
+            c = S.constraint_residual(fam, x, y, yp)
+            b = S.constraint_jacobian(fam, x, y, yp)[1][0]
             disc = b * b - 4.0 * c
             if disc < 0:
                 continue
             yp[0] = (-b - np.sqrt(disc)) / 2.0
-            # the evolution rows are linear in y''
-            dypp = S.evo_jacobian(fam, x, y, yp, zero)[2]
-            ypp = np.linalg.solve(dypp, -S.evo_residuals(fam, x, y, yp, zero))
-            cy, cyp, _ = S.constraint_jacobian(fam, x, y, yp, ypp)
-            dx = (S.constraint_residual(fam, x + h, y, yp, ypp) - S.constraint_residual(fam, x - h, y, yp, ypp)) / (2 * h)
+            # each evolution row is y_u'' plus terms in (x, y, y')
+            ypp = -S.evo_residuals(fam, x, y, yp, zero)
+            cy, cyp = S.constraint_jacobian(fam, x, y, yp)
+            dx = (S.constraint_residual(fam, x + h, y, yp) - S.constraint_residual(fam, x - h, y, yp)) / (2 * h)
             along_y, along_yp = cy @ yp, cyp @ ypp
             rates.append(abs(dx + along_y + along_yp) / (1.0 + abs(along_y) + abs(along_yp)))
         assert len(rates) >= 25
@@ -287,7 +289,7 @@ class TestJacobian:
 
             def full(yv, ypv, yppv):
                 r = S.evo_residuals(fam, x, yv, ypv, yppv)
-                c = S.constraint_residual(fam, x, yv, ypv, yppv)
+                c = S.constraint_residual(fam, x, yv, ypv)
                 return np.append(r, c)
 
             fd = np.zeros_like(jac)
