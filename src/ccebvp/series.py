@@ -399,14 +399,16 @@ def _eval_table(table, t, dsign):
 
 def evaluate_closure(sc: SeriesCoefficients, x):
     """(y, y', d(y, y')/d input) of the series at one point x: shapes (m,),
-    (m,) and (2m, inputs); needs sc.tangents.  The table and its tangent
-    tables share one pass (powers, derivative tables, products), with no y''."""
+    (m,) and (2m, inputs), the last None when sc has no tangents.  The table
+    and its tangent tables share one pass (powers, derivative tables,
+    products), with no y''."""
     t, dsign = (x, 1.0) if sc.endpoint == "origin" else (1.0 - x, -1.0)
-    tables = np.concatenate([sc.table[None], sc.tangents])
+    tables = sc.table[None] if sc.tangents is None else np.concatenate([sc.table[None], sc.tangents])
     powers = np.asarray(t)[..., None] ** np.arange(tables.shape[-1])
     y = powers @ np.swapaxes(tables, -1, -2)
     yp = dsign * (powers @ np.swapaxes(_pderiv(tables), -1, -2))
-    return y[0], yp[0], np.concatenate([y[1:].T, yp[1:].T])
+    jac = None if sc.tangents is None else np.concatenate([y[1:].T, yp[1:].T])
+    return y[0], yp[0], jac
 
 
 def evaluate_series(sc: SeriesCoefficients, x):

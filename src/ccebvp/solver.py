@@ -1,5 +1,6 @@
 """Two-point BVP solver: Hermite collocation on an interior mesh, closed at
-both singular endpoints by truncated series, solved by damped Newton.
+both singular endpoints by truncated series, solved by damped Newton that
+keeps each factor while the iteration contracts (simplified Newton).
 
 Unknowns are the node values and first derivatives of every y_i plus the
 endpoint parameters (log K(0), the nonlocal order-n coefficients, and the
@@ -47,6 +48,9 @@ MIN_NODES = 4
 DRIFT_GATE = 10.0
 # Newton steps a solve may take before it fails with "max iterations"
 MAX_ITER = 40
+# a full step whose contraction |dbar|/|step| is below THETA_MAX is followed
+# by the chord step dbar on the same factor; otherwise a fresh one is built
+THETA_MAX = 1.0 / 20.0
 
 
 def origin_order(n: int) -> int:
@@ -100,6 +104,10 @@ class SolveOptions:
     coarse_stage: int = 96  # warm-start grids larger than ~1.5x this
 
     def __post_init__(self):
+        for name in ("grid", "refine_rounds", "coarse_stage"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
         if self.grid < MIN_NODES:
             raise UsageError(f"grid must be at least {MIN_NODES}, got {self.grid}")
         if not self.tol > 0:
@@ -111,7 +119,7 @@ class SolveOptions:
 
 
 def _zero_counters():
-    return dict.fromkeys(("assemblies", "lu_factorisations"), 0)
+    return dict.fromkeys(("assemblies", "jacobians", "lu_factorisations"), 0)
 
 
 @dataclass
@@ -121,6 +129,10 @@ class SolveReport:
     residual_norm: float = np.inf
     residual_history: list = field(default_factory=list)
     damping_history: list = field(default_factory=list)
+    # per step (line search, then polish): the contraction |dbar|/|step|,
+    # and whether the step's factor was built for it
+    contraction_history: list = field(default_factory=list)
+    fresh_factor_history: list = field(default_factory=list)
     refinements: int = 0
     constraint_drift: float = np.inf
     # drift at the simplified Newton point u + dbar of the final iterate
@@ -139,6 +151,8 @@ class SolveReport:
             "residual_norm": self.residual_norm,
             "residual_history": list(self.residual_history),
             "damping_history": list(self.damping_history),
+            "contraction_history": list(self.contraction_history),
+            "fresh_factor_history": list(self.fresh_factor_history),
             "refinements": self.refinements,
             "constraint_drift": self.constraint_drift,
             "predicted_drift": self.predicted_drift,
@@ -270,8 +284,11 @@ def assemble_collocation(
     mesh: Mesh,
     guess: SolutionProfile,
     counters: dict | None = None,
+    *,
+    want_jac: bool = True,
 ):
-    """Residual vector and Jacobian values of the square discrete system.
+    """Residual vector and Jacobian values of the square discrete system;
+    with want_jac=False the residual alone, as (F, None).
 
     Rows: matching to the origin series, regularized evolution collocation at
     two Gauss points per interval, and matching to the x=1 series.  The
@@ -281,7 +298,8 @@ def assemble_collocation(
     toward the origin is contracting).  The constraint is never imposed at
     any interior node; its nodal drift is pure propagation and is checked
     after the solve.  Each assembly builds both endpoint series once, with
-    their tangent tables, and is tallied in counters["assemblies"].
+    their tangent tables only when want_jac, and is tallied in
+    counters["assemblies"] (and in counters["jacobians"] when want_jac).
 
     The Jacobian is returned as the 1-D array of the values that vary, block
     by block: the (2m-1) x m origin rows on log K(0) and the nonlocal
@@ -300,13 +318,14 @@ def assemble_collocation(
     if guess.y.shape != (m, N) or guess.yp.shape != (m, N):
         raise UsageError("guess dimensions do not match the mesh")
     counters["assemblies"] += 1
+    counters["jacobians"] += want_jac
     xs = mesh.nodes
     y, yp = guess.y, guess.yp
 
     # --- endpoint matching
-    scL = fg_series_origin(bd, guess.free, origin_order(bd.n), log_k0=guess.k0var, tangents=True)
+    scL = fg_series_origin(bd, guess.free, origin_order(bd.n), log_k0=guess.k0var, tangents=want_jac)
     yL, ypL, jacL = evaluate_closure(scL, xs[0])
-    scR = series_infinity(bd.kind, bd.n, INFINITY_ORDER, guess.infinity_free, tangents=True)
+    scR = series_infinity(bd.kind, bd.n, INFINITY_ORDER, guess.infinity_free, tangents=want_jac)
     yR, ypR, jacR = evaluate_closure(scR, xs[-1])
 
     # --- collocation rows at both Gauss points: arrays (point, interval, ...)
@@ -317,6 +336,8 @@ def assemble_collocation(
     # rows in (interval, Gauss point, equation) order; the origin's y1' match (row m) is shed
     Fc = (sysm.evo_residuals(fam, x, Y, Yp, Ypp) * W).transpose(1, 0, 2)
     F = np.concatenate([y[:, 0] - yL, (yp[:, 0] - ypL)[1:], Fc.ravel(), y[:, -1] - yR, yp[:, -1] - ypR])
+    if not want_jac:
+        return F, None
 
     # matching rows: minus the closure's derivative in the series inputs
     no, ni = (2 * m - 1) * m, (2 * m - 1) * m + 8 * m * m * (N - 1)
@@ -428,22 +449,30 @@ def seed_profile(bd: BoundaryData, mesh: Mesh, opts: SolveOptions | None = None)
 
 def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=None):
     """Damped Newton (Armijo halving, minimum damping 2^-20) on the collocation
-    system, to opts.tol within MAX_ITER steps.
+    system, to opts.tol within MAX_ITER steps, reusing the run's factor while
+    it contracts (simplified Newton).
 
-    Every point is assembled once, residual and Jacobian together: the
-    accepted line-search trial's assembly drives the next step.  counters,
+    The start point is assembled in full; after it a Jacobian is assembled
+    only where it is factored, and every line-search trial assembles the
+    residual alone.  The natural monotonicity test of a trial computes the
+    simplified Newton correction dbar = -lu^-1 F(trial) on the factor lu of
+    its step (Deuflhard's NLEQ-ERR), and with it the contraction
+    |dbar|/|step|.
+    After a full step that contracts below THETA_MAX, dbar is the next step,
+    on the same factor (a chord step, as in QNERR); after a damped step or a
+    weaker contraction, the next step assembles and factors a fresh Jacobian
+    at its point.  A line search that stalls on a reused factor retries once
+    on a fresh one before the run reports "line search stalled".  counters,
     when given, is shared with the other Newton runs of one solve.
 
     An iterate that meets tol with its drift above DRIFT_GATE * tol is
-    polished by at most two full Newton steps, each kept only when the
-    residual does not grow and taken only when it can meet the gate.  The
-    accepted trial's simplified Newton correction dbar = -J(u_prev)^-1 F(u)
-    estimates the distance to the discrete root (Deuflhard's NLEQ-ERR), so
-    the drift at u + dbar (the report's predicted_drift) predicts what a
-    step reaches; when the mesh sets the drift it stays above the gate and
-    no step is taken.  After a kept step the prediction comes from that
-    step's factor; a run that met tol without a step has no dbar and
-    polishes unpredicted.
+    polished by at most two chord steps u + dbar, each kept only when the
+    residual does not grow and taken only when it can meet the gate: dbar
+    estimates the distance to the discrete root, so the drift at u + dbar
+    (the report's predicted_drift) is what the step reaches; when the mesh
+    sets the drift it stays above the gate and no step is taken.  A run
+    that met tol without a step has no dbar: it factors its start's
+    Jacobian and polishes unpredicted.
     """
     if opts is None:
         opts = SolveOptions()
@@ -453,27 +482,24 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=Non
     rep = SolveReport() if counters is None else SolveReport(counters=counters)
     counters = rep.counters
     u = _pack(guess)
-
-    def assemble(uv):
-        return assemble_collocation(bd, mesh, _unpack(bd, mesh, uv, opts), counters=counters)
-
     m, N = guess.y.shape
 
     def factor(J):
         counters["lu_factorisations"] += 1
         return splu(J, m, N)
 
-    def trial(uv, lu=None, bound=np.inf):
+    def trial(uv, lu=None, bound=np.inf, want_jac=False):
         # (F, J, dbar) at uv when F is finite and, given the current
         # factorization lu, the simplified Newton correction dbar = -lu^-1 F(uv)
         # passes the affine-invariant (natural) monotonicity test
-        # |dbar| <= bound (dbar is None without lu); otherwise None.  Extreme
-        # states can overflow the exponential sources, break the series
-        # recursion or overflow that norm; any of it is a rejection, not a
-        # RuntimeWarning
+        # |dbar| <= bound (dbar is None without lu, J None without want_jac);
+        # otherwise None.  Extreme states can overflow the exponential
+        # sources, break the series recursion or overflow that norm; any of
+        # it is a rejection, not a RuntimeWarning
         try:
             with np.errstate(over="raise", invalid="raise"):
-                F, J = assemble(uv)
+                point = _unpack(bd, mesh, uv, opts)
+                F, J = assemble_collocation(bd, mesh, point, counters=counters, want_jac=want_jac)
                 if not np.all(np.isfinite(F)):
                     return None
                 dbar = None if lu is None else lu.solve(-F)
@@ -496,7 +522,12 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=Non
         except FloatingPointError:
             return np.inf
 
-    FJ = trial(u)
+    def record(dbar, dnorm, fresh):
+        rep.contraction_history.append(float(np.linalg.norm(dbar)) / dnorm)
+        rep.fresh_factor_history.append(fresh)
+        rep.iterations += 1
+
+    FJ = trial(u, want_jac=True)
     if FJ is None:
         rep.failure_reason = "non-finite start"
         rep.wall_time = time.perf_counter() - t0
@@ -504,15 +535,22 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=Non
     F, J, dbar = FJ
     norm = float(np.abs(F).max())
     rep.residual_history.append(norm)
-    for it in range(MAX_ITER):
-        if norm <= tol:
-            break
-        try:
-            lu = factor(J)
-            step = lu.solve(-F)
-        except np.linalg.LinAlgError:
-            rep.failure_reason = "singular linearization"
-            break
+    step = None  # the next step on the factor lu; None when a fresh factor is due
+    while norm > tol and rep.iterations < MAX_ITER:
+        fresh = step is None
+        if fresh:
+            if J is None:  # a fresh Jacobian at the current point
+                FJ = trial(u, want_jac=True)
+                if FJ is None:
+                    rep.failure_reason = "singular linearization"
+                    break
+                F, J, _ = FJ
+            try:
+                lu = factor(J)
+                step = lu.solve(-F)
+            except np.linalg.LinAlgError:
+                rep.failure_reason = "singular linearization"
+                break
         # Armijo halving on the natural monotonicity test, floor 2^-20
         dnorm = float(np.linalg.norm(step))
         if not np.isfinite(dnorm) or dnorm == 0.0:
@@ -525,32 +563,39 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=Non
                 break
             lam *= 0.5
         else:
-            rep.failure_reason = "line search stalled"
-            break
+            if fresh:
+                rep.failure_reason = "line search stalled"
+                break
+            step = None  # a reused factor stalled: retry on a fresh one
+            continue
         u = u + lam * step
         F, J, dbar = FJ
         rep.damping_history.append(lam)
-        rep.iterations = it + 1
+        record(dbar, dnorm, fresh)
         norm = float(np.abs(F).max())
         rep.residual_history.append(norm)
+        step = dbar if lam == 1.0 and rep.contraction_history[-1] < THETA_MAX else None
 
     drift, predicted = drift_at(u), predict(u, dbar)
     # polish: an iterate that just crossed tol may still sit well off the
     # discrete root, but no step lowers a drift that the mesh sets
     polish = 0
     while norm <= tol and drift > gate and polish < 2 and (predicted is None or predicted <= gate):
+        fresh = dbar is None
         try:
-            lu = factor(J)
-            ut = u + lu.solve(-F)
+            if fresh:
+                lu = factor(J)
+                dbar = lu.solve(-F)
         except np.linalg.LinAlgError:
             break
-        FJ = trial(ut, lu)
+        dnorm = float(np.linalg.norm(dbar))
+        FJ = trial(u + dbar, lu)
         nt = np.inf if FJ is None else float(np.abs(FJ[0]).max())
-        if nt > norm:
+        if not (nt <= norm and dnorm > 0.0):
             break
-        u, (F, J, dbar), norm = ut, FJ, nt
+        u, (F, J, dbar), norm = u + dbar, FJ, nt
+        record(dbar, dnorm, fresh)
         rep.residual_history.append(norm)
-        rep.iterations += 1
         polish += 1
         drift, predicted = drift_at(u), predict(u, dbar)
 

@@ -46,8 +46,11 @@ def test_hooks_accept_what_the_package_returns():
         tr.uninstall()
     names = {s.name for s in tr.spans}
     assert {"solver.solve_bvp", "solver.assemble", "solver.splu", "verification.run_verification"} <= names
-    # every assembly returns the Jacobian values with the residual
-    assert all(s.attrs.get("jac_bytes", 0) > 0 for s in tr.spans if s.name == "solver.assemble")
+    # an assembly that builds a Jacobian returns its values with the
+    # residual; a residual-only assembly (want_jac=False) returns none
+    assembles = [s for s in tr.spans if s.name == "solver.assemble"]
+    assert all((s.attrs.get("jac_bytes", 0) > 0) == s.attrs["jac"] for s in assembles)
+    assert any(s.attrs["jac"] for s in assembles) and any(not s.attrs["jac"] for s in assembles)
     # and reaches both series constructors through the names the tracer wraps
     count = {name: sum(s.name == name for s in tr.spans) for name in ("solver.assemble", "series.origin", "series.infinity")}
     assert count["series.origin"] == count["series.infinity"] == count["solver.assemble"] > 0

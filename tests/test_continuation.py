@@ -308,42 +308,55 @@ class TestSweep:
 class TestPredictorCorrector:
     @staticmethod
     def counted_sweep(monkeypatch, plan):
-        # the sweep, and the Newton iterations of every solve after the round start
+        # the sweep, and the reports of every solve after the round start
         from ccebvp import continuation
 
         inner = continuation.newton_solve
-        iterations = []
+        reports = []
 
         def counted(*args, **kwargs):
             prof, rep = inner(*args, **kwargs)
-            iterations.append(rep.iterations)
+            reports.append(rep)
             return prof, rep
 
         monkeypatch.setattr(continuation, "newton_solve", counted)
-        return sweep(plan), iterations
+        return sweep(plan), reports
+
+    @staticmethod
+    def work(reports):
+        return {k: sum(r.counters[k] for r in reports) for k in ("jacobians", "lu_factorisations")}
 
     def test_su3_up_sweep_counts(self, monkeypatch):
         # SU n=3 up sweep as in the sweep-su3 bench: the cubic predictor in
         # log lambda and the certified root-finder bound the work (63 Newton
-        # iterations and 17 event solves with warm starts and bisection)
+        # iterations and 17 event solves with warm starts and bisection), and
+        # keeping each run's factor while it contracts bounds the Jacobians
+        # and factorisations (33 and 17 with a Jacobian at every point)
         opts = SolveOptions(grid=128, tol=3e-8, refine_rounds=0)
-        tr, iterations = self.counted_sweep(
+        tr, reports = self.counted_sweep(
             monkeypatch, SweepPlan(SU, 3, lam_end=3.0, step=0.05, event_tol=1e-6, options=opts))
         ev = tr.event
         assert tr.stop_reason == "event" and not tr.rejected and ev.annotation == ""
         lo, hi = ev.bracket
         assert ev.width <= 1e-6 and lo < 2.0409746 < hi
         assert ev.lam_event == pytest.approx(0.5 * (lo + hi), abs=1e-15)
-        assert ev.solves <= 4 and len(iterations) == len(tr.records) - 1 + ev.solves
-        assert tr.records[0].iterations + sum(iterations) <= 17
+        assert ev.solves <= 4 and len(reports) == len(tr.records) - 1 + ev.solves
+        assert tr.records[0].iterations == 0
+        work = self.work(reports)
+        assert work["jacobians"] <= 16 and work["lu_factorisations"] <= 14
         # from the fourth record on, each prediction is a cubic and one
-        # iteration corrects it
+        # iteration on one fresh Jacobian and its factor corrects it
+        steps = reports[2 : len(tr.records) - 1]
         assert [r.iterations for r in tr.records[3:]] == [1] * (len(tr.records) - 3)
+        assert all(self.work([r]) == {"jacobians": 1, "lu_factorisations": 1} for r in steps)
 
     def test_su3_down_sweep_counts(self, monkeypatch):
         # the sweep-su3 bench's down sweep
         opts = SolveOptions(grid=384, tol=3e-8, refine_rounds=0)
-        tr, iterations = self.counted_sweep(monkeypatch, SweepPlan(SU, 3, lam_end=0.3, step=0.05, options=opts))
+        tr, reports = self.counted_sweep(monkeypatch, SweepPlan(SU, 3, lam_end=0.3, step=0.05, options=opts))
         assert tr.stop_reason == "path-end" and not tr.rejected and len(tr.records) == 11
-        assert len(iterations) == len(tr.records) - 1
-        assert tr.records[0].iterations + sum(iterations) <= 18
+        assert len(reports) == len(tr.records) - 1
+        assert tr.records[0].iterations == 0
+        # each step factors the one Jacobian it builds and corrects on it
+        # (28 Jacobians and 18 factorisations with a Jacobian at every point)
+        assert all(self.work([r]) == {"jacobians": 1, "lu_factorisations": 1} for r in reports)

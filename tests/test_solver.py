@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ccebvp.solver import (
+    THETA_MAX,
     Mesh,
     SolveOptions,
     SolutionProfile,
@@ -78,7 +79,8 @@ def small_opts(**kw):
 
 class TestOptions:
     @pytest.mark.parametrize("kw", [{"grid": 3}, {"tol": 0.0}, {"tol": -1.0}, {"coarse_stage": -5},
-                                    {"coarse_stage": 2}, {"refine_rounds": -1}])
+                                    {"coarse_stage": 2}, {"refine_rounds": -1}, {"grid": 64.5},
+                                    {"coarse_stage": 40.5}, {"refine_rounds": 1.5}, {"grid": True}])
     def test_checks(self, kw):
         with pytest.raises(UsageError, match=next(iter(kw))):
             SolveOptions(**kw)
@@ -398,7 +400,7 @@ class TestNewton:
             warnings.simplefilter("error")
             prof, rep = solve_bvp(BoundaryData(GBERGER, 3, (1e-300, 1.0)), small_opts(grid=64))
         assert not rep.converged and rep.failure_reason == "non-finite start"
-        assert rep.iterations == 0 and rep.counters == {"assemblies": 1, "lu_factorisations": 0}
+        assert rep.iterations == 0 and rep.counters == {"assemblies": 1, "jacobians": 1, "lu_factorisations": 0}
 
     def test_two_seeds_agree(self):
         # the seed profile and the zero profile reach the same solution
@@ -424,22 +426,42 @@ class TestNewton:
         r2 = solve_bvp(bd, small_opts(grid=64))[1]
         assert r1.counters == r2.counters == r1.summary()["counters"]
         c = r1.counters
-        assert c["lu_factorisations"] >= r1.iterations > 0
-        # one Newton run: the start point, then one assembly per factorised
-        # step (an accepted trial's assembly is the next step's)
-        assert c["assemblies"] == c["lu_factorisations"] + 1
+        assert r1.iterations > c["lu_factorisations"] > 0
+        # one Newton run: every Jacobian built is factored, and each factor
+        # serves the steps that name it fresh; every full step assembles its
+        # trial point's residual alone
+        assert c["jacobians"] == c["lu_factorisations"] == sum(r1.fresh_factor_history)
+        assert r1.damping_history == [1.0] * r1.iterations
+        assert c["assemblies"] == c["jacobians"] + r1.iterations
+        # a reused factor follows only a full step that contracted below THETA_MAX
+        reused = [not f for f in r1.fresh_factor_history]
+        assert all(t < THETA_MAX for t, r in zip(r1.contraction_history, reused[1:]) if r)
+        assert len(r1.contraction_history) == r1.iterations
 
-    def test_counters_over_refinement_rounds(self):
-        bd = BoundaryData(SU, 5, (0.8,))
-        rep = solve_bvp(bd, small_opts(grid=64, refine_rounds=2))[1]
-        assert rep.refinements == 2
-        newton_runs = 1 + rep.refinements
-        assert rep.counters["assemblies"] == rep.counters["lu_factorisations"] + newton_runs
+    def test_counters_over_refinement_rounds(self, monkeypatch):
+        import ccebvp.solver as solver
+
+        real, runs = solver.newton_solve, []
+
+        def recorded(*args, **kwargs):
+            prof, rep = real(*args, **kwargs)
+            runs.append(rep)
+            return prof, rep
+
+        monkeypatch.setattr(solver, "newton_solve", recorded)
+        rep = solve_bvp(BoundaryData(SU, 5, (0.8,)), small_opts(grid=64, refine_rounds=2))[1]
+        assert rep.refinements == 2 and len(runs) == 1 + rep.refinements
+        # every run starts above tol on its mesh and factors each Jacobian it
+        # builds; every one of its full steps assembles one residual alone
+        c = rep.counters
+        assert c["jacobians"] == c["lu_factorisations"] == sum(sum(r.fresh_factor_history) for r in runs)
+        assert all(r.damping_history == [1.0] * len(r.damping_history) for r in runs)
+        assert c["assemblies"] == c["jacobians"] + sum(r.iterations for r in runs)
 
     def test_round_data_needs_no_factorisation(self):
         rep = solve_bvp(BoundaryData(SU, 5, (1.0,)), small_opts(grid=64))[1]
         assert rep.converged
-        assert rep.counters == {"assemblies": 1, "lu_factorisations": 0}
+        assert rep.counters == {"assemblies": 1, "jacobians": 1, "lu_factorisations": 0}
         # no step, so no simplified Newton point to predict the drift from
         assert rep.predicted_drift is None and rep.summary()["predicted_drift"] is None
 
@@ -464,9 +486,14 @@ class TestNewton:
         assert rep.converged and rep.failure_reason == ""
         rejected = sum(int(-np.log2(lam)) for lam in rep.damping_history)
         assert rejected == 1
-        # the rejected trial is the one assembly call beyond one per point
-        assert len(calls) == rep.counters["lu_factorisations"] + 1 + rejected
-        assert rep.counters["assemblies"] == len(calls) - 1  # the injected call did no work
+        # the damped step is followed by a fresh factor at its point
+        assert rep.fresh_factor_history[:2] == [True, True]
+        # the rejected trial is the one assembly call beyond one per Jacobian
+        # (each factored) and one residual per step
+        c = rep.counters
+        assert c["jacobians"] == c["lu_factorisations"]
+        assert len(calls) == c["jacobians"] + rep.iterations + rejected
+        assert c["assemblies"] == len(calls) - 1  # the injected call did no work
 
     def test_interpolate_roundtrip(self):
         bd = BoundaryData(SU, 5, (0.8,))
@@ -524,17 +551,20 @@ def sweep_first_step(lam, grid):
 
 
 class TestPolish:
-    @pytest.mark.parametrize("lam,grid,drift", [(0.95, 384, 4.4e-11), (1.05, 128, 2.8e-9)])
+    @pytest.mark.parametrize("lam,grid,drift", [(0.95, 384, 1.3e-7), (1.05, 128, 9.3e-8)])
     def test_polish_that_meets_the_gate_is_taken(self, lam, grid, drift):
-        # two full steps meet tol with the drift above the gate; the drift
-        # at the simplified Newton point meets it, so the polish is taken
+        # three full steps on one factor (a Newton step, then two chord
+        # steps) meet tol with the drift above the gate; the drift at the
+        # simplified Newton point meets it, so the polish, the chord step to
+        # that point, is taken
         bd, mesh, guess, opts = sweep_first_step(lam, grid)
         prof, rep = newton_solve(bd, mesh, guess, opts)
-        assert rep.damping_history == [1.0, 1.0] and polish_steps(rep) == 1
-        assert 1e-9 < rep.residual_history[-2] < 1e-8 and rep.residual_history[-1] < 1e-14
+        assert rep.damping_history == [1.0, 1.0, 1.0] and polish_steps(rep) == 1
+        assert 1e-9 < rep.residual_history[-2] <= opts.tol and rep.residual_history[-1] < 3e-10
         assert rep.converged and rep.constraint_drift == pytest.approx(drift, rel=0.05)
         assert rep.predicted_drift <= 10 * opts.tol
-        assert rep.counters == {"assemblies": 4, "lu_factorisations": 3}
+        assert rep.fresh_factor_history == [True, False, False, False]
+        assert rep.counters == {"assemblies": 5, "jacobians": 1, "lu_factorisations": 1}
 
     def test_polish_the_mesh_defeats_is_skipped(self, monkeypatch):
         # the 96-node coarse stage meets its tol with a drift set by its
@@ -554,20 +584,22 @@ class TestPolish:
         assert len(reports) == 2 and polish_steps(coarse) == 0
         assert coarse.failure_reason == "constraint drift" and coarse.predicted_drift > 10 * 1e-9
         assert rep.converged and prof.mesh.n_nodes == 768
-        assert rep.counters == {"assemblies": 6, "lu_factorisations": 4}
+        assert rep.counters == {"assemblies": 8, "jacobians": 3, "lu_factorisations": 3}
 
     def test_start_within_tol_polishes_unpredicted(self):
         # a run that meets tol at its start has no simplified Newton
-        # correction: it polishes once, and that step's factor predicts the
-        # next, which the mesh defeats
+        # correction: it factors its start's Jacobian and polishes once, and
+        # that factor predicts the next step, which the mesh defeats (a run
+        # stops just under its tol, so the start is solved at a tighter one)
         bd = BoundaryData(SU, 5, (0.8,))
-        prof = solve_bvp(bd, small_opts())[0]
+        prof = solve_bvp(bd, small_opts(tol=1e-11))[0]
         opts = small_opts(tol=3e-12)
         start = guess_from(bd, [prof], [1.0], opts)
         assert np.abs(assemble_collocation(bd, prof.mesh, start)[0]).max() <= opts.tol
         rep = newton_solve(bd, prof.mesh, start, opts)[1]
         assert rep.damping_history == [] and polish_steps(rep) == 1
-        assert rep.counters == {"assemblies": 2, "lu_factorisations": 1}
+        assert rep.fresh_factor_history == [True]
+        assert rep.counters == {"assemblies": 2, "jacobians": 1, "lu_factorisations": 1}
         assert rep.failure_reason == "constraint drift" and rep.predicted_drift > 10 * opts.tol
 
     def test_prediction_overflow_reads_inf(self):
@@ -587,7 +619,7 @@ class TestPolish:
 
         bd, mesh, guess, opts = sweep_first_step(1.05, 128)
         plain = newton_solve(bd, mesh, guess, opts)[1]
-        polish_call = len(plain.residual_history)  # the start, two steps, then the polish
+        polish_call = len(plain.residual_history)  # the start, three steps on one factor, then the polish
         real, calls = solver.assemble_collocation, []
 
         def overflows_at_polish(*args, **kwargs):
@@ -601,10 +633,11 @@ class TestPolish:
             warnings.simplefilter("error")
             prof, rep = newton_solve(bd, mesh, guess, opts)
         assert len(calls) == polish_call
-        assert rep.residual_history == plain.residual_history[:-1] and rep.iterations == 2
+        assert rep.residual_history == plain.residual_history[:-1] and rep.iterations == 3
         assert rep.failure_reason == "constraint drift" and not prof.converged
         # the profile is the pre-polish iterate, bit for bit
-        assert np.abs(real(bd, mesh, prof)[0]).max() == rep.residual_norm == rep.residual_history[-1]
+        residual = real(bd, mesh, prof, want_jac=False)[0]
+        assert np.abs(residual).max() == rep.residual_norm == rep.residual_history[-1]
 
     def test_default_config_outcomes_and_work(self):
         # the five default `cce solve` cases at SolveOptions(): outcomes, node
@@ -617,13 +650,64 @@ class TestPolish:
             ((GBERGER, 3, (0.9, 1.05)), "", 255),
             ((SU, 3, (1.5,)), "", 509),
         ]
-        assemblies = factorisations = 0
+        jacobians = factorisations = 0
         for args, reason, nodes in cases:
             prof, rep = solve_bvp(BoundaryData(*args), SolveOptions())
             assert (rep.converged, rep.failure_reason, prof.mesh.n_nodes) == (reason == "", reason, nodes), args
-            assemblies += rep.counters["assemblies"]
+            jacobians += rep.counters["jacobians"]
             factorisations += rep.counters["lu_factorisations"]
-        assert assemblies <= 47 and factorisations <= 31
+        assert jacobians <= 21 and factorisations <= 21
+
+
+class TestSimplifiedNewton:
+    def test_weak_contraction_refreshes_the_factor(self):
+        # SU n=5 at 0.8 from the seed: the third step contracts by about
+        # 0.2, above THETA_MAX.  Chord steps on the first factor alone stop
+        # just under tol with a drift the gate rejects; the run builds a
+        # fresh Jacobian there instead, and converges
+        opts = SolveOptions(grid=128, tol=1e-7, refine_rounds=0, coarse_stage=0)
+        rep = solve_bvp(BoundaryData(SU, 5, (0.8,)), opts)[1]
+        assert rep.converged and rep.failure_reason == ""
+        assert rep.fresh_factor_history[0] and sum(rep.fresh_factor_history) >= 2
+        assert max(rep.contraction_history) >= THETA_MAX
+        assert rep.counters["jacobians"] == rep.counters["lu_factorisations"] == sum(rep.fresh_factor_history)
+
+    @staticmethod
+    def stalled_chord_run(monkeypatch, recover):
+        # su5 0.8 from the seed, with every residual-only trial after the
+        # first raising (a rejection), until the next Jacobian is built
+        # when recover; the run and the want_jac of every assembly call
+        import ccebvp.solver as solver
+        from ccebvp.systems import SeriesRecursionError
+
+        real, calls = solver.assemble_collocation, []
+
+        def stalls(*args, want_jac=True, **kwargs):
+            calls.append(want_jac)
+            if not want_jac and calls.count(False) > 1 and not (recover and calls.count(True) > 1):
+                raise SeriesRecursionError("injected at a trial point")
+            return real(*args, want_jac=want_jac, **kwargs)
+
+        monkeypatch.setattr(solver, "assemble_collocation", stalls)
+        rep = solve_bvp(BoundaryData(SU, 5, (0.8,)), small_opts(grid=64))[1]
+        return rep, calls
+
+    def test_stall_on_a_reused_factor_refreshes_it(self, monkeypatch):
+        rep, calls = self.stalled_chord_run(monkeypatch, recover=True)
+        # the chord step's 21 trials (damping 1 to 2^-20) all fail; the run
+        # builds a fresh Jacobian at the same point and goes on from there
+        assert calls[:24] == [True, False] + [False] * 21 + [True]
+        assert rep.fresh_factor_history[:2] == [True, True] and rep.damping_history[:2] == [1.0, 1.0]
+        # it meets tol, and the 64-node mesh sets the drift, as without the stall
+        assert rep.failure_reason == "constraint drift" and rep.residual_norm <= 1e-9
+        assert rep.counters["assemblies"] == len(calls) - 21  # the injected calls did no work
+
+    def test_stall_after_the_refresh_is_reported(self, monkeypatch):
+        rep, calls = self.stalled_chord_run(monkeypatch, recover=False)
+        # one refresh, then the fresh step stalls too: no second refresh
+        assert calls == [True, False] + [False] * 21 + [True] + [False] * 21
+        assert rep.failure_reason == "line search stalled" and rep.iterations == 1
+        assert rep.counters == {"assemblies": 3, "jacobians": 2, "lu_factorisations": 2}
 
 
 class TestRefine:
