@@ -17,11 +17,19 @@ source terms) onto each order's residual coefficient, and per order the
 negated inverse of the exactly-linear indicial map onto the order-k
 coefficients.  Each order then costs one product for its residual and one
 for its column.  A batch axis carries the complex-step perturbations that
-give the tables' input tangents in one pass.
+give the origin tables' input tangents in one pass.
+
+At x=1 the recursion's table is a polynomial in the free values (column k
+of total degree k//2), so series_infinity evaluates that polynomial instead:
+it is interpolated from one batched recursion per (family, order, box of
+free values) and cached, and each call costs a short basis evaluation and
+one product for the table and one for its tangents.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -249,6 +257,18 @@ def _operators(fam: Family, endpoint, order) -> _Operators:
     return built[key]
 
 
+def _consistency_tol(ops: _Operators, cmax):
+    """Tolerance of the residual at the resonant order: relative to the
+    source-weight scale and the largest lower coefficient cmax."""
+    k = ops.free_order
+    return _CONSISTENCY_RTOL * ops.wsum * k * k * (1.0 + cmax * cmax)
+
+
+def _inconsistent(ops: _Operators, residual):
+    """The error for a resonant-order residual above its tolerance."""
+    return SeriesRecursionError(f"inconsistent resonant order {ops.free_order}: residual {residual:.3e}")
+
+
 def _solve_recursion(fam: Family, endpoint, order, col0, free_vals):
     """Tables (B, m, order+1) of a batch with column 0 col0 (B, m), filled
     order by order, and the consistency residual of each batch member.
@@ -291,11 +311,8 @@ def _solve_recursion(fam: Family, endpoint, order, col0, free_vals):
             consistency = np.abs(res[:, 1:] + free_vals @ ops.free_block.T).max(axis=1)
             low = np.abs(D[:, r + 1 : order]) / t[k - 2 :: -1]
             cmax = np.maximum(np.abs(col0).max(axis=1), low.max(axis=(1, 2)))
-            scale = ops.wsum * k * k * (1.0 + cmax * cmax)
-            if np.any(consistency > _CONSISTENCY_RTOL * scale):
-                raise SeriesRecursionError(
-                    f"inconsistent resonant order {k}: residual {consistency.max():.3e}"
-                )
+            if np.any(consistency > _consistency_tol(ops, cmax)):
+                raise _inconsistent(ops, consistency.max())
             DY[:, 1:m] = k * free_vals
             DY[:, m + 1 :] = k * (k - 1.0) * free_vals
         H[:, r, : 2 * m] = DY
@@ -324,6 +341,124 @@ def _split(C, tangents):
     if not tangents:
         return C[0], None
     return C[0].real.copy(), C[1:].imag / CSTEP
+
+
+# -- the x=1 tables as a polynomial in the free values ------------------------
+#
+# At x=1 columns 0 and 1 vanish and E_0 = 1, so every later column is built
+# from earlier ones by linear maps, Cauchy products and Miller's recurrence,
+# and column k is a polynomial of total degree k//2 in the m-1 free u^2
+# values.  The table is interpolated once per (Family object, order, box) in
+# the tensor Chebyshev basis of the box, from one batched recursion on a
+# unisolvent set of the total-degree space; the coefficients above each
+# column's degree, roundoff only, are dropped, and the tangents are the
+# interpolant's derivatives.  Each call then evaluates the basis, less its
+# value at free = 0 (so round data give an exactly zero table), and takes one
+# product for the table and one for its tangents.
+#
+# The interpolation's roundoff is relative to the largest table on the box,
+# and the high columns grow like |free|^(k/2), much faster toward one sign
+# than the other: on [-2, 2] SU n=3 reaches 4e3 times its table at
+# free = 1.5.  So each free value gets its own one-signed box, [0, S] or
+# [-S, 0] with S = 2^(j/4) the least at or above |free| (at least 1/8), which
+# bounds that ratio near (2^(1/4))^13 = 10.  Zero is a corner of every box.
+
+# boxes per octave of |free|, and the exponent j of the smallest (S = 1/8)
+_BOX_STEPS = 4
+_BOX_FLOOR = -12
+# polynomials kept per family, oldest dropped first (a gberger box holds 0.2 MB)
+_BOX_CACHE = 32
+
+
+def _interpolation_points(d, n):
+    """A unisolvent set (P, d) of the total-degree-n polynomials on [-1, 1]^d
+    for the families' d = 1 or 2 free values: Chebyshev-Lobatto points, or
+    the first family of Padua points (Bos, Caliari, De Marchi, Vianello and
+    Xu, 2006)."""
+    if d == 1:
+        return np.cos(np.pi * np.arange(n + 1) / n)[:, None]
+    j, k = np.meshgrid(np.arange(n + 1), np.arange(n + 2), indexing="ij")
+    keep = (j + k) % 2 == 0
+    return np.stack([np.cos(np.pi * j[keep] / n), np.cos(np.pi * k[keep] / (n + 1))], axis=1)
+
+
+def _chebyshev_basis(z, k):
+    """The tensor Chebyshev basis of degrees k = 0, 1, ..., n at one point z
+    (d numbers) of [-1, 1]^d, flattened to ((n+1)^d,) with the last
+    coordinate fastest, from T_k(cos t) = cos(k t): as accurate as the
+    three-term recurrence, and valid for complex z."""
+    out = np.cos(np.arccos(z[0]) * k)
+    for x in z[1:]:
+        out = np.multiply.outer(out, np.cos(np.arccos(x) * k)).ravel()
+    return out
+
+
+def _chebyshev_derivative(c, axis):
+    """Chebyshev coefficients of the derivative of the series c along axis
+    (same length; the last entry is zero)."""
+    c = np.moveaxis(c, axis, 0)
+    d = np.zeros((len(c) + 1,) + c.shape[1:])
+    for k in range(len(c) - 1, 0, -1):
+        d[k - 1] = d[k + 1] + 2.0 * k * c[k]
+    d[0] /= 2.0
+    return np.moveaxis(d[:-1], 0, axis)
+
+
+@dataclass(frozen=True)
+class _InfinityPoly:
+    """The x=1 table, flattened, as a polynomial on one box of free values:
+    coefficients on the rows of _chebyshev_basis(z, k) of total degree at
+    most order//2, at z = free / half - 1."""
+
+    half: tuple  # signed half-widths: the box is free = half * (z + 1), z in [-1, 1]^(m-1)
+    k: np.ndarray  # 0, 1, ..., order//2
+    rows: np.ndarray  # the rows of the tensor basis kept
+    zero: np.ndarray  # (rows,) the basis at free = 0, the box's corner z = -1
+    coef: np.ndarray  # (rows, m*(order+1)), zero above each column's degree
+    dcoef: np.ndarray  # (rows, (m-1)*m*(order+1)) the derivatives in the free values, in turn
+    dzero: np.ndarray  # ((m-1)*m*(order+1),) the derivatives at free = 0
+
+
+def _build_infinity_poly(fam: Family, order, half) -> _InfinityPoly:
+    d, n, m = fam.m - 1, order // 2, fam.m
+    k = np.arange(n + 1)
+    total = np.add.reduce(np.indices((n + 1,) * d)).ravel()  # total degree of each tensor row
+    rows = np.flatnonzero(total <= n)
+    z = _interpolation_points(d, n)
+    C, _ = _solve_recursion(fam, "infinity", order, np.zeros((len(z), m)), np.array(half) * (z + 1.0))
+    V = np.array([_chebyshev_basis(p, k)[rows] for p in z])
+    coef = np.linalg.solve(V, C.reshape(len(z), -1)).reshape(-1, m, order + 1)
+    # column j has degree j//2: drop the roundoff above it, which the derivative would amplify
+    coef = (coef * (total[rows, None, None] <= np.arange(order + 1) // 2)).reshape(len(rows), -1)
+    full = np.zeros((len(total), coef.shape[1]))
+    full[rows] = coef
+    full = full.reshape((n + 1,) * d + (-1,))
+    dcoef = [_chebyshev_derivative(full, a).reshape(len(total), -1)[rows] / half[a] for a in range(d)]
+    dcoef = np.concatenate(dcoef, axis=1)
+    zero = _chebyshev_basis([-1.0] * d, k)[rows]
+    return _InfinityPoly(half, k, rows, zero, coef, dcoef, zero @ dcoef)
+
+
+def _box_exponent(a):
+    """The least j >= _BOX_FLOOR with 2^(j/_BOX_STEPS) >= a, for a finite a >= 0."""
+    j = max(_BOX_FLOOR, math.ceil(_BOX_STEPS * math.log2(a))) if a > 0 else _BOX_FLOOR
+    return j + (2.0 ** (j / _BOX_STEPS) < a)
+
+
+# built polynomials by Family object (as _OPERATORS), then by (order, box)
+_INFINITY_POLYS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _infinity_poly(fam: Family, order, free) -> _InfinityPoly:
+    """The polynomial of the box of the free values (a list of finite numbers)."""
+    key = (order,) + tuple((_box_exponent(abs(f)), f.real < 0) for f in free)
+    built = _INFINITY_POLYS.setdefault(fam, {})
+    if key not in built:
+        if len(built) >= _BOX_CACHE:
+            del built[next(iter(built))]
+        half = tuple((-0.5 if neg else 0.5) * 2.0 ** (j / _BOX_STEPS) for j, neg in key[1:])
+        built[key] = _build_infinity_poly(fam, order, half)
+    return built[key]
 
 
 # -- public constructors -----------------------------------------------------
@@ -361,8 +496,12 @@ def series_infinity(
     The free values are the u^2 coefficients of the non-K unknowns; the K
     series is slaved to them (its local solution manifold at the center has
     no second-order freedom), and y_i(1)=0, y_i'(1)=0 hold by construction.
-    With tangents, the m-1 tables d table / d free come from the same batched
-    pass.
+    The table is the recursion's, evaluated as the cached polynomial of the
+    free values' box (built on first use) less its value at zero, so round
+    data give an exactly zero table; with tangents, the m-1 tables
+    d table / d free are its derivatives.  The resonant-order consistency is
+    checked on every call; non-finite free values give a non-finite table
+    and build nothing.
     """
     kind.validate_dimension(n)
     fam = family(kind, n)
@@ -373,11 +512,24 @@ def series_infinity(
     free = np.asarray(free)
     if free.shape != (fam.m - 1,):
         raise UsageError(f"expected {fam.m - 1} free infinity coefficients")
-    inputs = _batch(free, tangents)
-    col0 = np.zeros((len(inputs), fam.m), dtype=inputs.dtype)
-    C, cons = _solve_recursion(fam, "infinity", order, col0, inputs)
-    table, tan = _split(C, tangents)
-    return SeriesCoefficients("infinity", kind, n, order, table, None, float(cons[0]), tan)
+    if tangents and free.dtype.kind == "c":
+        raise UsageError("tangent tables need real series inputs")
+    ops = _operators(fam, "infinity", order)
+    # every lower column vanishes, so the resonant residual is the free values' alone
+    values = free.tolist()
+    consistency = max(abs(sum(b * f for b, f in zip(row, values))) for row in ops.free_block.tolist())
+    if consistency > _consistency_tol(ops, 0.0):
+        raise _inconsistent(ops, consistency)
+    shape = (fam.m, order + 1)
+    if not all(map(cmath.isfinite, values)):  # no box holds them
+        table = np.full(shape, np.nan, dtype=np.result_type(free, float))
+        tan = np.full((fam.m - 1, *shape), np.nan) if tangents else None
+    else:
+        poly = _infinity_poly(fam, order, values)
+        basis = _chebyshev_basis([f / h - 1.0 for f, h in zip(values, poly.half)], poly.k)[poly.rows] - poly.zero
+        table = (basis @ poly.coef).reshape(shape)
+        tan = (basis @ poly.dcoef + poly.dzero).reshape(fam.m - 1, *shape) if tangents else None
+    return SeriesCoefficients("infinity", kind, n, order, table, None, consistency, tan)
 
 
 # -- evaluation ---------------------------------------------------------------

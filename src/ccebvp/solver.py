@@ -202,20 +202,9 @@ class SolutionProfile:
         xs = self.mesh.nodes
         j = np.clip(np.searchsorted(xs, xq) - 1, 0, len(xs) - 2)
         h = xs[j + 1] - xs[j]
-        t = (xq - xs[j]) / h
-        ya, yb = self.y[:, j], self.y[:, j + 1]
-        pa, pb = self.yp[:, j], self.yp[:, j + 1]
-        h00 = 2 * t**3 - 3 * t**2 + 1
-        h10 = t**3 - 2 * t**2 + t
-        h01 = -2 * t**3 + 3 * t**2
-        h11 = t**3 - t**2
-        y = h00 * ya + h10 * h * pa + h01 * yb + h11 * h * pb
-        d00 = 6 * t**2 - 6 * t
-        d10 = 3 * t**2 - 4 * t + 1
-        d01 = -6 * t**2 + 6 * t
-        d11 = 3 * t**2 - 2 * t
-        yp = (d00 * ya + d01 * yb) / h + d10 * pa + d11 * pb
-        return y, yp
+        wv, wd, _ = _hermite_weights((xq - xs[j]) / h, h)
+        parts = [self.y[:, j], self.yp[:, j], self.y[:, j + 1], self.yp[:, j + 1]]
+        return sum(w * p for w, p in zip(wv, parts)), sum(w * p for w, p in zip(wd, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +286,9 @@ def assemble_collocation(
     constraint propagates inward from the x=1 closure, and the propagation
     toward the origin is contracting).  The constraint is never imposed at
     any interior node; its nodal drift is pure propagation and is checked
-    after the solve.  Each assembly builds both endpoint series once, with
-    their tangent tables only when want_jac, and is tallied in
+    after the solve.  Each assembly makes one call per endpoint series (the
+    origin recursion, and the x=1 series' cached polynomial in its free
+    values), with their tangent tables only when want_jac, and is tallied in
     counters["assemblies"] (and in counters["jacobians"] when want_jac).
 
     The Jacobian is returned as the 1-D array of the values that vary, block

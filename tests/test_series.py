@@ -1,6 +1,7 @@
 """Endpoint series tests: closed-form origin identities, locality of the
-nonlocal parameters, constructional boundary conditions at x=1, and
-convergence order of the truncation error."""
+nonlocal parameters, constructional boundary conditions at x=1, convergence
+order of the truncation error, and the x=1 tables as a cached polynomial in
+their free values."""
 
 import copy
 import dataclasses
@@ -472,3 +473,137 @@ class TestOperatorCache:
         monkeypatch.undo()
         for got, want in zip(builds(), before):
             assert np.array_equal(got, want)
+
+
+def direct_infinity(kind, n, order, free):
+    """Table and tangent tables of the x=1 recursion itself, run on free and
+    its complex-step perturbations (what series_infinity interpolates)."""
+    fam = family(kind, n)
+    inputs = series._batch(np.asarray(free, dtype=float), True)
+    C, _ = series._solve_recursion(fam, "infinity", order, np.zeros((len(inputs), fam.m), dtype=complex), inputs)
+    return series._split(C, True)
+
+
+class TestInfinityPolynomial:
+    """series_infinity evaluates the recursion's tables as a cached polynomial
+    in the free values, one per (Family object, order, box)."""
+
+    @pytest.mark.parametrize("kind,n", [(SU, 3), (SU, 5), (SU, 7), (GBERGER, 3)])
+    def test_degree_law(self, kind, n):
+        # column k of the recursion's table is a polynomial of total degree
+        # k//2 in the free values: a least-squares fit holds to roundoff at
+        # that degree and fails at the degree below, for every k
+        from numpy.polynomial import chebyshev
+
+        fam = family(kind, n)
+        d = fam.m - 1
+        z = np.random.RandomState(n + d).uniform(-1.0, 1.0, (120, d))
+        tables, _ = series._solve_recursion(fam, "infinity", 26, np.zeros((len(z), fam.m)), z)
+
+        def misfit(k, deg):
+            if d == 1:
+                V = chebyshev.chebvander(z[:, 0], deg)
+            else:
+                V = chebyshev.chebvander2d(z[:, 0], z[:, 1], [deg, deg])
+                i, j = np.divmod(np.arange(V.shape[1]), deg + 1)
+                V = V[:, i + j <= deg]
+            vals = tables[:, :, k]
+            fit = V @ np.linalg.lstsq(V, vals, rcond=None)[0]
+            return np.abs(fit - vals).max() / np.abs(vals).max()
+
+        for k in range(2, 27):
+            assert misfit(k, k // 2) < 1e-12, k
+            assert misfit(k, k // 2 - 1) > 1e-9, k
+
+    @pytest.mark.parametrize(
+        "kind,n,frees",
+        [
+            # boxes of both signs from the floor [0, 1/8] to [-2, 0], inside
+            # them and at their edges 2^(j/4)
+            (SU, 5, [[1e-3], [-0.05], [0.125], [-0.1251], [2.0**-1.75], [-1.001 * 2.0**-1.75], [0.2],
+                     [-0.25], [0.3], [0.5], [-0.75], [1.0], [-2.0]]),
+            # the admissible window: SU n=3 at (lambda-1)/2, SU n=9 up to about 6.7
+            (SU, 3, [[(lam - 1.0) / 2.0] for lam in np.geomspace(0.25, 4.0, 9)]),
+            (SU, 9, [[-0.66], [0.9], [3.0], [4.0], [6.675]]),
+            # gberger: solves at the corners of (1/2, 2)^2 reach free values of about
+            # +-1/2; other solved free values, and box edges
+            (GBERGER, 3, [[0.5, 0.5], [-0.5, 0.5], [0.5, -0.5], [-0.5, -0.5], [-0.266, 0.185],
+                          [0.086, -0.262], [-0.098, -0.48], [0.341, 0.098], [0.25, 0.0], [1e-3, -2e-3]]),
+        ],
+    )
+    def test_matches_the_recursion(self, kind, n, frees):
+        # tables, tangents and the closure at the x=1 matching point, within
+        # the frozen-table tolerance
+        assert_table = TestFrozenTables.assert_table
+        for free in map(np.array, frees):
+            table, tangents = direct_infinity(kind, n, 26, free)
+            plain = series_infinity(kind, n, 26, free)
+            sc = series_infinity(kind, n, 26, free, tangents=True)
+            assert np.array_equal(plain.table, sc.table)
+            assert_table(sc.table, table)
+            assert_table(sc.tangents, tangents)
+            direct = SeriesCoefficients("infinity", kind, n, 26, table, tangents=tangents)
+            for got, want in zip(evaluate_closure(sc, 0.85), evaluate_closure(direct, 0.85)):
+                assert_table(got, want)
+
+    @pytest.mark.parametrize("kind,n,free", [(SU, 5, [0.3]), (SU, 3, [-0.2]), (GBERGER, 3, [0.1, -0.2])])
+    def test_complex_inputs_take_the_same_polynomial(self, kind, n, free):
+        # a complex step through the table gives its tangents, as it does
+        # through the recursion
+        free = np.array(free)
+        sc = series_infinity(kind, n, 26, free, tangents=True)
+        for j in range(len(free)):
+            stepped = series_infinity(kind, n, 26, free + 1e-20j * np.eye(len(free))[j])
+            assert stepped.table.dtype == complex
+            TestFrozenTables.assert_table(stepped.table.real, sc.table)
+            TestFrozenTables.assert_table(stepped.table.imag / 1e-20, sc.tangents[j])
+
+    def test_second_call_in_a_box_runs_no_recursion(self, monkeypatch):
+        fam = copy.copy(family(SU, 5))
+        monkeypatch.setattr(series, "family", lambda kind, n: fam)
+        runs = []
+        real = series._solve_recursion
+
+        def counted(*args):
+            runs.append(args[1:3])
+            return real(*args)
+
+        monkeypatch.setattr(series, "_solve_recursion", counted)
+        # the box of 0.3 is [0, 2^(-6/4)]: free values in (2^(-7/4), 2^(-6/4)] share it
+        for free, tangents in ((0.3, False), (0.31, True), (2.0**-1.5, False), (0.2974, True)):
+            series_infinity(SU, 5, 26, np.array([free]), tangents=tangents)
+        assert runs == [("infinity", 26)]
+        series_infinity(SU, 5, 26, np.array([-0.3]))  # the other sign
+        series_infinity(SU, 5, 26, np.array([0.36]))  # the next box
+        series_infinity(SU, 5, 16, np.array([0.3]))  # another order
+        assert runs == [("infinity", 26)] * 3 + [("infinity", 16)]
+        # a full cache drops its oldest box first
+        monkeypatch.setattr(series, "_BOX_CACHE", 4)
+        series_infinity(SU, 5, 16, np.array([0.5]))
+        assert list(series._INFINITY_POLYS[fam]) == [(26, (-6, True)), (26, (-5, False)), (16, (-6, False)), (16, (-4, False))]
+
+    @pytest.mark.parametrize(
+        "kind,n,free",
+        [(SU, 5, [np.inf]), (SU, 5, [-np.inf]), (SU, 5, [np.nan]), (SU, 3, [np.inf]),
+         (GBERGER, 3, [np.nan, 0.1]), (GBERGER, 3, [0.1, -np.inf])],
+    )
+    @pytest.mark.parametrize("tangents", [False, True])
+    def test_non_finite_free_values_build_nothing(self, monkeypatch, kind, n, free, tangents):
+        # rejected as the recursion rejects them, by SeriesRecursionError or a
+        # non-finite table, and no box is built
+        def outcome(build):
+            try:
+                return "finite" if np.isfinite(build()).all() else "non-finite"
+            except SeriesRecursionError:
+                return "raised"
+
+        fam = copy.copy(family(kind, n))
+        monkeypatch.setattr(series, "family", lambda kind, n: fam)
+        with np.errstate(invalid="ignore", over="ignore"):
+            direct = outcome(lambda: series._solve_recursion(fam, "infinity", 26, np.zeros((1, fam.m)), np.array([free]))[0])
+            sc = lambda: series_infinity(kind, n, 26, np.array(free), tangents=tangents)
+            got = outcome(lambda: sc().table)
+            if tangents and got == "non-finite":
+                assert outcome(lambda: sc().tangents) == "non-finite"
+        assert got == direct != "finite"
+        assert not series._INFINITY_POLYS.get(fam)
