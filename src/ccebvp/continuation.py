@@ -46,10 +46,12 @@ class SweepPlan:
             raise UsageError(
                 f"need 0 < min_step <= step <= max_step, got {self.min_step}, {self.step}, {self.max_step}"
             )
+        if not self.max_step < np.inf:
+            raise UsageError(f"max_step must be finite, got {self.max_step}")
         if not 0 < self.lam_end < np.inf:
             raise UsageError(f"lam_end must be positive and finite, got {self.lam_end}")
-        if not self.event_tol > 0:
-            raise UsageError(f"event_tol must be positive, got {self.event_tol}")
+        if not 0 < self.event_tol < np.inf:
+            raise UsageError(f"event_tol must be positive and finite, got {self.event_tol}")
 
     def boundary_data(self, lam: float) -> BoundaryData:
         # SU family: phi(0) = lambda per the continuity-method normalization;

@@ -10,7 +10,6 @@ only inside the provenance object.
 from __future__ import annotations
 
 import datetime
-import hashlib
 import json
 import os
 import tempfile
@@ -190,6 +189,10 @@ def provenance(config_hash=""):
 
 
 def config_hash(text: str) -> str:
+    # Imported here: hashlib maps OpenSSL's libcrypto (about 3.4 MB RSS), and
+    # only cce solve and cce sweep hash a config.
+    import hashlib
+
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

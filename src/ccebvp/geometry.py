@@ -92,13 +92,6 @@ def radial_sectional_all(mp: MetricProfile) -> np.ndarray:
     )
 
 
-def ricci_su(I1, I2, n) -> np.ndarray:
-    """Closed-form diagonal Ricci of the SU slice: ((n-1)I1^2/I2^2, (n+1)-2I1/I2, ...)."""
-    first = (n - 1.0) * I1 * I1 / (I2 * I2)
-    rest = (n + 1.0) - 2.0 * I1 / I2
-    return np.array([first] + [rest] * (n - 1))
-
-
 @dataclass
 class SliceCurvature:
     """Curvature data of one homogeneous slice at the base point."""

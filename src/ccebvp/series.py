@@ -37,7 +37,6 @@ import numpy as np
 
 from .systems import (
     BoundaryData,
-    DomainError,
     Family,
     SeriesRecursionError,
     SystemKind,
@@ -535,20 +534,6 @@ def series_infinity(
 # -- evaluation ---------------------------------------------------------------
 
 
-def _eval_table(table, t, dsign):
-    """Evaluate values and first two derivatives of the coefficient rows at t.
-
-    dsign = -1 converts d/du into d/dx for the infinity series; the second
-    derivative is sign-free either way.
-    """
-    t = np.asarray(t)
-    d1 = _pderiv(table)
-    d2 = _pderiv(d1)
-    powers = t[..., None] ** np.arange(table.shape[-1])
-    y, yp, ypp = (powers @ np.swapaxes(a, -1, -2) for a in (table, d1, d2))
-    return y, dsign * yp, ypp
-
-
 def evaluate_closure(sc: SeriesCoefficients, x):
     """(y, y', d(y, y')/d input) of the series at one point x: shapes (m,),
     (m,) and (2m, inputs), the last None when sc has no tangents.  The table
@@ -561,21 +546,6 @@ def evaluate_closure(sc: SeriesCoefficients, x):
     yp = dsign * (powers @ np.swapaxes(_pderiv(tables), -1, -2))
     jac = None if sc.tangents is None else np.concatenate([y[1:].T, yp[1:].T])
     return y[0], yp[0], jac
-
-
-def evaluate_series(sc: SeriesCoefficients, x):
-    """(y, y', y'') of the series at x, inside its trust radius: each (m,) at a
-    scalar x, (m,) + x.shape at an array x."""
-    xs = np.asarray(x, dtype=float)
-    if sc.endpoint == "origin":
-        if np.any(xs < 0) or np.any(xs > TRUST_RADIUS):
-            raise DomainError(f"x={x} outside origin series trust radius {TRUST_RADIUS}")
-        y, yp, ypp = _eval_table(sc.table, xs, 1.0)
-    else:
-        if np.any(xs > 1) or np.any(xs < 1.0 - TRUST_RADIUS):
-            raise DomainError(f"x={x} outside infinity series trust radius")
-        y, yp, ypp = _eval_table(sc.table, 1.0 - xs, -1.0)
-    return y.T, yp.T, ypp.T
 
 
 def seed_values(bd: BoundaryData, xs):

@@ -66,7 +66,7 @@ class Mesh:
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or len(nodes) < MIN_NODES:
             raise UsageError(f"mesh needs at least {MIN_NODES} nodes")
-        if np.any(np.diff(nodes) <= 0):
+        if not np.all(np.diff(nodes) > 0):  # a NaN node fails this too
             raise UsageError("mesh nodes must be strictly increasing")
         if nodes[0] <= 0.0 or nodes[-1] >= 1.0:
             raise DomainError("mesh must lie strictly inside (0,1)")
@@ -110,8 +110,8 @@ class SolveOptions:
                 raise UsageError(f"{name} must be an integer, got {value!r}")
         if self.grid < MIN_NODES:
             raise UsageError(f"grid must be at least {MIN_NODES}, got {self.grid}")
-        if not self.tol > 0:
-            raise UsageError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise UsageError(f"tol must be positive and finite, got {self.tol}")
         if not (self.coarse_stage == 0 or self.coarse_stage >= MIN_NODES):
             raise UsageError(f"coarse_stage must be 0 or at least {MIN_NODES}, got {self.coarse_stage}")
         if not self.refine_rounds >= 0:

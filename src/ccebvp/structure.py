@@ -139,18 +139,3 @@ def slice_structure(n: int) -> StructureConstants:
             raise UsageError(f"no structure-constant table for slice dimension {n}")
     return _cache[n]
 
-
-# Lie brackets [Y_c, Y_b] = sum_a alpha[(c,b)][a] Y_a for the S^5 frame
-# (1-based indices); used only as a cross-check oracle for dT.
-SU3_BRACKETS = {
-    (1, 2): {3: -3.0},
-    (1, 3): {2: 3.0},
-    (1, 4): {5: -3.0},
-    (1, 5): {4: 3.0},
-    (2, 3): {1: -1.0, 6: 1.0},
-    (2, 4): {7: 1.0},
-    (2, 5): {8: 1.0},
-    (3, 4): {8: -1.0},
-    (3, 5): {7: 1.0},
-    (4, 5): {1: -1.0, 6: -1.0},
-}

@@ -39,10 +39,6 @@ class UsageError(ValueError):
     """Structurally invalid call (wrong sizes, wrong family, ...)."""
 
 
-class InfeasibleStateError(DomainError):
-    """State violates an inequality required for a closed form (3 - Upsilon > 0)."""
-
-
 class SeriesRecursionError(RuntimeError):
     """Endpoint series recursion hit a vanishing indicial factor or inconsistency."""
 
@@ -297,39 +293,4 @@ def evo_jacobian(fam, x, y, yp):
         dyp[..., r, :] = yp @ (eq.quad + eq.quad.T)
         dyp[..., r, eq.unknown] -= _sing_coeff(*fam.sing[i], x)
     return dy, dyp
-
-
-def constraint_jacobian(fam, x, y, yp):
-    """Partials of the first integral w.r.t. (y, yp), each (..., m); it does
-    not depend on y''."""
-    dy = fam.cphi * _source_term_jac(fam.eqs[fam.m].src, x, y)
-    dyp = -2.0 * (yp @ fam.rmat)
-    dyp[..., 0] += 2.0 * yp[..., 0] - 4.0 * fam.n * _sing_coeff(1.0, 1.0, x)
-    return dy, dyp
-
-
-# ---------------------------------------------------------------------------
-# public pointwise operations
-# ---------------------------------------------------------------------------
-
-
-def upsilon(K, phi1, phi2):
-    """The scalar Upsilon(K, phi1, phi2) controlling the n=3 origin identity."""
-    if K <= 0 or phi1 <= 0 or phi2 <= 0:
-        raise DomainError("upsilon requires strictly positive arguments")
-    y = np.log([K, phi1, phi2])
-    fam = family(GBERGER, 3)
-    # eq 2's source at x = 0 is S2 = 16*(3 - Upsilon)
-    return 3.0 - _source_term(fam.eqs[fam.m].src, 0.0, y) / 16.0
-
-
-def y1prime_closed_form_gb(x, yp2, yp3, ups):
-    """Closed form for y1' from the n=3 first integral (minus-root branch)."""
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"x must lie in (0,1), got {x}")
-    quad = yp2 * yp2 + yp2 * yp3 + yp3 * yp3
-    rad = (1 + x * x) ** 2 + x * x * (1 - x * x) ** 2 * quad / 36.0 - 4.0 * x * x * (3.0 - ups) / 3.0
-    if rad < 0:
-        raise InfeasibleStateError("negative radicand: state violates 3 - Upsilon > 0")
-    return 6.0 / (x * (1.0 - x * x)) * (1.0 + x * x - np.sqrt(rad))
 

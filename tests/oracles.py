@@ -1,0 +1,105 @@
+"""Test oracles: closed forms and evaluators the package itself never calls.
+
+The solver, sweep, verification and CLI read none of these; the tests check
+the package against them.
+"""
+
+import numpy as np
+
+from ccebvp.series import TRUST_RADIUS, SeriesCoefficients, _pderiv
+from ccebvp.systems import GBERGER, DomainError, _sing_coeff, _source_term, _source_term_jac, family
+
+
+class InfeasibleStateError(DomainError):
+    """State violates an inequality required for a closed form (3 - Upsilon > 0)."""
+
+
+# -- endpoint series -----------------------------------------------------------
+
+
+def _eval_table(table, t, dsign):
+    """Evaluate values and first two derivatives of the coefficient rows at t.
+
+    dsign = -1 converts d/du into d/dx for the infinity series; the second
+    derivative is sign-free either way.
+    """
+    t = np.asarray(t)
+    d1 = _pderiv(table)
+    d2 = _pderiv(d1)
+    powers = t[..., None] ** np.arange(table.shape[-1])
+    y, yp, ypp = (powers @ np.swapaxes(a, -1, -2) for a in (table, d1, d2))
+    return y, dsign * yp, ypp
+
+
+def evaluate_series(sc: SeriesCoefficients, x):
+    """(y, y', y'') of the series at x, inside its trust radius: each (m,) at a
+    scalar x, (m,) + x.shape at an array x."""
+    xs = np.asarray(x, dtype=float)
+    if sc.endpoint == "origin":
+        if np.any(xs < 0) or np.any(xs > TRUST_RADIUS):
+            raise DomainError(f"x={x} outside origin series trust radius {TRUST_RADIUS}")
+        y, yp, ypp = _eval_table(sc.table, xs, 1.0)
+    else:
+        if np.any(xs > 1) or np.any(xs < 1.0 - TRUST_RADIUS):
+            raise DomainError(f"x={x} outside infinity series trust radius")
+        y, yp, ypp = _eval_table(sc.table, 1.0 - xs, -1.0)
+    return y.T, yp.T, ypp.T
+
+
+# -- pointwise closed forms ----------------------------------------------------
+
+
+def constraint_jacobian(fam, x, y, yp):
+    """Partials of the first integral w.r.t. (y, yp), each (..., m); it does
+    not depend on y''."""
+    dy = fam.cphi * _source_term_jac(fam.eqs[fam.m].src, x, y)
+    dyp = -2.0 * (yp @ fam.rmat)
+    dyp[..., 0] += 2.0 * yp[..., 0] - 4.0 * fam.n * _sing_coeff(1.0, 1.0, x)
+    return dy, dyp
+
+
+def upsilon(K, phi1, phi2):
+    """The scalar Upsilon(K, phi1, phi2) controlling the n=3 origin identity."""
+    if K <= 0 or phi1 <= 0 or phi2 <= 0:
+        raise DomainError("upsilon requires strictly positive arguments")
+    y = np.log([K, phi1, phi2])
+    fam = family(GBERGER, 3)
+    # eq 2's source at x = 0 is S2 = 16*(3 - Upsilon)
+    return 3.0 - _source_term(fam.eqs[fam.m].src, 0.0, y) / 16.0
+
+
+def y1prime_closed_form_gb(x, yp2, yp3, ups):
+    """Closed form for y1' from the n=3 first integral (minus-root branch)."""
+    if not 0.0 < x < 1.0:
+        raise DomainError(f"x must lie in (0,1), got {x}")
+    quad = yp2 * yp2 + yp2 * yp3 + yp3 * yp3
+    rad = (1 + x * x) ** 2 + x * x * (1 - x * x) ** 2 * quad / 36.0 - 4.0 * x * x * (3.0 - ups) / 3.0
+    if rad < 0:
+        raise InfeasibleStateError("negative radicand: state violates 3 - Upsilon > 0")
+    return 6.0 / (x * (1.0 - x * x)) * (1.0 + x * x - np.sqrt(rad))
+
+
+# -- slice geometry ------------------------------------------------------------
+
+
+def ricci_su(I1, I2, n) -> np.ndarray:
+    """Closed-form diagonal Ricci of the SU slice: ((n-1)I1^2/I2^2, (n+1)-2I1/I2, ...)."""
+    first = (n - 1.0) * I1 * I1 / (I2 * I2)
+    rest = (n + 1.0) - 2.0 * I1 / I2
+    return np.array([first] + [rest] * (n - 1))
+
+
+# Lie brackets [Y_c, Y_b] = sum_a alpha[(c,b)][a] Y_a for the S^5 frame
+# (1-based indices); a cross-check oracle for dT.
+SU3_BRACKETS = {
+    (1, 2): {3: -3.0},
+    (1, 3): {2: 3.0},
+    (1, 4): {5: -3.0},
+    (1, 5): {4: 3.0},
+    (2, 3): {1: -1.0, 6: 1.0},
+    (2, 4): {7: 1.0},
+    (2, 5): {8: 1.0},
+    (3, 4): {8: -1.0},
+    (3, 5): {7: 1.0},
+    (4, 5): {1: -1.0, 6: -1.0},
+}

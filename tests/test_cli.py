@@ -13,7 +13,7 @@ import pytest
 from ccebvp import cli, config, geometry
 from ccebvp.cli import main
 from ccebvp.config import ParseError, parse_config
-from ccebvp.exports import export_profile_csv, fmt, load_profile_csv
+from ccebvp.exports import config_hash, export_profile_csv, fmt, load_profile_csv
 from ccebvp.solver import SolveOptions, solve_bvp
 from ccebvp.systems import SU, BoundaryData
 
@@ -83,6 +83,10 @@ class TestConfig:
         ("sweep_end = inf", "sweep_end"),
         ("sweep_step = 0.05\nsweep_min_step = 0.2\nsweep_end = 0.5", "sweep_step"),
         ("event_tol = 0\nsweep_end = 0.5", "event_tol"),
+        ("tol = inf", "tol"),
+        ("tol = nan", "tol"),
+        ("sweep_max_step = inf\nsweep_end = 0.5", "sweep_max_step"),
+        ("event_tol = inf\nsweep_end = 0.5", "event_tol"),
     ])
     def test_failed_check_names_key(self, line, key):
         with pytest.raises(ParseError, match=f"key '{key}', line 4"):
@@ -320,6 +324,18 @@ class TestVerifyExport:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    def test_nan_node_exit_three(self, small_profile, tmp_path, capsys):
+        # an interior x edited to nan is a load error, not a report of NaN margins
+        p = tmp_path / "profile.csv"
+        export_profile_csv(small_profile, str(p))
+        lines = p.read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("x,")) + 6
+        lines[row] = "nan" + lines[row][lines[row].index(","):]
+        p.write_text("".join(lines))
+        assert main(["verify", str(p), "--out", str(tmp_path)]) == 3
+        assert "cannot load profile" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_export_json(self, small_profile, tmp_path):
         p = tmp_path / "profile.csv"
         export_profile_csv(small_profile, str(p))
@@ -327,6 +343,33 @@ class TestVerifyExport:
         assert rc == 0
         doc = json.loads((tmp_path / "profile.json").read_text())
         assert doc["system"] == "su" and len(doc["x"]) == 64
+
+
+class TestConfigHash:
+    def test_value_is_stable(self):
+        # the 16-hex sha256 prefix that report.json and event.json record
+        assert config_hash("system = su\nn = 3\nphi0 = 1.5\n") == "60e40fef4030d42c"
+
+    def test_verify_and_export_never_load_openssl(self, small_profile, tmp_path):
+        # hashlib maps OpenSSL's libcrypto; only a config hash reads it. A
+        # fresh interpreter, since the test process may hold _hashlib already.
+        p = tmp_path / "profile.csv"
+        export_profile_csv(small_profile, str(p))
+        code = (
+            "import importlib, pkgutil, sys\n"
+            "import ccebvp\n"
+            "for m in pkgutil.iter_modules(ccebvp.__path__):\n"
+            "    importlib.import_module(f'ccebvp.{m.name}')\n"
+            "from ccebvp.cli import main\n"
+            f"assert main(['verify', {str(p)!r}, '--out', {str(tmp_path)!r}]) in (0, 2)\n"
+            f"assert main(['export', {str(p)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "print('_hashlib' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert out.stdout.splitlines()[-1] == "False"
+        assert (tmp_path / "report.json").exists() and (tmp_path / "profile.json").exists()
 
 
 class TestSweepMinStep:
@@ -428,7 +471,7 @@ class TestFlagOverrides:
         assert len(rows) == 24
         assert any("tol=1e-08" in l for l in lines)
 
-    @pytest.mark.parametrize("flag", [["--tol", "-1"], ["--grid", "2"]])
+    @pytest.mark.parametrize("flag", [["--tol", "-1"], ["--grid", "2"], ["--tol", "inf"]])
     def test_bad_flag_exits_before_solving(self, tmp_path, monkeypatch, flag):
         calls = []
         monkeypatch.setattr(cli, "solve_bvp", lambda *a: calls.append(a))

@@ -38,6 +38,12 @@ class TestPlan:
         with pytest.raises(UsageError, match="lam_end"):
             SweepPlan(SU, 3, lam_end=lam_end)
 
+    @pytest.mark.parametrize("kw", [{"max_step": np.inf}, {"step": np.inf, "max_step": np.inf},
+                                    {"event_tol": np.inf}, {"event_tol": np.nan}])
+    def test_non_finite_step_or_tolerance_rejected(self, kw):
+        with pytest.raises(UsageError, match="max_step" if "max_step" in kw else "event_tol"):
+            SweepPlan(SU, 3, lam_end=0.5, **kw)
+
     def test_boundary_data_map(self):
         plan = SweepPlan(SU, 5, lam_end=0.5)
         assert plan.boundary_data(0.7).phi0 == (0.7,)

@@ -16,7 +16,6 @@ from ccebvp.series import (
     NonlocalParams,
     SeriesCoefficients,
     evaluate_closure,
-    evaluate_series,
     fg_series_origin,
     seed_values,
     series_infinity,
@@ -31,6 +30,8 @@ from ccebvp.systems import (
     UsageError,
     family,
 )
+
+from oracles import _eval_table, evaluate_series
 
 TABLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "series_tables.npz")
 
@@ -207,8 +208,6 @@ class TestInfinity:
 
     def test_even_in_geodesic_distance(self):
         # y(x(r)) is even in r at the center: odd r-derivatives vanish
-        from ccebvp.series import _eval_table
-
         sc = series_infinity(SU, 5, 6, np.array([0.4]))
         for r in (0.02, 0.05):
             up, um = 1.0 - np.exp(-r), 1.0 - np.exp(r)
@@ -248,8 +247,6 @@ class TestEvaluate:
     def test_closure_matches_separate_evaluations(self, endpoint, kind, n, phi0):
         # one pass gives bit for bit what evaluate_series and a separate
         # evaluation of the tangent tables give
-        from ccebvp.series import _eval_table
-
         if endpoint == "origin":
             free = NonlocalParams(tuple(0.3 * (i + 1) for i in range(kind.free_count)))
             sc = fg_series_origin(BoundaryData(kind, n, phi0), free, n + 23, log_k0=-0.01, tangents=True)

@@ -80,7 +80,8 @@ def small_opts(**kw):
 class TestOptions:
     @pytest.mark.parametrize("kw", [{"grid": 3}, {"tol": 0.0}, {"tol": -1.0}, {"coarse_stage": -5},
                                     {"coarse_stage": 2}, {"refine_rounds": -1}, {"grid": 64.5},
-                                    {"coarse_stage": 40.5}, {"refine_rounds": 1.5}, {"grid": True}])
+                                    {"coarse_stage": 40.5}, {"refine_rounds": 1.5}, {"grid": True},
+                                    {"tol": np.inf}, {"tol": np.nan}])
     def test_checks(self, kw):
         with pytest.raises(UsageError, match=next(iter(kw))):
             SolveOptions(**kw)
@@ -94,6 +95,8 @@ class TestMesh:
             Mesh(np.array([0.0, 0.3, 0.6, 0.9]))
         with pytest.raises(DomainError):
             Mesh(np.array([0.3, 0.5, 0.7, 0.9]))  # left end outside trust radius
+        with pytest.raises(UsageError, match="strictly increasing"):
+            Mesh(np.array([0.1, np.nan, 0.5, 0.86]))  # NaN differences compare false both ways
 
     def test_make_mesh_grading(self):
         c = make_mesh(64)
@@ -752,7 +755,8 @@ class TestConstraintPropagation:
     def test_series_path_carries_zero_constraint(self):
         # a state path solving the evolution equations with Phi = 0 near one
         # point keeps Phi at truncation level along the path
-        from ccebvp.series import NonlocalParams, evaluate_series, fg_series_origin
+        from ccebvp.series import NonlocalParams, fg_series_origin
+        from oracles import evaluate_series
         import ccebvp.systems as S
 
         bd = BoundaryData(SU, 5, (0.8,))

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from ccebvp.structure import (
-    SU3_BRACKETS,
     StructureConstants,
     slice_structure,
     structure_from_frame,
     su3_frame,
 )
 from ccebvp.systems import UsageError
+
+from oracles import SU3_BRACKETS
 
 
 def test_su3_c_table_literals():
