@@ -13,6 +13,7 @@ import datetime
 import json
 import os
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -131,6 +132,12 @@ def load_profile_csv(path: str) -> SolutionProfile:
     bd = BoundaryData(kind, int(_header(meta, "n")), tuple(_header(meta, "phi0", kind.free_count)))
     y = np.vstack([col[f"y{i + 1}"] for i in range(m)])
     yp = np.vstack([col[f"yp{i + 1}"] for i in range(m)])
+    # the tol sets the drift gate and the uniqueness slack, so it must be a real one
+    tol, converged = float(_header(meta, "tol")), _header(meta, "converged")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"profile header 'tol' must be positive and finite, got {tol}")
+    if converged not in ("true", "false"):
+        raise ValueError(f"profile header 'converged' must be true or false, got {converged!r}")
     return SolutionProfile(
         bd,
         Mesh(col["x"]),
@@ -139,8 +146,8 @@ def load_profile_csv(path: str) -> SolutionProfile:
         k0var=float(_header(meta, "k0var")),
         free=NonlocalParams(tuple(_header(meta, "free", kind.free_count))),
         infinity_free=np.array(_header(meta, "infinity_free", m - 1)),
-        converged=_header(meta, "converged") == "true",
-        tol=float(_header(meta, "tol")),
+        converged=converged == "true",
+        tol=tol,
     )
 
 
@@ -197,20 +204,9 @@ def config_hash(text: str) -> str:
 
 
 def report_document(report, profile=None, config_digest=""):
-    checks = [
-        {
-            "name": r.name,
-            "anchor": r.anchor,
-            "margin": r.margin,
-            "threshold": r.threshold,
-            "passed": r.passed,
-            "applicable": r.applicable,
-        }
-        for r in report.records
-    ]
     doc = {
         "schema": REPORT_SCHEMA,
-        "checks": checks,
+        "checks": [asdict(r) for r in report.records],
         "overall_pass": report.overall_pass,
         "provenance": provenance(config_digest),
     }
@@ -231,9 +227,7 @@ def event_document(event, config_digest=""):
         "lambda_event": event.lam_event,
         "bracket": list(event.bracket),
         "width": event.width,
-        "witness": {"x": event.witness.x, "plane": event.witness.plane, "value": event.witness.value}
-        if event.witness is not None
-        else None,
+        "witness": None if event.witness is None else asdict(event.witness),
         "annotation": event.annotation,
         "solves": event.solves,
         "provenance": provenance(config_digest),

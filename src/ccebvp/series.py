@@ -78,11 +78,8 @@ class SeriesCoefficients:
     """Truncated endpoint expansion; table[i, k] multiplies x^k (origin) or (1-x)^k (infinity)."""
 
     endpoint: str
-    kind: SystemKind
-    n: int
     order: int
     table: np.ndarray
-    free: NonlocalParams | None = None
     consistency: float = 0.0
     # d table / d input, one (m, order+1) table per input (origin: log K(0)
     # then the free values; infinity: the free values), when requested
@@ -484,7 +481,7 @@ def fg_series_origin(
     col0[:, 1:] = bd.y_boundary()
     C, cons = _solve_recursion(fam, "origin", order, col0, inputs[:, 1:])
     table, tan = _split(C, tangents)
-    return SeriesCoefficients("origin", bd.kind, bd.n, order, table, free, float(cons[0]), tan)
+    return SeriesCoefficients("origin", order, table, float(cons[0]), tan)
 
 
 def series_infinity(
@@ -502,8 +499,7 @@ def series_infinity(
     checked on every call; non-finite free values give a non-finite table
     and build nothing.
     """
-    kind.validate_dimension(n)
-    fam = family(kind, n)
+    fam = family(kind, n)  # validates n
     if order < 3:
         raise UsageError("infinity series order must be >= 3")
     if free is None:
@@ -528,7 +524,7 @@ def series_infinity(
         basis = _chebyshev_basis([f / h - 1.0 for f, h in zip(values, poly.half)], poly.k)[poly.rows] - poly.zero
         table = (basis @ poly.coef).reshape(shape)
         tan = (basis @ poly.dcoef + poly.dzero).reshape(fam.m - 1, *shape) if tangents else None
-    return SeriesCoefficients("infinity", kind, n, order, table, None, consistency, tan)
+    return SeriesCoefficients("infinity", order, table, consistency, tan)
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -18,7 +18,7 @@ storage and work, and no sparse-matrix library to import.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -144,21 +144,8 @@ class SolveReport:
     counters: dict = field(default_factory=_zero_counters)
 
     def summary(self):
-        """Deterministic fields only (wall time excluded)."""
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "residual_norm": self.residual_norm,
-            "residual_history": list(self.residual_history),
-            "damping_history": list(self.damping_history),
-            "contraction_history": list(self.contraction_history),
-            "fresh_factor_history": list(self.fresh_factor_history),
-            "refinements": self.refinements,
-            "constraint_drift": self.constraint_drift,
-            "predicted_drift": self.predicted_drift,
-            "failure_reason": self.failure_reason,
-            "counters": dict(self.counters),
-        }
+        """Every field but wall_time: the deterministic ones, as copies."""
+        return {k: v for k, v in asdict(self).items() if k != "wall_time"}
 
 
 @dataclass
@@ -587,7 +574,9 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=Non
         record(dbar, dnorm, fresh)
         rep.residual_history.append(norm)
         polish += 1
-        drift, predicted = drift_at(u), predict(u, dbar)
+        # a step on a reused factor lands on the point its prediction read
+        drift = drift_at(u) if predicted is None else predicted
+        predicted = predict(u, dbar)
 
     prof = _unpack(bd, mesh, u, opts)
     rep.residual_norm = norm

@@ -2,8 +2,9 @@
 total-variation uniqueness diagnostic.
 
 Every check produces a record (name, anchor slug, measured margin, threshold,
-pass flag); checks whose hypotheses fail are marked not-applicable rather
-than failed.
+pass flag) through one of three rules: a margin above its threshold, a
+measure at most its threshold, or not applicable when the check's
+hypotheses fail (such a check is not failed).
 """
 
 from __future__ import annotations
@@ -32,6 +33,20 @@ class CheckRecord:
     def ok(self) -> bool:
         return (not self.applicable) or self.passed is not False
 
+    @classmethod
+    def above(cls, name, anchor, margin, threshold=-DEADBAND) -> "CheckRecord":
+        """Passes when margin exceeds threshold; a NaN margin fails."""
+        return cls(name, anchor, float(margin), threshold, bool(margin > threshold))
+
+    @classmethod
+    def at_most(cls, name, anchor, measure, threshold) -> "CheckRecord":
+        """Passes when measure is at most threshold; a NaN measure fails."""
+        return cls(name, anchor, float(measure), threshold, bool(measure <= threshold))
+
+    @classmethod
+    def not_applicable(cls, name, anchor) -> "CheckRecord":
+        return cls(name, anchor, 0.0, None, None, applicable=False)
+
 
 @dataclass
 class VerificationReport:
@@ -50,27 +65,11 @@ def check_monotonicity(profile) -> list:
     """Derivative sign conditions of the monotone-solution properties at interior nodes."""
     bd = profile.bd
     sl = _interior(profile)
-    recs = [
-        CheckRecord(
-            "monotone-K",
-            "volume-ratio-monotonicity",
-            float(profile.yp[0, sl].min()),
-            -DEADBAND,
-            bool(profile.yp[0, sl].min() > -DEADBAND),
-        )
-    ]
+    recs = [CheckRecord.above("monotone-K", "volume-ratio-monotonicity", profile.yp[0, sl].min())]
     if bd.kind.family == "su":
         sign = np.sign(1.0 - bd.phi0[0])
         vals = sign * profile.yp[1, sl] if sign != 0 else np.zeros(1)
-        recs.append(
-            CheckRecord(
-                "monotone-ratio",
-                "ratio-monotonicity",
-                float(vals.min()),
-                -DEADBAND,
-                bool(vals.min() > -DEADBAND),
-            )
-        )
+        recs.append(CheckRecord.above("monotone-ratio", "ratio-monotonicity", vals.min()))
     else:
         p1, p2 = bd.phi0
         hypothesis = p1 < 1.0 and p1 * p2 < 1.0 and p1 + p1 * p2 > 1.0
@@ -79,21 +78,17 @@ def check_monotonicity(profile) -> list:
             ("monotone-ratio-2", profile.yp[2, sl]),
             ("monotone-ratio-product", profile.yp[1, sl] + profile.yp[2, sl]),
         ):
-            if hypothesis:
-                margin = float(max(f.min(), (-f).min()))  # single-signedness
-                recs.append(
-                    CheckRecord(name, "ratio-monotonicity", margin, -DEADBAND, bool(margin > -DEADBAND))
-                )
+            if hypothesis:  # single-signedness
+                recs.append(CheckRecord.above(name, "ratio-monotonicity", max(f.min(), (-f).min())))
             else:
-                recs.append(CheckRecord(name, "ratio-monotonicity", 0.0, None, None, applicable=False))
+                recs.append(CheckRecord.not_applicable(name, "ratio-monotonicity"))
     return recs
 
 
 def check_constraint_drift(profile) -> CheckRecord:
     """Sup-norm of the first integral at the nodes against DRIFT_GATE times the solve tolerance."""
-    drift = float(np.abs(profile.constraint_values()).max())
-    thr = DRIFT_GATE * profile.tol
-    return CheckRecord("constraint-drift", "first-integral-propagation", drift, thr, bool(drift <= thr))
+    drift, thr = np.abs(profile.constraint_values()).max(), DRIFT_GATE * profile.tol
+    return CheckRecord.at_most("constraint-drift", "first-integral-propagation", drift, thr)
 
 
 def check_apriori_bounds(profile) -> list:
@@ -103,30 +98,18 @@ def check_apriori_bounds(profile) -> list:
     sl = _interior(profile)
     xs = profile.mesh.nodes[sl]
     bound = 4.0 * n * xs / (1.0 - xs * xs)
-    margin = float((bound - profile.yp[0, sl]).min())
-    recs = [
-        CheckRecord("apriori-y1-derivative", "first-derivative-bound", margin, 0.0, bool(margin > 0.0))
-    ]
+    margin = (bound - profile.yp[0, sl]).min()
+    recs = [CheckRecord.above("apriori-y1-derivative", "first-derivative-bound", margin, 0.0)]
     m = family(bd.kind, bd.n).m
     for i in range(1, m):
         phi0 = bd.phi0[i - 1]
         lo, hi = min(phi0, 1.0), max(phi0, 1.0)
         phi = np.exp(profile.y[i, sl])
-        margin = float(min((phi - lo).min(), (hi - phi).min()))
-        recs.append(
-            CheckRecord(
-                f"range-ratio-{i}",
-                "ratio-range-containment",
-                margin,
-                -DEADBAND,
-                bool(margin > -DEADBAND),
-            )
-        )
+        margin = min((phi - lo).min(), (hi - phi).min())
+        recs.append(CheckRecord.above(f"range-ratio-{i}", "ratio-range-containment", margin))
     K = np.exp(profile.y[0, sl])
-    kmargin = float(min((K - profile.k0).min(), (1.0 - K).min()))
-    recs.append(
-        CheckRecord("range-K", "determinant-ratio-window", kmargin, -DEADBAND, bool(kmargin > -DEADBAND))
-    )
+    kmargin = min((K - profile.k0).min(), (1.0 - K).min())
+    recs.append(CheckRecord.above("range-K", "determinant-ratio-window", kmargin))
     return recs
 
 
@@ -137,21 +120,18 @@ def check_k0_window(profile) -> CheckRecord:
     if profile.bd.is_round and abs(k0 - 1.0) <= 1e-10:
         return CheckRecord("k0-window", "determinant-ratio-window", 0.0, None, True)
     lb = geom.k0_lower_bound(profile.bd)
-    margin = float(min(k0 - (0.0 if lb is None else lb), 1.0 - k0))
-    return CheckRecord("k0-window", "determinant-ratio-window", margin, 0.0, bool(margin > 0.0))
+    margin = min(k0 - (0.0 if lb is None else lb), 1.0 - k0)
+    return CheckRecord.above("k0-window", "determinant-ratio-window", margin, 0.0)
 
 
 def check_weyl_bound(profile, samples) -> CheckRecord:
     """n=3 mixed Weyl components against the nonpositively-curved bound
     2*sqrt(6), on the metric the curvature samples were computed from."""
-    if profile.bd.n != 3:
-        return CheckRecord("weyl-bound", "weyl-norm-bound", 0.0, None, None, applicable=False)
-    if not (np.all(np.isfinite(samples.values)) and samples.values.max() <= 1e-8):
-        # the bound's hypothesis (nonpositive curvature) fails or cannot be read
-        return CheckRecord("weyl-bound", "weyl-norm-bound", 0.0, None, None, applicable=False)
+    # the bound needs n=3 and nonpositive curvature, read from finite samples
+    if profile.bd.n != 3 or not (np.all(np.isfinite(samples.values)) and samples.values.max() <= 1e-8):
+        return CheckRecord.not_applicable("weyl-bound", "weyl-norm-bound")
     worst = geom.weyl_mixed_max_n3(samples.metric)
-    thr = geom.WEYL_BOUND_N3 + 1e-8
-    return CheckRecord("weyl-bound", "weyl-norm-bound", float(worst), thr, bool(worst <= thr))
+    return CheckRecord.at_most("weyl-bound", "weyl-norm-bound", worst, geom.WEYL_BOUND_N3 + 1e-8)
 
 
 def pinching_report(samples) -> CheckRecord:
@@ -170,8 +150,8 @@ def check_radial_trace(profile, samples) -> CheckRecord:
     the generalized Berger family y1'' is eliminated through the y1 equation
     the trace restates, so the sum is -n to roundoff on any profile.
     """
-    err = float(np.abs(geom.radial_trace(samples) + profile.bd.n).max())
-    return CheckRecord("radial-einstein-trace", "einstein-radial-trace", err, 1e-8, bool(err <= 1e-8))
+    err = np.abs(geom.radial_trace(samples) + profile.bd.n).max()
+    return CheckRecord.at_most("radial-einstein-trace", "einstein-radial-trace", err, 1e-8)
 
 
 @dataclass
@@ -210,11 +190,7 @@ def uniqueness_diagnostic(p1, p2) -> VariationLedger:
     if p1.bd != p2.bd:
         raise UsageError("uniqueness diagnostic requires identical boundary data")
     xs = p1.mesh.nodes
-    if p2.mesh.n_nodes == p1.mesh.n_nodes and np.array_equal(p2.mesh.nodes, xs):
-        y2 = p2.y
-    else:
-        y2 = p2.interpolate(xs)[0]
-    z = p1.y - y2
+    z = p1.y - (p2.y if np.array_equal(p2.mesh.nodes, xs) else p2.interpolate(xs)[0])
     V = np.abs(np.diff(z, axis=1)).sum(axis=1)
     intervals = [_monotone_decomposition(xs, zi) for zi in z]
     slack = max(1e-12, 100.0 * max(p1.tol, p2.tol))

@@ -141,6 +141,20 @@ class TestCSV:
         export_profile_csv(loaded, str(p2))
         assert p.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("header, value, message", [
+        ("tol", "inf", "'tol' must be positive and finite, got inf"),
+        ("tol", "nan", "'tol' must be positive and finite, got nan"),
+        ("tol", "0", "'tol' must be positive and finite, got 0.0"),
+        ("tol", "-1", "'tol' must be positive and finite, got -1.0"),
+        ("converged", "maybe", "'converged' must be true or false, got 'maybe'"),
+    ])
+    def test_unreal_tol_or_converged_rejected(self, small_profile, tmp_path, header, value, message):
+        p = tmp_path / "profile.csv"
+        export_profile_csv(small_profile, str(p))
+        p.write_text(re.sub(f"^# {header}=.*$", f"# {header}={value}", p.read_text(), flags=re.M))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_profile_csv(str(p))
+
     def test_fmt_shortest_roundtrip(self):
         for v in (1 / 3, 1e-17, 123456.789, 0.1, -2.5e300):
             assert float(fmt(v)) == v
@@ -313,6 +327,10 @@ class TestVerifyExport:
         ("n", None, "'n' is missing"),
         ("free", "0.1,0.2", "'free' needs 1 values, got 2"),
         ("infinity_free", "0.1,0.2,0.3", "'infinity_free' needs 1 values, got 3"),
+        # the stored tol sets the drift gate and the uniqueness slack: tol=inf
+        # would pass constraint-drift on any profile
+        *(("tol", v, "'tol' must be positive and finite") for v in ("inf", "nan", "0", "-1")),
+        ("converged", "maybe", "'converged' must be true or false, got 'maybe'"),
     ])
     def test_bad_header_exit_three(self, small_profile, tmp_path, capsys, header, value, message):
         # a missing header line, or one with the wrong count, is named on load

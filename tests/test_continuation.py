@@ -15,7 +15,7 @@ from ccebvp.continuation import (
 )
 from ccebvp.geometry import CurvatureSample, CurvatureSamples, curvature_samples
 from ccebvp.solver import SolveOptions, solve_bvp
-from ccebvp.systems import SU, BoundaryData, UsageError
+from ccebvp.systems import GBERGER, SU, BoundaryData, UsageError
 
 
 def quick_opts(grid=96, tol=1e-6):
@@ -253,6 +253,18 @@ class TestSweep:
         lams = [r.lam for r in tr.records]
         assert all(b > a for a, b in zip(lams, lams[1:]))
         assert all(r.k0 < 1.0 + 1e-12 for r in tr.records)
+
+    def test_generalized_berger_sweep_walks_the_berger_line(self):
+        # phi = (lam, 1) is the SU n=3 data: the gberger sweep takes the SU
+        # sweep's steps, to its K(0), with a vanishing second nonlocal value
+        opts = SolveOptions(grid=96, tol=1e-7, refine_rounds=0, coarse_stage=0)
+        gb, su = (sweep(SweepPlan(kind, 3, lam_end=1.2, step=0.05, options=opts)) for kind in (GBERGER, SU))
+        assert gb.plan.boundary_data(1.1).phi0 == (1.1, 1.0)
+        assert gb.stop_reason == su.stop_reason == "path-end" and gb.rejected == su.rejected == []
+        assert [r.lam for r in gb.records] == [r.lam for r in su.records]
+        assert len(gb.records) == 5
+        assert max(abs(g.k0 - s.k0) for g, s in zip(gb.records, su.records)) < 1e-8
+        assert max(abs(r.free[1]) for r in gb.records) < 1e-12
 
     def test_one_curvature_pass_per_profile(self, monkeypatch):
         from ccebvp import geometry

@@ -221,7 +221,7 @@ class TestEvaluate:
         c = 3.3
         table = np.zeros((1, 5))
         table[0, 2] = c
-        sc = SeriesCoefficients("origin", SU, 5, 4, table)
+        sc = SeriesCoefficients("origin", 4, table)
         y, yp, ypp = evaluate_series(sc, 0.1)
         assert y.shape == yp.shape == ypp.shape == (1,)
         assert y[0] == pytest.approx(0.01 * c, rel=1e-15)
@@ -231,7 +231,7 @@ class TestEvaluate:
     def test_matches_naive_polynomial_oracle(self):
         rng = np.random.RandomState(9)
         table = rng.uniform(-1, 1, (2, 9))
-        sc = SeriesCoefficients("origin", SU, 5, 8, table)
+        sc = SeriesCoefficients("origin", 8, table)
         x = 0.12
         got = evaluate_series(sc, x)
         for i in range(2):
@@ -539,7 +539,7 @@ class TestInfinityPolynomial:
             assert np.array_equal(plain.table, sc.table)
             assert_table(sc.table, table)
             assert_table(sc.tangents, tangents)
-            direct = SeriesCoefficients("infinity", kind, n, 26, table, tangents=tangents)
+            direct = SeriesCoefficients("infinity", 26, table, tangents=tangents)
             for got, want in zip(evaluate_closure(sc, 0.85), evaluate_closure(direct, 0.85)):
                 assert_table(got, want)
 

@@ -2,6 +2,7 @@
 module runs the production-size cases)."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -334,6 +335,25 @@ def test_src_reads_no_environment():
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 reads += [f"{path.name}:{node.lineno}: {a.name}" for a in node.names if a.name in ("environ", "getenv")]
     assert reads == []
+
+
+def test_src_failure_reasons_are_tested():
+    # every string the package assigns to a failure_reason (both branches of
+    # a conditional too) is quoted in a test file, so each way a solve can
+    # fail is exercised somewhere; this lint's own source is not searched
+    root = Path(__file__).resolve().parents[1]
+    reasons = set()
+    for path in sorted((root / "src" / "ccebvp").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Attribute) and t.attr == "failure_reason" for t in node.targets
+            ):
+                reasons |= {c.value for c in ast.walk(node.value)
+                            if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    assert {"non-finite start", "max iterations", "constraint drift"} <= reasons
+    own = inspect.getsource(test_src_failure_reasons_are_tested)
+    tests = "".join(p.read_text().replace(own, "") for p in sorted((root / "tests").glob("*.py")))
+    assert sorted(r for r in reasons if repr(r) not in tests and f'"{r}"' not in tests) == []
 
 
 class TestNewton:
@@ -711,6 +731,104 @@ class TestSimplifiedNewton:
         assert calls == [True, False] + [False] * 21 + [True] + [False] * 21
         assert rep.failure_reason == "line search stalled" and rep.iterations == 1
         assert rep.counters == {"assemblies": 3, "jacobians": 2, "lu_factorisations": 2}
+
+
+class TestNewtonFailures:
+    """Each exit of newton_solve that ends a run early, reached by injecting
+    the failure into su5 0.8 from the seed at 64 nodes.  Uninjected, that
+    run takes a fresh step, two chord steps (the second contracts by about
+    0.2) and a fresh step, meets tol, and ends "constraint drift"."""
+
+    bd = BoundaryData(SU, 5, (0.8,))
+
+    def run(self):
+        return solve_bvp(self.bd, small_opts(grid=64))[1]
+
+    def test_failed_fresh_assembly(self, monkeypatch):
+        import ccebvp.solver as solver
+        from ccebvp.systems import SeriesRecursionError
+
+        real, calls = solver.assemble_collocation, []
+
+        def fails_second_jacobian(*args, want_jac=True, **kwargs):
+            calls.append(want_jac)
+            if want_jac and calls.count(True) == 2:
+                raise SeriesRecursionError("injected at the fresh Jacobian")
+            return real(*args, want_jac=want_jac, **kwargs)
+
+        monkeypatch.setattr(solver, "assemble_collocation", fails_second_jacobian)
+        rep = self.run()
+        assert calls == [True, False, False, False, True]
+        assert rep.failure_reason == "singular linearization" and rep.iterations == 3
+        assert rep.counters == {"assemblies": 4, "jacobians": 1, "lu_factorisations": 1}
+
+    def test_singular_factor(self, monkeypatch):
+        import ccebvp.solver as solver
+
+        def singular(J, m, N):
+            raise np.linalg.LinAlgError("injected singular factor")
+
+        monkeypatch.setattr(solver, "splu", singular)
+        rep = self.run()
+        assert rep.failure_reason == "singular linearization" and rep.iterations == 0
+        assert rep.counters == {"assemblies": 1, "jacobians": 1, "lu_factorisations": 1}
+
+    @pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
+    def test_zero_or_non_finite_step(self, monkeypatch, value):
+        import ccebvp.solver as solver
+
+        monkeypatch.setattr(solver.CyclicReduction, "solve", lambda self, rhs: np.full_like(rhs, value))
+        rep = self.run()
+        assert rep.failure_reason == "singular linearization" and rep.iterations == 0
+        assert rep.damping_history == [] and len(rep.residual_history) == 1
+        assert rep.counters == {"assemblies": 1, "jacobians": 1, "lu_factorisations": 1}
+
+    def test_non_finite_trial_residual_is_rejected(self, monkeypatch):
+        import ccebvp.solver as solver
+
+        real, calls = solver.assemble_collocation, []
+
+        def nan_first_trial(*args, want_jac=True, **kwargs):
+            calls.append(want_jac)
+            F, J = real(*args, want_jac=want_jac, **kwargs)
+            if calls == [True, False]:
+                F = F.copy()
+                F[0] = np.nan
+            return F, J
+
+        monkeypatch.setattr(solver, "assemble_collocation", nan_first_trial)
+        rep = self.run()
+        # the full step's trial is rejected and the halved one taken
+        assert calls[:3] == [True, False, False] and rep.damping_history[0] == 0.5
+        assert rep.fresh_factor_history[0] and len(rep.residual_history) == rep.iterations + 1
+
+    def test_max_iterations(self, monkeypatch):
+        import ccebvp.solver as solver
+
+        monkeypatch.setattr(solver, "MAX_ITER", 2)
+        rep = self.run()
+        assert rep.failure_reason == "max iterations" and rep.iterations == 2
+        assert rep.residual_norm > 1e-9 and not rep.converged
+        assert rep.counters == {"assemblies": 3, "jacobians": 1, "lu_factorisations": 1}
+
+    def test_polish_factor_fails(self, monkeypatch):
+        # a start that meets tol has no step to predict from: the polish
+        # factors its Jacobian, and when that raises the run keeps its point
+        import ccebvp.solver as solver
+
+        opts = small_opts(grid=64)
+        prof = solve_bvp(self.bd, opts)[0]
+        assert not prof.converged
+
+        def singular(J, m, N):
+            raise np.linalg.LinAlgError("injected singular factor")
+
+        monkeypatch.setattr(solver, "splu", singular)
+        again, rep = newton_solve(self.bd, prof.mesh, prof, opts)
+        assert rep.failure_reason == "constraint drift" and rep.iterations == 0
+        assert rep.residual_norm <= 1e-9 and rep.predicted_drift is None
+        assert np.array_equal(again.y, prof.y) and np.array_equal(again.yp, prof.yp)
+        assert rep.counters == {"assemblies": 1, "jacobians": 1, "lu_factorisations": 1}
 
 
 class TestRefine:
