@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import geometry
 from .config import ParseError, parse_config
-from .continuation import SweepPlan, sweep
+from .continuation import sweep
 from .exports import (
     config_hash,
     event_document,
@@ -64,16 +63,11 @@ def _load_config(args):
             text = f.read()
     except OSError as e:
         _fail(3, f"cannot read config: {e}")
+    flags = {k: getattr(args, k) for k in ("out", "grid", "tol", "quiet") if getattr(args, k) is not None}
     try:
-        cfg = parse_config(text)
-        flags = {k: getattr(args, k) for k in ("grid", "tol") if getattr(args, k) is not None}
-        cfg.options = replace(cfg.options, **flags)
-    except (ParseError, UsageError) as e:
+        cfg = parse_config(text, flags)
+    except ParseError as e:
         _fail(1, f"config error: {e}")
-    if args.out is not None:
-        cfg.out = args.out
-    if args.quiet:
-        cfg.quiet = True
     return cfg, config_hash(text)
 
 
@@ -92,7 +86,7 @@ def _check_lines(report):
 def cmd_solve(args) -> int:
     cfg, digest = _load_config(args)
     try:
-        prof, rep = solve_bvp(cfg.boundary_data(), cfg.options)
+        prof, rep = solve_bvp(cfg.bd, cfg.options)
     except (UsageError, DomainError) as e:
         _fail(1, f"solve error: {e}")
     with np.errstate(**_NONFINITE_OK):
@@ -114,11 +108,10 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, digest = _load_config(args)
-    if "lam_end" not in cfg.sweep:
+    if cfg.plan is None:
         _fail(1, "config error: sweep_end is required for the sweep command")
-    plan = SweepPlan(cfg.kind, cfg.n, options=cfg.options, **cfg.sweep)
     try:
-        trace = sweep(plan)
+        trace = sweep(cfg.plan)
     except (UsageError, DomainError, RuntimeError) as e:
         _fail(1, f"sweep error: {e}")
     jobs = [(export_trace_csv, trace, os.path.join(cfg.out, "trace.csv"))]
@@ -180,11 +173,12 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
+        # every flag but --config overrides the config key of its name
         p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--quiet", action="store_true")
+        p.add_argument("--out")
+        p.add_argument("--grid")
+        p.add_argument("--tol")
+        p.add_argument("--quiet", action="store_const", const="true")
 
     p = sub.add_parser("solve", help="solve one boundary-value problem and verify it")
     common(p)

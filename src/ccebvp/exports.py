@@ -95,7 +95,8 @@ def export_profile_csv(profile: SolutionProfile, path: str, samples=None) -> Non
 
 
 def _header(meta, key, count=None):
-    """Header value of key; with count, its comma-separated floats, which must number count."""
+    """Header value of key; with count, its comma-separated floats, which must
+    number count and be finite."""
     if key not in meta:
         raise ValueError(f"profile header {key!r} is missing")
     if count is None:
@@ -103,6 +104,8 @@ def _header(meta, key, count=None):
     vals = [float(v) for v in meta[key].split(",")]
     if len(vals) != count:
         raise ValueError(f"profile header {key!r} needs {count} values, got {len(vals)}")
+    if not np.isfinite(vals).all():
+        raise ValueError(f"profile header {key!r} is not finite: {meta[key]}")
     return vals
 
 
@@ -124,14 +127,21 @@ def load_profile_csv(path: str) -> SolutionProfile:
         raise ValueError(f"{path} does not contain a profile table")
     data = np.array(rows).T
     col = {name: data[i] for i, name in enumerate(names)}
+
+    def column(name):
+        # the stored unknowns; the derived columns are never read
+        if not np.isfinite(col[name]).all():
+            raise ValueError(f"profile column {name!r} is not finite")
+        return col[name]
+
     system = _header(meta, "system")
     if system not in KINDS:
         raise ValueError(f"unknown system {system!r}, expected one of {sorted(KINDS)}")
     kind = KINDS[system]
     m = kind.unknowns
     bd = BoundaryData(kind, int(_header(meta, "n")), tuple(_header(meta, "phi0", kind.free_count)))
-    y = np.vstack([col[f"y{i + 1}"] for i in range(m)])
-    yp = np.vstack([col[f"yp{i + 1}"] for i in range(m)])
+    y = np.vstack([column(f"y{i + 1}") for i in range(m)])
+    yp = np.vstack([column(f"yp{i + 1}") for i in range(m)])
     # the tol sets the drift gate and the uniqueness slack, so it must be a real one
     tol, converged = float(_header(meta, "tol")), _header(meta, "converged")
     if not 0 < tol < np.inf:
@@ -140,10 +150,10 @@ def load_profile_csv(path: str) -> SolutionProfile:
         raise ValueError(f"profile header 'converged' must be true or false, got {converged!r}")
     return SolutionProfile(
         bd,
-        Mesh(col["x"]),
+        Mesh(column("x")),
         y,
         yp,
-        k0var=float(_header(meta, "k0var")),
+        k0var=_header(meta, "k0var", 1)[0],
         free=NonlocalParams(tuple(_header(meta, "free", kind.free_count))),
         infinity_free=np.array(_header(meta, "infinity_free", m - 1)),
         converged=converged == "true",

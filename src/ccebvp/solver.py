@@ -5,10 +5,10 @@ keeps each factor while the iteration contracts (simplified Newton).
 Unknowns are the node values and first derivatives of every y_i plus the
 endpoint parameters (log K(0), the nonlocal order-n coefficients, and the
 free second-order coefficients at x=1).  Each interval contributes two
-Gauss-point collocations of the regularized evolution equations per unknown;
-the first integral is anchored once, at the mid node, in exchange for the two
-y1 collocations of the adjacent interval (constraint propagation makes them
-redundant there).
+Gauss-point collocations of the regularized evolution equations per unknown.
+The first integral is imposed at no interior node: the endpoint series
+satisfy it identically, the redundant y1-derivative match at the origin is
+shed, and its nodal drift (pure propagation) is checked after the solve.
 
 The Jacobian is kept as its blocks and factored by block cyclic reduction
 with orthogonal pair eliminations (CyclicReduction), in numpy alone: O(N)
@@ -78,7 +78,7 @@ class Mesh:
         return len(self.nodes)
 
 
-def make_mesh(num=128) -> Mesh:
+def make_mesh(num) -> Mesh:
     """Endpoint-clustered mesh of num nodes on [XL, XR].
 
     The grading blends a cosine map (mild refinement toward both series

@@ -1,5 +1,6 @@
 """Config parsing, CSV/JSON export stability, round-trips and CLI exit codes."""
 
+import argparse
 import json
 import os
 import re
@@ -13,6 +14,7 @@ import pytest
 from ccebvp import cli, config, geometry
 from ccebvp.cli import main
 from ccebvp.config import ParseError, parse_config
+from ccebvp.continuation import SweepPlan
 from ccebvp.exports import config_hash, export_profile_csv, fmt, load_profile_csv
 from ccebvp.solver import SolveOptions, solve_bvp
 from ccebvp.systems import SU, BoundaryData
@@ -22,11 +24,11 @@ class TestConfig:
     def test_minimal_defaults(self):
         cfg = parse_config("system = su\nn = 5\nphi0 = 0.8\n")
         assert cfg.options.grid == 128 and cfg.options.tol == 1e-10
-        assert cfg.phi0 == (0.8,) and cfg.out == "."
+        assert cfg.bd.phi0 == (0.8,) and cfg.out == "."
 
     def test_comments_and_whitespace(self):
         cfg = parse_config("# comment\nsystem=su # trailing\n n = 5 \nphi0=0.8\n")
-        assert cfg.system == "su"
+        assert cfg.bd.kind is SU
 
     def test_even_n_rejected(self):
         with pytest.raises(ParseError, match="odd"):
@@ -112,8 +114,38 @@ class TestConfig:
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
         assert blocks
-        for block in blocks:
-            parse_config(block)
+        cfgs = [parse_config(block) for block in blocks]
+        # the sweep example builds its plan; the solve example builds none
+        assert [cfg.plan is not None for cfg in cfgs] == ["sweep_end" in block for block in blocks]
+        assert any(cfg.plan is not None for cfg in cfgs)
+
+    def test_sweep_solves_at_plan_defaults(self):
+        # a sweep's options are SweepPlan's own, with the solver keys a config sets laid over them
+        base = "system = su\nn = 3\nphi0 = 1\nsweep_end = 1.5\n"
+        cfg = parse_config(base)
+        assert cfg.plan.options == SweepPlan(SU, 3, lam_end=1.5).options
+        assert cfg.options == SolveOptions()
+        cfg = parse_config(base + "grid = 96\n")
+        assert (cfg.plan.options.grid, cfg.plan.options.tol) == (96, 3e-8)
+        assert cfg.plan.lam_end == 1.5 and cfg.bd == BoundaryData(SU, 3, (1.0,))
+        assert parse_config("system = su\nn = 3\nphi0 = 1\n").plan is None
+
+    def test_flags_override_keys(self):
+        text = "system = su\nn = 3\nphi0 = 1\ngrid = 64\nout = a\nsweep_end = 1.5\n"
+        cfg = parse_config(text, {"grid": "96", "tol": "1e-8", "out": "b", "quiet": "true"})
+        assert (cfg.options.grid, cfg.options.tol, cfg.out, cfg.quiet) == (96, 1e-8, "b", True)
+        assert (cfg.plan.options.grid, cfg.plan.options.tol) == (96, 1e-8)
+
+    @pytest.mark.parametrize("flags, message", [
+        ({"grid": "2.5"}, "bad value for 'grid': '2.5' (key 'grid')"),
+        ({"grid": "2"}, "grid must be at least 4, got 2 (key 'grid')"),
+        ({"tol": "inf"}, "tol must be positive and finite, got inf (key 'tol')"),
+    ])
+    def test_bad_flag_names_key(self, flags, message):
+        # a flag is named as the key it overrides; it has no line, even over a config line
+        with pytest.raises(ParseError) as e:
+            parse_config("system = su\nn = 3\nphi0 = 1\ngrid = 64\n", flags)
+        assert str(e.value) == message
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +187,23 @@ class TestCSV:
         with pytest.raises(ValueError, match=re.escape(message)):
             load_profile_csv(str(p))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name, kind", [("x", "column"), ("y1", "column"), ("yp2", "column"),
+                                            ("k0var", "header"), ("free", "header"), ("infinity_free", "header")])
+    def test_non_finite_value_rejected(self, small_profile, tmp_path, name, kind, value):
+        p = tmp_path / "profile.csv"
+        export_profile_csv(small_profile, str(p))
+        poison(p, name, value)
+        with pytest.raises(ValueError, match=f"profile {kind} '{name}' is not finite"):
+            load_profile_csv(str(p))
+
+    def test_derived_columns_unread(self, small_profile, tmp_path):
+        # K, Phi, I1, ... are recomputed from the unknowns, so a non-finite one loads
+        p = tmp_path / "profile.csv"
+        export_profile_csv(small_profile, str(p))
+        poison(p, "Phi", "nan")
+        assert np.array_equal(load_profile_csv(str(p)).y, small_profile.y)
+
     def test_fmt_shortest_roundtrip(self):
         for v in (1 / 3, 1e-17, 123456.789, 0.1, -2.5e300):
             assert float(fmt(v)) == v
@@ -171,6 +220,20 @@ class TestCSV:
         assert len(rows) == 16
         phi_col = header.split(",").index("Phi")
         assert all(float(r.split(",")[phi_col]) == 0.0 for r in rows)
+
+
+def poison(path, name, value):
+    """Set the first value of header `name`, or column `name` in the seventh row, of a profile CSV."""
+    text = path.read_text()
+    if re.search(f"^# {name}=", text, flags=re.M):
+        path.write_text(re.sub(f"^(# {name}=)[^,\n]*", rf"\g<1>{value}", text, flags=re.M))
+        return
+    lines = text.splitlines(keepends=True)
+    head = next(i for i, line in enumerate(lines) if line.startswith("x,"))
+    col, fields = lines[head].rstrip("\n").split(",").index(name), lines[head + 7].rstrip("\n").split(",")
+    fields[col] = value
+    lines[head + 7] = ",".join(fields) + "\n"
+    path.write_text("".join(lines))
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -281,13 +344,23 @@ class TestSweepCommand:
         assert any("stop_reason=path-end" in l for l in lines)
         assert not (tmp_path / "event.json").exists()
 
+    def test_default_settings_reach_path_end(self, tmp_path):
+        # with neither grid nor tol set, each step solves at the SweepPlan
+        # defaults (grid 384, tol 3e-8); at the SolveOptions ones (grid 128,
+        # tol 1e-10) this path stops min-step after lambda = 1.029
+        cfg = write_cfg(tmp_path, "system = su\nn = 3\nphi0 = 1\nsweep_end = 1.5\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        assert lines[-1] == "# stop_reason=path-end"
+        assert not any(line.startswith("# rejected=") for line in lines)
+
     def test_missing_sweep_end(self, tmp_path):
         cfg = write_cfg(tmp_path, "system = su\nn = 3\nphi0 = 1\n")
         assert main(["sweep", "--config", cfg, "--quiet"]) == 1
 
 
 class TestReadmeKeyTable:
-    OWNERS = {"run": "RunConfig", "options": "SolveOptions", "sweep": "SweepPlan"}
+    OWNERS = {"run": "RunConfig", "bd": "BoundaryData", "options": "SolveOptions", "plan": "SweepPlan"}
 
     def test_table_matches_config_keys(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -297,6 +370,17 @@ class TestReadmeKeyTable:
         for key, sets, *_ in rows:
             where, name, _ = config._KEYS[key]
             assert sets == f"{self.OWNERS[where]}.{name}", key
+
+
+class TestFlagsAreKeys:
+    def test_every_run_flag_is_a_key(self):
+        # each cce solve / cce sweep option but --config overrides the config key of its name
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for command in ("solve", "sweep"):
+            flags = [a for a in sub.choices[command]._actions if a.option_strings and a.dest not in ("help", "config")]
+            assert flags, command
+            for a in flags:
+                assert a.dest in config._KEYS and a.option_strings == [f"--{a.dest}"], (command, a.dest)
 
 
 class TestVerifyExport:
@@ -352,6 +436,17 @@ class TestVerifyExport:
         p.write_text("".join(lines))
         assert main(["verify", str(p), "--out", str(tmp_path)]) == 3
         assert "cannot load profile" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("name, value", [("y1", "nan"), ("yp1", "inf"), ("free", "inf"), ("infinity_free", "nan")])
+    def test_non_finite_value_exit_three(self, small_profile, tmp_path, capsys, name, value):
+        # a non-finite unknown is a load error, not a traceback from the
+        # curvature pass; a non-finite endpoint parameter is not a pass
+        p = tmp_path / "profile.csv"
+        export_profile_csv(small_profile, str(p))
+        poison(p, name, value)
+        assert main(["verify", str(p), "--out", str(tmp_path)]) == 3
+        assert f"'{name}' is not finite" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     def test_export_json(self, small_profile, tmp_path):
