@@ -2,7 +2,7 @@
 
 Exit codes: 0 converged with every applicable check passing, 1 solver
 failure, 2 converged-but-flagged (or a sweep stopping on min-step), 3 I/O
-failure.
+failure or a stored profile that cannot be loaded or verified.
 """
 
 from __future__ import annotations
@@ -140,7 +140,10 @@ def cmd_verify(args) -> int:
         print(f"forces_zero={ledger.forces_zero}")
         return 0 if ledger.forces_zero else 2
     with np.errstate(**_NONFINITE_OK):
-        report = run_verification(prof)
+        try:
+            report = run_verification(prof)
+        except geometry.InfeasibleProfileError as e:
+            _fail(3, f"cannot verify profile: {e}")
     out = args.out or os.path.dirname(os.path.abspath(args.profile))
     _write((export_json, report_document(report, prof), os.path.join(out, "report.json")))
     for line in _check_lines(report):
@@ -160,7 +163,7 @@ def cmd_export(args) -> int:
         "x": list(prof.mesh.nodes),
         "y": [list(row) for row in prof.y],
         "yp": [list(row) for row in prof.yp],
-        "free": [float(c) for c in prof.free.coeffs],
+        "free": list(prof.free.coeffs),
         "infinity_free": list(prof.infinity_free),
     }
     out = args.out or os.path.dirname(os.path.abspath(args.profile))

@@ -179,10 +179,8 @@ def sweep(plan: SweepPlan) -> ContinuationTrace:
 
 
 def _record(lam, prof, rep, samples):
-    free = tuple(float(np.real(c)) for c in prof.free.coeffs)
-    ver = run_verification(prof, samples)
-    return TraceRecord(lam, rep.converged, prof.k0, float(samples.values.max()), free, ver.overall_pass,
-                       rep.iterations, rep.residual_history[0], prof)
+    return TraceRecord(lam, rep.converged, prof.k0, float(samples.values.max()), prof.free.coeffs,
+                       run_verification(prof, samples).overall_pass, rep.iterations, rep.residual_history[0], prof)
 
 
 def _detect(profile):

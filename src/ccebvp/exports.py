@@ -81,7 +81,7 @@ def export_profile_csv(profile: SolutionProfile, path: str, samples=None) -> Non
         f"# n={profile.bd.n}",
         "# phi0=" + ",".join(fmt(p) for p in profile.bd.phi0),
         f"# k0var={fmt(profile.k0var)}",
-        "# free=" + ",".join(fmt(np.real(c)) for c in profile.free.coeffs),
+        "# free=" + ",".join(fmt(c) for c in profile.free.coeffs),
         "# infinity_free=" + ",".join(fmt(c) for c in profile.infinity_free),
         f"# tol={fmt(profile.tol)}",
         f"# converged={str(profile.converged).lower()}",

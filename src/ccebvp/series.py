@@ -28,7 +28,6 @@ one product for the table and one for its tangents.
 
 from __future__ import annotations
 
-import cmath
 import math
 import weakref
 from dataclasses import dataclass
@@ -55,12 +54,14 @@ CSTEP = 1e-80  # complex-step width of the tangent tables
 
 @dataclass(frozen=True)
 class NonlocalParams:
-    """Free coefficients entering the origin expansion at order x^n."""
+    """Free coefficients entering the origin expansion at order x^n, as floats."""
 
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) if isinstance(c, complex) else float(c) for c in self.coeffs))
+        if any(map(np.iscomplexobj, self.coeffs)):
+            raise UsageError(f"nonlocal parameters must be real, got {self.coeffs}")
+        object.__setattr__(self, "coeffs", tuple(map(float, self.coeffs)))
 
     @staticmethod
     def zeros(kind: SystemKind) -> "NonlocalParams":
@@ -322,13 +323,12 @@ def _solve_recursion(fam: Family, endpoint, order, col0, free_vals):
 
 
 def _batch(inputs, tangents):
-    """The inputs (count,) as a batch (B, count): alone, or with tangents
+    """The real inputs (count,) as a batch (B, count): alone, or with tangents
     followed by one complex-step perturbation i*h of each input in turn."""
-    inputs = inputs.astype(np.result_type(inputs, float))
+    if np.iscomplexobj(inputs):
+        raise UsageError(f"series inputs must be real, got {inputs}")
     if not tangents:
         return inputs[None]
-    if np.iscomplexobj(inputs):
-        raise UsageError("tangent tables need real series inputs")
     return inputs + np.vstack([np.zeros(len(inputs)), 1j * CSTEP * np.eye(len(inputs))])
 
 
@@ -382,7 +382,7 @@ def _chebyshev_basis(z, k):
     """The tensor Chebyshev basis of degrees k = 0, 1, ..., n at one point z
     (d numbers) of [-1, 1]^d, flattened to ((n+1)^d,) with the last
     coordinate fastest, from T_k(cos t) = cos(k t): as accurate as the
-    three-term recurrence, and valid for complex z."""
+    three-term recurrence."""
     out = np.cos(np.arccos(z[0]) * k)
     for x in z[1:]:
         out = np.multiply.outer(out, np.cos(np.arccos(x) * k)).ravel()
@@ -447,7 +447,7 @@ _INFINITY_POLYS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _infinity_poly(fam: Family, order, free) -> _InfinityPoly:
     """The polynomial of the box of the free values (a list of finite numbers)."""
-    key = (order,) + tuple((_box_exponent(abs(f)), f.real < 0) for f in free)
+    key = (order,) + tuple((_box_exponent(abs(f)), f < 0) for f in free)
     built = _INFINITY_POLYS.setdefault(fam, {})
     if key not in built:
         if len(built) >= _BOX_CACHE:
@@ -502,13 +502,11 @@ def series_infinity(
     fam = family(kind, n)  # validates n
     if order < 3:
         raise UsageError("infinity series order must be >= 3")
-    if free is None:
-        free = np.zeros(fam.m - 1)
-    free = np.asarray(free)
+    free = np.zeros(fam.m - 1) if free is None else np.asarray(free)
     if free.shape != (fam.m - 1,):
         raise UsageError(f"expected {fam.m - 1} free infinity coefficients")
-    if tangents and free.dtype.kind == "c":
-        raise UsageError("tangent tables need real series inputs")
+    if np.iscomplexobj(free):
+        raise UsageError(f"free infinity coefficients must be real, got {free}")
     ops = _operators(fam, "infinity", order)
     # every lower column vanishes, so the resonant residual is the free values' alone
     values = free.tolist()
@@ -516,8 +514,8 @@ def series_infinity(
     if consistency > _consistency_tol(ops, 0.0):
         raise _inconsistent(ops, consistency)
     shape = (fam.m, order + 1)
-    if not all(map(cmath.isfinite, values)):  # no box holds them
-        table = np.full(shape, np.nan, dtype=np.result_type(free, float))
+    if not all(map(math.isfinite, values)):  # no box holds them
+        table = np.full(shape, np.nan)
         tan = np.full((fam.m - 1, *shape), np.nan) if tangents else None
     else:
         poly = _infinity_poly(fam, order, values)

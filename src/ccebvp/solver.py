@@ -416,15 +416,13 @@ def splu(J, m, N):
 # ---------------------------------------------------------------------------
 
 
-def seed_profile(bd: BoundaryData, mesh: Mesh, opts: SolveOptions | None = None) -> SolutionProfile:
+def seed_profile(bd: BoundaryData, mesh: Mesh, opts: SolveOptions) -> SolutionProfile:
     """Initial guess: smooth blend of the log boundary offsets (see seed_values)."""
-    if opts is None:
-        opts = SolveOptions()
     y, yp = seed_values(bd, mesh.nodes)
     return SolutionProfile(bd, mesh, y, yp, tol=opts.tol)
 
 
-def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=None):
+def newton_solve(bd, mesh, guess, opts: SolveOptions, counters=None):
     """Damped Newton (Armijo halving, minimum damping 2^-20) on the collocation
     system, to opts.tol within MAX_ITER steps, reusing the run's factor while
     it contracts (simplified Newton).
@@ -451,8 +449,6 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions | None = None, counters=Non
     that met tol without a step has no dbar: it factors its start's
     Jacobian and polishes unpredicted.
     """
-    if opts is None:
-        opts = SolveOptions()
     tol = opts.tol
     gate = DRIFT_GATE * tol
     t0 = time.perf_counter()
@@ -611,7 +607,7 @@ def guess_from(bd, profiles, weights, opts, mesh=None):
     return replace(guess, mesh=mesh, y=y, yp=yp)
 
 
-def solve_bvp(bd: BoundaryData, opts: SolveOptions | None = None):
+def solve_bvp(bd: BoundaryData, opts: SolveOptions):
     """Newton-solve from one start, then halve every mesh interval and
     re-solve, up to refine_rounds times, while the residual meets tol and the
     drift gate is unmet.
@@ -621,8 +617,6 @@ def solve_bvp(bd: BoundaryData, opts: SolveOptions | None = None):
     max(tol, 1e-9)) interpolated onto the mesh, when that solve's residual
     is within 1e3 of its tol.  A solve that fails keeps its failure_reason.
     """
-    if opts is None:
-        opts = SolveOptions()
     mesh = make_mesh(opts.grid)
     counters = _zero_counters()
     start = seed_profile(bd, mesh, opts)

@@ -125,17 +125,11 @@ def structure_from_frame(frame: KillingFrame) -> StructureConstants:
     return sc
 
 
-_cache: dict = {}
-
-
 def slice_structure(n: int) -> StructureConstants:
     """Structure constants for the homogeneous slice of dimension n (3 or 5)."""
-    if n not in _cache:
-        if n == 3:
-            _cache[n] = structure_from_frame(su2_frame())
-        elif n == 5:
-            _cache[n] = structure_from_frame(su3_frame())
-        else:
-            raise UsageError(f"no structure-constant table for slice dimension {n}")
-    return _cache[n]
+    if n == 3:
+        return structure_from_frame(su2_frame())
+    if n == 5:
+        return structure_from_frame(su3_frame())
+    raise UsageError(f"no structure-constant table for slice dimension {n}")
 

@@ -26,7 +26,7 @@ recursions take their closing rows' quadratic forms and sources from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,11 +123,6 @@ class Equation:
     unknown: int
     quad: np.ndarray  # (m, m)
     src: tuple | None
-    cols: np.ndarray | None = field(init=False)  # quad's nonzero columns; None when none is zero
-
-    def __post_init__(self):
-        nz = self.quad.any(axis=0)
-        object.__setattr__(self, "cols", None if nz.all() else np.flatnonzero(nz))
 
 
 class Family:
@@ -260,9 +255,7 @@ def equation_residual(fam, i, x, y, yp, ypp):
     """Residual of template equation i (indexed as fam.eqs)."""
     eq = fam.eqs[i]
     u = eq.unknown
-    # a form with zero columns is reduced over its nonzero ones only
-    q, ypq = (eq.quad, yp) if eq.cols is None else (eq.quad[:, eq.cols], yp[..., eq.cols])
-    r = ypp[..., u] - _sing_coeff(*fam.sing[i], x) * yp[..., u] + np.sum((yp @ q) * ypq, axis=-1)
+    r = ypp[..., u] - _sing_coeff(*fam.sing[i], x) * yp[..., u] + np.sum((yp @ eq.quad) * yp, axis=-1)
     return r if eq.src is None else r + _source_term(eq.src, x, y)
 
 

@@ -6,10 +6,12 @@ Run from the repository root:
 
 For each case it stores the origin table at order n+23 and the infinity table
 at order 26, each real and once per complex-step perturbation (log K(0) and
-every free value at the origin, every free value at infinity), built one call
-per column through the public constructors.  The file in the repository was
-written by the recompute-everything recursion that preceded the incremental
-engine; tests/test_series.py checks the current engine against it.
+every free value at the origin, every free value at infinity).  The public
+constructors take real inputs only, so each perturbed table is stored as
+table + i*h*tangent from their tangent tables.  The file in the repository
+was written by the recompute-everything recursion that preceded the
+incremental engine, one complex call per column; tests/test_series.py checks
+the current engine against it.
 """
 
 import os
@@ -38,26 +40,17 @@ CASES = {
 }
 
 
+def stepped(sc):
+    """The table and its complex-step tables table + i*h*tangent."""
+    return sc.table, sc.table + 1j * H * sc.tangents
+
+
 def origin_tables(bd, log_k0, free):
-    order = bd.n + 23
-    real = fg_series_origin(bd, NonlocalParams(free), order, log_k0=log_k0).table
-    cols = [fg_series_origin(bd, NonlocalParams(free), order, log_k0=log_k0 + 1j * H).table]
-    for k in range(len(free)):
-        fv = np.asarray(free, dtype=complex)
-        fv[k] += 1j * H
-        cols.append(fg_series_origin(bd, NonlocalParams(tuple(fv)), order, log_k0=log_k0).table)
-    return real, np.array(cols)
+    return stepped(fg_series_origin(bd, NonlocalParams(free), bd.n + 23, log_k0=log_k0, tangents=True))
 
 
 def infinity_tables(kind, n, free):
-    free = np.asarray(free, dtype=float)
-    real = series_infinity(kind, n, INFINITY_ORDER, free).table
-    cols = []
-    for k in range(len(free)):
-        fv = free.astype(complex)
-        fv[k] += 1j * H
-        cols.append(series_infinity(kind, n, INFINITY_ORDER, fv).table)
-    return real, np.array(cols)
+    return stepped(series_infinity(kind, n, INFINITY_ORDER, np.asarray(free, dtype=float), tangents=True))
 
 
 def main():

@@ -103,3 +103,75 @@ SU3_BRACKETS = {
     (3, 5): {7: 1.0},
     (4, 5): {1: -1.0, 6: -1.0},
 }
+
+
+# -- Pedersen's metric: the exact SU(2)-invariant filling of the Berger S^3 ----
+#
+# Pedersen (Math. Ann. 274, 1986) gives the self-dual Einstein filling of the
+# Berger sphere with ratio lambda; with mu^2 = lambda - 1, in this package's
+# variables (g = dr^2 + sinh^2 r sum I_i sigma_i^2, x = e^-r, SU n = 3):
+#
+#   r(rho) = 2 int_0^rho sqrt(f(s)) ds / (1 - s^2),  f = (1 + mu^2 s^2) / (1 + mu^2 s^4),
+#   I2 = 4 rho^2 (1 + mu^2 rho^2) / ((1 - rho^2)^2 sinh^2 r),
+#   I1 = 4 rho^2 (1 + mu^2 rho^4) / ((1 + mu^2 rho^2) (1 - rho^2)^2 sinh^2 r),
+#   y1 = log(I1 I2^2),  y2 = log(I2 / I1).
+#
+# r(rho) = log((1 + rho)/(1 - rho)) + c(rho) with c the integral of the
+# regular integrand 2 (sqrt f - 1)/(1 - s^2) = 2 mu^2 s^2 / ((1 + mu^2 s^4)(sqrt f + 1)),
+# and as rho -> 1, log K(0) = y1(0) = 2 log lambda - 6 c(1).
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+_GL_PANELS = 4
+
+
+class Pedersen:
+    """Pedersen's filling for the SU n=3 ratio lam > 0."""
+
+    def __init__(self, lam):
+        if not lam > 0.0:
+            raise DomainError(f"Pedersen's filling needs lambda > 0, got {lam}")
+        self.lam, self.mu2 = float(lam), float(lam) - 1.0
+
+    def _f(self, s):
+        return (1.0 + self.mu2 * s * s) / (1.0 + self.mu2 * s**4)
+
+    def _c(self, rho):
+        """c(rho) for an array rho in [0, 1], by composite Gauss-Legendre."""
+        rho = np.asarray(rho, dtype=float)
+        edges = rho[..., None] * np.linspace(0.0, 1.0, _GL_PANELS + 1)
+        lo, half = edges[..., :-1, None], 0.5 * np.diff(edges, axis=-1)[..., None]
+        s = lo + half * (_GL_NODES + 1.0)
+        g = 2.0 * self.mu2 * s * s / ((1.0 + self.mu2 * s**4) * (np.sqrt(self._f(s)) + 1.0))
+        return (half * _GL_WEIGHTS * g).sum(axis=(-2, -1))
+
+    def rho(self, x):
+        """rho at x = e^-r in (0, 1), by Newton on r(rho) = -log x to roundoff."""
+        x = np.asarray(x, dtype=float)
+        target = -np.log(x)
+        rho = (1.0 - x) / (1.0 + x)  # the round metric's (mu = 0)
+        for _ in range(50):
+            r = np.log1p(rho) - np.log1p(-rho) + self._c(rho)
+            step = (r - target) * (1.0 - rho * rho) / (2.0 * np.sqrt(self._f(rho)))
+            rho = rho - step
+            if np.all(np.abs(step) <= 1e-15 * rho):
+                return rho
+        raise RuntimeError("Pedersen rho(x) did not converge")
+
+    def log_k0(self):
+        """log K(0) in closed form: 2 log lambda - 6 c(1)."""
+        return 2.0 * np.log(self.lam) - 6.0 * float(self._c(1.0))
+
+    def y(self, x):
+        """(y, y'): each (2,) + x.shape, at x in (0, 1)."""
+        x = np.asarray(x, dtype=float)
+        rho, mu2 = self.rho(x), self.mu2
+        a, b = 1.0 + mu2 * rho * rho, 1.0 + mu2 * rho**4
+        y2 = 2.0 * np.log(a) - np.log(b)
+        # y1 = A(rho) - 6 log sinh r, with sinh r = (1 - x^2)/(2x)
+        A = 3.0 * np.log(4.0) + 6.0 * np.log(rho) - 6.0 * np.log1p(-rho * rho) + np.log(b) + np.log(a)
+        y1 = A - 6.0 * (np.log1p(-x * x) - np.log(2.0 * x))
+        drho = -(1.0 - rho * rho) / (2.0 * x * np.sqrt(a / b))  # d rho / dx
+        dA = 6.0 / rho + 12.0 * rho / (1.0 - rho * rho) + 4.0 * mu2 * rho**3 / b + 2.0 * mu2 * rho / a
+        y1p = dA * drho + 6.0 * (2.0 * x / (1.0 - x * x) + 1.0 / x)
+        y2p = (4.0 * mu2 * rho / a - 4.0 * mu2 * rho**3 / b) * drho
+        return np.array([y1, y2]), np.array([y1p, y2p])

@@ -1,6 +1,8 @@
 """Config parsing, CSV/JSON export stability, round-trips and CLI exit codes."""
 
 import argparse
+import ast
+import inspect
 import json
 import os
 import re
@@ -17,7 +19,7 @@ from ccebvp.config import ParseError, parse_config
 from ccebvp.continuation import SweepPlan
 from ccebvp.exports import config_hash, export_profile_csv, fmt, load_profile_csv
 from ccebvp.solver import SolveOptions, solve_bvp
-from ccebvp.systems import SU, BoundaryData
+from ccebvp.systems import SU, BoundaryData, UsageError
 
 
 class TestConfig:
@@ -69,6 +71,10 @@ class TestConfig:
                                               ("no", False), ("False", False)])
     def test_boolean_words(self, value, quiet):
         assert parse_config(f"system = su\nn = 5\nphi0 = 0.8\nquiet = {value}\n").quiet is quiet
+
+    def test_line_without_equals_named(self):
+        with pytest.raises(ParseError, match=r"expected 'key = value' \(line 2\)"):
+            parse_config("system = su\nn 5\nphi0 = 0.8\n")
 
     def test_missing_required(self):
         with pytest.raises(ParseError, match="phi0"):
@@ -167,7 +173,7 @@ class TestCSV:
         assert np.array_equal(loaded.yp, small_profile.yp)
         assert np.array_equal(loaded.mesh.nodes, small_profile.mesh.nodes)
         assert loaded.k0var == small_profile.k0var
-        assert loaded.free.coeffs == tuple(np.real(c) for c in small_profile.free.coeffs)
+        assert loaded.free.coeffs == small_profile.free.coeffs
         # re-export reproduces the file byte for byte
         p2 = tmp_path / "profile2.csv"
         export_profile_csv(loaded, str(p2))
@@ -267,6 +273,30 @@ class TestSolveCommand:
         rc = main(["solve", "--config", cfg, "--out", "/proc/definitely-not-writable", "--quiet"])
         assert rc == 3
 
+    def test_failed_replace_exit_three(self, tmp_path, capsys):
+        # profile.csv is a directory, so the rename of the written temp file
+        # fails; the temp file is removed
+        cfg = write_cfg(tmp_path, "system = gberger\nn = 3\nphi0 = 1,1\ngrid = 16\n")
+        out = tmp_path / "out"
+        (out / "profile.csv").mkdir(parents=True)
+        assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+        assert "write failed" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["profile.csv"]
+
+    def test_unreadable_config_exit_three(self, tmp_path, capsys):
+        assert main(["solve", "--config", str(tmp_path / "missing.cfg"), "--quiet"]) == 3
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_solver_usage_error_exit_one(self, tmp_path, capsys, monkeypatch):
+        def refuse(bd, opts):
+            raise UsageError("refused")
+
+        monkeypatch.setattr(cli, "solve_bvp", refuse)
+        cfg = write_cfg(tmp_path, "system = su\nn = 3\nphi0 = 1\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+        assert "solve error: refused" in capsys.readouterr().err
+        assert not (tmp_path / "profile.csv").exists()
+
     def test_bad_config_exit_one(self, tmp_path):
         cfg = write_cfg(tmp_path, "system = su\nn = 4\nphi0 = 0.8\n")
         assert main(["solve", "--config", cfg, "--quiet"]) == 1
@@ -354,9 +384,39 @@ class TestSweepCommand:
         assert lines[-1] == "# stop_reason=path-end"
         assert not any(line.startswith("# rejected=") for line in lines)
 
-    def test_missing_sweep_end(self, tmp_path):
+    def test_missing_sweep_end(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "system = su\nn = 3\nphi0 = 1\n")
         assert main(["sweep", "--config", cfg, "--quiet"]) == 1
+        assert "config error: sweep_end is required for the sweep command" in capsys.readouterr().err
+
+    def test_failed_sweep_exit_one(self, tmp_path, capsys, monkeypatch):
+        def fail(plan):
+            raise RuntimeError("the round-sphere solve failed; sweep cannot start")
+
+        monkeypatch.setattr(cli, "sweep", fail)
+        cfg = write_cfg(tmp_path, "system = su\nn = 3\nphi0 = 1\nsweep_end = 1.5\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+        assert "sweep error: the round-sphere solve failed" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
+
+def test_cli_failure_messages_are_tested():
+    # every message cli.py exits with through _fail is quoted in a test up to
+    # its first formatted value (without the ": " before it), so each way a
+    # command can fail is exercised somewhere; this lint's own source is not
+    # searched
+    root = Path(__file__).resolve().parents[1]
+    prefixes = set()
+    for node in ast.walk(ast.parse((root / "src" / "ccebvp" / "cli.py").read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_fail":
+            msg = node.args[1]
+            first = msg.values[0] if isinstance(msg, ast.JoinedStr) else msg
+            assert isinstance(first, ast.Constant), ast.unparse(msg)  # a message opens with its own words
+            prefixes.add(first.value.rstrip(": "))
+    assert {"write failed", "cannot load profile", "config error"} <= prefixes
+    own = inspect.getsource(test_cli_failure_messages_are_tested)
+    tests = "".join(p.read_text().replace(own, "") for p in sorted((root / "tests").glob("*.py")))
+    assert sorted(p for p in prefixes if p not in tests) == []
 
 
 class TestReadmeKeyTable:
@@ -398,6 +458,35 @@ class TestVerifyExport:
         assert rc == 0
         outtext = capsys.readouterr().out
         assert "V(z1)" in outtext and "forces_zero=True" in outtext
+
+    def test_pair_with_different_data_exit_one(self, small_profile, tmp_path, capsys):
+        p, q = tmp_path / "a.csv", tmp_path / "b.csv"
+        export_profile_csv(small_profile, str(p))
+        q.write_text(p.read_text().replace("# phi0=0.85\n", "# phi0=0.9\n"))
+        assert main(["verify", str(p), str(q)]) == 1
+        assert "verify error: uniqueness diagnostic requires identical boundary data" in capsys.readouterr().err
+
+    def test_headers_without_table_exit_three(self, small_profile, tmp_path, capsys):
+        p = tmp_path / "profile.csv"
+        export_profile_csv(small_profile, str(p))
+        p.write_text("".join(line for line in p.read_text().splitlines(keepends=True) if line.startswith("#")))
+        assert main(["verify", str(p), "--out", str(tmp_path)]) == 3
+        assert "does not contain a profile table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, rc", [("5000.0", 3), ("800.0", 2)])
+    def test_metric_overflow_exit_three(self, small_profile, tmp_path, capsys, value, rc):
+        # a finite y1 whose metric components overflow is named, with no
+        # traceback; one whose metric stays finite verifies, with FAILs
+        p = tmp_path / "profile.csv"
+        export_profile_csv(small_profile, str(p))
+        poison(p, "y1", value)
+        assert main(["verify", str(p), "--out", str(tmp_path)]) == rc
+        out = capsys.readouterr()
+        if rc == 3:
+            assert "cannot verify profile: metric components overflow" in out.err
+            assert not (tmp_path / "report.json").exists()
+        else:
+            assert "FAIL" in out.out and (tmp_path / "report.json").exists()
 
     def test_unknown_system_exit_three(self, small_profile, tmp_path, capsys):
         p = tmp_path / "profile.csv"

@@ -121,6 +121,12 @@ def bisection_solves(width, tol):
 
 
 class TestBisect:
+    def test_one_record_rejected(self):
+        tr, _ = synthetic_trace(0.5, 0.6)
+        tr.records.pop()
+        with pytest.raises(UsageError, match="needs a no-event record and an event record"):
+            bisect_event(tr, solve_at=lambda lam: lam, detect=proxy(lambda lam: 0.55 - lam))
+
     def test_already_tight(self):
         tr, w = synthetic_trace(0.5, 0.5 + 1e-7)
         ev = bisect_event(tr, solve_at=lambda lam: object(), detect=lambda p: (None, -1.0))

@@ -98,6 +98,8 @@ class TestMesh:
             Mesh(np.array([0.3, 0.5, 0.7, 0.9]))  # left end outside trust radius
         with pytest.raises(UsageError, match="strictly increasing"):
             Mesh(np.array([0.1, np.nan, 0.5, 0.86]))  # NaN differences compare false both ways
+        with pytest.raises(UsageError, match="mesh needs at least 4 nodes"):
+            Mesh(np.array([0.1, 0.5, 0.86]))
 
     def test_make_mesh_grading(self):
         c = make_mesh(64)
@@ -132,7 +134,7 @@ class TestAssemble:
     def test_stores_only_the_values_that_vary(self, kind, n, phi0):
         # no unit coefficient of a matching row is stored
         bd, mesh, m = BoundaryData(kind, n, phi0), make_mesh(12), kind.unknowns
-        J = assemble_collocation(bd, mesh, seed_profile(bd, mesh))[1]
+        J = assemble_collocation(bd, mesh, seed_profile(bd, mesh, small_opts()))[1]
         assert J.size == (2 * m - 1) * m + 8 * m * m * 11 + 2 * m * (m - 1)
 
     def test_jacobian_matches_finite_differences(self):
@@ -836,7 +838,7 @@ class TestRefine:
         bd = BoundaryData(SU, 5, (0.8,))
         mesh = make_mesh(48)
         xs = mesh.nodes
-        fine = refine_mesh(seed_profile(bd, mesh)).nodes
+        fine = refine_mesh(seed_profile(bd, mesh, small_opts())).nodes
         assert np.array_equal(fine[::2], xs)
         assert np.array_equal(fine[1::2], 0.5 * (xs[:-1] + xs[1:]))
 
