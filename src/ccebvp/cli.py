@@ -68,7 +68,12 @@ def _load_config(args):
         cfg = parse_config(text, flags)
     except ParseError as e:
         _fail(1, f"config error: {e}")
-    return cfg, config_hash(text)
+    # --grid and --tol change what is solved, so the hash reads them as lines
+    # after the text; --out and --quiet change no number that is written
+    lines = "".join(f"{k} = {flags[k]}\n" for k in ("grid", "tol") if k in flags)
+    if lines and not text.endswith("\n"):
+        text += "\n"
+    return cfg, config_hash(text + lines)
 
 
 def _say(cfg, *msg):

@@ -40,6 +40,11 @@ def _atomic_write(path, text):
     try:
         with os.fdopen(fd, "w", newline="\n") as f:
             f.write(text)
+        # mkstemp creates the file 0600 and the rename keeps that mode; give
+        # it the umask's mode, as open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -206,11 +211,18 @@ def provenance(config_hash=""):
 
 
 def config_hash(text: str) -> str:
-    # Imported here: hashlib maps OpenSSL's libcrypto (about 3.4 MB RSS), and
-    # only cce solve and cce sweep hash a config.
-    import hashlib
-
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    """First 16 hex digits of the sha256 of text."""
+    # CPython's built-in SHA-256 (_sha2 from 3.12, _sha256 before): hashlib
+    # maps OpenSSL's libcrypto (about 3.5 MB RSS) to hash a text of a few
+    # dozen bytes.  hashlib only on a build that has neither module.
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode()).hexdigest()[:16]
 
 
 def report_document(report, profile=None, config_digest=""):

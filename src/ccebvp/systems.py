@@ -99,13 +99,6 @@ class BoundaryData:
             raise DomainError(f"boundary ratios must be positive and finite, got {phi0}")
 
     @property
-    def in_admissible_window(self) -> bool:
-        """SU admissible window 1/(n+1) < phi(0) < n+1; gberger unrestricted."""
-        if self.kind.family == "su":
-            return 1.0 / (self.n + 1) < self.phi0[0] < self.n + 1
-        return True
-
-    @property
     def is_round(self) -> bool:
         return all(p == 1.0 for p in self.phi0)
 

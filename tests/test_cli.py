@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import hashlib
 import inspect
 import json
 import os
@@ -283,6 +284,19 @@ class TestSolveCommand:
         assert "write failed" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["profile.csv"]
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_outputs_take_the_umask_mode(self, tmp_path, umask, mode):
+        # the written temp file is 0600 until the rename; the outputs get the
+        # mode a plain open() would give them
+        cfg = write_cfg(tmp_path, "system = gberger\nn = 3\nphi0 = 1,1\ngrid = 16\n")
+        old = os.umask(umask)
+        try:
+            assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        finally:
+            os.umask(old)
+        for name in ("profile.csv", "report.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == mode
+
     def test_unreadable_config_exit_three(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "missing.cfg"), "--quiet"]) == 3
         assert "cannot read config" in capsys.readouterr().err
@@ -552,11 +566,46 @@ class TestConfigHash:
         # the 16-hex sha256 prefix that report.json and event.json record
         assert config_hash("system = su\nn = 3\nphi0 = 1.5\n") == "60e40fef4030d42c"
 
-    def test_verify_and_export_never_load_openssl(self, small_profile, tmp_path):
-        # hashlib maps OpenSSL's libcrypto; only a config hash reads it. A
-        # fresh interpreter, since the test process may hold _hashlib already.
+    @pytest.mark.parametrize("text", ["system = su\nn = 3\nphi0 = 1.5\n", "# φ₀ für n=3\nphi0 = 1.5\n", ""])
+    def test_matches_hashlib(self, text):
+        assert config_hash(text) == hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    def test_fallback_without_builtin_sha256(self, monkeypatch):
+        # a None entry in sys.modules makes its import raise ImportError
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        assert config_hash("system = su\nn = 3\nphi0 = 1.5\n") == "60e40fef4030d42c"
+
+    def test_solve_flags_are_hashed(self, tmp_path):
+        # --grid and --tol override the config's keys, so they change the
+        # recorded hash; --out and --quiet are not hashed, so a run with
+        # neither --grid nor --tol records the hash of the file text alone.
+        # The text has no final newline.
+        text = "system = su\nn = 3\nphi0 = 1.5\ntol = 1e-6"
+        cfg = write_cfg(tmp_path, text)
+        runs = {"plain": [], "g64": ["--grid", "64"], "g96": ["--grid", "96"],
+                "both": ["--tol", "1e-7", "--grid", "64"]}
+        digests = {}
+        for name, flags in runs.items():
+            out = tmp_path / name
+            assert main(["solve", "--config", cfg, "--out", str(out), "--quiet", *flags]) in (0, 2)
+            digests[name] = json.loads((out / "report.json").read_text())["provenance"]["config_hash"]
+        assert digests["plain"] == config_hash(text)
+        assert digests["g64"] == config_hash(text + "\ngrid = 64\n")
+        assert digests["both"] == config_hash(text + "\ngrid = 64\ntol = 1e-7\n")
+        assert len(set(digests.values())) == 4
+
+    def test_no_command_loads_openssl(self, small_profile, tmp_path):
+        # hashlib maps OpenSSL's libcrypto; config_hash uses CPython's built-in
+        # SHA-256 instead. A fresh interpreter, since the test process may hold
+        # _hashlib already.
         p = tmp_path / "profile.csv"
         export_profile_csv(small_profile, str(p))
+        solve_cfg = write_cfg(tmp_path, "system = su\nn = 3\nphi0 = 1.5\ngrid = 24\ntol = 1e-6\n", "solve.cfg")
+        sweep_cfg = write_cfg(
+            tmp_path, "system = su\nn = 3\nphi0 = 1\ngrid = 24\ntol = 1e-6\nsweep_end = 0.9\n", "sweep.cfg"
+        )
+        out = str(tmp_path / "out")
         code = (
             "import importlib, pkgutil, sys\n"
             "import ccebvp\n"
@@ -565,13 +614,17 @@ class TestConfigHash:
             "from ccebvp.cli import main\n"
             f"assert main(['verify', {str(p)!r}, '--out', {str(tmp_path)!r}]) in (0, 2)\n"
             f"assert main(['export', {str(p)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            f"assert main(['solve', '--config', {solve_cfg!r}, '--out', {out!r}, '--quiet']) in (0, 2)\n"
+            f"assert main(['sweep', '--config', {sweep_cfg!r}, '--out', {out!r}, '--quiet']) in (0, 2)\n"
             "print('_hashlib' in sys.modules)\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
-        assert out.stdout.splitlines()[-1] == "False"
+        assert res.stdout.splitlines()[-1] == "False"
         assert (tmp_path / "report.json").exists() and (tmp_path / "profile.json").exists()
+        for name in ("report.json", "profile.csv", "trace.csv"):
+            assert (tmp_path / "out" / name).exists()
 
 
 class TestSweepMinStep:

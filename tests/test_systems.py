@@ -341,6 +341,4 @@ class TestBoundaryData:
             SystemKind("sp")
 
     def test_window_flag(self):
-        assert BoundaryData(SU, 5, (0.8,)).in_admissible_window
-        assert not BoundaryData(SU, 5, (1e-6,)).in_admissible_window
         assert BoundaryData(SU, 5, (1.0,)).is_round
