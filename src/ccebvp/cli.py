@@ -23,6 +23,7 @@ from .exports import (
     export_profile_csv,
     export_trace_csv,
     load_profile_csv,
+    profile_document,
     report_document,
 )
 from .solver import solve_bvp
@@ -44,7 +45,7 @@ def _fail(code, msg):
 def _load(path):
     try:
         return load_profile_csv(path)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         _fail(3, f"cannot load profile: {e}")
 
 
@@ -92,11 +93,12 @@ def cmd_solve(args) -> int:
     cfg, digest = _load_config(args)
     try:
         prof, rep = solve_bvp(cfg.bd, cfg.options)
+        with np.errstate(**_NONFINITE_OK):
+            # one curvature pass serves the checks and the CSV; an overflow is a solve error
+            samples = geometry.curvature_samples(prof)
     except (UsageError, DomainError) as e:
         _fail(1, f"solve error: {e}")
     with np.errstate(**_NONFINITE_OK):
-        # one curvature pass serves the checks and the CSV's curvature columns
-        samples = geometry.curvature_samples(prof)
         report = run_verification(prof, samples)
         _write(
             (export_profile_csv, prof, os.path.join(cfg.out, "profile.csv"), samples),
@@ -149,7 +151,8 @@ def cmd_verify(args) -> int:
             report = run_verification(prof)
         except geometry.InfeasibleProfileError as e:
             _fail(3, f"cannot verify profile: {e}")
-    out = args.out or os.path.dirname(os.path.abspath(args.profile))
+    # verify/ beside the profile, so the solve's report.json is kept
+    out = args.out or os.path.join(os.path.dirname(os.path.abspath(args.profile)), "verify")
     _write((export_json, report_document(report, prof), os.path.join(out, "report.json")))
     for line in _check_lines(report):
         print(line)
@@ -158,21 +161,8 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     prof = _load(args.profile)
-    names_doc = {
-        "schema": "cce-profile-json-v1",
-        "system": prof.bd.kind.family,
-        "n": prof.bd.n,
-        "phi0": list(prof.bd.phi0),
-        "K0": prof.k0,
-        "converged": prof.converged,
-        "x": list(prof.mesh.nodes),
-        "y": [list(row) for row in prof.y],
-        "yp": [list(row) for row in prof.yp],
-        "free": list(prof.free.coeffs),
-        "infinity_free": list(prof.infinity_free),
-    }
     out = args.out or os.path.dirname(os.path.abspath(args.profile))
-    _write((export_json, names_doc, os.path.join(out, "profile.json")))
+    _write((export_json, profile_document(prof), os.path.join(out, "profile.json")))
     return 0
 
 

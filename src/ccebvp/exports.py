@@ -12,7 +12,6 @@ from __future__ import annotations
 import datetime
 import json
 import os
-import tempfile
 from dataclasses import asdict
 
 import numpy as np
@@ -23,6 +22,7 @@ from .solver import INFINITY_ORDER, Mesh, SolutionProfile, origin_order
 from .systems import KINDS, BoundaryData
 
 PROFILE_SCHEMA = "cce-profile-v1"
+PROFILE_JSON_SCHEMA = "cce-profile-json-v1"
 TRACE_SCHEMA = "cce-trace-v1"
 REPORT_SCHEMA = "cce-report-v1"
 EVENT_SCHEMA = "cce-event-v1"
@@ -34,21 +34,18 @@ def fmt(x) -> str:
 
 
 def _atomic_write(path, text):
+    """Write text to a hidden temp file beside path, then rename it over path.
+    open() gives the temp file the mode of any new file, which the rename keeps."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".cce-")
+    tmp = os.path.join(d, ".cce-" + os.urandom(8).hex())
+    f = open(tmp, "x", newline="\n")
     try:
-        with os.fdopen(fd, "w", newline="\n") as f:
+        with f:
             f.write(text)
-        # mkstemp creates the file 0600 and the rename keeps that mode; give
-        # it the umask's mode, as open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -131,10 +128,12 @@ def load_profile_csv(path: str) -> SolutionProfile:
     if names is None or not rows:
         raise ValueError(f"{path} does not contain a profile table")
     data = np.array(rows).T
-    col = {name: data[i] for i, name in enumerate(names)}
+    col = dict(zip(names, data))
 
     def column(name):
         # the stored unknowns; the derived columns are never read
+        if name not in col:
+            raise ValueError(f"profile column {name!r} is missing")
         if not np.isfinite(col[name]).all():
             raise ValueError(f"profile column {name!r} is not finite")
         return col[name]
@@ -225,22 +224,34 @@ def config_hash(text: str) -> str:
     return sha256(text.encode()).hexdigest()[:16]
 
 
-def report_document(report, profile=None, config_digest=""):
-    doc = {
+def _boundary(profile):
+    """The boundary data and K(0) that profile.json and report.json record."""
+    return {"system": profile.bd.kind.family, "n": profile.bd.n, "phi0": profile.bd.phi0, "K0": profile.k0}
+
+
+def profile_document(profile):
+    """`cce export`'s profile.json: the boundary block and the stored unknowns."""
+    return {
+        "schema": PROFILE_JSON_SCHEMA,
+        **_boundary(profile),
+        "converged": profile.converged,
+        "x": profile.mesh.nodes,
+        "y": profile.y,
+        "yp": profile.yp,
+        "free": profile.free.coeffs,
+        "infinity_free": profile.infinity_free,
+    }
+
+
+def report_document(report, profile, config_digest=""):
+    return {
         "schema": REPORT_SCHEMA,
+        "boundary": _boundary(profile),
         "checks": [asdict(r) for r in report.records],
+        "converged": profile.converged,
         "overall_pass": report.overall_pass,
         "provenance": provenance(config_digest),
     }
-    if profile is not None:
-        doc["boundary"] = {
-            "system": profile.bd.kind.family,
-            "n": profile.bd.n,
-            "phi0": list(profile.bd.phi0),
-            "K0": profile.k0,
-        }
-        doc["converged"] = profile.converged
-    return doc
 
 
 def event_document(event, config_digest=""):

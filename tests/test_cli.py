@@ -285,17 +285,31 @@ class TestSolveCommand:
         assert sorted(p.name for p in out.iterdir()) == ["profile.csv"]
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
-    def test_outputs_take_the_umask_mode(self, tmp_path, umask, mode):
-        # the written temp file is 0600 until the rename; the outputs get the
-        # mode a plain open() would give them
+    def test_outputs_take_the_umask_mode(self, tmp_path, monkeypatch, umask, mode):
+        # open() creates the temp file with the umask's mode and the rename
+        # keeps it; no write reads or sets the umask, which is process-wide
+        def refuse(mask):
+            raise AssertionError("os.umask called")
+
         cfg = write_cfg(tmp_path, "system = gberger\nn = 3\nphi0 = 1,1\ngrid = 16\n")
         old = os.umask(umask)
         try:
-            assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+            with monkeypatch.context() as m:
+                m.setattr(os, "umask", refuse)
+                assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
         finally:
             os.umask(old)
         for name in ("profile.csv", "report.json"):
             assert (tmp_path / name).stat().st_mode & 0o777 == mode
+
+    def test_failed_solve_metric_overflow_exit_one(self, tmp_path, capsys):
+        # the solve fails (line search stalled) at max|y| near 1e7, and its
+        # metric components overflow in the curvature pass: a solve error,
+        # not a traceback
+        cfg = write_cfg(tmp_path, "system = su\nn = 7\nphi0 = 0.01\ngrid = 16\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+        assert "solve error: metric components overflow" in capsys.readouterr().err
+        assert not (tmp_path / "profile.csv").exists()
 
     def test_unreadable_config_exit_three(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "missing.cfg"), "--quiet"]) == 3
@@ -465,6 +479,19 @@ class TestVerifyExport:
         assert rc in (0, 2)
         assert (tmp_path / "report.json").exists()
 
+    def test_verify_default_out_keeps_solve_report(self, tmp_path):
+        # without --out, cce verify writes verify/report.json beside the
+        # profile; the solve's report.json and its config_hash stay
+        cfg = write_cfg(tmp_path, "system = gberger\nn = 3\nphi0 = 1,1\ngrid = 16\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        solved = (tmp_path / "report.json").read_text()
+        assert main(["verify", str(tmp_path / "profile.csv")]) == 0
+        assert (tmp_path / "report.json").read_text() == solved
+        assert json.loads(solved)["provenance"]["config_hash"] == config_hash(Path(cfg).read_text())
+        read_back = json.loads((tmp_path / "verify" / "report.json").read_text())
+        assert read_back["provenance"]["config_hash"] == ""
+        assert {**read_back, "provenance": None} == {**json.loads(solved), "provenance": None}
+
     def test_verify_pair(self, small_profile, tmp_path, capsys):
         p = tmp_path / "a.csv"
         export_profile_csv(small_profile, str(p))
@@ -529,6 +556,19 @@ class TestVerifyExport:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("edit", [
+        lambda line: line.replace("x,y1,y2,", "x,y1,z2,", 1),  # the column renamed
+        lambda line: line if line.startswith(("#", "x,")) else ",".join(line.split(",")[:2]) + "\n",  # rows cut
+    ], ids=["renamed", "short-rows"])
+    def test_missing_column_exit_three(self, small_profile, tmp_path, capsys, edit):
+        # a stored unknown's column that is not in the table is named on load
+        p = tmp_path / "profile.csv"
+        export_profile_csv(small_profile, str(p))
+        p.write_text("".join(map(edit, p.read_text().splitlines(keepends=True))))
+        assert main(["verify", str(p), "--out", str(tmp_path)]) == 3
+        assert "cannot load profile: profile column 'y2' is missing" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_nan_node_exit_three(self, small_profile, tmp_path, capsys):
         # an interior x edited to nan is a load error, not a report of NaN margins
         p = tmp_path / "profile.csv"
@@ -555,10 +595,28 @@ class TestVerifyExport:
     def test_export_json(self, small_profile, tmp_path):
         p = tmp_path / "profile.csv"
         export_profile_csv(small_profile, str(p))
-        rc = main(["export", str(p), "--out", str(tmp_path)])
-        assert rc == 0
+        assert main(["export", str(p), "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "profile.json").read_text())
-        assert doc["system"] == "su" and len(doc["x"]) == 64
+        # every number is its shortest round-trip decimal string
+        prof = load_profile_csv(str(p))
+
+        def dec(values):
+            return [fmt(v) for v in values]
+
+        assert doc == {
+            "schema": "cce-profile-json-v1",
+            "system": "su",
+            "n": 5,
+            "phi0": ["0.85"],
+            "K0": fmt(prof.k0),
+            "converged": prof.converged,
+            "x": dec(prof.mesh.nodes),
+            "y": [dec(row) for row in prof.y],
+            "yp": [dec(row) for row in prof.yp],
+            "free": dec(prof.free.coeffs),
+            "infinity_free": dec(prof.infinity_free),
+        }
+        assert len(doc["x"]) == 64 and float(doc["K0"]) == small_profile.k0
 
 
 class TestConfigHash:

@@ -85,6 +85,16 @@ class TestReconstruct:
         W = G.log_component_matrix(BoundaryData(GBERGER, 3, (1.0, 1.0)))
         np.testing.assert_allclose(W @ np.zeros(3), 0.0, atol=0)
 
+    @pytest.mark.parametrize("call", [G.curvature_samples, V.run_verification])
+    def test_nan_in_y_is_infeasible(self, call):
+        # exp passes a NaN without overflowing; the finiteness check names it
+        prof = round_profile()
+        prof.y = prof.y.copy()
+        prof.y[1, 5] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(G.InfeasibleProfileError,
+                                                          match="^non-finite metric components$"):
+            call(prof)
+
 
 class TestRadial:
     def test_hyperbolic_minus_one(self):
