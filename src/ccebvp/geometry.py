@@ -264,13 +264,6 @@ def curvature_samples(profile) -> CurvatureSamples:
     return CurvatureSamples(mp.x, tuple(planes), np.vstack([rad, *amb]), mp)
 
 
-def radial_trace(samples: CurvatureSamples) -> np.ndarray:
-    """Multiplicity-weighted sum of the radial rows of samples at every node
-    (equals -n on Einstein profiles)."""
-    mult = samples.metric.multiplicities
-    return mult @ samples.values[: len(mult)]
-
-
 # the cyclic permutations only: (p, i, q) gives the bitwise value of
 # (i, p, q), since swapping i and p swaps the two terms of one sum and the
 # operands of two others, and IEEE addition commutes

@@ -454,8 +454,10 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions, counters=None):
     t0 = time.perf_counter()
     rep = SolveReport() if counters is None else SolveReport(counters=counters)
     counters = rep.counters
+    m, N = bd.kind.unknowns, mesh.n_nodes
+    if guess.y.shape != (m, N):
+        raise UsageError("guess dimensions do not match the mesh")
     u = _pack(guess)
-    m, N = guess.y.shape
 
     def factor(J):
         counters["lu_factorisations"] += 1

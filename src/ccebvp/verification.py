@@ -140,20 +140,6 @@ def pinching_report(samples) -> CheckRecord:
     return CheckRecord("pinching", "curvature-pinching", float(worst), None, None)
 
 
-def check_radial_trace(profile, samples) -> CheckRecord:
-    """geometry.radial_trace of samples against -n at every node.
-
-    What it measures differs by family, because the radial curvatures are
-    read through the second derivatives that the evolution equations
-    eliminate.  On SU the sum plus n is (n-1) x^2 Phi / (4n) at every node,
-    Phi being the first integral: a multiple of the constraint drift.  On
-    the generalized Berger family y1'' is eliminated through the y1 equation
-    the trace restates, so the sum is -n to roundoff on any profile.
-    """
-    err = np.abs(geom.radial_trace(samples) + profile.bd.n).max()
-    return CheckRecord.at_most("radial-einstein-trace", "einstein-radial-trace", err, 1e-8)
-
-
 @dataclass
 class VariationLedger:
     z: np.ndarray  # difference functions, one row per unknown
@@ -218,7 +204,6 @@ def run_verification(profile, samples=None) -> VerificationReport:
     return VerificationReport(
         [
             check_constraint_drift(profile),
-            check_radial_trace(profile, samples),
             *check_monotonicity(profile),
             *check_apriori_bounds(profile),
             check_k0_window(profile),

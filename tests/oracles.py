@@ -89,6 +89,15 @@ def ricci_su(I1, I2, n) -> np.ndarray:
     return np.array([first] + [rest] * (n - 1))
 
 
+def radial_trace(samples) -> np.ndarray:
+    """Multiplicity-weighted sum of the radial rows of curvature samples at
+    every node (equals -n on Einstein profiles).  It restates the first
+    integral: on SU the sum plus n is (n-1) x^2 Phi / (4n), and on the
+    generalized Berger family it is -n to roundoff on any profile."""
+    mult = samples.metric.multiplicities
+    return mult @ samples.values[: len(mult)]
+
+
 # Lie brackets [Y_c, Y_b] = sum_a alpha[(c,b)][a] Y_a for the S^5 frame
 # (1-based indices); a cross-check oracle for dT.
 SU3_BRACKETS = {

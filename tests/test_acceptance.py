@@ -18,7 +18,7 @@ from ccebvp.solver import SolutionProfile, SolveOptions, guess_from, make_mesh, 
 from ccebvp.structure import slice_structure
 from ccebvp.systems import GBERGER, SU, BoundaryData
 
-from oracles import ricci_su, upsilon
+from oracles import radial_trace, ricci_su, upsilon
 
 TOL = 1e-10
 GRID = 768
@@ -151,7 +151,7 @@ def test_criterion_06_radial_trace(criterion_profiles, round_profiles, sweep_tra
     profiles += [p for p, _, _ in round_profiles.values()]
     profiles += [r.profile for r in sweep_trace[0].records]
     for prof in profiles:
-        trace = geom.radial_trace(geom.curvature_samples(prof))
+        trace = radial_trace(geom.curvature_samples(prof))
         worst = max(worst, float(np.abs(trace + prof.bd.n).max()))
     report(6, "radial-einstein-trace", worst <= 1e-8, f"max |trace+n| {worst:.2e}")
 

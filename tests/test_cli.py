@@ -760,15 +760,27 @@ class TestSweepTelemetry:
 
 class TestFlaggedExit:
     def test_converged_but_flagged_exit_two(self, tmp_path):
-        # converges at a loose tolerance but the hard radial-trace threshold
-        # fails at this resolution: converged-but-flagged
+        # converges, but phi2 dips 1.1e-3 below phi2(0): data outside the
+        # monotonicity hypothesis, where range-ratio-2 flags the solve
         cfg = write_cfg(
-            tmp_path, "system = su\nn = 3\nphi0 = 0.31\ngrid = 128\ntol = 1e-6\n"
+            tmp_path, "system = gberger\nn = 3\nphi0 = 0.5,0.5\ngrid = 64\ntol = 1e-8\n"
         )
         rc = main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"])
         assert rc == 2
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["converged"] is True and doc["overall_pass"] is False
+        assert [c["name"] for c in doc["checks"] if c["passed"] is False] == ["range-ratio-2"]
+
+    def test_loose_tol_drift_under_gate_exit_zero(self, tmp_path):
+        # converged with the drift under its gate of 10 tol, the one rule
+        # for the first integral, so the report passes
+        cfg = write_cfg(
+            tmp_path, "system = su\nn = 3\nphi0 = 0.31\ngrid = 128\ntol = 1e-6\n"
+        )
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"])
+        assert rc == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["converged"] is True and doc["overall_pass"] is True
 
 
 class TestFlagOverrides:

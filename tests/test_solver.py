@@ -195,6 +195,18 @@ class TestAssemble:
         with pytest.raises(UsageError):
             assemble_collocation(bd, mesh, seed_profile(bd, other, opts))
 
+    @pytest.mark.parametrize(
+        "bd, N",
+        [(BoundaryData(SU, 5, (0.8,)), 32), (BoundaryData(SU, 5, (0.8,)), 128),
+         (BoundaryData(GBERGER, 3, (0.95, 1.02)), 64)],
+        ids=["coarser-mesh", "finer-mesh", "other-family"],
+    )
+    def test_newton_guess_must_fit_the_mesh(self, bd, N):
+        # a 64-node SU n=5 guess, named before newton_solve packs it
+        guess = seed_profile(BoundaryData(SU, 5, (0.8,)), make_mesh(64), small_opts())
+        with pytest.raises(UsageError, match="guess dimensions do not match the mesh"):
+            newton_solve(bd, make_mesh(N), guess, small_opts())
+
 
 def perturbed_jacobian(bd, N):
     # a seed guess with uniform noise, as in test_jacobian_matches_finite_differences
