@@ -8,6 +8,7 @@ failure or a stored profile that cannot be loaded or verified.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -28,7 +29,7 @@ from .exports import (
 )
 from .solver import solve_bvp
 from .systems import DomainError, UsageError
-from .verification import run_verification, uniqueness_diagnostic
+from .verification import CONTRACTIONS, run_verification, uniqueness_diagnostic
 
 
 # a solve that fails on extreme data can leave a profile whose sources
@@ -144,6 +145,9 @@ def cmd_verify(args) -> int:
             _fail(1, f"verify error: {e}")
         for i, v in enumerate(ledger.variations):
             print(f"V(z{i + 1}) = {v:.6e}")
+        if ledger.inequality_residuals is not None:
+            for label, r in zip(CONTRACTIONS, ledger.inequality_residuals):
+                print(f"{label}: residual {r:.6e}")
         print(f"forces_zero={ledger.forces_zero}")
         return 0 if ledger.forces_zero else 2
     with np.errstate(**_NONFINITE_OK):
@@ -166,7 +170,9 @@ def cmd_export(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process, built on first use."""
     ap = argparse.ArgumentParser(prog="cce", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -49,34 +49,25 @@ def _atomic_write(path, text):
         raise
 
 
-def profile_columns(profile: SolutionProfile, samples=None):
-    """Column names and per-node data matrix for the profile CSV.  The I and
-    max_radial_curvature columns read the profile's curvature samples (its
-    metric and radial rows), computed here when not given."""
+def stored_columns(m):
+    """Names of the profile CSV's stored columns for m unknowns: the nodes, y
+    and y'.  Every later column is derived from them and never read back."""
+    return ["x"] + [f"y{i + 1}" for i in range(m)] + [f"yp{i + 1}" for i in range(m)]
+
+
+def export_profile_csv(profile: SolutionProfile, path: str, samples=None) -> None:
+    """The stored columns, then the derived K, phi_i, Phi, I_i and
+    max_radial_curvature.  The I and max_radial_curvature columns read the
+    profile's curvature samples (its metric and radial rows), computed here
+    when not given."""
     if samples is None:
         samples = geometry.curvature_samples(profile)
     m = profile.y.shape[0]
     I = samples.metric.I
-    phi = np.exp(profile.y[1:])
-    K = np.exp(profile.y[0])
-    Phi = profile.constraint_values()
-    maxrad = samples.values[: len(I)].max(axis=0)
-    names = (
-        ["x"]
-        + [f"y{i + 1}" for i in range(m)]
-        + [f"yp{i + 1}" for i in range(m)]
-        + ["K"]
-        + [f"phi{i}" for i in range(1, m)]
-        + ["Phi"]
-        + [f"I{i + 1}" for i in range(len(I))]
-        + ["max_radial_curvature"]
-    )
-    cols = np.vstack([profile.mesh.nodes, profile.y, profile.yp, K[None], phi, Phi[None], I, maxrad[None]])
-    return names, cols.T
-
-
-def export_profile_csv(profile: SolutionProfile, path: str, samples=None) -> None:
-    names, rows = profile_columns(profile, samples)
+    names = stored_columns(m) + ["K", *(f"phi{i}" for i in range(1, m)), "Phi",
+                                 *(f"I{i + 1}" for i in range(len(I))), "max_radial_curvature"]
+    rows = np.vstack([profile.mesh.nodes, profile.y, profile.yp, np.exp(profile.y[0])[None], np.exp(profile.y[1:]),
+                      profile.constraint_values()[None], I, samples.values[: len(I)].max(axis=0)[None]]).T
     meta = [
         f"# schema={PROFILE_SCHEMA}",
         f"# system={profile.bd.kind.family}",
@@ -124,19 +115,19 @@ def load_profile_csv(path: str) -> SolutionProfile:
             elif names is None:
                 names = line.split(",")
             elif line:
-                rows.append([float(v) for v in line.split(",")])
+                rows.append(line.split(","))
     if names is None or not rows:
         raise ValueError(f"{path} does not contain a profile table")
-    data = np.array(rows).T
-    col = dict(zip(names, data))
+    # columns as text, cut to the shortest row; only the stored ones are converted
+    col = dict(zip(names, zip(*rows)))
 
     def column(name):
-        # the stored unknowns; the derived columns are never read
         if name not in col:
             raise ValueError(f"profile column {name!r} is missing")
-        if not np.isfinite(col[name]).all():
+        vals = np.array(list(map(float, col[name])))
+        if not np.isfinite(vals).all():
             raise ValueError(f"profile column {name!r} is not finite")
-        return col[name]
+        return vals
 
     system = _header(meta, "system")
     if system not in KINDS:
@@ -144,8 +135,7 @@ def load_profile_csv(path: str) -> SolutionProfile:
     kind = KINDS[system]
     m = kind.unknowns
     bd = BoundaryData(kind, int(_header(meta, "n")), tuple(_header(meta, "phi0", kind.free_count)))
-    y = np.vstack([column(f"y{i + 1}") for i in range(m)])
-    yp = np.vstack([column(f"yp{i + 1}") for i in range(m)])
+    x, *stored = map(column, stored_columns(m))
     # the tol sets the drift gate and the uniqueness slack, so it must be a real one
     tol, converged = float(_header(meta, "tol")), _header(meta, "converged")
     if not 0 < tol < np.inf:
@@ -154,9 +144,9 @@ def load_profile_csv(path: str) -> SolutionProfile:
         raise ValueError(f"profile header 'converged' must be true or false, got {converged!r}")
     return SolutionProfile(
         bd,
-        Mesh(column("x")),
-        y,
-        yp,
+        Mesh(x),
+        np.vstack(stored[:m]),
+        np.vstack(stored[m:]),
         k0var=_header(meta, "k0var", 1)[0],
         free=NonlocalParams(tuple(_header(meta, "free", kind.free_count))),
         infinity_free=np.array(_header(meta, "infinity_free", m - 1)),

@@ -61,6 +61,16 @@ def _interior(profile):
     return slice(1, profile.mesh.n_nodes - 1)
 
 
+def monotone_hypothesis(bd) -> bool:
+    """Whether the boundary data meet the monotone-solution hypothesis: always
+    on SU; on generalized Berger phi1 < 1, phi1 phi2 < 1 and phi1 + phi1 phi2 > 1.
+    The ratio monotonicity and ratio-range checks read n/a where it fails."""
+    if bd.kind.family == "su":
+        return True
+    p1, p2 = bd.phi0
+    return p1 < 1.0 and p1 * p2 < 1.0 and p1 + p1 * p2 > 1.0
+
+
 def check_monotonicity(profile) -> list:
     """Derivative sign conditions of the monotone-solution properties at interior nodes."""
     bd = profile.bd
@@ -71,8 +81,7 @@ def check_monotonicity(profile) -> list:
         vals = sign * profile.yp[1, sl] if sign != 0 else np.zeros(1)
         recs.append(CheckRecord.above("monotone-ratio", "ratio-monotonicity", vals.min()))
     else:
-        p1, p2 = bd.phi0
-        hypothesis = p1 < 1.0 and p1 * p2 < 1.0 and p1 + p1 * p2 > 1.0
+        hypothesis = monotone_hypothesis(bd)
         for name, f in (
             ("monotone-ratio-1", profile.yp[1, sl]),
             ("monotone-ratio-2", profile.yp[2, sl]),
@@ -101,7 +110,11 @@ def check_apriori_bounds(profile) -> list:
     margin = (bound - profile.yp[0, sl]).min()
     recs = [CheckRecord.above("apriori-y1-derivative", "first-derivative-bound", margin, 0.0)]
     m = family(bd.kind, bd.n).m
+    hypothesis = monotone_hypothesis(bd)  # containment follows from monotone ratios
     for i in range(1, m):
+        if not hypothesis:
+            recs.append(CheckRecord.not_applicable(f"range-ratio-{i}", "ratio-range-containment"))
+            continue
         phi0 = bd.phi0[i - 1]
         lo, hi = min(phi0, 1.0), max(phi0, 1.0)
         phi = np.exp(profile.y[i, sl])
@@ -140,57 +153,36 @@ def pinching_report(samples) -> CheckRecord:
     return CheckRecord("pinching", "curvature-pinching", float(worst), None, None)
 
 
+# the generalized Berger contraction inequalities, in the order of
+# VariationLedger.inequality_residuals (each residual is right side less left)
+CONTRACTIONS = ("V(z2) <= V(z1)/2 + V(z3)/4", "V(z3) <= V(z1)/2 + V(z2)/4", "V(z1) <= (V(z2) + V(z3))/3")
+
+
 @dataclass
 class VariationLedger:
-    z: np.ndarray  # difference functions, one row per unknown
-    variations: np.ndarray
-    intervals: list  # per unknown: list of (x_lo, x_hi, sign) monotone pieces
+    variations: np.ndarray  # total variation of each difference z_i
     inequality_residuals: np.ndarray | None  # gberger contraction system
-    slack: float
     forces_zero: bool
-
-
-def _monotone_decomposition(xs, z):
-    d = np.diff(z)
-    sgn = np.where(np.abs(d) <= DEADBAND, 0.0, np.sign(d))
-    pieces = []
-    start, cur = 0, 0.0
-    for j, s in enumerate(sgn):
-        if s != 0.0 and cur == 0.0:
-            cur = s
-        elif s != 0.0 and s != cur:
-            pieces.append((float(xs[start]), float(xs[j]), float(cur)))
-            start, cur = j, s
-    pieces.append((float(xs[start]), float(xs[-1]), float(cur)))
-    return pieces
 
 
 def uniqueness_diagnostic(p1, p2) -> VariationLedger:
     """Total-variation ledger of the difference of two solutions.
 
-    Computes z_i, its monotone-interval decomposition and total variations,
-    and for the generalized Berger family evaluates the contraction
-    inequalities V(z2) <= V(z1)/2 + V(z3)/4, V(z3) <= V(z1)/2 + V(z2)/4,
-    V(z1) <= (V(z2)+V(z3))/3, whose only nonnegative solution is zero.
+    Computes the total variations of z_i = y_i(p1) - y_i(p2) and, for the
+    generalized Berger family, the residuals of the CONTRACTIONS, whose only
+    nonnegative solution is zero.  forces_zero holds when every variation is
+    within the slack max(1e-12, 100 max tol).
     """
     if p1.bd != p2.bd:
         raise UsageError("uniqueness diagnostic requires identical boundary data")
     xs = p1.mesh.nodes
     z = p1.y - (p2.y if np.array_equal(p2.mesh.nodes, xs) else p2.interpolate(xs)[0])
     V = np.abs(np.diff(z, axis=1)).sum(axis=1)
-    intervals = [_monotone_decomposition(xs, zi) for zi in z]
-    slack = max(1e-12, 100.0 * max(p1.tol, p2.tol))
     ineq = None
     if p1.bd.kind.family == "gberger":
-        ineq = np.array(
-            [
-                0.5 * V[0] + 0.25 * V[2] - V[1],
-                0.5 * V[0] + 0.25 * V[1] - V[2],
-                (V[1] + V[2]) / 3.0 - V[0],
-            ]
-        )
-    forces_zero = bool(np.all(V <= slack))
-    return VariationLedger(z, V, intervals, ineq, slack, forces_zero)
+        ineq = np.array([0.5 * V[0] + 0.25 * V[2] - V[1], 0.5 * V[0] + 0.25 * V[1] - V[2], (V[1] + V[2]) / 3.0 - V[0]])
+    slack = max(1e-12, 100.0 * max(p1.tol, p2.tol))
+    return VariationLedger(V, ineq, bool(np.all(V <= slack)))
 
 
 def run_verification(profile, samples=None) -> VerificationReport:

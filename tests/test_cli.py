@@ -14,13 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccebvp import cli, config, geometry
+from ccebvp import cli, config, geometry, verification
 from ccebvp.cli import main
 from ccebvp.config import ParseError, parse_config
 from ccebvp.continuation import SweepPlan
 from ccebvp.exports import config_hash, export_profile_csv, fmt, load_profile_csv
 from ccebvp.solver import SolveOptions, solve_bvp
-from ccebvp.systems import SU, BoundaryData, UsageError
+from ccebvp.systems import GBERGER, SU, BoundaryData, UsageError
 
 
 class TestConfig:
@@ -165,6 +165,16 @@ def small_profile():
     return prof
 
 
+@pytest.fixture(scope="module")
+def small_gb_profile():
+    prof, rep = solve_bvp(
+        BoundaryData(GBERGER, 3, (0.95, 1.02)),
+        SolveOptions(grid=48, tol=1e-7, refine_rounds=0, coarse_stage=0),
+    )
+    assert rep.converged
+    return prof
+
+
 class TestCSV:
     def test_round_trip_bit_exact(self, small_profile, tmp_path):
         p = tmp_path / "profile.csv"
@@ -210,6 +220,18 @@ class TestCSV:
         export_profile_csv(small_profile, str(p))
         poison(p, "Phi", "nan")
         assert np.array_equal(load_profile_csv(str(p)).y, small_profile.y)
+
+    def test_gberger_derived_columns_unread(self, small_gb_profile, tmp_path):
+        # the loader converts only x, y_i and yp_i: poisoned or unparsable
+        # derived columns of a gberger profile still load bit for bit
+        p = tmp_path / "profile.csv"
+        export_profile_csv(small_gb_profile, str(p))
+        for name, value in (("Phi", "nan"), ("I3", "inf"), ("max_radial_curvature", "not-a-number")):
+            poison(p, name, value)
+        loaded = load_profile_csv(str(p))
+        for got, want in ((loaded.mesh.nodes, small_gb_profile.mesh.nodes), (loaded.y, small_gb_profile.y),
+                          (loaded.yp, small_gb_profile.yp)):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
     def test_fmt_shortest_roundtrip(self):
         for v in (1 / 3, 1e-17, 123456.789, 0.1, -2.5e300):
@@ -471,6 +493,36 @@ class TestFlagsAreKeys:
                 assert a.dest in config._KEYS and a.option_strings == [f"--{a.dest}"], (command, a.dest)
 
 
+class TestParserBuiltOnce:
+    def test_two_calls_match_two_processes(self, tmp_path, monkeypatch):
+        # a solve --quiet then a verify in one process build the parser once,
+        # and give the exit codes and files of two fresh processes
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        cfg = write_cfg(tmp_path, "system = su\nn = 3\nphi0 = 1.5\ngrid = 24\ntol = 1e-6\n")
+        one, two = tmp_path / "one", tmp_path / "two"
+        argvs = [["solve", "--config", cfg, "--out", "{}", "--quiet"], ["verify", "{}/profile.csv"]]
+        codes = [main([a.format(one) for a in argv]) for argv in argvs]
+        assert len(built) == 5  # the parser and its four subcommands
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        fresh = [subprocess.run([sys.executable, "-m", "ccebvp.cli", *(a.format(two) for a in argv)],
+                                capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=120).returncode
+                 for argv in argvs]
+        assert codes == fresh and codes[0] in (0, 2)
+        assert (one / "profile.csv").read_bytes() == (two / "profile.csv").read_bytes()
+        for name in ("report.json", "verify/report.json"):
+            a, b = (json.loads((d / name).read_text()) for d in (one, two))
+            assert a.pop("provenance")["config_hash"] == b.pop("provenance")["config_hash"]
+            assert a == b
+
+
 class TestVerifyExport:
     def test_verify_single(self, small_profile, tmp_path):
         p = tmp_path / "profile.csv"
@@ -498,7 +550,25 @@ class TestVerifyExport:
         rc = main(["verify", str(p), str(p)])
         assert rc == 0
         outtext = capsys.readouterr().out
-        assert "V(z1)" in outtext and "forces_zero=True" in outtext
+        assert outtext.splitlines() == ["V(z1) = 0.000000e+00", "V(z2) = 0.000000e+00", "forces_zero=True"]
+
+    def test_verify_pair_prints_contractions(self, small_gb_profile, tmp_path, capsys):
+        # a gberger pair prints one residual line per contraction inequality
+        # after the V(z_i) lines; solves on two grids differ by less than the
+        # slack of 100 tol, so V > 0 and still forces_zero
+        other, _ = solve_bvp(small_gb_profile.bd, SolveOptions(grid=40, tol=1e-7, refine_rounds=0, coarse_stage=0))
+        p, q = tmp_path / "a.csv", tmp_path / "b.csv"
+        export_profile_csv(small_gb_profile, str(p))
+        export_profile_csv(other, str(q))
+        assert main(["verify", str(p), str(q)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        ledger = verification.uniqueness_diagnostic(load_profile_csv(str(p)), load_profile_csv(str(q)))
+        assert lines == [
+            *(f"V(z{i + 1}) = {v:.6e}" for i, v in enumerate(ledger.variations)),
+            *(f"{label}: residual {r:.6e}" for label, r in zip(verification.CONTRACTIONS, ledger.inequality_residuals)),
+            "forces_zero=True",
+        ]
+        assert len(lines) == 7 and ledger.variations.min() > 0
 
     def test_pair_with_different_data_exit_one(self, small_profile, tmp_path, capsys):
         p, q = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -759,17 +829,36 @@ class TestSweepTelemetry:
 
 
 class TestFlaggedExit:
-    def test_converged_but_flagged_exit_two(self, tmp_path):
-        # converges, but phi2 dips 1.1e-3 below phi2(0): data outside the
-        # monotonicity hypothesis, where range-ratio-2 flags the solve
-        cfg = write_cfg(
-            tmp_path, "system = gberger\nn = 3\nphi0 = 0.5,0.5\ngrid = 64\ntol = 1e-8\n"
-        )
+    def test_converged_but_flagged_exit_two(self, tmp_path, monkeypatch):
+        # a converged solve whose report carries a failing check exits 2 and
+        # writes that check; the failing record is appended to the real report
+        def flagged(*args):
+            report = verification.run_verification(*args)
+            report.records.append(verification.CheckRecord.at_most("forced", "forced", 1.0, 0.0))
+            return report
+
+        monkeypatch.setattr(cli, "run_verification", flagged)
+        cfg = write_cfg(tmp_path, "system = gberger\nn = 3\nphi0 = 1,1\ngrid = 16\n")
         rc = main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"])
         assert rc == 2
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["converged"] is True and doc["overall_pass"] is False
-        assert [c["name"] for c in doc["checks"] if c["passed"] is False] == ["range-ratio-2"]
+        assert [c["name"] for c in doc["checks"] if c["passed"] is False] == ["forced"]
+
+    def test_outside_hypothesis_range_na_exit_zero(self, tmp_path):
+        # converges, but phi2 dips 1.1e-3 below phi2(0): data outside the
+        # monotonicity hypothesis, where both range-ratio checks read n/a
+        # as the monotone-ratio checks do, so the report passes
+        cfg = write_cfg(
+            tmp_path, "system = gberger\nn = 3\nphi0 = 0.5,0.5\ngrid = 64\ntol = 1e-8\n"
+        )
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"])
+        assert rc == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["converged"] is True and doc["overall_pass"] is True
+        na = [c["name"] for c in doc["checks"] if not c["applicable"]]
+        assert [name for name in na if "ratio" in name] == [
+            "monotone-ratio-1", "monotone-ratio-2", "monotone-ratio-product", "range-ratio-1", "range-ratio-2"]
 
     def test_loose_tol_drift_under_gate_exit_zero(self, tmp_path):
         # converged with the drift under its gate of 10 tol, the one rule

@@ -54,12 +54,21 @@ class TestMonotonicity:
         assert recs["monotone-K"].passed
 
     def test_gb_hypothesis_gate(self):
-        # phi1(0) + phi1(0) phi2(0) < 1: checks must be not-applicable
+        # phi1(0) + phi1(0) phi2(0) < 1: the ratio monotonicity and the
+        # ratio-range checks, which follow from it, must be not-applicable
         prof = solve(GBERGER, 3, (0.45, 1.05), grid=128, tol=3e-7)
-        recs = {r.name: r for r in V.check_monotonicity(prof)}
-        assert not recs["monotone-ratio-1"].applicable
-        assert recs["monotone-ratio-1"].ok
-        assert recs["monotone-K"].passed
+        assert not V.monotone_hypothesis(prof.bd)
+        recs = {r.name: r for r in V.check_monotonicity(prof) + V.check_apriori_bounds(prof)}
+        for name in ("monotone-ratio-1", "monotone-ratio-2", "monotone-ratio-product", "range-ratio-1", "range-ratio-2"):
+            assert not recs[name].applicable and recs[name].ok, name
+        assert recs["monotone-K"].passed and recs["range-K"].applicable
+
+    @pytest.mark.parametrize("phi0, inside", [((0.95, 1.02), True), ((0.45, 1.05), False), ((1.2, 0.9), False),
+                                              ((0.9, 1.2), False), ((1.0, 1.0), False)])
+    def test_hypothesis_predicate(self, phi0, inside):
+        # phi1 < 1, phi1 phi2 < 1 and phi1 + phi1 phi2 > 1; SU data always meet it
+        assert V.monotone_hypothesis(BoundaryData(GBERGER, 3, phi0)) is inside
+        assert V.monotone_hypothesis(BoundaryData(SU, 3, (phi0[0],)))
 
     def test_gb_applicable(self, gb_profile):
         recs = V.check_monotonicity(gb_profile)
@@ -172,14 +181,6 @@ class TestUniqueness:
     def test_mismatched_data_guard(self, su_profile, gb_profile):
         with pytest.raises(UsageError):
             V.uniqueness_diagnostic(su_profile, gb_profile)
-
-    def test_monotone_decomposition_partitions(self, su_profile):
-        led = V.uniqueness_diagnostic(su_profile, solve(SU, 5, (0.8,), grid=80))
-        xs = su_profile.mesh.nodes
-        for pieces in led.intervals:
-            assert pieces[0][0] == xs[0] and pieces[-1][1] == xs[-1]
-            for (a, b, s) in pieces:
-                assert b >= a
 
 
 class TestReport:
