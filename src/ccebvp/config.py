@@ -20,9 +20,7 @@ class ParseError(ValueError):
     def __init__(self, message, key=None, line=None):
         where = [f"key {key!r}"] if key else []
         where += [f"line {line}"] if line else []
-        super().__init__(message + (f" ({', '.join(where)})" if where else ""))
-        self.key = key
-        self.line = line
+        ValueError.__init__(self, message + (f" ({', '.join(where)})" if where else ""))
 
 
 @dataclass

@@ -28,8 +28,8 @@ one product for the table and one for its tangents.
 
 from __future__ import annotations
 
+import functools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,17 +241,9 @@ def _build_operators(fam: Family, endpoint, order) -> _Operators:
     )
 
 
-# built operators by Family object (not by (kind, n): an edited copy of a
-# family gets its own), then by (endpoint, order)
-_OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
+@functools.cache  # by Family object, not by (kind, n): an edited copy of a family gets its own
 def _operators(fam: Family, endpoint, order) -> _Operators:
-    built = _OPERATORS.setdefault(fam, {})
-    key = (endpoint, order)
-    if key not in built:
-        built[key] = _build_operators(fam, endpoint, order)
-    return built[key]
+    return _build_operators(fam, endpoint, order)
 
 
 def _consistency_tol(ops: _Operators, cmax):
@@ -362,7 +354,8 @@ def _split(C, tangents):
 # boxes per octave of |free|, and the exponent j of the smallest (S = 1/8)
 _BOX_STEPS = 4
 _BOX_FLOOR = -12
-# polynomials kept per family, oldest dropped first (a gberger box holds 0.2 MB)
+# polynomials kept over all families, least recently used dropped first (a
+# gberger box holds 0.2 MB)
 _BOX_CACHE = 32
 
 
@@ -441,20 +434,11 @@ def _box_exponent(a):
     return j + (2.0 ** (j / _BOX_STEPS) < a)
 
 
-# built polynomials by Family object (as _OPERATORS), then by (order, box)
-_INFINITY_POLYS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _infinity_poly(fam: Family, order, free) -> _InfinityPoly:
-    """The polynomial of the box of the free values (a list of finite numbers)."""
-    key = (order,) + tuple((_box_exponent(abs(f)), f < 0) for f in free)
-    built = _INFINITY_POLYS.setdefault(fam, {})
-    if key not in built:
-        if len(built) >= _BOX_CACHE:
-            del built[next(iter(built))]
-        half = tuple((-0.5 if neg else 0.5) * 2.0 ** (j / _BOX_STEPS) for j, neg in key[1:])
-        built[key] = _build_infinity_poly(fam, order, half)
-    return built[key]
+@functools.lru_cache(maxsize=_BOX_CACHE)
+def _box_poly(fam: Family, order, box) -> _InfinityPoly:
+    """The polynomial of one box: (exponent j, negative) per free value."""
+    half = tuple((-0.5 if neg else 0.5) * 2.0 ** (j / _BOX_STEPS) for j, neg in box)
+    return _build_infinity_poly(fam, order, half)
 
 
 # -- public constructors -----------------------------------------------------
@@ -518,7 +502,7 @@ def series_infinity(
         table = np.full(shape, np.nan)
         tan = np.full((fam.m - 1, *shape), np.nan) if tangents else None
     else:
-        poly = _infinity_poly(fam, order, values)
+        poly = _box_poly(fam, order, tuple((_box_exponent(abs(f)), f < 0) for f in values))
         basis = _chebyshev_basis([f / h - 1.0 for f, h in zip(values, poly.half)], poly.k)[poly.rows] - poly.zero
         table = (basis @ poly.coef).reshape(shape)
         tan = (basis @ poly.dcoef + poly.dzero).reshape(fam.m - 1, *shape) if tangents else None

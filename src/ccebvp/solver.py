@@ -446,8 +446,7 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions, counters=None):
     estimates the distance to the discrete root, so the drift at u + dbar
     (the report's predicted_drift) is what the step reaches; when the mesh
     sets the drift it stays above the gate and no step is taken.  A run
-    that met tol without a step has no dbar: it factors its start's
-    Jacobian and polishes unpredicted.
+    that met tol without a step takes its dbar from its start's factor.
     """
     tol = opts.tol
     gate = DRIFT_GATE * tol
@@ -458,10 +457,6 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions, counters=None):
     if guess.y.shape != (m, N):
         raise UsageError("guess dimensions do not match the mesh")
     u = _pack(guess)
-
-    def factor(J):
-        counters["lu_factorisations"] += 1
-        return splu(J, m, N)
 
     def trial(uv, lu=None, bound=np.inf, want_jac=False):
         # (F, J, dbar) at uv when F is finite and, given the current
@@ -483,6 +478,21 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions, counters=None):
         except (sysm.SeriesRecursionError, FloatingPointError, np.linalg.LinAlgError):
             return None
         return F, J, dbar
+
+    def refresh(uv, F, J):
+        # (F, J, lu, step) of a fresh factor lu at uv, with the Jacobian
+        # assembled there when J is None; None when either fails
+        if J is None:
+            FJ = trial(uv, want_jac=True)
+            if FJ is None:
+                return None
+            F, J, _ = FJ
+        counters["lu_factorisations"] += 1
+        try:
+            lu = splu(J, m, N)
+            return F, J, lu, lu.solve(-F)
+        except np.linalg.LinAlgError:
+            return None
 
     def drift_at(uv):
         return float(np.abs(_unpack(bd, mesh, uv, opts).constraint_values()).max())
@@ -514,18 +524,11 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions, counters=None):
     while norm > tol and rep.iterations < MAX_ITER:
         fresh = step is None
         if fresh:
-            if J is None:  # a fresh Jacobian at the current point
-                FJ = trial(u, want_jac=True)
-                if FJ is None:
-                    rep.failure_reason = "singular linearization"
-                    break
-                F, J, _ = FJ
-            try:
-                lu = factor(J)
-                step = lu.solve(-F)
-            except np.linalg.LinAlgError:
+            got = refresh(u, F, J)
+            if got is None:
                 rep.failure_reason = "singular linearization"
                 break
+            F, J, lu, step = got
         # Armijo halving on the natural monotonicity test, floor 2^-20
         dnorm = float(np.linalg.norm(step))
         if not np.isfinite(dnorm) or dnorm == 0.0:
@@ -551,18 +554,15 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions, counters=None):
         rep.residual_history.append(norm)
         step = dbar if lam == 1.0 and rep.contraction_history[-1] < THETA_MAX else None
 
-    drift, predicted = drift_at(u), predict(u, dbar)
     # polish: an iterate that just crossed tol may still sit well off the
     # discrete root, but no step lowers a drift that the mesh sets
-    polish = 0
-    while norm <= tol and drift > gate and polish < 2 and (predicted is None or predicted <= gate):
-        fresh = dbar is None
-        try:
-            if fresh:
-                lu = factor(J)
-                dbar = lu.solve(-F)
-        except np.linalg.LinAlgError:
-            break
+    drift, fresh = drift_at(u), dbar is None
+    if fresh and norm <= tol and drift > gate:  # met tol at its start
+        got = refresh(u, F, J)
+        if got is not None:
+            F, J, lu, dbar = got
+    predicted, polish = predict(u, dbar), 0
+    while norm <= tol and drift > gate and polish < 2 and dbar is not None and predicted <= gate:
         dnorm = float(np.linalg.norm(dbar))
         FJ = trial(u + dbar, lu)
         nt = np.inf if FJ is None else float(np.abs(FJ[0]).max())
@@ -571,10 +571,9 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions, counters=None):
         u, (F, J, dbar), norm = u + dbar, FJ, nt
         record(dbar, dnorm, fresh)
         rep.residual_history.append(norm)
-        polish += 1
-        # a step on a reused factor lands on the point its prediction read
-        drift = drift_at(u) if predicted is None else predicted
-        predicted = predict(u, dbar)
+        polish, fresh = polish + 1, False
+        # the step lands on the point its prediction read
+        drift, predicted = predicted, predict(u, dbar)
 
     prof = _unpack(bd, mesh, u, opts)
     rep.residual_norm = norm
@@ -597,13 +596,14 @@ def refine_mesh(profile: SolutionProfile) -> Mesh:
 def guess_from(bd, profiles, weights, opts, mesh=None):
     """The guess for bd at opts.tol whose unknowns (values, endpoint
     parameters) are the weighted sum of the profiles' (all on one mesh),
-    Hermite-interpolated onto mesh when its nodes differ.  A single profile
-    with weight 1.0 is reproduced exactly."""
+    Hermite-interpolated onto mesh when one is given, which is exact at the
+    profiles' own nodes.  A single profile with weight 1.0 is reproduced
+    exactly."""
     u = weights[0] * _pack(profiles[0])
     for w, p in zip(weights[1:], profiles[1:]):
         u = u + w * _pack(p)
     guess = _unpack(bd, profiles[0].mesh, u, opts)
-    if mesh is None or np.array_equal(mesh.nodes, guess.mesh.nodes):
+    if mesh is None:
         return guess
     y, yp = guess.interpolate(mesh.nodes)
     return replace(guess, mesh=mesh, y=y, yp=yp)

@@ -43,8 +43,7 @@ class SeriesRecursionError(RuntimeError):
     """Endpoint series recursion hit a vanishing indicial factor or inconsistency."""
 
 
-_FAMILIES = ("gberger", "su")
-_UNKNOWNS = {"gberger": 3, "su": 2}
+_UNKNOWNS = {"gberger": 3, "su": 2}  # family name -> number of unknowns
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,8 @@ class SystemKind:
     family: str
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise UsageError(f"unknown family {self.family!r}, expected one of {_FAMILIES}")
+        if self.family not in _UNKNOWNS:
+            raise UsageError(f"unknown family {self.family!r}, expected one of {tuple(_UNKNOWNS)}")
 
     @property
     def unknowns(self) -> int:

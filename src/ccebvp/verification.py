@@ -176,7 +176,7 @@ def uniqueness_diagnostic(p1, p2) -> VariationLedger:
     if p1.bd != p2.bd:
         raise UsageError("uniqueness diagnostic requires identical boundary data")
     xs = p1.mesh.nodes
-    z = p1.y - (p2.y if np.array_equal(p2.mesh.nodes, xs) else p2.interpolate(xs)[0])
+    z = p1.y - p2.interpolate(xs)[0]  # exact at p2's own nodes
     V = np.abs(np.diff(z, axis=1)).sum(axis=1)
     ineq = None
     if p1.bd.kind.family == "gberger":

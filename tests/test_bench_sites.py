@@ -6,7 +6,11 @@ fails here rather than in the benchmark."""
 import ast
 import dataclasses
 import importlib.util
+import json
+import sys
 from pathlib import Path
+
+import pytest
 
 import ccebvp
 import ccebvp.cli  # noqa: F401  (traced too; the package does not import it itself)
@@ -100,3 +104,25 @@ def test_workload_options_exist():
                 assert kw.arg in fields, f"bench/workloads.py passes {kw.arg}= to {name}"
             seen.add(name)
     assert seen == set(classes)
+
+
+@pytest.mark.parametrize("name", ["acc768", "cli-default", "sweep-su3"])
+def test_seed0_pass_matches_the_reference(name, tmp_path, monkeypatch):
+    # one seed-0 pass of each benchmark workload, checked against its frozen
+    # outputs: no output check fails, and the failed operations are exactly
+    # the solves the reference records as unconverged (cli-default: su5-0.25
+    # and su3-0.3, each ending "constraint drift")
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look themselves up there
+    spec.loader.exec_module(workloads)
+    reference = json.loads((BENCH / "reference.json").read_text())[name]
+    monkeypatch.setattr(ccebvp.cli, "solve_bvp", ccebvp.cli.solve_bvp)  # CliDefault taps it
+    wl = workloads.WORKLOADS[name]()
+    ps = workloads.Pass(tmp_path / "pass", reference, None, {}, "pass")
+    wl.run_pass(workloads.make_cases(wl.base, 0), ps)
+    assert len(ps.ops) >= len(wl.base)
+    assert [(op.name, op.problems) for op in ps.ops if op.problems] == []
+    suffix = "/solve" if name == "cli-default" else ""
+    unconverged = {key + suffix for key, ref in reference.items() if ref.get("converged") is False}
+    assert {op.name for op in ps.ops if op.failed} == unconverged

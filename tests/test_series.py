@@ -580,10 +580,25 @@ class TestInfinityPolynomial:
         series_infinity(SU, 5, 26, np.array([0.36]))  # the next box
         series_infinity(SU, 5, 16, np.array([0.3]))  # another order
         assert runs == [("infinity", 26)] * 3 + [("infinity", 16)]
-        # a full cache drops its oldest box first
-        monkeypatch.setattr(series, "_BOX_CACHE", 4)
-        series_infinity(SU, 5, 16, np.array([0.5]))
-        assert list(series._INFINITY_POLYS[fam]) == [(26, (-6, True)), (26, (-5, False)), (16, (-6, False)), (16, (-4, False))]
+        # the cache keeps the _BOX_CACHE most recently used boxes over all
+        # families: the box of 0.3 at order 16, built first but used again
+        # before the cache fills, stays; the least recently used box is
+        # rebuilt after _BOX_CACHE others
+        built = []
+        real_build = series._build_infinity_poly
+
+        def build(f, order, half):
+            built.append(half)
+            return real_build(f, order, half)
+
+        monkeypatch.setattr(series, "_build_infinity_poly", build)
+        box = (0.5 * 2.0**-1.5,)
+        others = [s * 0.9 * 2.0 ** (j / 4) for j in range(-12, 5) for s in (1.0, -1.0) if (j, s) != (-6, 1.0)]
+        others = others[: series._BOX_CACHE]
+        for free in (*others[:-1], 0.3, others[-1], 0.3, others[0]):
+            series_infinity(SU, 5, 16, np.array([free]))
+        assert len(set(built)) == len(built) - 1 == series._BOX_CACHE
+        assert box not in built and built[-1] == built[0]
 
     @pytest.mark.parametrize(
         "kind,n,free",
@@ -602,6 +617,8 @@ class TestInfinityPolynomial:
 
         fam = copy.copy(family(kind, n))
         monkeypatch.setattr(series, "family", lambda kind, n: fam)
+        built = []
+        monkeypatch.setattr(series, "_build_infinity_poly", lambda *args: built.append(args))
         with np.errstate(invalid="ignore", over="ignore"):
             direct = outcome(lambda: series._solve_recursion(fam, "infinity", 26, np.zeros((1, fam.m)), np.array([free]))[0])
             sc = lambda: series_infinity(kind, n, 26, np.array(free), tangents=tangents)
@@ -609,4 +626,4 @@ class TestInfinityPolynomial:
             if tangents and got == "non-finite":
                 assert outcome(lambda: sc().tangents) == "non-finite"
         assert got == direct != "finite"
-        assert not series._INFINITY_POLYS.get(fam)
+        assert built == []

@@ -533,11 +533,11 @@ class TestNewton:
         assert c["assemblies"] == len(calls) - 1  # the injected call did no work
 
     def test_interpolate_roundtrip(self):
-        bd = BoundaryData(SU, 5, (0.8,))
-        prof, rep = solve_bvp(bd, small_opts(grid=64, tol=1e-9))
-        y, yp = prof.interpolate(prof.mesh.nodes)
-        assert np.abs(y - prof.y).max() < 1e-13
-        assert np.abs(yp - prof.yp).max() < 1e-13
+        # exact at the profile's own nodes, so no caller needs a same-mesh shortcut
+        for bd in (BoundaryData(SU, 5, (0.8,)), BoundaryData(GBERGER, 3, (0.95, 1.02))):
+            prof, rep = solve_bvp(bd, small_opts(grid=64, tol=1e-9))
+            y, yp = prof.interpolate(prof.mesh.nodes)
+            assert np.array_equal(y, prof.y) and np.array_equal(yp, prof.yp)
 
     def test_lagrange_guess_is_linear_in_every_unknown(self):
         opts = small_opts(grid=48, tol=1e-8)
@@ -623,20 +623,20 @@ class TestPolish:
         assert rep.converged and prof.mesh.n_nodes == 768
         assert rep.counters == {"assemblies": 8, "jacobians": 3, "lu_factorisations": 3}
 
-    def test_start_within_tol_polishes_unpredicted(self):
-        # a run that meets tol at its start has no simplified Newton
-        # correction: it factors its start's Jacobian and polishes once, and
-        # that factor predicts the next step, which the mesh defeats (a run
-        # stops just under its tol, so the start is solved at a tighter one)
+    def test_start_within_tol_predicts_from_its_start_factor(self):
+        # a run that meets tol at its start takes its simplified Newton
+        # correction from its start's factor, and like every polish step
+        # takes it only when the drift it predicts meets the gate; here the
+        # mesh defeats it, so no step is taken (a run stops just under its
+        # tol, so the start is solved at a tighter one)
         bd = BoundaryData(SU, 5, (0.8,))
         prof = solve_bvp(bd, small_opts(tol=1e-11))[0]
         opts = small_opts(tol=3e-12)
         start = guess_from(bd, [prof], [1.0], opts)
         assert np.abs(assemble_collocation(bd, prof.mesh, start)[0]).max() <= opts.tol
         rep = newton_solve(bd, prof.mesh, start, opts)[1]
-        assert rep.damping_history == [] and polish_steps(rep) == 1
-        assert rep.fresh_factor_history == [True]
-        assert rep.counters == {"assemblies": 2, "jacobians": 1, "lu_factorisations": 1}
+        assert rep.iterations == 0 and polish_steps(rep) == 0
+        assert rep.counters == {"assemblies": 1, "jacobians": 1, "lu_factorisations": 1}
         assert rep.failure_reason == "constraint drift" and rep.predicted_drift > 10 * opts.tol
 
     def test_prediction_overflow_reads_inf(self):
@@ -826,8 +826,8 @@ class TestNewtonFailures:
         assert rep.counters == {"assemblies": 3, "jacobians": 1, "lu_factorisations": 1}
 
     def test_polish_factor_fails(self, monkeypatch):
-        # a start that meets tol has no step to predict from: the polish
-        # factors its Jacobian, and when that raises the run keeps its point
+        # a start that meets tol predicts from its start's factor; when that
+        # factor raises, the run keeps its point and predicts nothing
         import ccebvp.solver as solver
 
         opts = small_opts(grid=64)

@@ -4,6 +4,8 @@ Expected numbers are frozen from direct term-by-term evaluation of the
 closed-form expressions (oracles written here, not via the package code).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -337,7 +339,7 @@ class TestBoundaryData:
             BoundaryData(SU, 5, (0.9, 1.0))
 
     def test_removed_family_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=re.escape("unknown family 'sp', expected one of ('gberger', 'su')")):
             SystemKind("sp")
 
     def test_window_flag(self):
