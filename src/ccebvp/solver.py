@@ -10,9 +10,12 @@ The first integral is imposed at no interior node: the endpoint series
 satisfy it identically, the redundant y1-derivative match at the origin is
 shed, and its nodal drift (pure propagation) is checked after the solve.
 
-The Jacobian is kept as its blocks and factored by block cyclic reduction
-with orthogonal pair eliminations (CyclicReduction), in numpy alone: O(N)
-storage and work, and no sparse-matrix library to import.
+The Jacobian is kept as its blocks.  splu factors them (ccebvp.factor) by
+banded LU with partial pivoting in LAPACK band storage (BandLU: dgbtrf and
+dgbtrs of the LAPACK that numpy.linalg links, bound with ctypes on the first
+factor), or by block cyclic reduction in numpy alone (CyclicReduction) where
+that LAPACK exports no dgbtrf: O(N) storage and work, and no sparse-matrix
+library to import.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import systems as sysm
+from .factor import BandLU, CyclicReduction, lapack_gbtrf
 from .series import (
     TRUST_RADIUS,
     NonlocalParams,
@@ -200,12 +204,16 @@ class SolutionProfile:
 
 
 def _pack(profile: SolutionProfile) -> np.ndarray:
+    """The Newton unknowns of profile.  A nonlocal coefficient c enters the
+    matching at XL as c * x^n, so it is carried as its contribution c * XL^n
+    there: its Jacobian columns are then the size of the others' (cond(J)
+    about 3e4 on SU n = 3, 5, 7 at 144 nodes, against 1e9 for n=7 on c)."""
     m, N = profile.y.shape
     u = np.empty(2 * m * N + 2 * m - 1)
     blk = np.concatenate([profile.y, profile.yp], axis=0)  # (2m, N)
     u[: 2 * m * N] = blk.T.ravel()
     u[2 * m * N] = profile.k0var
-    u[2 * m * N + 1 : 2 * m * N + m] = np.asarray(profile.free.coeffs, dtype=float)
+    u[2 * m * N + 1 : 2 * m * N + m] = np.asarray(profile.free.coeffs, dtype=float) * XL**profile.bd.n
     u[2 * m * N + m :] = profile.infinity_free
     return u
 
@@ -220,7 +228,7 @@ def _unpack(bd, mesh, u, opts):
         y=blk[:m].copy(),
         yp=blk[m:].copy(),
         k0var=float(u[2 * m * N]),
-        free=NonlocalParams(tuple(u[2 * m * N + 1 : 2 * m * N + m])),
+        free=NonlocalParams(tuple(u[2 * m * N + 1 : 2 * m * N + m] / XL**bd.n)),
         infinity_free=u[2 * m * N + m :].copy(),
         tol=opts.tol,
     )
@@ -320,6 +328,7 @@ def assemble_collocation(
     no, ni = (2 * m - 1) * m, (2 * m - 1) * m + 8 * m * m * (N - 1)
     J = np.empty(ni + 2 * m * (m - 1))
     J[:no], J[ni:] = np.delete(-jacL, m, axis=0).ravel(), -jacR.ravel()
+    J[:no].reshape(2 * m - 1, m)[:, 1:] *= XL**-bd.n  # the unknowns are c * XL^n (_pack)
     # the blocks, written in place as (point, interval, equation, basis slot (ya, pa, yb, pb), unknown)
     Jc = J[no:ni].reshape(N - 1, 2, m, 4, m).transpose(1, 0, 2, 3, 4)
     dy, dyp = (d * W[..., None] for d in sysm.evo_jacobian(fam, x, Y, Yp))
@@ -332,83 +341,14 @@ def assemble_collocation(
     return F, J
 
 
-class CyclicReduction:
-    """Factor of the collocation Jacobian by block cyclic reduction.
-
-    The interval blocks [A_j | B_j] (A_j on node j, B_j on node j+1) are
-    reduced pairwise, level by level: stacking [B_j; A_{j+1}] for even j and
-    applying the transpose of its complete QR factor to the two block rows
-    eliminates node j+1, leaving a block that links node j to node j+2 (an
-    odd last block carries over unchanged).  When one block is left it links
-    the first node to the last, and together with the endpoint matching rows
-    (their unit coefficients on the end nodes, which J leaves out, placed
-    here) it forms one dense (6m-1)-square system in the two end nodes and
-    the endpoint parameters.  Each eliminated node is then recovered, level
-    by level in reverse, through its stored operator
-    R^-1 [Q_top^T | -Q_top^T [A;0] | -Q_top^T [0;B]] applied to its pair's
-    right-hand side and its two neighbours (Wright 1992; the orthogonal
-    reduction keeps it stable without pivoting across blocks).  Storage is
-    O(N).  An exactly singular system raises np.linalg.LinAlgError.
-    """
-
-    def __init__(self, J, m, N):
-        w = 2 * m
-        no = (w - 1) * m
-        ni = no + (N - 1) * 2 * w * w
-        JL, JR = J[:no].reshape(w - 1, m), J[ni:].reshape(w, m - 1)
-        blocks = J[no:ni].reshape(N - 1, w, 2 * w)
-        A, B = blocks[:, :, :w], blocks[:, :, w:]
-        nodes = np.arange(N)
-        # per level: (Q_bot^T, back-substitution operator, left, eliminated, right node indices)
-        self.levels = []
-        while len(A) > 1:
-            k = len(A) // 2
-            Q, R = np.linalg.qr(np.concatenate([B[: 2 * k : 2], A[1 : 2 * k : 2]], axis=1), mode="complete")
-            Qt = Q.transpose(0, 2, 1)
-            QA = Qt[:, :, :w] @ A[: 2 * k : 2]
-            QB = Qt[:, :, w:] @ B[1 : 2 * k : 2]
-            ops = np.linalg.inv(R[:, :w]) @ np.concatenate([Qt[:, :w], -QA[:, :w], -QB[:, :w]], axis=2)
-            self.levels.append((Qt[:, w:].copy(), ops, nodes[: 2 * k : 2], nodes[1 : 2 * k : 2], nodes[2 : 2 * k + 1 : 2]))
-            A = np.concatenate([QA[:, w:], A[2 * k :]])
-            B = np.concatenate([QB[:, w:], B[2 * k :]])
-            nodes = np.concatenate([nodes[: 2 * k + 1 : 2], nodes[2 * k + 1 :]])
-        # unknowns (first node, last node, origin parameters, x=1 parameters);
-        # rows (origin matching, the last block, x=1 matching)
-        E = np.zeros((3 * w - 1, 3 * w - 1))
-        E[: w - 1, :w] = np.delete(np.eye(w), m, axis=0)
-        E[: w - 1, 2 * w : 2 * w + m] = JL
-        E[w - 1 : 2 * w - 1, :w] = A[0]
-        E[w - 1 : 2 * w - 1, w : 2 * w] = B[0]
-        E[2 * w - 1 :, w : 2 * w] = np.eye(w)
-        E[2 * w - 1 :, 2 * w + m :] = JR
-        self.ends = E
-        self.m, self.N = m, N
-
-    def solve(self, rhs):
-        """x with J x = rhs, for rhs in assemble_collocation's row order."""
-        w, N = 2 * self.m, self.N
-        f = rhs[w - 1 : -w].reshape(N - 1, w)
-        pairs = []
-        for Qb, ops, *_ in self.levels:
-            k = len(ops)
-            pair = f[: 2 * k].reshape(k, 2 * w)
-            pairs.append(pair)
-            f = np.concatenate([(Qb @ pair[:, :, None])[:, :, 0], f[2 * k :]])
-        z = np.linalg.solve(self.ends, np.concatenate([rhs[: w - 1], f[0], rhs[-w:]]))
-        x = np.empty((N, w))
-        x[0], x[-1] = z[:w], z[w : 2 * w]
-        for (_, ops, left, mid, right), pair in zip(self.levels[::-1], pairs[::-1]):
-            v = np.concatenate([pair, x[left], x[right]], axis=1)
-            x[mid] = (ops @ v[:, :, None])[:, :, 0]
-        return np.concatenate([x.ravel(), z[2 * w :]])
-
-
 def splu(J, m, N):
-    """Factor the collocation Jacobian whose values J come from
-    assemble_collocation (m unknowns, N nodes) by block cyclic reduction;
-    the returned CyclicReduction's .solve(rhs) solves J x = rhs.  The name
-    is kept for the span solver.splu that bench/tracing.py records."""
-    return CyclicReduction(J, m, N)
+    """LU factor of the collocation Jacobian whose values J come from
+    assemble_collocation (m unknowns, N nodes); the returned factor's
+    .solve(rhs) solves J x = rhs.  It is BandLU, LAPACK's banded LU with
+    partial pivoting, or CyclicReduction where numpy's LAPACK exports no
+    dgbtrf."""
+    lapack = lapack_gbtrf()
+    return CyclicReduction(J, m, N) if lapack is None else BandLU(J, m, N, lapack)
 
 
 # ---------------------------------------------------------------------------

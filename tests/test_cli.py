@@ -726,7 +726,9 @@ class TestConfigHash:
     def test_no_command_loads_openssl(self, small_profile, tmp_path):
         # hashlib maps OpenSSL's libcrypto; config_hash uses CPython's built-in
         # SHA-256 instead. A fresh interpreter, since the test process may hold
-        # _hashlib already.
+        # _hashlib already. In it, LAPACK's band LU is bound on the first
+        # factor only: not by any import, nor by verify or export, which never
+        # factor, while solve binds it.
         p = tmp_path / "profile.csv"
         export_profile_csv(small_profile, str(p))
         solve_cfg = write_cfg(tmp_path, "system = su\nn = 3\nphi0 = 1.5\ngrid = 24\ntol = 1e-6\n", "solve.cfg")
@@ -740,16 +742,21 @@ class TestConfigHash:
             "for m in pkgutil.iter_modules(ccebvp.__path__):\n"
             "    importlib.import_module(f'ccebvp.{m.name}')\n"
             "from ccebvp.cli import main\n"
+            "from ccebvp.factor import lapack_gbtrf\n"
+            "bound = [lapack_gbtrf.cache_info().currsize]\n"
             f"assert main(['verify', {str(p)!r}, '--out', {str(tmp_path)!r}]) in (0, 2)\n"
             f"assert main(['export', {str(p)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "bound.append(lapack_gbtrf.cache_info().currsize)\n"
             f"assert main(['solve', '--config', {solve_cfg!r}, '--out', {out!r}, '--quiet']) in (0, 2)\n"
+            "bound.append(lapack_gbtrf.cache_info().currsize)\n"
             f"assert main(['sweep', '--config', {sweep_cfg!r}, '--out', {out!r}, '--quiet']) in (0, 2)\n"
+            "print(bound)\n"
             "print('_hashlib' in sys.modules)\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
-        assert res.stdout.splitlines()[-1] == "False"
+        assert res.stdout.splitlines()[-2:] == ["[0, 0, 1]", "False"]
         assert (tmp_path / "report.json").exists() and (tmp_path / "profile.json").exists()
         for name in ("report.json", "profile.csv", "trace.csv"):
             assert (tmp_path / "out" / name).exists()

@@ -2,6 +2,7 @@
 module runs the production-size cases)."""
 
 import ast
+import ctypes
 import inspect
 import os
 import subprocess
@@ -26,7 +27,9 @@ from ccebvp.solver import (
     solve_bvp,
     splu,
 )
+import ccebvp.factor as factor
 from ccebvp.continuation import lagrange_weights
+from ccebvp.factor import BandLU, CyclicReduction
 from ccebvp.solver import _pack, _unpack
 from ccebvp.systems import GBERGER, SU, BoundaryData, DomainError, UsageError
 
@@ -224,7 +227,30 @@ FAMILIES = [
 ]
 
 
+def stored_bytes(factor):
+    """Bytes of the arrays a factor holds, directly or in its lists and tuples."""
+
+    def size(value):
+        if isinstance(value, np.ndarray):
+            return value.nbytes
+        return sum(map(size, value)) if isinstance(value, (list, tuple)) else 0
+
+    return sum(map(size, vars(factor).values()))
+
+
+@pytest.fixture
+def no_band_lapack(monkeypatch):
+    # the lookup of dgbtrf finds nothing, as on a LAPACK that lacks it
+    monkeypatch.setattr(factor, "_GBTRF_FORMS", (("no_such_dgbtrf_", "no_such_dgbtrs_", ctypes.c_int32),))
+    factor.lapack_gbtrf.cache_clear()
+    yield
+    factor.lapack_gbtrf.cache_clear()
+
+
 class TestCyclicReduction:
+    """splu's factor: BandLU, or CyclicReduction where numpy's LAPACK has no
+    dgbtrf; CyclicReduction is also the reference the band factor matches."""
+
     @pytest.mark.parametrize("N", [4, 5, 12, 97])  # odd and even block counts
     @pytest.mark.parametrize("bd", FAMILIES, ids=lambda bd: f"{bd.kind.family}{bd.n}")
     def test_matches_dense_solve(self, bd, N):
@@ -256,16 +282,71 @@ class TestCyclicReduction:
         assert np.array_equal(lu.solve(F), x1) and np.array_equal(F, rhs)
 
     def test_factor_storage_linear_in_nodes(self):
+        # the factor splu returns, and the fallback
         bd = BoundaryData(GBERGER, 3, (0.95, 1.02))
         opts = small_opts()
 
-        def factor_bytes(num):
+        def factor_bytes(make, num):
             mesh = make_mesh(num)
             J = assemble_collocation(bd, mesh, seed_profile(bd, mesh, opts))[1]
-            lu = splu(J, bd.kind.unknowns, num)
-            return lu.ends.nbytes + sum(a.nbytes for level in lu.levels for a in level)
+            return stored_bytes(make(J, bd.kind.unknowns, num))
 
-        assert factor_bytes(128) <= 2.2 * factor_bytes(64)
+        for make in (splu, CyclicReduction):
+            assert factor_bytes(make, 128) <= 2.2 * factor_bytes(make, 64), make
+
+    @pytest.mark.parametrize("N", [5, 12, 97, 256])  # odd and even block counts
+    @pytest.mark.parametrize(
+        "bd", FAMILIES + [BoundaryData(SU, 7, (2.5,))], ids=lambda bd: f"{bd.kind.family}{bd.n}"
+    )
+    def test_band_lu_matches_cyclic_reduction(self, bd, N):
+        lapack = factor.lapack_gbtrf()
+        if lapack is None:
+            pytest.skip("numpy's LAPACK exports no dgbtrf")
+        m = bd.kind.unknowns
+        F, J = perturbed_jacobian(bd, N)
+        x, ref = BandLU(J, m, N, lapack).solve(F), CyclicReduction(J, m, N).solve(F)
+        assert np.linalg.norm(x - ref, np.inf) <= 1e-8 * np.linalg.norm(ref, np.inf)
+
+    def test_without_dgbtrf_falls_back_to_cyclic_reduction(self, no_band_lapack):
+        bd = BoundaryData(SU, 5, (0.8,))
+        F, J = perturbed_jacobian(bd, 12)
+        assert isinstance(splu(J, bd.kind.unknowns, 12), CyclicReduction)
+        rep = solve_bvp(bd, small_opts(grid=64, tol=1e-6))[1]
+        assert rep.converged and rep.counters["lu_factorisations"] == 2
+
+    def test_scipy_openblas_numpy_takes_the_band_path(self):
+        # numpy's wheels link scipy-openblas, which exports scipy_dgbtrf_64_:
+        # a lookup that misses it must fail here, not silently fall back
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        if lapack.get("name") != "scipy-openblas":
+            pytest.skip(f"numpy links {lapack.get('name')}, not scipy-openblas")
+        bd = BoundaryData(GBERGER, 3, (0.93, 1.04))
+        F, J = perturbed_jacobian(bd, 12)
+        assert isinstance(splu(J, bd.kind.unknowns, 12), BandLU)
+
+
+class TestScaledUnknowns:
+    """The nonlocal coefficients are carried as c * XL^n (_pack)."""
+
+    @pytest.mark.parametrize(
+        "bd",
+        [BoundaryData(SU, 3, (1.5,)), BoundaryData(SU, 5, (0.8,)), BoundaryData(SU, 7, (3.93,)),
+         BoundaryData(GBERGER, 3, (0.9, 1.05))],
+        ids=lambda bd: f"{bd.kind.family}{bd.n}",
+    )
+    def test_jacobian_condition_number(self, bd):
+        # at the 48-node seed: 8.1e3 to 9.4e3, against 6.9e4 (su3, gberger),
+        # 3.2e6 (su5) and 2.1e8 (su7) with c itself as the unknown
+        mesh = make_mesh(48)
+        J = assemble_collocation(bd, mesh, seed_profile(bd, mesh, small_opts()))[1]
+        assert np.linalg.cond(dense_jacobian(J, bd.kind.unknowns, 48)) < 2e4
+
+    @pytest.mark.parametrize("lam, grid", [(2.5, 128), (3.93, 144)])
+    def test_su7_converges_at_the_default_tol(self, lam, grid):
+        # both stalled just above tol before refinement (residuals 4.2e-10
+        # and 2.2e-10) with c as the unknown: its columns are XL^7 = 1e-7 small
+        prof, rep = solve_bvp(BoundaryData(SU, 7, (lam,)), SolveOptions(grid=grid))
+        assert rep.converged, (rep.failure_reason, prof.mesh.n_nodes, rep.residual_norm)
 
 
 def test_package_imports_no_scipy():
@@ -679,7 +760,10 @@ class TestPolish:
     def test_default_config_outcomes_and_work(self):
         # the five default `cce solve` cases at SolveOptions(): outcomes, node
         # counts, and a ceiling on the Newton work, so futile polish steps
-        # cannot come back unseen
+        # cannot come back unseen.  su5 0.25 builds 6 Jacobians: its 128-node
+        # run's second step contracts by 0.059, above THETA_MAX, so the third
+        # step is a fresh factor, and that run takes 6 steps and 9 assemblies
+        # where a chord third step took 9 and 11
         cases = [
             ((SU, 5, (0.8,)), "", 509),
             ((SU, 5, (0.25,)), "constraint drift", 1017),
@@ -687,13 +771,14 @@ class TestPolish:
             ((GBERGER, 3, (0.9, 1.05)), "", 255),
             ((SU, 3, (1.5,)), "", 509),
         ]
-        jacobians = factorisations = 0
+        assemblies = jacobians = factorisations = 0
         for args, reason, nodes in cases:
             prof, rep = solve_bvp(BoundaryData(*args), SolveOptions())
             assert (rep.converged, rep.failure_reason, prof.mesh.n_nodes) == (reason == "", reason, nodes), args
+            assemblies += rep.counters["assemblies"]
             jacobians += rep.counters["jacobians"]
             factorisations += rep.counters["lu_factorisations"]
-        assert jacobians <= 21 and factorisations <= 21
+        assert assemblies <= 59 and jacobians <= 22 and factorisations <= 22
 
 
 class TestSimplifiedNewton:
@@ -750,8 +835,9 @@ class TestSimplifiedNewton:
 class TestNewtonFailures:
     """Each exit of newton_solve that ends a run early, reached by injecting
     the failure into su5 0.8 from the seed at 64 nodes.  Uninjected, that
-    run takes a fresh step, two chord steps (the second contracts by about
-    0.2) and a fresh step, meets tol, and ends "constraint drift"."""
+    run takes a fresh step, a chord step (it contracts by about 0.052, just
+    above THETA_MAX), a fresh step and a chord step, meets tol, and ends
+    "constraint drift"."""
 
     bd = BoundaryData(SU, 5, (0.8,))
 
@@ -772,9 +858,9 @@ class TestNewtonFailures:
 
         monkeypatch.setattr(solver, "assemble_collocation", fails_second_jacobian)
         rep = self.run()
-        assert calls == [True, False, False, False, True]
-        assert rep.failure_reason == "singular linearization" and rep.iterations == 3
-        assert rep.counters == {"assemblies": 4, "jacobians": 1, "lu_factorisations": 1}
+        assert calls == [True, False, False, True]
+        assert rep.failure_reason == "singular linearization" and rep.iterations == 2
+        assert rep.counters == {"assemblies": 3, "jacobians": 1, "lu_factorisations": 1}
 
     def test_singular_factor(self, monkeypatch):
         import ccebvp.solver as solver
@@ -789,9 +875,9 @@ class TestNewtonFailures:
 
     @pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
     def test_zero_or_non_finite_step(self, monkeypatch, value):
-        import ccebvp.solver as solver
-
-        monkeypatch.setattr(solver.CyclicReduction, "solve", lambda self, rhs: np.full_like(rhs, value))
+        F, J = perturbed_jacobian(self.bd, 12)
+        in_use = type(splu(J, self.bd.kind.unknowns, 12))
+        monkeypatch.setattr(in_use, "solve", lambda self, rhs: np.full_like(rhs, value))
         rep = self.run()
         assert rep.failure_reason == "singular linearization" and rep.iterations == 0
         assert rep.damping_history == [] and len(rep.residual_history) == 1

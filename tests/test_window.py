@@ -3,9 +3,8 @@
 Each point runs `solve_bvp(bd, SolveOptions())` (grid 128, tol 1e-10, three
 refinement rounds) and asserts its (converged, failure_reason).  A known
 failure is a strict xfail whose reason names its ROADMAP item and the drift
-or residual measured there; any other outcome fails outright.  A point whose
-outcome follows roundoff is skipped as unpinned.  Run with -rxs for the
-table of known failures and unpinned points.
+or residual measured there; any other outcome fails outright.  Run with -rx
+for the table of known failures.
 """
 
 import numpy as np
@@ -14,26 +13,21 @@ import pytest
 from ccebvp.solver import SolveOptions, solve_bvp
 from ccebvp.systems import GBERGER, SU, BoundaryData
 
-DRIFT, STALL = "constraint drift", "line search stalled"
+DRIFT = "constraint drift"
 
 # id -> (the failure the default config ends with, its ROADMAP item and measurement)
 KNOWN = {
     "su3-0.2625": (DRIFT, "items 7 and 1: drift 2.2e-9 at 1017 nodes"),
     "su3-0.3436": (DRIFT, "items 7 and 1: drift 1.2e-9 at 1017 nodes"),
     "su5-0.175": (DRIFT, "items 7 and 1: drift 1.2e-8 at 1017 nodes"),
-    "su5-0.2484": (DRIFT, "items 7 and 1: drift 6.1e-9 at 1017 nodes"),
+    "su5-0.2484": (DRIFT, "items 7 and 1: drift 6.0e-9 at 1017 nodes"),
     "su5-0.3527": (DRIFT, "items 7 and 1: drift 2.2e-9 at 1017 nodes"),
     "su7-0.1313": (DRIFT, "items 7 and 1: drift 3.5e-8 at 1017 nodes"),
     "su7-0.1974": (DRIFT, "items 7 and 1: drift 1.6e-8 at 1017 nodes"),
     "su7-0.2968": (DRIFT, "items 7 and 1: drift 5.2e-9 at 1017 nodes"),
     "su7-0.4463": (DRIFT, "items 7 and 1: drift 1.3e-9 at 1017 nodes"),
-    "gberger-3,3": (STALL, "item 10: residual 41 at 128 nodes"),
+    "gberger-3,3": (DRIFT, "item 1: drift 3.5e-9 at 1017 nodes"),
 }
-
-# Unpinned until ROADMAP item 10 lands: su7 stalls just above tol before
-# refinement starts, and whether it does follows roundoff (2.28 converges,
-# 2.2806 stalls; 3.43 and 7.76 stall at residuals 6.3e-10 and 6.4e-10).
-UNPINNED = {"su7-2.282", "su7-3.432", "su7-7.76"}
 
 
 def _points():
@@ -50,16 +44,13 @@ def _params():
             reason, why = KNOWN[key]
             mark = pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"{reason}, ROADMAP {why}")
             yield pytest.param(bd, (False, reason), id=key, marks=mark)
-        elif key in UNPINNED:
-            mark = pytest.mark.skip(reason="unpinned: converges or stalls by roundoff until ROADMAP item 10")
-            yield pytest.param(bd, None, id=key, marks=mark)
         else:
             yield pytest.param(bd, (True, ""), id=key)
 
 
 def test_ids_cover_the_tables():
     ids = {key for key, _ in _points()}
-    assert len(ids) == 40 and set(KNOWN) <= ids and UNPINNED <= ids
+    assert len(ids) == 40 and set(KNOWN) <= ids
 
 
 @pytest.mark.parametrize("bd, pinned", _params())
