@@ -63,7 +63,7 @@ def _load_config(args):
     try:
         with open(args.config) as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, ValueError) as e:
         _fail(3, f"cannot read config: {e}")
     flags = {k: getattr(args, k) for k in ("out", "grid", "tol", "quiet") if getattr(args, k) is not None}
     try:

@@ -20,8 +20,7 @@ library to import.
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -143,13 +142,8 @@ class SolveReport:
     # (None when the run took no step): what a polish step could reach
     predicted_drift: float | None = None
     failure_reason: str = ""
-    wall_time: float = 0.0
     # work done over the whole solve (every Newton run of a solve_bvp call)
     counters: dict = field(default_factory=_zero_counters)
-
-    def summary(self):
-        """Every field but wall_time: the deterministic ones, as copies."""
-        return {k: v for k, v in asdict(self).items() if k != "wall_time"}
 
 
 @dataclass
@@ -381,16 +375,15 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions, counters=None):
     when given, is shared with the other Newton runs of one solve.
 
     An iterate that meets tol with its drift above DRIFT_GATE * tol is
-    polished by at most two chord steps u + dbar, each kept only when the
-    residual does not grow and taken only when it can meet the gate: dbar
-    estimates the distance to the discrete root, so the drift at u + dbar
-    (the report's predicted_drift) is what the step reaches; when the mesh
-    sets the drift it stays above the gate and no step is taken.  A run
-    that met tol without a step takes its dbar from its start's factor.
+    polished by one chord step u + dbar, taken when the drift it predicts
+    meets the gate and kept when the residual does not grow: dbar estimates
+    the distance to the discrete root, so the step lands on the point whose
+    drift (the report's predicted_drift) was read; when the mesh sets the
+    drift it stays above the gate and no step is taken.  A run that met
+    tol without a step takes its dbar from its start's factor.
     """
     tol = opts.tol
     gate = DRIFT_GATE * tol
-    t0 = time.perf_counter()
     rep = SolveReport() if counters is None else SolveReport(counters=counters)
     counters = rep.counters
     m, N = bd.kind.unknowns, mesh.n_nodes
@@ -455,7 +448,6 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions, counters=None):
     FJ = trial(u, want_jac=True)
     if FJ is None:
         rep.failure_reason = "non-finite start"
-        rep.wall_time = time.perf_counter() - t0
         return _unpack(bd, mesh, u, opts), rep
     F, J, dbar = FJ
     norm = float(np.abs(F).max())
@@ -501,19 +493,17 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions, counters=None):
         got = refresh(u, F, J)
         if got is not None:
             F, J, lu, dbar = got
-    predicted, polish = predict(u, dbar), 0
-    while norm <= tol and drift > gate and polish < 2 and dbar is not None and predicted <= gate:
-        dnorm = float(np.linalg.norm(dbar))
+    predicted = predict(u, dbar)
+    if norm <= tol and drift > gate and dbar is not None and predicted <= gate:
         FJ = trial(u + dbar, lu)
         nt = np.inf if FJ is None else float(np.abs(FJ[0]).max())
-        if not (nt <= norm and dnorm > 0.0):
-            break
-        u, (F, J, dbar), norm = u + dbar, FJ, nt
-        record(dbar, dnorm, fresh)
-        rep.residual_history.append(norm)
-        polish, fresh = polish + 1, False
-        # the step lands on the point its prediction read
-        drift, predicted = predicted, predict(u, dbar)
+        if nt <= norm:
+            dnorm = float(np.linalg.norm(dbar))
+            u, dbar, norm = u + dbar, FJ[2], nt
+            record(dbar, dnorm, fresh)
+            rep.residual_history.append(norm)
+            # the step lands on the point its prediction read
+            drift, predicted = predicted, predict(u, dbar)
 
     prof = _unpack(bd, mesh, u, opts)
     rep.residual_norm = norm
@@ -523,7 +513,6 @@ def newton_solve(bd, mesh, guess, opts: SolveOptions, counters=None):
     rep.converged = prof.converged
     if not rep.converged and not rep.failure_reason:
         rep.failure_reason = "max iterations" if norm > tol else "constraint drift"
-    rep.wall_time = time.perf_counter() - t0
     return prof, rep
 
 

@@ -120,9 +120,7 @@ def structure_from_frame(frame: KillingFrame) -> StructureConstants:
     dC -= np.einsum("ip,sj->sijp", eye, eye)
     T = C - C.swapaxes(0, 1)
     dT = dC - dC.swapaxes(1, 2)
-    sc = StructureConstants(frame.name, d, C, dC, T, dT)
-    sc.validate()
-    return sc
+    return StructureConstants(frame.name, d, C, dC, T, dT)
 
 
 def slice_structure(n: int) -> StructureConstants:

@@ -334,8 +334,13 @@ class TestSolveCommand:
         assert not (tmp_path / "profile.csv").exists()
 
     def test_unreadable_config_exit_three(self, tmp_path, capsys):
-        assert main(["solve", "--config", str(tmp_path / "missing.cfg"), "--quiet"]) == 3
-        assert "cannot read config" in capsys.readouterr().err
+        # a missing file, and one that is not valid UTF-8
+        undecodable = tmp_path / "undecodable.cfg"
+        undecodable.write_bytes(b"system = su\nn = 3\nphi0 = 1.5 # \xe9\xff\n")
+        for command in ("solve", "sweep"):
+            for cfg in (tmp_path / "missing.cfg", undecodable):
+                assert main([command, "--config", str(cfg), "--quiet"]) == 3
+                assert "cannot read config" in capsys.readouterr().err
 
     def test_solver_usage_error_exit_one(self, tmp_path, capsys, monkeypatch):
         def refuse(bd, opts):

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -508,7 +509,7 @@ class TestNewton:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             strict = solve_bvp(bd, small_opts(grid=48))[1]
-        assert strict.summary() == quiet.summary()
+        assert strict == quiet
         assert strict.failure_reason != ""
 
     def test_non_finite_start_is_named(self):
@@ -536,13 +537,13 @@ class TestNewton:
         p1, r1 = solve_bvp(bd, small_opts(grid=64))
         p2, r2 = solve_bvp(bd, small_opts(grid=64))
         assert np.array_equal(p1.y, p2.y) and np.array_equal(p1.yp, p2.yp)
-        assert r1.summary() == r2.summary()
+        assert r1 == r2
 
     def test_counters(self):
         bd = BoundaryData(SU, 5, (0.8,))
         r1 = solve_bvp(bd, small_opts(grid=64))[1]
         r2 = solve_bvp(bd, small_opts(grid=64))[1]
-        assert r1.counters == r2.counters == r1.summary()["counters"]
+        assert r1.counters == r2.counters == asdict(r1)["counters"]
         c = r1.counters
         assert r1.iterations > c["lu_factorisations"] > 0
         # one Newton run: every Jacobian built is factored, and each factor
@@ -581,7 +582,7 @@ class TestNewton:
         assert rep.converged
         assert rep.counters == {"assemblies": 1, "jacobians": 1, "lu_factorisations": 0}
         # no step, so no simplified Newton point to predict the drift from
-        assert rep.predicted_drift is None and rep.summary()["predicted_drift"] is None
+        assert rep.predicted_drift is None and asdict(rep)["predicted_drift"] is None
 
     def test_series_breakdown_at_trial_is_a_rejection(self, monkeypatch):
         import ccebvp.solver as solver
@@ -681,6 +682,9 @@ class TestPolish:
         assert 1e-9 < rep.residual_history[-2] <= opts.tol and rep.residual_history[-1] < 3e-10
         assert rep.converged and rep.constraint_drift == pytest.approx(drift, rel=0.05)
         assert rep.predicted_drift <= 10 * opts.tol
+        # the step lands on the point its prediction read: the reported drift
+        # is the returned profile's, bit for bit, and it meets the gate
+        assert rep.constraint_drift == np.abs(prof.constraint_values()).max() <= 10 * opts.tol
         assert rep.fresh_factor_history == [True, False, False, False]
         assert rep.counters == {"assemblies": 5, "jacobians": 1, "lu_factorisations": 1}
 

@@ -42,7 +42,8 @@ def test_su3_c_table_literals():
 @pytest.mark.parametrize("n", [3, 5])
 def test_t_antisymmetry(n):
     sc = slice_structure(n)
-    np.testing.assert_allclose(sc.T, -sc.T.swapaxes(0, 1), atol=1e-14)
+    # T is built as C - C^t, and IEEE subtraction makes it exactly antisymmetric
+    assert np.array_equal(sc.T, -sc.T.swapaxes(0, 1))
     sc.validate()
 
 
