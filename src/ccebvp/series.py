@@ -258,6 +258,43 @@ def _inconsistent(ops: _Operators, residual):
     return SeriesRecursionError(f"inconsistent resonant order {ops.free_order}: residual {residual:.3e}")
 
 
+class _Workspace:
+    """The buffers of one batch shape's recursion, and per order the views
+    and dtype-matched operators that its products read and write (the
+    history H and the i c_i table ic, both zeroed on every call)."""
+
+    def __init__(self, ops: _Operators, order, B, dtype):
+        m = ops.kernel.shape[1]
+        T = ops.VT.shape[1]
+        F = ops.kernel.shape[0] // (order + 1)
+        self.H = H = np.zeros((B, order + 1, F), dtype=dtype)  # row order - t holds order t
+        self.ic = ic = np.zeros((B, T, order + 1), dtype=dtype)  # i c_i, c = V C
+        self.D, self.E = D, E = H[..., :m], H[..., F - T :]
+        self.VT = ops.VT.astype(dtype)
+        self.t = np.arange(1.0, order + 1)[:, None]  # D_t -> C_t
+        self.res = np.empty((B, m), dtype=dtype)  # residual coefficient k-1 without column k
+        self.ick = np.empty((B, T), dtype=dtype)
+        self.tmp = np.empty((B, T), dtype=dtype)
+        self.pairs = np.empty((B, m, m), dtype=dtype)  # the Cauchy products, before they enter H
+        kernel = ops.kernel.astype(dtype)
+        self.orders = []
+        for k in range(ops.start, order + 1):
+            r = order - k  # the row of order k; rows r+1..order-1 hold orders k-1..1
+            past = slice(r + 1, order)
+            miller = (ic[:, :, None, 1:k], E[:, past].transpose(0, 2, 1)[..., None], E[:, r, :, None, None])
+            cauchy = (D[:, order - 1 : r : -1].transpose(0, 2, 1), D[:, past],
+                      H[:, r + 1, 2 * m : 2 * m + m * m].reshape(B, m, m))
+            solve = None if ops.solve[k] is None else ops.solve[k].astype(dtype)
+            DY = H[:, r, : 2 * m]
+            self.orders.append((k, r, E[:, r], miller, cauchy, H[:, r:].reshape(B, -1), kernel[: (k + 1) * F],
+                                solve, DY, DY[:, :m], ic[:, :, k]))
+
+
+@functools.cache  # the origin's batches only: one real, and one complex-step per family and order
+def _origin_workspace(fam: Family, order, B, dtype) -> _Workspace:
+    return _Workspace(_operators(fam, "origin", order), order, B, dtype)
+
+
 def _solve_recursion(fam: Family, endpoint, order, col0, free_vals):
     """Tables (B, m, order+1) of a batch with column 0 col0 (B, m), filled
     order by order, and the consistency residual of each batch member.
@@ -272,45 +309,48 @@ def _solve_recursion(fam: Family, endpoint, order, col0, free_vals):
     consistency.  The exponential terms advance by J.C.P. Miller's
     power-series recurrence E_j = (1/j) sum_i i c_i E_{j-i}, where i c_i = V D_i;
     column k enters E_k only through c_k E_0, added once the column is known.
+    Every product writes into the batch shape's workspace, built once for
+    the origin and per call for the x=1 polynomial's one-off batches.
     """
     ops = _operators(fam, endpoint, order)
     B, m = col0.shape
-    T = ops.VT.shape[1]
-    F = ops.kernel.shape[0] // (order + 1)
-    H = np.zeros((B, order + 1, F), dtype=col0.dtype)  # row order - t holds order t
-    D, E = H[..., :m], H[..., F - T :]  # views
-    ic = np.zeros((B, T, order + 1), dtype=col0.dtype)  # i c_i, c = V C
-    e0 = np.exp(col0 @ ops.VT)
+    if endpoint == "origin":
+        ws = _origin_workspace(fam, order, B, col0.dtype)
+    else:
+        ws = _Workspace(ops, order, B, col0.dtype)
+    ws.H[...] = 0.0
+    ws.ic[...] = 0.0
+    D, res, ick, tmp, pairs = ws.D, ws.res, ws.ick, ws.tmp, ws.pairs
+    e0 = np.exp(col0 @ ws.VT)
     if not ops.shift:  # E_0 is a source state at the origin only
-        E[:, order] = e0
-    t = np.arange(1.0, order + 1)[:, None]  # D_t -> C_t
+        ws.E[:, order] = e0
     consistency = np.zeros(B)
-    for k in range(ops.start, order + 1):
+    for k, r, E_r, miller, cauchy, hist, kernel, solve, DY, DY_m, ic_k in ws.orders:
         if k == ops.singular:
             raise SeriesRecursionError(f"vanishing indicial factor at order {k}")
-        r = order - k  # the row of order k; rows r+1..order-1 hold orders k-1..1
         if k >= 2:
-            past = slice(r + 1, order)
-            E[:, r] = (ic[:, :, None, 1:k] @ E[:, past].transpose(0, 2, 1)[..., None])[..., 0, 0] / k
-            cauchy = D[:, order - 1 : r : -1].transpose(0, 2, 1) @ D[:, past]
-            H[:, r + 1, 2 * m : 2 * m + m * m] = cauchy.reshape(B, -1)
-        res = H[:, r:].reshape(B, -1) @ ops.kernel[: (k + 1) * F]
-        DY = res @ ops.solve[k]
+            np.matmul(miller[0], miller[1], out=miller[2])
+            np.divide(E_r, k, out=E_r)
+            np.matmul(cauchy[0], cauchy[1], out=pairs)
+            cauchy[2][...] = pairs
+        np.matmul(hist, kernel, out=res)
+        np.matmul(res, solve, out=DY)
         if k == ops.free_order:
             consistency = np.abs(res[:, 1:] + free_vals @ ops.free_block.T).max(axis=1)
-            low = np.abs(D[:, r + 1 : order]) / t[k - 2 :: -1]
+            low = np.abs(D[:, r + 1 : order]) / ws.t[k - 2 :: -1]
             cmax = np.maximum(np.abs(col0).max(axis=1), low.max(axis=(1, 2)))
             if np.any(consistency > _consistency_tol(ops, cmax)):
                 raise _inconsistent(ops, consistency.max())
             DY[:, 1:m] = k * free_vals
             DY[:, m + 1 :] = k * (k - 1.0) * free_vals
-        H[:, r, : 2 * m] = DY
-        ick = DY[:, :m] @ ops.VT
-        ic[:, :, k] = ick
-        E[:, r] += ick * e0 / k
+        np.matmul(DY_m, ws.VT, out=ick)
+        ic_k[...] = ick
+        np.multiply(ick, e0, out=tmp)
+        np.divide(tmp, k, out=tmp)
+        np.add(E_r, tmp, out=E_r)
     C = np.empty((B, m, order + 1), dtype=col0.dtype)
     C[:, :, 0] = col0
-    C[:, :, 1:] = (D[:, order - 1 :: -1] / t).transpose(0, 2, 1)
+    C[:, :, 1:] = (D[:, order - 1 :: -1] / ws.t).transpose(0, 2, 1)
     return C, consistency
 
 

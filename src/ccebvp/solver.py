@@ -20,6 +20,7 @@ library to import.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,10 +63,11 @@ def origin_order(n: int) -> int:
 
 @dataclass(frozen=True)
 class Mesh:
-    nodes: np.ndarray
+    nodes: np.ndarray  # a read-only copy of the nodes it was given
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
+        nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or len(nodes) < MIN_NODES:
             raise UsageError(f"mesh needs at least {MIN_NODES} nodes")
@@ -79,6 +81,20 @@ class Mesh:
     @property
     def n_nodes(self):
         return len(self.nodes)
+
+    @functools.cached_property
+    def collocation(self):
+        """The collocation geometry at both Gauss points of every interval,
+        built on first use: the points x (2, N-1); the Hermite weights
+        stacked as (basis slot (ya, pa, yb, pb), value / d/dx / d2/dx2,
+        point, interval); the cell-width weight W = x(1-x^2)h as (2, N-1, 1);
+        and the y'' term W * (second-derivative weight) of each block's
+        diagonal, (2, N-1, 4)."""
+        h = np.diff(self.nodes)
+        x = self.nodes[:-1] + _GAUSS * h
+        wv, wd, ws = _hermite_weights(_GAUSS, h)  # rows are the four basis slots, each shaped as x
+        W = (x * (1.0 - x * x) * h)[..., None]
+        return x, np.stack([wv, wd, ws], axis=1), W, W * ws.transpose(1, 2, 0)
 
 
 def make_mesh(num) -> Mesh:
@@ -246,17 +262,6 @@ def _hermite_weights(t, h):
     return wv, wd, ws
 
 
-def _collocation_state(y, yp, xs, t):
-    """State (x, y, yp, ypp) at local point t (a scalar, or _GAUSS) of every
-    interval: x shaped as t * h, the others with a trailing axis of m."""
-    h = np.diff(xs)
-    x = xs[:-1] + t * h
-    wv, wd, ws = _hermite_weights(t, h)  # rows are the four basis slots, each shaped as x
-    parts = [y[:, :-1].T, yp[:, :-1].T, y[:, 1:].T, yp[:, 1:].T]
-    Y, Yp, Ypp = (sum(w[..., None] * p for w, p in zip(wk, parts)) for wk in (wv, wd, ws))
-    return x, Y, Yp, Ypp, (wv, wd, ws)
-
-
 def assemble_collocation(
     bd: BoundaryData,
     mesh: Mesh,
@@ -307,11 +312,15 @@ def assemble_collocation(
     scR = series_infinity(bd.kind, bd.n, INFINITY_ORDER, guess.infinity_free, tangents=want_jac)
     yR, ypR, jacR = evaluate_closure(scR, xs[-1])
 
-    # --- collocation rows at both Gauss points: arrays (point, interval, ...)
-    x, Y, Yp, Ypp, (wv, wd, ws) = _collocation_state(y, yp, xs, _GAUSS)
-    # cell-width weighting keeps the 1/h^2 roundoff of the Hermite second
-    # derivative out of the residual norm (defect-integral scaling)
-    W = (x * (1.0 - x * x) * np.diff(xs))[..., None]
+    # --- collocation rows at both Gauss points: arrays (point, interval, ...);
+    # the cell-width weighting W keeps the 1/h^2 roundoff of the Hermite
+    # second derivative out of the residual norm (defect-integral scaling)
+    x, wts, W, dypp = mesh.collocation
+    parts = [y[:, :-1].T, yp[:, :-1].T, y[:, 1:].T, yp[:, 1:].T]
+    state = wts[0, ..., None] * parts[0]  # (Y, Y', Y'') of every point
+    for s in range(1, 4):
+        state += wts[s, ..., None] * parts[s]
+    Y, Yp, Ypp = state
     # rows in (interval, Gauss point, equation) order; the origin's y1' match (row m) is shed
     Fc = (sysm.evo_residuals(fam, x, Y, Yp, Ypp) * W).transpose(1, 0, 2)
     F = np.concatenate([y[:, 0] - yL, (yp[:, 0] - ypL)[1:], Fc.ravel(), y[:, -1] - yR, yp[:, -1] - ypR])
@@ -327,9 +336,8 @@ def assemble_collocation(
     Jc = J[no:ni].reshape(N - 1, 2, m, 4, m).transpose(1, 0, 2, 3, 4)
     dy, dyp = (d * W[..., None] for d in sysm.evo_jacobian(fam, x, Y, Yp))
     for s in range(4):  # one slot at a time keeps the temporaries a quarter of the blocks
-        np.multiply(dy, wv[s][..., None, None], out=Jc[..., s, :])
-        Jc[..., s, :] += dyp * wd[s][..., None, None]
-    dypp = W * ws.transpose(1, 2, 0)
+        np.multiply(dy, wts[s, 0, ..., None, None], out=Jc[..., s, :])
+        Jc[..., s, :] += dyp * wts[s, 1, ..., None, None]
     for k in range(m):
         Jc[:, :, k, :, k] += dypp
     return F, J

@@ -490,6 +490,55 @@ class TestOperatorCache:
             assert np.array_equal(got, want)
 
 
+class TestOriginWorkspace:
+    """The origin recursion writes into buffers built once per (Family, order,
+    batch size, dtype); no call may see what an earlier one left there."""
+
+    # (boundary data, free values, log K(0)); each is called plain and with tangents
+    CALLS = [
+        (BoundaryData(SU, 3, (0.5,)), (30.0,), 0.01),
+        (BoundaryData(SU, 5, (0.8,)), (200.0,), -0.003),
+        (BoundaryData(GBERGER, 3, (0.95, 1.02)), (-3.3, 1.1), 0.0),
+    ]
+
+    @staticmethod
+    def call(bd, free, log_k0, tangents):
+        sc = fg_series_origin(bd, NonlocalParams(free), bd.n + 23, log_k0=log_k0, tangents=tangents)
+        return sc.table, sc.tangents, sc.consistency
+
+    @staticmethod
+    def overflow(bd, tangents):
+        # a free value that a wild Newton trial can reach: the recursion
+        # overflows part-way, with its buffers half filled, or, where
+        # overflow does not raise, runs on and leaves them non-finite
+        free = NonlocalParams((1e200,) * bd.kind.free_count)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            fg_series_origin(bd, free, bd.n + 23, 0.0, tangents=tangents)
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(fg_series_origin(bd, free, bd.n + 23, 0.0, tangents=tangents).table).all()
+
+    def test_calls_share_no_state(self):
+        fresh = {}
+        for bd, free, log_k0 in self.CALLS:
+            for tangents in (False, True):
+                series._origin_workspace.cache_clear()
+                fresh[bd, tangents] = self.call(bd, free, log_k0, tangents)
+        series._origin_workspace.cache_clear()
+        for _ in range(2):
+            for bd, free, log_k0 in self.CALLS + self.CALLS[::-1]:
+                for tangents in (True, False):
+                    table, tan, cons = self.call(bd, free, log_k0, tangents)
+                    want = fresh[bd, tangents]
+                    assert np.array_equal(table, want[0]) and cons == want[2]
+                    assert (tan is None) == (want[1] is None) and (tan is None or np.array_equal(tan, want[1]))
+                    self.overflow(bd, not tangents)
+        # the returned tables are the caller's: the next call leaves them as they were
+        bd, free, log_k0 = self.CALLS[1]
+        table, tan, _ = self.call(bd, free, log_k0, True)
+        self.call(bd, (-free[0],), 0.2, True)
+        assert np.array_equal(table, fresh[bd, True][0]) and np.array_equal(tan, fresh[bd, True][1])
+
+
 def direct_infinity(kind, n, order, free):
     """Table and tangent tables of the x=1 recursion itself, run on free and
     its complex-step perturbations (what series_infinity interpolates)."""

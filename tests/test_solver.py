@@ -105,6 +105,21 @@ class TestMesh:
         with pytest.raises(UsageError, match="mesh needs at least 4 nodes"):
             Mesh(np.array([0.1, 0.5, 0.86]))
 
+    def test_nodes_are_read_only(self):
+        mesh = make_mesh(16)
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.nodes[3] = 0.5
+
+    def test_geometry_ignores_later_writes_to_the_nodes_it_was_given(self):
+        # the mesh holds its own copy, so its cached geometry cannot go stale
+        given = make_mesh(16).nodes.copy()
+        mesh = Mesh(given)
+        kept = mesh.nodes.copy()
+        x = mesh.collocation[0].copy()
+        given[1:-1] = np.linspace(given[0], given[-1], len(given))[1:-1]
+        assert np.array_equal(mesh.nodes, kept) and np.array_equal(mesh.collocation[0], x)
+        assert np.array_equal(Mesh(kept).collocation[0], x)
+
     def test_make_mesh_grading(self):
         c = make_mesh(64)
         h = np.diff(c.nodes)
@@ -1003,14 +1018,19 @@ class TestScalingAndExtras:
 
     def test_refinement_reduces_interior_defect_quadratically(self):
         import ccebvp.systems as S
-        from ccebvp.solver import _collocation_state
+        from ccebvp.solver import _hermite_weights
 
         bd = BoundaryData(SU, 5, (0.8,))
         prof, rep = solve_bvp(bd, small_opts(grid=64, tol=1e-9))
 
         def mid_defect(p):
+            # the Hermite state at every interval's midpoint
             fam = S.family(bd.kind, bd.n)
-            x, Y, Yp, Ypp, _ = _collocation_state(p.y, p.yp, p.mesh.nodes, 0.5)
+            xs = p.mesh.nodes
+            h = np.diff(xs)
+            x = xs[:-1] + 0.5 * h
+            parts = [p.y[:, :-1].T, p.yp[:, :-1].T, p.y[:, 1:].T, p.yp[:, 1:].T]
+            Y, Yp, Ypp = (sum(w[:, None] * q for w, q in zip(wk, parts)) for wk in _hermite_weights(0.5, h))
             r = S.evo_residuals(fam, x, Y, Yp, Ypp) * (x * (1 - x * x))[:, None]
             return np.abs(r).max()
 
