@@ -261,7 +261,8 @@ def _inconsistent(ops: _Operators, residual):
 class _Workspace:
     """The buffers of one batch shape's recursion, and per order the views
     and dtype-matched operators that its products read and write (the
-    history H and the i c_i table ic, both zeroed on every call)."""
+    history H and the i c_i table ic, both zeroed on every call).  Two
+    threads recursing at once would share it; the package starts none."""
 
     def __init__(self, ops: _Operators, order, B, dtype):
         m = ops.kernel.shape[1]
@@ -566,19 +567,80 @@ def evaluate_closure(sc: SeriesCoefficients, x):
     return y[0], yp[0], jac
 
 
-def seed_values(bd: BoundaryData, xs):
-    """Smooth monotone blend of the log boundary offsets; the initial guess.
+# -- the first-order solution near round data ---------------------------------
+#
+# At y = 0 every ratio equation of both families linearises to
+#   f'' - x^-1 ((n-1) + (n+1) x^2)(1-x^2)^-1 f' - 8(n+1)(1-x^2)^-2 f = 0
+# (Family.sing of the phi rows, and -8(n+1), the slope of their sources),
+# and y1 has no linear term.  So to first order in eps = log phi each ratio
+# unknown is eps f_n(x) with f_n(0) = 1, and y1 = O(eps^2); for n = 3 it is
+# Pedersen's metric to first order.  In s = rho^2, rho = (1-x)/(1+x), the
+# equation reads 2 s^2 (1-s) g'' + s((n+1) + (n-3) s) g' - (n+1)(1-s) g = 0,
+# whose solution regular at s = 0 (x = 1) is sum_j a_j s^j with
+# (j-1)(2j+n+1) a_j = j(2j-n-3) a_{j-1}, a_0 = 0: it terminates at degree
+# (n+1)/2, and f_n(0) = g(1) = 1 fixes a_1.
 
-    Satisfies y_i(0)=log phi_(i-1)(0), y_i(1)=0, y_i'(0)=y_i'(1)=0 exactly.
-    """
+
+@dataclass(frozen=True)
+class FirstOrder:
+    """f_n = sum_j a_j s^j, exactly: a_j = num[j] / den in integers (so every
+    float below is correctly rounded; fractions would import decimal), and
+    the endpoint parameters of eps f_n per unit eps: its x^n Taylor
+    coefficient (the nonlocal coefficient) and its (1-x)^2 coefficient
+    a_1/4 = n/(n+3) (the x=1 free value)."""
+
+    num: tuple  # a_0 = 0, a_1, ..., a_((n+1)/2), times den
+    den: int
+    origin: float
+    infinity: float
+
+    def __call__(self, x):
+        """(f_n, f_n') at x in [0, 1], by Horner's rule in s."""
+        x = np.asarray(x, dtype=float)
+        rho = (1.0 - x) / (1.0 + x)
+        s = rho * rho
+        a = [c / self.den for c in self.num]
+        da = [j * c / self.den for j, c in enumerate(self.num)][1:]  # dg/ds
+        g, dg = a[-1], da[-1]
+        for c in reversed(a[:-1]):
+            g = c + g * s
+        for c in reversed(da[:-1]):
+            dg = c + dg * s
+        return g, dg * (-4.0 * rho / (1.0 + x) ** 2)  # ds/dx = 2 rho rho'
+
+
+@functools.cache
+def first_order_solution(n) -> FirstOrder:
+    """f_n for the odd boundary dimension n >= 3."""
+    # a_j / a_1 = prod_{i=2}^{j} i(2i-n-3) / ((i-1)(2i+n+1)), over the common
+    # denominator prod_{i=2}^{(n+1)/2} (i-1)(2i+n+1)
+    d = (n + 1) // 2
+    num = [0] + [
+        math.prod(i * (2 * i - n - 3) for i in range(2, j + 1))
+        * math.prod((i - 1) * (2 * i + n + 1) for i in range(j + 1, d + 1))
+        for j in range(1, d + 1)
+    ]
+    den = sum(num)  # f_n(0) = g(1) = 1
+    # Taylor series to x^n of rho = 1 + 2 sum_k (-x)^k, of s = rho^2, and of den g(s) by Horner
+    rho = [1] + [2 * (-1) ** k for k in range(1, n + 1)]
+    s = [sum(rho[i] * rho[k - i] for i in range(k + 1)) for k in range(n + 1)]
+    g = [0] * (n + 1)
+    for c in reversed(num):
+        g = [sum(g[i] * s[k - i] for i in range(k + 1)) for k in range(n + 1)]
+        g[0] += c
+    return FirstOrder(tuple(num), den, g[n] / den, num[1] / (4 * den))
+
+
+def seed_values(bd: BoundaryData, xs):
+    """The Newton start's values at xs: each ratio unknown at its first-order
+    solution eps f_n(x), eps = log phi (see FirstOrder), and y1 = 0.  Exact to
+    O(eps^2) near round data and zero on it; y_i(1) = y_i'(1) = 0, and
+    y_i(0) = eps, y_i'(0) = 0 to roundoff."""
     fam = family(bd.kind, bd.n)
-    xs = np.asarray(xs, dtype=float)
-    psi = (1.0 + 2.0 * xs) * (1.0 - xs) ** 2
-    dpsi = -6.0 * xs * (1.0 - xs)
-    y = np.zeros((fam.m,) + xs.shape)
+    f, fp = first_order_solution(bd.n)(xs)
+    y = np.zeros((fam.m,) + f.shape)
     yp = np.zeros_like(y)
-    logs = bd.y_boundary()
-    for i in range(1, fam.m):
-        y[i] = logs[i - 1] * psi
-        yp[i] = logs[i - 1] * dpsi
+    for i, eps in enumerate(bd.y_boundary(), start=1):
+        y[i] = eps * f
+        yp[i] = eps * fp
     return y, yp

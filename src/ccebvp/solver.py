@@ -32,6 +32,7 @@ from .series import (
     NonlocalParams,
     evaluate_closure,
     fg_series_origin,
+    first_order_solution,
     seed_values,
     series_infinity,
 )
@@ -359,9 +360,13 @@ def splu(J, m, N):
 
 
 def seed_profile(bd: BoundaryData, mesh: Mesh, opts: SolveOptions) -> SolutionProfile:
-    """Initial guess: smooth blend of the log boundary offsets (see seed_values)."""
+    """Initial guess: the first-order solution near round data (see
+    seed_values), with its endpoint parameters: the nonlocal coefficients
+    [x^n] f_n * eps and the x=1 free values n/(n+3) * eps, eps = log phi."""
     y, yp = seed_values(bd, mesh.nodes)
-    return SolutionProfile(bd, mesh, y, yp, tol=opts.tol)
+    law, eps = first_order_solution(bd.n), bd.y_boundary()
+    free = NonlocalParams(tuple(law.origin * eps + 0.0))  # + 0.0: round data give +0.0, never -0.0
+    return SolutionProfile(bd, mesh, y, yp, free=free, infinity_free=law.infinity * eps, tol=opts.tol)
 
 
 def newton_solve(bd, mesh, guess, opts: SolveOptions, counters=None):

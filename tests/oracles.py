@@ -4,6 +4,9 @@ The solver, sweep, verification and CLI read none of these; the tests check
 the package against them.
 """
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 
 from ccebvp.series import TRUST_RADIUS, SeriesCoefficients, _pderiv
@@ -184,3 +187,65 @@ class Pedersen:
         y1p = dA * drho + 6.0 * (2.0 * x / (1.0 - x * x) + 1.0 / x)
         y2p = (4.0 * mu2 * rho / a - 4.0 * mu2 * rho**3 / b) * drho
         return np.array([y1, y2]), np.array([y1p, y2p])
+
+
+# -- the first-order solution near round data ----------------------------------
+#
+# At y = 0 every ratio equation linearises to
+#   f'' - x^-1 ((n-1) + (n+1) x^2)(1-x^2)^-1 f' - 8(n+1)(1-x^2)^-2 f = 0,
+# and each ratio unknown is eps f_n(x) to first order in eps = log phi.  f_n is
+# a polynomial in s = rho^2, rho = (1-x)/(1+x), regular at x=1, with
+# f_n(0) = 1: in Pochhammer form, with p = (n-1)/2 and q = (n+5)/2,
+#   f_n = a_1 s sum_{k=0}^{p+1} (k+1) (-p)_k / (q)_k s^k.
+
+
+def _pochhammer(a, k):
+    out = Fraction(1)
+    for i in range(k):
+        out *= a + i
+    return out
+
+
+def first_order_coeffs(n):
+    """Exact coefficients (a_0 = 0, a_1, ..., a_((n+1)/2)) of f_n in s."""
+    p, q = Fraction(n - 1, 2), Fraction(n + 5, 2)
+    a = [Fraction(0)] + [(k + 1) * _pochhammer(-p, k) / _pochhammer(q, k) for k in range((n + 1) // 2)]
+    return [c / sum(a) for c in a]
+
+
+def first_order_taylor(n, k):
+    """[x^k] f_n, exact: s^j = (1-x)^(2j) (1+x)^(-2j), expanded by binomials."""
+    return (-1) ** k * sum(
+        a * sum(comb(2 * j, i) * comb(2 * j + k - i - 1, k - i) for i in range(min(2 * j, k) + 1))
+        for j, a in enumerate(first_order_coeffs(n))
+        if j
+    )
+
+
+def first_order_exact(coeffs, x):
+    """(f, f', f'') of sum_j coeffs[j] s^j at a rational x, exact."""
+    x = Fraction(x)
+    s = ((1 - x) / (1 + x)) ** 2
+    ds, d2s = -4 * (1 - x) / (1 + x) ** 3, (16 - 8 * x) / (1 + x) ** 4
+    g = sum(a * s**j for j, a in enumerate(coeffs))
+    dg = sum(j * a * s ** (j - 1) for j, a in enumerate(coeffs) if j)
+    d2g = sum(j * (j - 1) * a * s ** (j - 2) for j, a in enumerate(coeffs) if j > 1)
+    return g, dg * ds, d2g * ds * ds + dg * d2s
+
+
+def first_order_residual(n, coeffs, x):
+    """The linearised ratio equation's residual for sum_j coeffs[j] s^j at a rational x, exact."""
+    x = Fraction(x)
+    f, fp, fpp = first_order_exact(coeffs, x)
+    return fpp - ((n - 1) + (n + 1) * x * x) / (x * (1 - x * x)) * fp - 8 * (n + 1) / (1 - x * x) ** 2 * f
+
+
+def first_order(n, x):
+    """(f_n, f_n') at x in [0, 1], floats, from the exact coefficients."""
+    x = np.asarray(x, dtype=float)
+    rho = (1.0 - x) / (1.0 + x)
+    s = rho * rho
+    a = first_order_coeffs(n)
+    f = sum(float(c) * s**j for j, c in enumerate(a))
+    dfds = sum(float(j * c) * s ** (j - 1) for j, c in enumerate(a) if j)
+    return f, dfds * (-4.0 * rho / (1.0 + x) ** 2)

@@ -20,6 +20,7 @@ from ccebvp.series import (
     seed_values,
     series_infinity,
 )
+from ccebvp.solver import SolveOptions, make_mesh, seed_profile
 from ccebvp.systems import (
     GBERGER,
     SU,
@@ -31,7 +32,7 @@ from ccebvp.systems import (
     family,
 )
 
-from oracles import _eval_table, evaluate_series
+from oracles import _eval_table, evaluate_series, first_order, first_order_taylor
 
 TABLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "series_tables.npz")
 
@@ -284,7 +285,7 @@ class TestSeed:
         y, yp = seed_values(bd, np.linspace(0.05, 0.95, 11))
         assert np.all(y == 0.0) and np.all(yp == 0.0)
 
-    def test_blend_boundary_values(self):
+    def test_boundary_values(self):
         bd = BoundaryData(SU, 5, (0.8,))
         xs = np.array([0.0, 0.5, 1.0])
         y, yp = seed_values(bd, xs)
@@ -295,6 +296,31 @@ class TestSeed:
         fine = np.linspace(0, 1, 200)
         yf, _ = seed_values(bd, fine)
         assert np.all(np.diff(yf[1]) >= -1e-15) or np.all(np.diff(yf[1]) <= 1e-15)
+
+    @pytest.mark.parametrize("bd", [BoundaryData(SU, 3, (0.7,)), BoundaryData(SU, 9, (1.3,)),
+                                    BoundaryData(GBERGER, 3, (0.95, 1.02))], ids=str)
+    def test_first_order_solution(self, bd):
+        # each ratio row is log(phi) f_n (f_3 for both gberger rows), y1 is
+        # zero, and the seed profile carries the matching endpoint parameters
+        mesh = make_mesh(32)
+        eps = np.log(bd.phi0)
+        y, yp = seed_values(bd, mesh.nodes)
+        f, fp = first_order(bd.n, mesh.nodes)
+        assert np.all(y[0] == 0.0) and np.all(yp[0] == 0.0)
+        assert np.allclose(y[1:], np.outer(eps, f), rtol=1e-14, atol=0.0)
+        assert np.allclose(yp[1:], np.outer(eps, fp), rtol=1e-14, atol=0.0)
+        prof = seed_profile(bd, mesh, SolveOptions())
+        assert np.array_equal(prof.y, y) and np.array_equal(prof.yp, yp) and prof.k0var == 0.0
+        assert prof.free.coeffs == tuple(float(first_order_taylor(bd.n, bd.n)) * eps)
+        assert np.array_equal(prof.infinity_free, bd.n / (bd.n + 3.0) * eps)
+
+    @pytest.mark.parametrize("kind,n", [(SU, 3), (SU, 5), (SU, 9), (GBERGER, 3)])
+    def test_round_profile_has_no_negative_zero(self, kind, n):
+        # [x^n] f_n < 0 for n = 5, 9: a round seed still carries +0.0, as
+        # NonlocalParams.zeros does
+        bd = BoundaryData(kind, n, (1.0,) * kind.free_count)
+        prof = seed_profile(bd, make_mesh(16), SolveOptions())
+        assert not np.signbit(prof.free.coeffs).any() and not np.signbit(prof.infinity_free).any()
 
 
 class TestFrozenTables:

@@ -82,6 +82,23 @@ def small_opts(**kw):
     return SolveOptions(**base)
 
 
+def cubic_blend(bd, mesh, opts):
+    """A poorer start than seed_profile, for runs that must build several
+    factors: each ratio unknown blends its log boundary ratio to 0 by the
+    cubic (1+2x)(1-x)^2, and the endpoint parameters are zero."""
+    xs = mesh.nodes
+    logs = bd.y_boundary()[:, None]
+    y, yp = np.zeros((2, bd.kind.unknowns, len(xs)))
+    y[1:] = logs * ((1.0 + 2.0 * xs) * (1.0 - xs) ** 2)
+    yp[1:] = logs * (-6.0 * xs * (1.0 - xs))
+    return SolutionProfile(bd, mesh, y, yp, tol=opts.tol)
+
+
+def newton_from_cubic_blend(bd, opts):
+    mesh = make_mesh(opts.grid)
+    return newton_solve(bd, mesh, cubic_blend(bd, mesh, opts), opts)
+
+
 class TestOptions:
     @pytest.mark.parametrize("kw", [{"grid": 3}, {"tol": 0.0}, {"tol": -1.0}, {"coarse_stage": -5},
                                     {"coarse_stage": 2}, {"refine_rounds": -1}, {"grid": 64.5},
@@ -327,7 +344,7 @@ class TestCyclicReduction:
         bd = BoundaryData(SU, 5, (0.8,))
         F, J = perturbed_jacobian(bd, 12)
         assert isinstance(splu(J, bd.kind.unknowns, 12), CyclicReduction)
-        rep = solve_bvp(bd, small_opts(grid=64, tol=1e-6))[1]
+        rep = newton_from_cubic_blend(bd, small_opts(grid=64, tol=1e-6))[1]
         assert rep.converged and rep.counters["lu_factorisations"] == 2
 
     def test_scipy_openblas_numpy_takes_the_band_path(self):
@@ -704,8 +721,8 @@ class TestPolish:
         assert rep.counters == {"assemblies": 5, "jacobians": 1, "lu_factorisations": 1}
 
     def test_polish_the_mesh_defeats_is_skipped(self, monkeypatch):
-        # the 96-node coarse stage meets its tol with a drift set by its
-        # mesh: no step can meet the gate, and none is taken
+        # the 96-node coarse stage, from the cubic blend, meets its tol with
+        # a drift set by its mesh: no step can meet the gate, and none is taken
         import ccebvp.solver as solver
 
         real, reports = solver.newton_solve, []
@@ -716,6 +733,7 @@ class TestPolish:
             return prof, rep
 
         monkeypatch.setattr(solver, "newton_solve", recorded)
+        monkeypatch.setattr(solver, "seed_profile", cubic_blend)
         prof, rep = solve_bvp(BoundaryData(SU, 5, (0.8,)), SolveOptions(grid=768, tol=1e-10, refine_rounds=0))
         coarse = reports[0]
         assert len(reports) == 2 and polish_steps(coarse) == 0
@@ -741,11 +759,11 @@ class TestPolish:
 
     def test_prediction_overflow_reads_inf(self):
         # far outside the window the stalled run's simplified Newton point
-        # overflows the sources: the prediction reads inf, with no
-        # RuntimeWarning for the caller
+        # (from the cubic blend) overflows the sources: the prediction reads
+        # inf, with no RuntimeWarning for the caller
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = solve_bvp(BoundaryData(SU, 3, (0.05,)), small_opts(grid=128))[1]
+            rep = newton_from_cubic_blend(BoundaryData(SU, 3, (0.05,)), small_opts(grid=128))[1]
         assert rep.failure_reason == "line search stalled" and rep.predicted_drift == np.inf
 
     def test_overflow_at_polish_is_a_rejection(self, monkeypatch):
@@ -802,12 +820,12 @@ class TestPolish:
 
 class TestSimplifiedNewton:
     def test_weak_contraction_refreshes_the_factor(self):
-        # SU n=5 at 0.8 from the seed: the third step contracts by about
-        # 0.2, above THETA_MAX.  Chord steps on the first factor alone stop
-        # just under tol with a drift the gate rejects; the run builds a
+        # SU n=5 at 0.8 from the cubic blend: the third step contracts by
+        # about 0.2, above THETA_MAX.  Chord steps on the first factor alone
+        # stop just under tol with a drift the gate rejects; the run builds a
         # fresh Jacobian there instead, and converges
         opts = SolveOptions(grid=128, tol=1e-7, refine_rounds=0, coarse_stage=0)
-        rep = solve_bvp(BoundaryData(SU, 5, (0.8,)), opts)[1]
+        rep = newton_from_cubic_blend(BoundaryData(SU, 5, (0.8,)), opts)[1]
         assert rep.converged and rep.failure_reason == ""
         assert rep.fresh_factor_history[0] and sum(rep.fresh_factor_history) >= 2
         assert max(rep.contraction_history) >= THETA_MAX
@@ -853,15 +871,15 @@ class TestSimplifiedNewton:
 
 class TestNewtonFailures:
     """Each exit of newton_solve that ends a run early, reached by injecting
-    the failure into su5 0.8 from the seed at 64 nodes.  Uninjected, that
-    run takes a fresh step, a chord step (it contracts by about 0.052, just
-    above THETA_MAX), a fresh step and a chord step, meets tol, and ends
+    the failure into su5 0.8 from the cubic blend at 64 nodes.  Uninjected,
+    that run takes a fresh step, a chord step (it contracts by about 0.052,
+    just above THETA_MAX), a fresh step and a chord step, meets tol, and ends
     "constraint drift"."""
 
     bd = BoundaryData(SU, 5, (0.8,))
 
     def run(self):
-        return solve_bvp(self.bd, small_opts(grid=64))[1]
+        return newton_from_cubic_blend(self.bd, small_opts(grid=64))[1]
 
     def test_failed_fresh_assembly(self, monkeypatch):
         import ccebvp.solver as solver
