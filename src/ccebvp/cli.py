@@ -51,10 +51,10 @@ def _load(path):
 
 
 def _write(*jobs):
-    """Run each (writer, obj, path, *args) job in turn; a failed write exits 3."""
+    """Run each (writer, obj, path) job in turn; a failed write exits 3."""
     try:
-        for writer, obj, path, *rest in jobs:
-            writer(obj, path, *rest)
+        for writer, obj, path in jobs:
+            writer(obj, path)
     except OSError as e:
         _fail(3, f"write failed: {e}")
 
@@ -95,14 +95,13 @@ def cmd_solve(args) -> int:
     try:
         prof, rep = solve_bvp(cfg.bd, cfg.options)
         with np.errstate(**_NONFINITE_OK):
-            # one curvature pass serves the checks and the CSV; an overflow is a solve error
-            samples = geometry.curvature_samples(prof)
+            # the solve's one curvature pass; an overflow is a solve error
+            report = run_verification(prof)
     except (UsageError, DomainError) as e:
         _fail(1, f"solve error: {e}")
     with np.errstate(**_NONFINITE_OK):
-        report = run_verification(prof, samples)
         _write(
-            (export_profile_csv, prof, os.path.join(cfg.out, "profile.csv"), samples),
+            (export_profile_csv, prof, os.path.join(cfg.out, "profile.csv")),
             (export_json, report_document(report, prof, digest), os.path.join(cfg.out, "report.json")),
         )
     _say(cfg, f"converged={rep.converged} iterations={rep.iterations} "
@@ -165,8 +164,13 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     prof = _load(args.profile)
+    with np.errstate(**_NONFINITE_OK):
+        try:
+            doc = profile_document(prof)
+        except geometry.InfeasibleProfileError as e:
+            _fail(3, f"cannot export profile: {e}")
     out = args.out or os.path.dirname(os.path.abspath(args.profile))
-    _write((export_json, profile_document(prof), os.path.join(out, "profile.json")))
+    _write((export_json, doc, os.path.join(out, "profile.json")))
     return 0
 
 

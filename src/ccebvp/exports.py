@@ -21,8 +21,8 @@ from .series import NonlocalParams
 from .solver import INFINITY_ORDER, Mesh, SolutionProfile, origin_order
 from .systems import KINDS, BoundaryData
 
-PROFILE_SCHEMA = "cce-profile-v1"
-PROFILE_JSON_SCHEMA = "cce-profile-json-v1"
+PROFILE_SCHEMA = "cce-profile-v2"
+PROFILE_JSON_SCHEMA = "cce-profile-json-v2"
 TRACE_SCHEMA = "cce-trace-v1"
 REPORT_SCHEMA = "cce-report-v1"
 EVENT_SCHEMA = "cce-event-v1"
@@ -50,24 +50,15 @@ def _atomic_write(path, text):
 
 
 def stored_columns(m):
-    """Names of the profile CSV's stored columns for m unknowns: the nodes, y
-    and y'.  Every later column is derived from them and never read back."""
+    """Names of the profile CSV's columns for m unknowns: the nodes, y and y'.
+    Everything else about a profile is derived from them and its header."""
     return ["x"] + [f"y{i + 1}" for i in range(m)] + [f"yp{i + 1}" for i in range(m)]
 
 
-def export_profile_csv(profile: SolutionProfile, path: str, samples=None) -> None:
-    """The stored columns, then the derived K, phi_i, Phi, I_i and
-    max_radial_curvature.  The I and max_radial_curvature columns read the
-    profile's curvature samples (its metric and radial rows), computed here
-    when not given."""
-    if samples is None:
-        samples = geometry.curvature_samples(profile)
-    m = profile.y.shape[0]
-    I = samples.metric.I
-    names = stored_columns(m) + ["K", *(f"phi{i}" for i in range(1, m)), "Phi",
-                                 *(f"I{i + 1}" for i in range(len(I))), "max_radial_curvature"]
-    rows = np.vstack([profile.mesh.nodes, profile.y, profile.yp, np.exp(profile.y[0])[None], np.exp(profile.y[1:]),
-                      profile.constraint_values()[None], I, samples.values[: len(I)].max(axis=0)[None]]).T
+def export_profile_csv(profile: SolutionProfile, path: str) -> None:
+    """The header, then the columns of stored_columns: what load_profile_csv reads."""
+    names = stored_columns(profile.y.shape[0])
+    rows = np.vstack([profile.mesh.nodes, profile.y, profile.yp]).T
     meta = [
         f"# schema={PROFILE_SCHEMA}",
         f"# system={profile.bd.kind.family}",
@@ -220,7 +211,13 @@ def _boundary(profile):
 
 
 def profile_document(profile):
-    """`cce export`'s profile.json: the boundary block and the stored unknowns."""
+    """`cce export`'s profile.json: the boundary block, the stored unknowns,
+    and the values derived from them at the nodes: K, phi_i, the first
+    integral Phi, the metric components I_i and the largest radial
+    curvature.  Raises geometry.InfeasibleProfileError when the metric
+    overflows."""
+    samples = geometry.curvature_samples(profile)
+    I = samples.metric.I
     return {
         "schema": PROFILE_JSON_SCHEMA,
         **_boundary(profile),
@@ -230,6 +227,11 @@ def profile_document(profile):
         "yp": profile.yp,
         "free": profile.free.coeffs,
         "infinity_free": profile.infinity_free,
+        "K": np.exp(profile.y[0]),
+        "phi": np.exp(profile.y[1:]),
+        "Phi": profile.constraint_values(),
+        "I": I,
+        "max_radial_curvature": samples.values[: len(I)].max(axis=0),
     }
 
 

@@ -379,9 +379,10 @@ def _split(C, tangents):
 # and column k is a polynomial of total degree k//2 in the m-1 free u^2
 # values.  The table is interpolated once per (Family object, order, box) in
 # the tensor Chebyshev basis of the box, from one batched recursion on a
-# unisolvent set of the total-degree space; the coefficients above each
-# column's degree, roundoff only, are dropped, and the tangents are the
-# interpolant's derivatives.  Each call then evaluates the basis, less its
+# unisolvent set of the total-degree space whose interpolant has an explicit
+# formula (_interpolation_weights), so no linear solve; the coefficients
+# above each column's degree, roundoff only, are dropped, and the tangents
+# are the interpolant's derivatives.  Each call then evaluates the basis, less its
 # value at free = 0 (so round data give an exactly zero table), and takes one
 # product for the table and one for its tangents.
 #
@@ -410,6 +411,26 @@ def _interpolation_points(d, n):
     j, k = np.meshgrid(np.arange(n + 1), np.arange(n + 2), indexing="ij")
     keep = (j + k) % 2 == 0
     return np.stack([np.cos(np.pi * j[keep] / n), np.cos(np.pi * k[keep] / (n + 1))], axis=1)
+
+
+def _interpolation_weights(z, n, rows):
+    """The interpolant's explicit formula on the points z of
+    _interpolation_points(d, n): weights w (P,) and scales s (rows,) with
+    coefficients s * (V.T @ (w * f)) on the kept tensor rows, V the basis at
+    z.  In 1-D it is a DCT-I: weights 2/n, halved at both ends, and the
+    degree 0 and n coefficients halved.  On the Padua points it is the
+    cubature of Caliari, De Marchi and Vianello (2008): weights 1/(n(n+1))
+    times 1/2 at the corners, 1 at the other edge points and 2 inside; each
+    nonzero degree scales by 2 (their basis is sqrt(2) T_j for j > 0), and
+    the (n, 0) coefficient is halved."""
+    d = z.shape[1]
+    ends = np.isclose(np.abs(z), 1.0).sum(axis=1)  # coordinates at +-1: 0 inside, 1 on an edge, 2 at a corner
+    deg = np.indices((n + 1,) * d).reshape(d, -1)[:, rows]
+    if d == 1:
+        return 2.0 / n * 0.5**ends, np.where(deg[0] % n == 0, 0.5, 1.0)
+    s = 2.0 ** (deg > 0).sum(axis=0)
+    s[(deg[0] == n) & (deg[1] == 0)] /= 2.0
+    return 2.0 / (n * (n + 1)) * 0.5**ends, s
 
 
 def _chebyshev_basis(z, k):
@@ -457,7 +478,8 @@ def _build_infinity_poly(fam: Family, order, half) -> _InfinityPoly:
     z = _interpolation_points(d, n)
     C, _ = _solve_recursion(fam, "infinity", order, np.zeros((len(z), m)), np.array(half) * (z + 1.0))
     V = np.array([_chebyshev_basis(p, k)[rows] for p in z])
-    coef = np.linalg.solve(V, C.reshape(len(z), -1)).reshape(-1, m, order + 1)
+    w, s = _interpolation_weights(z, n, rows)
+    coef = (s[:, None] * (V.T @ (w[:, None] * C.reshape(len(z), -1)))).reshape(-1, m, order + 1)
     # column j has degree j//2: drop the roundoff above it, which the derivative would amplify
     coef = (coef * (total[rows, None, None] <= np.arange(order + 1) // 2)).reshape(len(rows), -1)
     full = np.zeros((len(total), coef.shape[1]))

@@ -26,6 +26,7 @@ recursions take their closing rows' quadratic forms and sources from it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,14 +207,9 @@ def _source_tables(fam: str, n: int):
     return [src2, s2]
 
 
-_family_cache: dict = {}
-
-
+@functools.cache
 def family(kind: SystemKind, n: int) -> Family:
-    key = (kind.family, n)
-    if key not in _family_cache:
-        _family_cache[key] = Family(kind, n)
-    return _family_cache[key]
+    return Family(kind, n)
 
 
 # ---------------------------------------------------------------------------

@@ -214,24 +214,23 @@ class TestCSV:
         with pytest.raises(ValueError, match=f"profile {kind} '{name}' is not finite"):
             load_profile_csv(str(p))
 
-    def test_derived_columns_unread(self, small_profile, tmp_path):
-        # K, Phi, I1, ... are recomputed from the unknowns, so a non-finite one loads
+    def test_derived_columns_unread(self, tmp_path):
+        # K, Phi, I1, ... of a v1 file are recomputed from the unknowns, so a non-finite one loads
         p = tmp_path / "profile.csv"
-        export_profile_csv(small_profile, str(p))
+        p.write_bytes(V1_SU.read_bytes())
         poison(p, "Phi", "nan")
-        assert np.array_equal(load_profile_csv(str(p)).y, small_profile.y)
+        assert np.array_equal(load_profile_csv(str(p)).y, load_profile_csv(str(V1_SU)).y)
 
-    def test_gberger_derived_columns_unread(self, small_gb_profile, tmp_path):
+    def test_gberger_derived_columns_unread(self, tmp_path):
         # the loader converts only x, y_i and yp_i: poisoned or unparsable
-        # derived columns of a gberger profile still load bit for bit
+        # derived columns of a v1 gberger profile still load bit for bit
         p = tmp_path / "profile.csv"
-        export_profile_csv(small_gb_profile, str(p))
+        p.write_bytes(V1_GBERGER.read_bytes())
         for name, value in (("Phi", "nan"), ("I3", "inf"), ("max_radial_curvature", "not-a-number")):
             poison(p, name, value)
-        loaded = load_profile_csv(str(p))
-        for got, want in ((loaded.mesh.nodes, small_gb_profile.mesh.nodes), (loaded.y, small_gb_profile.y),
-                          (loaded.yp, small_gb_profile.yp)):
-            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        loaded, want = load_profile_csv(str(p)), load_profile_csv(str(V1_GBERGER))
+        for got, ref in ((loaded.mesh.nodes, want.mesh.nodes), (loaded.y, want.y), (loaded.yp, want.yp)):
+            assert got.dtype == np.float64 and got.tobytes() == ref.tobytes()
 
     def test_fmt_shortest_roundtrip(self):
         for v in (1 / 3, 1e-17, 123456.789, 0.1, -2.5e300):
@@ -239,6 +238,7 @@ class TestCSV:
         assert fmt(0.5) == "0.5"
 
     def test_zero_profile_rows(self, tmp_path):
+        # the CSV holds the stored columns; cce export derives Phi, exactly 0 on round data
         prof, rep = solve_bvp(
             BoundaryData(SU, 5, (1.0,)), SolveOptions(grid=16, refine_rounds=0, coarse_stage=0)
         )
@@ -246,9 +246,63 @@ class TestCSV:
         export_profile_csv(prof, str(p))
         lines = [l for l in p.read_text().splitlines() if l and not l.startswith("#")]
         header, rows = lines[0], lines[1:]
-        assert len(rows) == 16
-        phi_col = header.split(",").index("Phi")
-        assert all(float(r.split(",")[phi_col]) == 0.0 for r in rows)
+        assert header == "x,y1,y2,yp1,yp2" and len(rows) == 16
+        assert main(["export", str(p)]) == 0
+        phi = json.loads((tmp_path / "profile.json").read_text())["Phi"]
+        assert len(phi) == 16 and all(float(v) == 0.0 for v in phi)
+
+
+V1_SU = Path(__file__).resolve().parent / "data" / "profile_v1.csv"
+V1_GBERGER = V1_SU.with_name("profile_v1_gberger.csv")
+
+
+@pytest.mark.parametrize("v1", [V1_SU, V1_GBERGER], ids=["su", "gberger"])
+class TestV1Profile:
+    """Files of the first format (tests/data/make_profile_v1.py), which also
+    held the derived columns, still load, verify and export as before."""
+
+    def test_loads_bit_for_bit(self, v1, tmp_path):
+        # its re-export is its header and stored columns, byte for byte, and loads the same floats
+        prof = load_profile_csv(str(v1))
+        p = tmp_path / "profile.csv"
+        export_profile_csv(prof, str(p))
+        m = prof.y.shape[0]
+        want = [l.replace("cce-profile-v1", "cce-profile-v2") if l.startswith("#")
+                else ",".join(l.split(",")[: 1 + 2 * m]) for l in v1.read_text().splitlines()]
+        assert p.read_text().splitlines() == want
+        again = load_profile_csv(str(p))
+        for got, ref in ((again.mesh.nodes, prof.mesh.nodes), (again.y, prof.y), (again.yp, prof.yp)):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_verify_reports_the_same(self, v1, tmp_path):
+        p = tmp_path / "profile.csv"
+        export_profile_csv(load_profile_csv(str(v1)), str(p))
+        docs = []
+        for path, out in ((v1, tmp_path / "v1"), (p, tmp_path / "v2")):
+            assert main(["verify", str(path), "--out", str(out)]) == 0
+            docs.append({**json.loads((out / "report.json").read_text()), "provenance": None})
+        assert docs[0] == docs[1]
+
+    def test_export_writes_the_derived_column_text(self, v1, tmp_path):
+        # profile.json holds exactly the strings of the v1 file's derived columns,
+        # exported from the v1 file and from its re-export
+        lines = [l for l in v1.read_text().splitlines() if not l.startswith("#")]
+        col = dict(zip(lines[0].split(","), zip(*(l.split(",") for l in lines[1:]))))
+        m = sum(name.startswith("yp") for name in col)
+        want = {
+            "K": list(col["K"]),
+            "phi": [list(col[f"phi{i}"]) for i in range(1, m)],
+            "Phi": list(col["Phi"]),
+            "I": [list(values) for name, values in col.items() if re.fullmatch(r"I\d+", name)],
+            "max_radial_curvature": list(col["max_radial_curvature"]),
+        }
+        p = tmp_path / "v2" / "profile.csv"
+        p.parent.mkdir()
+        export_profile_csv(load_profile_csv(str(v1)), str(p))
+        for path, out in ((v1, tmp_path / "v1"), (p, p.parent)):
+            assert main(["export", str(path), "--out", str(out)]) == 0
+            doc = json.loads((out / "profile.json").read_text())
+            assert {k: doc[k] for k in want} == want
 
 
 def poison(path, name, value):
@@ -388,7 +442,7 @@ class TestSolveCommand:
         assert not doc["converged"]
 
     def test_one_metric_reconstruction_per_solve(self, tmp_path, monkeypatch):
-        # the verification and the CSV's curvature columns share one curvature pass
+        # the verification is the solve's one curvature pass: the CSV holds no curvature
         calls = []
         inner = geometry.reconstruct_metric
 
@@ -603,6 +657,11 @@ class TestVerifyExport:
             assert not (tmp_path / "report.json").exists()
         else:
             assert "FAIL" in out.out and (tmp_path / "report.json").exists()
+        # cce export derives the same metric: it fails the same way, writing nothing
+        assert main(["export", str(p), "--out", str(tmp_path)]) == (3 if rc == 3 else 0)
+        if rc == 3:
+            assert "cannot export profile: metric components overflow" in capsys.readouterr().err
+        assert (tmp_path / "profile.json").exists() == (rc != 3)
 
     def test_unknown_system_exit_three(self, small_profile, tmp_path, capsys):
         p = tmp_path / "profile.csv"
@@ -678,8 +737,10 @@ class TestVerifyExport:
         def dec(values):
             return [fmt(v) for v in values]
 
+        samples = geometry.curvature_samples(prof)
+        I = samples.metric.I
         assert doc == {
-            "schema": "cce-profile-json-v1",
+            "schema": "cce-profile-json-v2",
             "system": "su",
             "n": 5,
             "phi0": ["0.85"],
@@ -690,6 +751,11 @@ class TestVerifyExport:
             "yp": [dec(row) for row in prof.yp],
             "free": dec(prof.free.coeffs),
             "infinity_free": dec(prof.infinity_free),
+            "K": dec(np.exp(prof.y[0])),
+            "phi": [dec(np.exp(prof.y[1]))],
+            "Phi": dec(prof.constraint_values()),
+            "I": [dec(row) for row in I],
+            "max_radial_curvature": dec(samples.values[: len(I)].max(axis=0)),
         }
         assert len(doc["x"]) == 64 and float(doc["K0"]) == small_profile.k0
 

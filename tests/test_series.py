@@ -636,6 +636,38 @@ class TestInfinityPolynomial:
             for got, want in zip(evaluate_closure(sc, 0.85), evaluate_closure(direct, 0.85)):
                 assert_table(got, want)
 
+    @staticmethod
+    def fitted(kind, n, order, half):
+        """A box's polynomial, the basis V at its interpolation points and the
+        recursion's tables C there."""
+        fam = family(kind, n)
+        d, deg = fam.m - 1, order // 2
+        poly = series._build_infinity_poly(fam, order, half)
+        z = series._interpolation_points(d, deg)
+        C, _ = series._solve_recursion(fam, "infinity", order, np.zeros((len(z), fam.m)), np.array(half) * (z + 1.0))
+        V = np.array([series._chebyshev_basis(p, poly.k)[poly.rows] for p in z])
+        return poly, V, C.reshape(len(z), -1)
+
+    BOXES = [(SU, 3, (0.5,)), (SU, 5, (-0.5 * 2.0**-1.5,)), (SU, 7, (2.0**-4,)), (GBERGER, 3, (0.25, -0.5)),
+             (GBERGER, 3, (-2.0**-3.75, -2.0**-3.75))]
+
+    @pytest.mark.parametrize("kind,n,half", BOXES)
+    @pytest.mark.parametrize("order", [16, 26])
+    def test_fit_matches_a_dense_solve(self, kind, n, half, order):
+        # the explicit interpolation formula gives the coefficients a dense
+        # solve of the basis at the points gives, less those above each
+        # column's degree
+        poly, V, C = self.fitted(kind, n, order, half)
+        degree = np.add.reduce(np.indices((order // 2 + 1,) * len(half))).reshape(-1)[poly.rows]
+        dense = np.linalg.solve(V, C).reshape(len(V), -1, order + 1)
+        dense = (dense * (degree[:, None, None] <= np.arange(order + 1) // 2)).reshape(len(V), -1)
+        assert np.abs(poly.coef - dense).max() <= 1e-14 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("kind,n,half", BOXES)
+    def test_fit_reproduces_its_data(self, kind, n, half):
+        poly, V, C = self.fitted(kind, n, 26, half)
+        assert np.abs(V @ poly.coef - C).max() <= 1e-14 * np.abs(C).max()
+
     def test_second_call_in_a_box_runs_no_recursion(self, monkeypatch):
         fam = copy.copy(family(SU, 5))
         monkeypatch.setattr(series, "family", lambda kind, n: fam)

@@ -11,6 +11,7 @@ import pytest
 from ccebvp import geometry as geom
 from ccebvp import systems as S
 from ccebvp import verification as V
+from ccebvp.cli import main
 from ccebvp.exports import export_profile_csv
 from ccebvp.series import NonlocalParams
 from ccebvp.solver import SolutionProfile, SolveOptions, assemble_collocation, make_mesh, newton_solve, solve_bvp
@@ -95,7 +96,8 @@ class TestConstraintDrift:
 
 class TestEliminations:
     """y'' is eliminated through the evolution equations once per verification
-    and once per export: the first integral does not read it."""
+    and once per `cce export`, and never to write the profile CSV: the first
+    integral does not read it."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -116,7 +118,10 @@ class TestEliminations:
 
     def test_one_per_export(self, monkeypatch, su_profile, tmp_path):
         calls = self.counted(monkeypatch)
-        export_profile_csv(su_profile, str(tmp_path / "profile.csv"))
+        p = tmp_path / "profile.csv"
+        export_profile_csv(su_profile, str(p))
+        assert len(calls) == 0
+        assert main(["export", str(p)]) == 0
         assert len(calls) == 1
 
 
