@@ -102,9 +102,14 @@ def load_profile_csv(path: str) -> SolutionProfile:
                 body = line[1:].strip()
                 if "=" in body:
                     k, _, v = body.partition("=")
+                    if k.strip() in meta:
+                        raise ValueError(f"profile header {k.strip()!r} is repeated")
                     meta[k.strip()] = v.strip()
             elif names is None:
                 names = line.split(",")
+                for i, name in enumerate(names):
+                    if name in names[:i]:
+                        raise ValueError(f"profile column {name!r} is repeated")
             elif line:
                 rows.append(line.split(","))
     if names is None or not rows:
@@ -214,11 +219,11 @@ def profile_document(profile):
     """`cce export`'s profile.json: the boundary block, the stored unknowns,
     and the values derived from them at the nodes: K, phi_i, the first
     integral Phi, the metric components I_i and the largest radial
-    curvature.  Raises geometry.InfeasibleProfileError when the metric
-    overflows."""
+    curvature.  Raises geometry.InfeasibleProfileError when the metric or a
+    derived value, which it names, is not finite."""
     samples = geometry.curvature_samples(profile)
     I = samples.metric.I
-    return {
+    doc = {
         "schema": PROFILE_JSON_SCHEMA,
         **_boundary(profile),
         "converged": profile.converged,
@@ -233,6 +238,10 @@ def profile_document(profile):
         "I": I,
         "max_radial_curvature": samples.values[: len(I)].max(axis=0),
     }
+    for name in ("K", "phi", "Phi", "max_radial_curvature"):
+        if not np.isfinite(doc[name]).all():
+            raise geometry.InfeasibleProfileError(f"{name} is not finite")
+    return doc
 
 
 def report_document(report, profile, config_digest=""):

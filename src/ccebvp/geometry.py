@@ -7,8 +7,8 @@ curvatures come from the slice's intrinsic sectional curvatures through the
 Gauss equation.  The intrinsic curvatures are closed forms in the I_i: the
 Berger-sphere formulas (O'Neill's, for the canonical variation of the Hopf
 fibration) on the SU slices and Milnor's left-invariant formula on the
-generalized Berger S^3.  The structure-constant assembly of the full slice
-Riemann tensor (riemann_from_structure) is kept as their oracle.
+generalized Berger S^3.  Their oracle, riemann_from_structure, assembles
+the slice Riemann tensor from the ccebvp.structure tables; no command runs it.
 curvature_samples returns every monitored plane at every node as one
 (plane x node) array with its node x and plane names.
 r-derivatives always use the chain rule dx/dr = -x.
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structure import StructureConstants
 from .systems import BoundaryData, DomainError, UsageError
 
 
@@ -96,27 +95,20 @@ def radial_sectional_all(mp: MetricProfile) -> np.ndarray:
 class SliceCurvature:
     """Curvature data of one homogeneous slice at the base point."""
 
-    ricci: np.ndarray  # from the invariant-frame R_ij formula
-    ricci_riemann: np.ndarray  # contracted from the assembled Riemann tensor
+    ricci: np.ndarray  # contracted from the assembled Riemann tensor
     sectional: np.ndarray  # (n, n), coordinate-plane sectional curvatures
 
 
-def riemann_from_structure(sc: StructureConstants, h: np.ndarray) -> SliceCurvature:
-    """Slice curvature at the base point from (C, T, dT) and diagonal metric h.
-
-    The Ricci tensor is assembled with the invariant-frame homogeneous-space
-    formula; the full Riemann tensor comes from the Christoffel symbols and
-    their theta-derivatives, giving the coordinate-plane sectional curvatures.
-    This is the oracle for the closed forms of slice_sectional.
-    """
-    sc.validate()
-    d = sc.dim
+def riemann_from_structure(sc, h: np.ndarray) -> SliceCurvature:
+    """Slice curvature at the base point from the structure tables sc and the
+    diagonal metric h: the Riemann tensor, from the Christoffel symbols and
+    their theta-derivatives, and its contraction, the Ricci tensor.  This is
+    the oracle for the closed forms of slice_sectional."""
     h = np.asarray(h, dtype=float)
-    if h.shape != (d,) or np.any(h <= 0):
-        raise UsageError(f"need {d} positive diagonal metric entries")
-    ric = _ricci_invariant_frame(sc.C, sc.T, sc.dT, np.diag(h), np.diag(1.0 / h))
+    if h.shape != (sc.dim,) or np.any(h <= 0):
+        raise UsageError(f"need {sc.dim} positive diagonal metric entries")
     Rup = _riemann_up(sc.C, sc.dC, h)
-    return SliceCurvature(ric, np.einsum("ijki->jk", Rup), _sectional(Rup, h))
+    return SliceCurvature(np.einsum("ijki->jk", Rup), _sectional(Rup, h))
 
 
 def _riemann_up(C, dC, h):
@@ -168,37 +160,6 @@ def _christoffels(C, dC, h):
     )
     dGam = 0.5 * (dsym + np.einsum("spq,ijq->sijp", dginv, inner) + hinv * dinner)
     return Gam, dGam
-
-
-def _ricci_invariant_frame(C, T, dT, g, ginv):
-    """Homogeneous-slice Ricci from the frame data (C, T, dT), term by term."""
-    trC = np.einsum("qpp->q", C)
-    trT = np.einsum("psp->s", T)
-    t1 = 0.5 * (
-        np.einsum("pijp->ij", dT)
-        + np.einsum("ipq,qjp->ij", C, T)
-        + np.einsum("qjp,ipq->ij", C, T)
-        + np.einsum("q,jiq->ij", trC, T)
-    )
-    B = (
-        dT
-        + np.einsum("ips,sqm->piqm", C, T)
-        + np.einsum("pqs,ism->piqm", C, T)
-        - np.einsum("psm,iqs->piqm", C, T)
-    )
-    t2 = -0.5 * np.einsum("pq,piqm,mj->ij", ginv, B, g)
-    t3 = -0.5 * np.einsum("pq,pjqm,mi->ij", ginv, B, g)
-    t4 = 0.25 * np.einsum("pis,sjp->ij", T, T)
-    t5 = -0.25 * np.einsum("pq,pis,sqm,mj->ij", ginv, T, T, g)
-    t6 = -0.25 * np.einsum("pq,pjs,sqm,mi->ij", ginv, T, T, g)
-    t7 = -0.5 * np.einsum("sq,s,iqm,mj->ij", ginv, trT, T, g)
-    t8 = -0.5 * np.einsum("sq,s,jqm,mi->ij", ginv, trT, T, g)
-    t9 = 0.25 * np.einsum("pq,pjs,iqm,sm->ij", ginv, T, T, g)
-    t10 = 0.25 * np.einsum("pq,pis,jqm,sm->ij", ginv, T, T, g)
-    U = np.einsum("jlm,ms->jls", T, g) + np.einsum("slm,mj->jls", T, g)
-    V = np.einsum("pqm,mi->pqi", T, g) + np.einsum("iqm,mp->pqi", T, g)
-    t11 = -0.25 * np.einsum("pl,jls,sq,pqi->ij", ginv, U, ginv, V)
-    return t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8 + t9 + t10 + t11
 
 
 @dataclass

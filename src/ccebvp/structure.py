@@ -6,12 +6,12 @@ rational data.  From the frame matrix X and its inverse Z the tables
 
     C_ij^p = Z_i^q  d_j X_q^p
     dC_sij^p = -C_is^b C_bj^p - delta_ip delta_sj
-    T_ij^p = C_ij^p - C_ji^p          (antisymmetric in i, j)
 
 follow in closed form; they feed geometry.riemann_from_structure, the slice
-curvature assembly that checks the closed-form slice curvatures.  Tables are
-provided for S^3 (the SU(2)-invariant frame used by the generalized Berger
-and n=3 families) and S^5 = SU(3)/SU(2).
+curvature assembly that checks the closed-form slice curvatures, and only the
+tests and the benchmark import them.  Tables are provided for S^3 (the
+SU(2)-invariant frame used by the generalized Berger and n=3 families) and
+S^5 = SU(3)/SU(2).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .systems import UsageError
 class KillingFrame:
     """Frame fields near the base point: X_a^p = sq[a,p] sqrt(1-|th|^2) + lin[a,p,m] th^m."""
 
-    name: str
     dim: int
     sq: np.ndarray  # (nfields, dim)
     lin: np.ndarray  # (nfields, dim, dim)
@@ -48,7 +47,7 @@ def su2_frame() -> KillingFrame:
     sq[2, 2] = 1.0
     lin[2, 0, 1] = 1.0
     lin[2, 1, 0] = -1.0
-    return KillingFrame("su2", d, sq, lin)
+    return KillingFrame(d, sq, lin)
 
 
 def su3_frame() -> KillingFrame:
@@ -89,23 +88,16 @@ def su3_frame() -> KillingFrame:
     # X8 = (0, -th5, th4, -th3, th2)
     for p, m, v in ((1, 4, -1.0), (2, 3, 1.0), (3, 2, -1.0), (4, 1, 1.0)):
         lin[7, p, m] = v
-    return KillingFrame("su3", d, sq, lin)
+    return KillingFrame(d, sq, lin)
 
 
 @dataclass
 class StructureConstants:
-    """C, T = C - C^t and the theta-derivatives dC, dT at the base point."""
+    """C and its theta-derivatives dC at the base point."""
 
-    name: str
     dim: int
     C: np.ndarray  # (d, d, d): C[i, j, p]
     dC: np.ndarray  # (s, i, j, p)
-    T: np.ndarray
-    dT: np.ndarray
-
-    def validate(self):
-        if not np.allclose(self.T, -self.T.swapaxes(0, 1), atol=1e-12):
-            raise UsageError("T must be antisymmetric in its lower indices")
 
 
 def structure_from_frame(frame: KillingFrame) -> StructureConstants:
@@ -118,9 +110,7 @@ def structure_from_frame(frame: KillingFrame) -> StructureConstants:
     dC = -np.einsum("isb,bjp->sijp", C, C)
     eye = np.eye(d)
     dC -= np.einsum("ip,sj->sijp", eye, eye)
-    T = C - C.swapaxes(0, 1)
-    dT = dC - dC.swapaxes(1, 2)
-    return StructureConstants(frame.name, d, C, dC, T, dT)
+    return StructureConstants(d, C, dC)
 
 
 def slice_structure(n: int) -> StructureConstants:

@@ -643,25 +643,30 @@ class TestVerifyExport:
         assert main(["verify", str(p), "--out", str(tmp_path)]) == 3
         assert "does not contain a profile table" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value, rc", [("5000.0", 3), ("800.0", 2)])
-    def test_metric_overflow_exit_three(self, small_profile, tmp_path, capsys, value, rc):
-        # a finite y1 whose metric components overflow is named, with no
+    @pytest.mark.parametrize("column, value, rc, named", [
+        pytest.param("y1", "5000.0", 3, "metric components overflow", id="5000.0-3"),
+        pytest.param("y1", "800.0", 2, "K is not finite", id="800.0-2"),
+        pytest.param("y2", "800.0", 2, "phi is not finite", id="y2-800.0-2"),
+        pytest.param("y2", "-800.0", 2, "Phi is not finite", id="y2--800.0-2"),
+    ])
+    def test_metric_overflow_exit_three(self, small_profile, tmp_path, capsys, column, value, rc, named):
+        # a finite unknown whose metric components overflow is named, with no
         # traceback; one whose metric stays finite verifies, with FAILs
         p = tmp_path / "profile.csv"
         export_profile_csv(small_profile, str(p))
-        poison(p, "y1", value)
+        poison(p, column, value)
         assert main(["verify", str(p), "--out", str(tmp_path)]) == rc
         out = capsys.readouterr()
         if rc == 3:
-            assert "cannot verify profile: metric components overflow" in out.err
+            assert f"cannot verify profile: {named}" in out.err
             assert not (tmp_path / "report.json").exists()
         else:
             assert "FAIL" in out.out and (tmp_path / "report.json").exists()
-        # cce export derives the same metric: it fails the same way, writing nothing
-        assert main(["export", str(p), "--out", str(tmp_path)]) == (3 if rc == 3 else 0)
-        if rc == 3:
-            assert "cannot export profile: metric components overflow" in capsys.readouterr().err
-        assert (tmp_path / "profile.json").exists() == (rc != 3)
+        # cce export writes no value that is not finite: it names the
+        # overflowing metric or derived value and writes nothing
+        assert main(["export", str(p), "--out", str(tmp_path)]) == 3
+        assert f"cannot export profile: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "profile.json").exists()
 
     def test_unknown_system_exit_three(self, small_profile, tmp_path, capsys):
         p = tmp_path / "profile.csv"
@@ -679,9 +684,12 @@ class TestVerifyExport:
         # would pass constraint-drift on any profile
         *(("tol", v, "'tol' must be positive and finite") for v in ("inf", "nan", "0", "-1")),
         ("converged", "maybe", "'converged' must be true or false, got 'maybe'"),
+        # a second tol line would replace the gate that verification reads
+        ("tol", "1e-07\n# tol=1", "profile header 'tol' is repeated"),
+        ("grading", "endpoint-clustered\n# grading=uniform", "profile header 'grading' is repeated"),
     ])
     def test_bad_header_exit_three(self, small_profile, tmp_path, capsys, header, value, message):
-        # a missing header line, or one with the wrong count, is named on load
+        # a missing header line, one with the wrong count, or a repeated one is named on load
         p = tmp_path / "profile.csv"
         export_profile_csv(small_profile, str(p))
         line = "" if value is None else f"# {header}={value}\n"
@@ -690,17 +698,21 @@ class TestVerifyExport:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("edit", [
-        lambda line: line.replace("x,y1,y2,", "x,y1,z2,", 1),  # the column renamed
-        lambda line: line if line.startswith(("#", "x,")) else ",".join(line.split(",")[:2]) + "\n",  # rows cut
-    ], ids=["renamed", "short-rows"])
-    def test_missing_column_exit_three(self, small_profile, tmp_path, capsys, edit):
-        # a stored unknown's column that is not in the table is named on load
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: line.replace("x,y1,y2,", "x,y1,z2,", 1), "'y2' is missing"),  # the column renamed
+        (lambda line: line if line.startswith(("#", "x,")) else ",".join(line.split(",")[:2]) + "\n",
+         "'y2' is missing"),  # rows cut
+        # a second y1 column of zeros would replace the stored one
+        (lambda line: line if line.startswith("#")
+         else line.rstrip("\n") + (",y1\n" if line.startswith("x,") else ",0.0\n"), "'y1' is repeated"),
+    ], ids=["renamed", "short-rows", "repeated"])
+    def test_missing_column_exit_three(self, small_profile, tmp_path, capsys, edit, message):
+        # a stored unknown's column that is not in the table, or a repeated column, is named on load
         p = tmp_path / "profile.csv"
         export_profile_csv(small_profile, str(p))
         p.write_text("".join(map(edit, p.read_text().splitlines(keepends=True))))
         assert main(["verify", str(p), "--out", str(tmp_path)]) == 3
-        assert "cannot load profile: profile column 'y2' is missing" in capsys.readouterr().err
+        assert f"cannot load profile: profile column {message}" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     def test_nan_node_exit_three(self, small_profile, tmp_path, capsys):

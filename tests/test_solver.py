@@ -383,8 +383,10 @@ class TestScaledUnknowns:
 
 
 def test_package_imports_no_scipy():
+    # nor the structure-constant tables, which only the curvature oracle reads
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys; import ccebvp, ccebvp.cli; print([k for k in sys.modules if k.split('.')[0] == 'scipy'])"
+    code = ("import sys; import ccebvp, ccebvp.cli; "
+            "print([k for k in sys.modules if k.split('.')[0] == 'scipy' or k == 'ccebvp.structure'])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert out.stdout.strip() == "[]"
