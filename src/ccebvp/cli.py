@@ -1,8 +1,9 @@
 """Command-line entry point: solve, sweep, verify and export subcommands.
 
-Exit codes: 0 converged with every applicable check passing, 1 solver
-failure, 2 converged-but-flagged (or a sweep stopping on min-step), 3 I/O
-failure or a stored profile that cannot be loaded or verified.
+Exit codes: 0 converged with every applicable check passing (or --help),
+1 solver failure, config error or command-line usage error, 2
+converged-but-flagged (or a sweep stopping on min-step), 3 I/O failure or a
+stored profile that cannot be loaded, verified or exported.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .exports import (
     export_json,
     export_profile_csv,
     export_trace_csv,
+    finite_derived,
     load_profile_csv,
     profile_document,
     report_document,
@@ -151,9 +153,10 @@ def cmd_verify(args) -> int:
         return 0 if ledger.forces_zero else 2
     with np.errstate(**_NONFINITE_OK):
         try:
-            report = run_verification(prof)
+            samples, _ = finite_derived(prof)
         except geometry.InfeasibleProfileError as e:
             _fail(3, f"cannot verify profile: {e}")
+        report = run_verification(prof, samples)
     # verify/ beside the profile, so the solve's report.json is kept
     out = args.out or os.path.join(os.path.dirname(os.path.abspath(args.profile)), "verify")
     _write((export_json, report_document(report, prof), os.path.join(out, "report.json")))
@@ -210,7 +213,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if e.code else 0
     try:
         return args.fn(args)
     except SystemExit as e:

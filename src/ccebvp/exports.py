@@ -215,15 +215,32 @@ def _boundary(profile):
     return {"system": profile.bd.kind.family, "n": profile.bd.n, "phi0": profile.bd.phi0, "K0": profile.k0}
 
 
+def finite_derived(profile):
+    """(samples, derived): profile's curvature samples, and the values
+    profile.json derives at its nodes, by name: K0, K, phi_i, the first
+    integral Phi and the largest radial curvature.  Raises
+    geometry.InfeasibleProfileError when the metric or a derived value,
+    which it names, is not finite."""
+    samples = geometry.curvature_samples(profile)
+    derived = {
+        "K0": profile.k0,
+        "K": np.exp(profile.y[0]),
+        "phi": np.exp(profile.y[1:]),
+        "Phi": profile.constraint_values(),
+        "max_radial_curvature": samples.values[: len(samples.metric.I)].max(axis=0),
+    }
+    for name, value in derived.items():
+        if not np.isfinite(value).all():
+            raise geometry.InfeasibleProfileError(f"{name} is not finite")
+    return samples, derived
+
+
 def profile_document(profile):
     """`cce export`'s profile.json: the boundary block, the stored unknowns,
-    and the values derived from them at the nodes: K, phi_i, the first
-    integral Phi, the metric components I_i and the largest radial
-    curvature.  Raises geometry.InfeasibleProfileError when the metric or a
-    derived value, which it names, is not finite."""
-    samples = geometry.curvature_samples(profile)
-    I = samples.metric.I
-    doc = {
+    the metric components I_i, and the values of finite_derived, whose
+    error it raises."""
+    samples, derived = finite_derived(profile)
+    return {
         "schema": PROFILE_JSON_SCHEMA,
         **_boundary(profile),
         "converged": profile.converged,
@@ -232,16 +249,9 @@ def profile_document(profile):
         "yp": profile.yp,
         "free": profile.free.coeffs,
         "infinity_free": profile.infinity_free,
-        "K": np.exp(profile.y[0]),
-        "phi": np.exp(profile.y[1:]),
-        "Phi": profile.constraint_values(),
-        "I": I,
-        "max_radial_curvature": samples.values[: len(I)].max(axis=0),
+        "I": samples.metric.I,
+        **derived,  # K0 again, equal to _boundary's
     }
-    for name in ("K", "phi", "Phi", "max_radial_curvature"):
-        if not np.isfinite(doc[name]).all():
-            raise geometry.InfeasibleProfileError(f"{name} is not finite")
-    return doc
 
 
 def report_document(report, profile, config_digest=""):

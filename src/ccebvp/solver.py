@@ -121,7 +121,9 @@ class SolveOptions:
     grid: int = 128
     tol: float = 1e-10
     refine_rounds: int = 3
-    coarse_stage: int = 96  # warm-start grids larger than ~1.5x this
+    # read by no solve: bench/workloads.py still passes it, so it stays a
+    # validated field until the bench half of ROADMAP item 19 removes it
+    coarse_stage: int = 96
 
     def __post_init__(self):
         for name in ("grid", "refine_rounds", "coarse_stage"):
@@ -552,25 +554,14 @@ def guess_from(bd, profiles, weights, opts, mesh=None):
 
 
 def solve_bvp(bd: BoundaryData, opts: SolveOptions):
-    """Newton-solve from one start, then halve every mesh interval and
-    re-solve, up to refine_rounds times, while the residual meets tol and the
-    drift gate is unmet.
-
-    The start is the seed profile.  On non-round data with a grid above
-    1.5*coarse_stage it is instead the coarse_stage-node solve (at tol
-    max(tol, 1e-9)) interpolated onto the mesh, when that solve's residual
-    is within 1e3 of its tol.  A solve that fails keeps its failure_reason.
+    """Newton-solve from the seed profile on make_mesh(opts.grid), then halve
+    every mesh interval and re-solve, up to refine_rounds times, while the
+    residual meets tol and the drift gate is unmet.  A solve that fails keeps
+    its failure_reason.
     """
     mesh = make_mesh(opts.grid)
     counters = _zero_counters()
-    start = seed_profile(bd, mesh, opts)
-    if opts.coarse_stage and opts.grid > 1.5 * opts.coarse_stage and not bd.is_round:
-        cmesh = make_mesh(opts.coarse_stage)
-        copts = replace(opts, tol=max(opts.tol, 1e-9), grid=opts.coarse_stage)
-        cprof, crep = newton_solve(bd, cmesh, seed_profile(bd, cmesh, copts), copts, counters)
-        if crep.residual_norm <= 1e3 * copts.tol:
-            start = guess_from(bd, [cprof], [1.0], opts, mesh)
-    prof, rep = newton_solve(bd, mesh, start, opts, counters)
+    prof, rep = newton_solve(bd, mesh, seed_profile(bd, mesh, opts), opts, counters)
     while rep.residual_norm <= opts.tol and not prof.converged and rep.refinements < opts.refine_rounds:
         rounds = rep.refinements + 1
         mesh = refine_mesh(prof)

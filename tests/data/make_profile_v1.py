@@ -32,7 +32,7 @@ def main():
     if PROFILE_SCHEMA != "cce-profile-v1":
         raise SystemExit(f"this writer writes {PROFILE_SCHEMA}: run against the v1 writer (see the docstring)")
     for name, bd in CASES.items():
-        prof, rep = solve_bvp(bd, SolveOptions(grid=16, tol=1e-4, refine_rounds=0, coarse_stage=0))
+        prof, rep = solve_bvp(bd, SolveOptions(grid=16, tol=1e-4, refine_rounds=0))
         if not rep.converged:
             raise SystemExit(f"{name}: the solve did not converge ({rep.failure_reason})")
         export_profile_csv(prof, os.path.join(os.path.dirname(os.path.abspath(__file__)), name))

@@ -5,7 +5,6 @@ PASS/FAIL line (visible with -s or on failure).
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from ccebvp import geometry as geom
 from ccebvp import verification as verif
 from ccebvp.continuation import SweepPlan, bisect_event, sweep
 from ccebvp.series import fg_series_origin
-from ccebvp.solver import SolutionProfile, SolveOptions, guess_from, make_mesh, newton_solve, solve_bvp
+from ccebvp.solver import SolutionProfile, SolveOptions, make_mesh, newton_solve, solve_bvp
 from ccebvp.structure import slice_structure
 from ccebvp.systems import GBERGER, SU, BoundaryData
 
@@ -156,18 +155,11 @@ def test_criterion_06_radial_trace(criterion_profiles, round_profiles, sweep_tra
 
 
 def zero_start_solve(bd, opts):
-    """solve_bvp's coarse-then-fine path (no refinement) started from the
-    zero profile instead of the seed profile."""
-
-    def zero(mesh, o):
-        y = np.zeros((bd.kind.unknowns, mesh.n_nodes))
-        return SolutionProfile(bd, mesh, y, np.zeros_like(y), tol=o.tol)
-
-    copts = replace(opts, tol=max(opts.tol, 1e-9), grid=opts.coarse_stage)
-    cmesh, mesh = make_mesh(copts.grid), make_mesh(opts.grid)
-    cprof, crep = newton_solve(bd, cmesh, zero(cmesh, copts), copts)
-    start = guess_from(bd, [cprof], [1.0], opts, mesh) if crep.residual_norm <= 1e3 * copts.tol else zero(mesh, opts)
-    return newton_solve(bd, mesh, start, opts)
+    """One Newton run on opts.grid's mesh from the zero profile instead of
+    the seed profile."""
+    mesh = make_mesh(opts.grid)
+    y = np.zeros((bd.kind.unknowns, mesh.n_nodes))
+    return newton_solve(bd, mesh, SolutionProfile(bd, mesh, y, np.zeros_like(y), tol=opts.tol), opts)
 
 
 def test_criterion_07_uniqueness(criterion_profiles):

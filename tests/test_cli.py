@@ -159,7 +159,7 @@ class TestConfig:
 def small_profile():
     prof, rep = solve_bvp(
         BoundaryData(SU, 5, (0.85,)),
-        SolveOptions(grid=64, tol=1e-7, refine_rounds=0, coarse_stage=0),
+        SolveOptions(grid=64, tol=1e-7, refine_rounds=0),
     )
     assert rep.residual_norm <= 1e-7
     return prof
@@ -169,7 +169,7 @@ def small_profile():
 def small_gb_profile():
     prof, rep = solve_bvp(
         BoundaryData(GBERGER, 3, (0.95, 1.02)),
-        SolveOptions(grid=48, tol=1e-7, refine_rounds=0, coarse_stage=0),
+        SolveOptions(grid=48, tol=1e-7, refine_rounds=0),
     )
     assert rep.converged
     return prof
@@ -240,7 +240,7 @@ class TestCSV:
     def test_zero_profile_rows(self, tmp_path):
         # the CSV holds the stored columns; cce export derives Phi, exactly 0 on round data
         prof, rep = solve_bvp(
-            BoundaryData(SU, 5, (1.0,)), SolveOptions(grid=16, refine_rounds=0, coarse_stage=0)
+            BoundaryData(SU, 5, (1.0,)), SolveOptions(grid=16, refine_rounds=0)
         )
         p = tmp_path / "round.csv"
         export_profile_csv(prof, str(p))
@@ -582,6 +582,20 @@ class TestParserBuiltOnce:
             assert a == b
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [["solve", "--config", "run.cfg", "--bogus"], ["--bogus"], [], ["verify"]])
+    def test_usage_error_exit_one(self, argv, capsys):
+        # a command line argparse rejects is a config error, not the
+        # converged-but-flagged exit 2, and main returns it without raising
+        assert main(argv) == 1
+        assert "usage: cce" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exit_zero(self, argv, capsys):
+        assert main(argv) == 0
+        assert "usage: cce" in capsys.readouterr().out
+
+
 class TestVerifyExport:
     def test_verify_single(self, small_profile, tmp_path):
         p = tmp_path / "profile.csv"
@@ -615,7 +629,7 @@ class TestVerifyExport:
         # a gberger pair prints one residual line per contraction inequality
         # after the V(z_i) lines; solves on two grids differ by less than the
         # slack of 100 tol, so V > 0 and still forces_zero
-        other, _ = solve_bvp(small_gb_profile.bd, SolveOptions(grid=40, tol=1e-7, refine_rounds=0, coarse_stage=0))
+        other, _ = solve_bvp(small_gb_profile.bd, SolveOptions(grid=40, tol=1e-7, refine_rounds=0))
         p, q = tmp_path / "a.csv", tmp_path / "b.csv"
         export_profile_csv(small_gb_profile, str(p))
         export_profile_csv(other, str(q))
@@ -643,30 +657,25 @@ class TestVerifyExport:
         assert main(["verify", str(p), "--out", str(tmp_path)]) == 3
         assert "does not contain a profile table" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("column, value, rc, named", [
-        pytest.param("y1", "5000.0", 3, "metric components overflow", id="5000.0-3"),
-        pytest.param("y1", "800.0", 2, "K is not finite", id="800.0-2"),
-        pytest.param("y2", "800.0", 2, "phi is not finite", id="y2-800.0-2"),
-        pytest.param("y2", "-800.0", 2, "Phi is not finite", id="y2--800.0-2"),
+    @pytest.mark.parametrize("column, value, named", [
+        pytest.param("y1", "5000.0", "metric components overflow", id="5000.0-3"),
+        pytest.param("y1", "800.0", "K is not finite", id="800.0-3"),
+        pytest.param("y2", "800.0", "phi is not finite", id="y2-800.0-3"),
+        pytest.param("y2", "-800.0", "Phi is not finite", id="y2--800.0-3"),
+        pytest.param("k0var", "800.0", "K0 is not finite", id="k0var-800.0-3"),
     ])
-    def test_metric_overflow_exit_three(self, small_profile, tmp_path, capsys, column, value, rc, named):
-        # a finite unknown whose metric components overflow is named, with no
-        # traceback; one whose metric stays finite verifies, with FAILs
+    def test_metric_overflow_exit_three(self, small_profile, tmp_path, capsys, column, value, named):
+        # a finite unknown whose metric or derived values overflow is named,
+        # with no traceback and no RuntimeWarning: cce verify and cce export
+        # read one finiteness rule, and neither writes a value that is not finite
         p = tmp_path / "profile.csv"
         export_profile_csv(small_profile, str(p))
         poison(p, column, value)
-        assert main(["verify", str(p), "--out", str(tmp_path)]) == rc
-        out = capsys.readouterr()
-        if rc == 3:
-            assert f"cannot verify profile: {named}" in out.err
-            assert not (tmp_path / "report.json").exists()
-        else:
-            assert "FAIL" in out.out and (tmp_path / "report.json").exists()
-        # cce export writes no value that is not finite: it names the
-        # overflowing metric or derived value and writes nothing
-        assert main(["export", str(p), "--out", str(tmp_path)]) == 3
-        assert f"cannot export profile: {named}" in capsys.readouterr().err
-        assert not (tmp_path / "profile.json").exists()
+        for command, out, message in (("verify", "report.json", "cannot verify profile"),
+                                      ("export", "profile.json", "cannot export profile")):
+            assert main([command, str(p), "--out", str(tmp_path)]) == 3
+            assert f"{message}: {named}" in capsys.readouterr().err
+            assert not (tmp_path / out).exists()
 
     def test_unknown_system_exit_three(self, small_profile, tmp_path, capsys):
         p = tmp_path / "profile.csv"

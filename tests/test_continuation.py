@@ -19,7 +19,7 @@ from ccebvp.systems import GBERGER, SU, BoundaryData, UsageError
 
 
 def quick_opts(grid=96, tol=1e-6):
-    return SolveOptions(grid=grid, tol=tol, refine_rounds=0, coarse_stage=0)
+    return SolveOptions(grid=grid, tol=tol, refine_rounds=0)
 
 
 class TestPlan:
@@ -263,7 +263,7 @@ class TestSweep:
     def test_generalized_berger_sweep_walks_the_berger_line(self):
         # phi = (lam, 1) is the SU n=3 data: the gberger sweep takes the SU
         # sweep's steps, to its K(0), with a vanishing second nonlocal value
-        opts = SolveOptions(grid=96, tol=1e-7, refine_rounds=0, coarse_stage=0)
+        opts = SolveOptions(grid=96, tol=1e-7, refine_rounds=0)
         gb, su = (sweep(SweepPlan(kind, 3, lam_end=1.2, step=0.05, options=opts)) for kind in (GBERGER, SU))
         assert gb.plan.boundary_data(1.1).phi0 == (1.1, 1.0)
         assert gb.stop_reason == su.stop_reason == "path-end" and gb.rejected == su.rejected == []

@@ -18,14 +18,14 @@ from oracles import radial_trace, ricci_su
 
 def round_profile(kind=SU, n=5, grid=48):
     bd = BoundaryData(kind, n, tuple([1.0] * kind.free_count))
-    prof, rep = solve_bvp(bd, SolveOptions(grid=grid, refine_rounds=0, coarse_stage=0))
+    prof, rep = solve_bvp(bd, SolveOptions(grid=grid, refine_rounds=0))
     assert rep.converged
     return prof
 
 
 def solved_profile(phi=0.8, n=5, grid=128, tol=1e-7):
     bd = BoundaryData(SU, n, (phi,))
-    prof, rep = solve_bvp(bd, SolveOptions(grid=grid, tol=tol, refine_rounds=0, coarse_stage=0))
+    prof, rep = solve_bvp(bd, SolveOptions(grid=grid, tol=tol, refine_rounds=0))
     assert rep.converged
     return prof
 
@@ -246,7 +246,7 @@ class TestGauss:
     def test_gberger_direction_traces(self):
         # radial-i plus the three tangential planes through e_i equals -3
         prof, rep = solve_bvp(BoundaryData(GBERGER, 3, (0.9, 1.05)),
-                              SolveOptions(grid=256, tol=1e-10, refine_rounds=0, coarse_stage=0))
+                              SolveOptions(grid=256, tol=1e-10, refine_rounds=0))
         assert rep.converged
         P = by_plane(G.curvature_samples(prof))
         for i in (1, 2, 3):
@@ -257,7 +257,7 @@ class TestGauss:
     def test_batched_samples_match_per_node_oracle(self, kind, n, phi0):
         # every node on its own: riemann_from_structure, then the Gauss equation
         prof, rep = solve_bvp(BoundaryData(kind, n, phi0),
-                              SolveOptions(grid=96, tol=1e-6, refine_rounds=0, coarse_stage=0))
+                              SolveOptions(grid=96, tol=1e-6, refine_rounds=0))
         assert rep.converged
         mp = G.reconstruct_metric(prof)
         sc = slice_structure(n)
@@ -287,7 +287,7 @@ class TestGauss:
     def test_record_shape(self, kind, n, phi0):
         # one row per plane, radial first, one column per mesh node
         bd = BoundaryData(kind, n, phi0)
-        prof, rep = solve_bvp(bd, SolveOptions(grid=96, tol=1e-6, refine_rounds=0, coarse_stage=0))
+        prof, rep = solve_bvp(bd, SolveOptions(grid=96, tol=1e-6, refine_rounds=0))
         assert rep.converged
         S = G.curvature_samples(prof)
         mp = G.reconstruct_metric(prof)
@@ -334,6 +334,24 @@ class TestWeyl:
             assert np.array_equal(G.weyl_mixed_n3(mp, i, p, q), G.weyl_mixed_n3(mp, p, i, q))
         perms = [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
         assert G.weyl_mixed_max_n3(mp) == max(float(G.weyl_mixed_n3(mp, *perm).max()) for perm in perms)
+
+    @pytest.mark.parametrize("kind,phi0", [
+        (SU, (0.5,)), (SU, (2.5,)), (GBERGER, (0.9, 1.05)), (GBERGER, (0.6, 1.3)),
+        (GBERGER, (1.2, 0.9)), (GBERGER, (1.5, 1.5)),
+    ])
+    def test_weyl_matches_radial_pinching(self, kind, phi0):
+        # on an n=3 Einstein filling the largest mixed Weyl component at a
+        # node equals the largest radial |K + 1| there, as self-duality
+        # predicts (Pedersen 1986; Hitchin 1995).  The Weyl formula reads
+        # only L and L', the radial curvatures read y'' through the
+        # evolution equations, so each code path checks the other
+        prof, rep = solve_bvp(BoundaryData(kind, 3, phi0), SolveOptions())
+        assert rep.converged
+        samples = G.curvature_samples(prof)
+        mp = samples.metric
+        weyl = np.max([G.weyl_mixed_n3(mp, *perm) for perm in G._WEYL_PERMUTATIONS], axis=0)
+        radial = np.abs(samples.values[: len(mp.I)] + 1.0).max(axis=0)
+        assert np.abs(weyl - radial).max() <= 1e-8
 
     def test_usage_guards(self):
         prof = round_profile(SU, 5)

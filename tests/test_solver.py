@@ -77,7 +77,7 @@ def dense_jacobian(J, m, N):
 
 
 def small_opts(**kw):
-    base = dict(grid=48, tol=1e-9, refine_rounds=0, coarse_stage=0)
+    base = dict(grid=48, tol=1e-9, refine_rounds=0)
     base.update(kw)
     return SolveOptions(**base)
 
@@ -722,26 +722,16 @@ class TestPolish:
         assert rep.fresh_factor_history == [True, False, False, False]
         assert rep.counters == {"assemblies": 5, "jacobians": 1, "lu_factorisations": 1}
 
-    def test_polish_the_mesh_defeats_is_skipped(self, monkeypatch):
-        # the 96-node coarse stage, from the cubic blend, meets its tol with
-        # a drift set by its mesh: no step can meet the gate, and none is taken
-        import ccebvp.solver as solver
-
-        real, reports = solver.newton_solve, []
-
-        def recorded(*args, **kwargs):
-            prof, rep = real(*args, **kwargs)
-            reports.append(rep)
-            return prof, rep
-
-        monkeypatch.setattr(solver, "newton_solve", recorded)
-        monkeypatch.setattr(solver, "seed_profile", cubic_blend)
-        prof, rep = solve_bvp(BoundaryData(SU, 5, (0.8,)), SolveOptions(grid=768, tol=1e-10, refine_rounds=0))
-        coarse = reports[0]
-        assert len(reports) == 2 and polish_steps(coarse) == 0
-        assert coarse.failure_reason == "constraint drift" and coarse.predicted_drift > 10 * 1e-9
-        assert rep.converged and prof.mesh.n_nodes == 768
-        assert rep.counters == {"assemblies": 8, "jacobians": 3, "lu_factorisations": 3}
+    def test_polish_the_mesh_defeats_is_skipped(self):
+        # a 96-node run from the cubic blend meets its tol with a drift set
+        # by its mesh: the drift its polish step predicts misses the gate
+        # too, so no step is taken
+        opts = small_opts(grid=96)
+        prof, rep = newton_from_cubic_blend(BoundaryData(SU, 5, (0.8,)), opts)
+        assert rep.residual_norm <= opts.tol and polish_steps(rep) == 0
+        assert rep.failure_reason == "constraint drift" and rep.predicted_drift > 10 * opts.tol
+        assert not prof.converged
+        assert rep.counters == {"assemblies": 6, "jacobians": 2, "lu_factorisations": 2}
 
     def test_start_within_tol_predicts_from_its_start_factor(self):
         # a run that meets tol at its start takes its simplified Newton
@@ -819,6 +809,20 @@ class TestPolish:
             factorisations += rep.counters["lu_factorisations"]
         assert assemblies <= 59 and jacobians <= 22 and factorisations <= 22
 
+    def test_acceptance_size_work(self):
+        # the five 768-node acceptance solves at tol 1e-10 (the acc768 bench
+        # workload): each converges in one Newton run from the seed, on one
+        # factor, so a second start cannot come back unseen
+        cases = [(SU, 5, (phi,)) for phi in (0.6, 0.8, 1.25, 1.6)] + [(GBERGER, 3, (0.95, 1.02))]
+        assemblies = jacobians = factorisations = 0
+        for args in cases:
+            prof, rep = solve_bvp(BoundaryData(*args), SolveOptions(grid=768, tol=1e-10, refine_rounds=0))
+            assert rep.converged and prof.mesh.n_nodes == 768, args
+            assemblies += rep.counters["assemblies"]
+            jacobians += rep.counters["jacobians"]
+            factorisations += rep.counters["lu_factorisations"]
+        assert assemblies <= 27 and jacobians <= 5 and factorisations <= 5
+
 
 class TestSimplifiedNewton:
     def test_weak_contraction_refreshes_the_factor(self):
@@ -826,7 +830,7 @@ class TestSimplifiedNewton:
         # about 0.2, above THETA_MAX.  Chord steps on the first factor alone
         # stop just under tol with a drift the gate rejects; the run builds a
         # fresh Jacobian there instead, and converges
-        opts = SolveOptions(grid=128, tol=1e-7, refine_rounds=0, coarse_stage=0)
+        opts = SolveOptions(grid=128, tol=1e-7, refine_rounds=0)
         rep = newton_from_cubic_blend(BoundaryData(SU, 5, (0.8,)), opts)[1]
         assert rep.converged and rep.failure_reason == ""
         assert rep.fresh_factor_history[0] and sum(rep.fresh_factor_history) >= 2

@@ -23,7 +23,7 @@ from oracles import radial_trace
 def solve(kind, n, phi0, grid=96, tol=1e-7):
     prof, rep = solve_bvp(
         BoundaryData(kind, n, phi0),
-        SolveOptions(grid=grid, tol=tol, refine_rounds=0, coarse_stage=0),
+        SolveOptions(grid=grid, tol=tol, refine_rounds=0),
     )
     assert rep.converged
     return prof
