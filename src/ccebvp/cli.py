@@ -29,7 +29,7 @@ from .exports import (
     profile_document,
     report_document,
 )
-from .solver import solve_bvp
+from .solver import factor_name, solve_bvp
 from .systems import DomainError, UsageError
 from .verification import CONTRACTIONS, run_verification, uniqueness_diagnostic
 
@@ -104,7 +104,7 @@ def cmd_solve(args) -> int:
     with np.errstate(**_NONFINITE_OK):
         _write(
             (export_profile_csv, prof, os.path.join(cfg.out, "profile.csv")),
-            (export_json, report_document(report, prof, digest), os.path.join(cfg.out, "report.json")),
+            (export_json, report_document(report, prof, digest, factor_name()), os.path.join(cfg.out, "report.json")),
         )
     _say(cfg, f"converged={rep.converged} iterations={rep.iterations} "
               f"residual={rep.residual_norm:.3e} drift={rep.constraint_drift:.3e}")
@@ -125,7 +125,8 @@ def cmd_sweep(args) -> int:
         _fail(1, f"sweep error: {e}")
     jobs = [(export_trace_csv, trace, os.path.join(cfg.out, "trace.csv"))]
     if trace.event is not None:
-        jobs.append((export_json, event_document(trace.event, digest), os.path.join(cfg.out, "event.json")))
+        jobs.append((export_json, event_document(trace.event, digest, factor_name()),
+                     os.path.join(cfg.out, "event.json")))
     _write(*jobs)
     _say(cfg, f"stop_reason={trace.stop_reason} records={len(trace.records)} rejected={len(trace.rejected)}")
     for lam, reason in trace.rejected:
@@ -181,7 +182,9 @@ def cmd_export(args) -> int:
 def build_parser():
     """The one parser of the process, built on first use."""
     ap = argparse.ArgumentParser(prog="cce", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
+    # not required=True: argparse would report a missing command before an
+    # unrecognized flag, so main checks it after the flags
+    sub = ap.add_subparsers(dest="command")
 
     def common(p):
         # every flag but --config overrides the config key of its name
@@ -213,8 +216,13 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    ap = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args, unknown = ap.parse_known_args(argv)
+        if unknown:
+            ap.error(f"unrecognized arguments: {' '.join(unknown)}")
+        if args.command is None:
+            ap.error("the following arguments are required: command")
     except SystemExit as e:  # argparse exits 2 on a usage error, 0 after --help
         return 1 if e.code else 0
     try:

@@ -187,12 +187,18 @@ def _jsonable(obj):
     return obj
 
 
-def provenance(config_hash=""):
-    return {
+def provenance(config_hash="", factor=None):
+    """Where a document came from: the tool version, the config hash and
+    when; for a command that factored, factor = (factor, dgbtrf symbol) of
+    solver.factor_name, the symbol null for the fallback."""
+    doc = {
         "tool_version": __version__,
         "config_hash": config_hash,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+    if factor is not None:
+        doc["factor"], doc["dgbtrf"] = factor
+    return doc
 
 
 def config_hash(text: str) -> str:
@@ -254,18 +260,18 @@ def profile_document(profile):
     }
 
 
-def report_document(report, profile, config_digest=""):
+def report_document(report, profile, config_digest="", factor=None):
     return {
         "schema": REPORT_SCHEMA,
         "boundary": _boundary(profile),
         "checks": [asdict(r) for r in report.records],
         "converged": profile.converged,
         "overall_pass": report.overall_pass,
-        "provenance": provenance(config_digest),
+        "provenance": provenance(config_digest, factor),
     }
 
 
-def event_document(event, config_digest=""):
+def event_document(event, config_digest="", factor=None):
     return {
         "schema": EVENT_SCHEMA,
         "lambda_event": event.lam_event,
@@ -274,7 +280,7 @@ def event_document(event, config_digest=""):
         "witness": None if event.witness is None else asdict(event.witness),
         "annotation": event.annotation,
         "solves": event.solves,
-        "provenance": provenance(config_digest),
+        "provenance": provenance(config_digest, factor),
     }
 
 

@@ -589,7 +589,7 @@ def evaluate_closure(sc: SeriesCoefficients, x):
     return y[0], yp[0], jac
 
 
-# -- the first-order solution near round data ---------------------------------
+# -- the solution near round data, to second order ----------------------------
 #
 # At y = 0 every ratio equation of both families linearises to
 #   f'' - x^-1 ((n-1) + (n+1) x^2)(1-x^2)^-1 f' - 8(n+1)(1-x^2)^-2 f = 0
@@ -597,32 +597,47 @@ def evaluate_closure(sc: SeriesCoefficients, x):
 # and y1 has no linear term.  So to first order in eps = log phi each ratio
 # unknown is eps f_n(x) with f_n(0) = 1, and y1 = O(eps^2); for n = 3 it is
 # Pedersen's metric to first order.  In s = rho^2, rho = (1-x)/(1+x), the
-# equation reads 2 s^2 (1-s) g'' + s((n+1) + (n-3) s) g' - (n+1)(1-s) g = 0,
+# equation times (1-s)(1-x^2)^2/8 reads
+#   2 s^2 (1-s) g'' + s((n+1) + (n-3) s) g' - (n+1)(1-s) g = r,
 # whose solution regular at s = 0 (x = 1) is sum_j a_j s^j with
-# (j-1)(2j+n+1) a_j = j(2j-n-3) a_{j-1}, a_0 = 0: it terminates at degree
-# (n+1)/2, and f_n(0) = g(1) = 1 fixes a_1.
+#   (j-1)(2j+n+1) a_j = j(2j-n-3) a_(j-1) + r_j,  a_0 = 0.
+# With r = 0 it terminates at degree (n+1)/2, and f_n(0) = g(1) = 1 fixes a_1.
+#
+# At second order an SU ratio unknown gains eps^2 g_n: the same equation,
+# forced by the sources' quadratic term r = -(1-s)(n+1)(n+2)/(2n) f_n^2, with
+# g_n(1) = 0 fixing a_1.  y1 gains eps^2 h_n from eq 2's linearisation
+#   2 s^2 (1-s) h'' + s((2n+1) + (2n-3) s) h' + (n-1)(1-s) h = q,
+# q = -(1-s)(n-1)(n+1)/(2n) f_n^2, which maps s^j to
+# (2j+1)(j+n-1) s^j - (2j-1)(j-n+1) s^(j+1), so
+#   (2j+1)(j+n-1) c_j = (2j-3)(j-n) c_(j-1) + q_j,  c_0 = 0,
+# with no free constant: both indicial roots, -1/2 and 1-n, are negative.
+# Both terms have degree n+1 in s; for n = 3 they are Pedersen's eps^2
+# terms.  The generalized Berger family (n = 3) takes g_3 and h_3 times
+# quadratic forms in (eps_1, eps_2) (second_order_weights).
 
 
 @dataclass(frozen=True)
-class FirstOrder:
-    """f_n = sum_j a_j s^j, exactly: a_j = num[j] / den in integers (so every
-    float below is correctly rounded; fractions would import decimal), and
-    the endpoint parameters of eps f_n per unit eps: its x^n Taylor
-    coefficient (the nonlocal coefficient) and its (1-x)^2 coefficient
-    a_1/4 = n/(n+3) (the x=1 free value)."""
+class RoundTerm:
+    """One term sum_j num[j] s^j / den of the solution near round data,
+    exactly: in integers (so every float below is correctly rounded;
+    fractions would import decimal), with its endpoint parameters per unit of
+    its power of eps: its x^n Taylor coefficient (the nonlocal coefficient),
+    its (1-x)^2 coefficient num[1]/(4 den) (the x=1 free value), and its
+    value at x = 0 (log K(0), for y1's term)."""
 
-    num: tuple  # a_0 = 0, a_1, ..., a_((n+1)/2), times den
+    num: tuple  # num[0] = 0: every term vanishes at x = 1
     den: int
     origin: float
     infinity: float
+    value0: float
 
     def __call__(self, x):
-        """(f_n, f_n') at x in [0, 1], by Horner's rule in s."""
+        """(value, d/dx) at x in [0, 1], by Horner's rule in s."""
         x = np.asarray(x, dtype=float)
         rho = (1.0 - x) / (1.0 + x)
         s = rho * rho
         a = [c / self.den for c in self.num]
-        da = [j * c / self.den for j, c in enumerate(self.num)][1:]  # dg/ds
+        da = [j * c / self.den for j, c in enumerate(self.num)][1:]  # d/ds
         g, dg = a[-1], da[-1]
         for c in reversed(a[:-1]):
             g = c + g * s
@@ -631,33 +646,90 @@ class FirstOrder:
         return g, dg * (-4.0 * rho / (1.0 + x) ** 2)  # ds/dx = 2 rho rho'
 
 
-@functools.cache
-def first_order_solution(n) -> FirstOrder:
-    """f_n for the odd boundary dimension n >= 3."""
-    # a_j / a_1 = prod_{i=2}^{j} i(2i-n-3) / ((i-1)(2i+n+1)), over the common
-    # denominator prod_{i=2}^{(n+1)/2} (i-1)(2i+n+1)
-    d = (n + 1) // 2
-    num = [0] + [
-        math.prod(i * (2 * i - n - 3) for i in range(2, j + 1))
-        * math.prod((i - 1) * (2 * i + n + 1) for i in range(j + 1, d + 1))
-        for j in range(1, d + 1)
-    ]
-    den = sum(num)  # f_n(0) = g(1) = 1
+def _times(p, q):
+    """The product of two integer coefficient lists."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _two_term(top, bottom, start, forcing):
+    """The exact solution c of bottom(j) c_j = top(j) c_(j-1) + forcing[j]
+    for j = len(start), ..., len(forcing)-1, from c_j = start[j] below, as
+    integer numerators over one denominator (in the units of forcing)."""
+    c, den = list(start) + [0] * (len(forcing) - len(start)), 1
+    for j in range(len(start), len(forcing)):
+        cj = top(j) * c[j - 1] + forcing[j] * den
+        c = [v * bottom(j) for v in c]
+        c[j], den = cj, den * bottom(j)
+    return c, den
+
+
+def _round_term(num, den, n) -> RoundTerm:
+    """The RoundTerm of sum_j num[j] s^j / den (integers), in lowest terms."""
+    d = math.gcd(den, *num) * (1 if den > 0 else -1)
+    num, den = [c // d for c in num], den // d
     # Taylor series to x^n of rho = 1 + 2 sum_k (-x)^k, of s = rho^2, and of den g(s) by Horner
     rho = [1] + [2 * (-1) ** k for k in range(1, n + 1)]
-    s = [sum(rho[i] * rho[k - i] for i in range(k + 1)) for k in range(n + 1)]
+    s = _times(rho, rho)[: n + 1]
     g = [0] * (n + 1)
     for c in reversed(num):
-        g = [sum(g[i] * s[k - i] for i in range(k + 1)) for k in range(n + 1)]
+        g = _times(g, s)[: n + 1]
         g[0] += c
-    return FirstOrder(tuple(num), den, g[n] / den, num[1] / (4 * den))
+    return RoundTerm(tuple(num), den, g[n] / den, num[1] / (4 * den), sum(num) / den)
+
+
+def _ratio_recurrence(n):
+    """(top, bottom) of the ratio equation's recurrence in s."""
+    return (lambda j: j * (2 * j - n - 3)), (lambda j: (j - 1) * (2 * j + n + 1))
+
+
+@functools.cache
+def first_order_solution(n) -> RoundTerm:
+    """f_n for the odd boundary dimension n >= 3."""
+    num, _ = _two_term(*_ratio_recurrence(n), [0, 1], [0] * ((n + 3) // 2))
+    return _round_term(num, sum(num), n)  # f_n(0) = g(1) = 1
+
+
+@functools.cache
+def second_order_solution(n) -> tuple:
+    """(g_n, h_n), the eps^2 terms of an SU ratio unknown and of y1, for the
+    odd boundary dimension n >= 3, built on first use."""
+    f = first_order_solution(n)
+    sq = _times([1, -1], _times(f.num, f.num))[: n + 2]  # (1-s) f_n^2, times den^2, to degree n+1
+    scale = 2 * n * f.den**2
+    p, dp = _two_term(*_ratio_recurrence(n), [0, 0], [-(n + 1) * (n + 2) * c for c in sq])
+    a = list(f.num) + [0] * (len(p) - len(f.num))
+    g = [c * f.den - sum(p) * b for c, b in zip(p, a)]  # p - p(1) f_n: g_n(1) = 0
+    h, dh = _two_term(lambda j: (2 * j - 3) * (j - n), lambda j: (2 * j + 1) * (j + n - 1), [0],
+                      [-(n - 1) * (n + 1) * c for c in sq])
+    return _round_term(g, dp * scale * f.den, n), _round_term(h, dh * scale, n)
+
+
+def second_order_weights(bd: BoundaryData):
+    """The eps^2 weight of each unknown's term (y1's h_n, then the ratio
+    unknowns' g_n), a quadratic form in eps = log phi: eps^2 for SU; for the
+    generalized Berger family, with eps = (a, b), a^2 + ab + b^2 for y1,
+    a^2 + 2ab for y2 and -(2ab + b^2) for y3.  None on round data and where
+    max |eps| > 1, where eps^2 > |eps| and the term is no correction."""
+    eps = bd.y_boundary()
+    if bd.is_round or np.abs(eps).max() > 1.0:
+        return None
+    if bd.kind.family == "gberger":
+        a, b = eps
+        return np.array([a * a + a * b + b * b, a * a + 2.0 * a * b, -(2.0 * a * b + b * b)])
+    return np.full(2, eps[0] * eps[0])
 
 
 def seed_values(bd: BoundaryData, xs):
-    """The Newton start's values at xs: each ratio unknown at its first-order
-    solution eps f_n(x), eps = log phi (see FirstOrder), and y1 = 0.  Exact to
-    O(eps^2) near round data and zero on it; y_i(1) = y_i'(1) = 0, and
-    y_i(0) = eps, y_i'(0) = 0 to roundoff."""
+    """The Newton start's values at xs: the solution near round data to
+    second order in eps = log phi.  Each ratio unknown is eps f_n(x) plus its
+    eps^2 weight times g_n(x), and y1 is its weight times h_n(x) (see
+    second_order_weights, which drops the eps^2 term where max |eps| > 1).
+    Exact to O(eps^3) near round data and zero on it; y_i(1) = y_i'(1) = 0,
+    and y_i(0) = eps, y_i'(0) = 0 to roundoff."""
     fam = family(bd.kind, bd.n)
     f, fp = first_order_solution(bd.n)(xs)
     y = np.zeros((fam.m,) + f.shape)
@@ -665,4 +737,26 @@ def seed_values(bd: BoundaryData, xs):
     for i, eps in enumerate(bd.y_boundary(), start=1):
         y[i] = eps * f
         yp[i] = eps * fp
+    w = second_order_weights(bd)
+    if w is not None:
+        g, h = second_order_solution(bd.n)
+        (gv, gp), (hv, hp) = g(xs), h(xs)
+        y[0], yp[0] = w[0] * hv, w[0] * hp
+        y[1:] += np.multiply.outer(w[1:], gv)
+        yp[1:] += np.multiply.outer(w[1:], gp)
     return y, yp
+
+
+def seed_parameters(bd: BoundaryData):
+    """The endpoint parameters of seed_values' solution: log K(0), the
+    nonlocal coefficients and the x=1 free values.  To first order they are
+    0, [x^n] f_n eps and n/(n+3) eps; the eps^2 terms add their weights
+    times h_n(x=0), [x^n] g_n and n/(2(n+3)).  Round data give +0.0, never
+    -0.0."""
+    law, eps = first_order_solution(bd.n), bd.y_boundary()
+    k0, free, infinity = 0.0, law.origin * eps, law.infinity * eps
+    w = second_order_weights(bd)
+    if w is not None:
+        g, h = second_order_solution(bd.n)
+        k0, free, infinity = float(h.value0 * w[0]), free + g.origin * w[1:], infinity + g.infinity * w[1:]
+    return k0, free + 0.0, infinity

@@ -32,7 +32,7 @@ from .series import (
     NonlocalParams,
     evaluate_closure,
     fg_series_origin,
-    first_order_solution,
+    seed_parameters,
     seed_values,
     series_infinity,
 )
@@ -356,19 +356,26 @@ def splu(J, m, N):
     return CyclicReduction(J, m, N) if lapack is None else BandLU(J, m, N, lapack)
 
 
+def factor_name():
+    """(factor, dgbtrf symbol) of what splu runs: ("BandLU", the symbol
+    lapack_gbtrf bound) or ("CyclicReduction", None)."""
+    lapack = lapack_gbtrf()
+    return ("CyclicReduction", None) if lapack is None else ("BandLU", lapack[0].__name__)
+
+
 # ---------------------------------------------------------------------------
 # Newton iteration and drivers
 # ---------------------------------------------------------------------------
 
 
 def seed_profile(bd: BoundaryData, mesh: Mesh, opts: SolveOptions) -> SolutionProfile:
-    """Initial guess: the first-order solution near round data (see
-    seed_values), with its endpoint parameters: the nonlocal coefficients
-    [x^n] f_n * eps and the x=1 free values n/(n+3) * eps, eps = log phi."""
+    """Initial guess: the solution near round data to second order in
+    eps = log phi, at the mesh nodes (seed_values) and at both endpoints
+    (seed_parameters)."""
     y, yp = seed_values(bd, mesh.nodes)
-    law, eps = first_order_solution(bd.n), bd.y_boundary()
-    free = NonlocalParams(tuple(law.origin * eps + 0.0))  # + 0.0: round data give +0.0, never -0.0
-    return SolutionProfile(bd, mesh, y, yp, free=free, infinity_free=law.infinity * eps, tol=opts.tol)
+    k0var, free, infinity = seed_parameters(bd)
+    return SolutionProfile(bd, mesh, y, yp, k0var=k0var, free=NonlocalParams(tuple(free)), infinity_free=infinity,
+                           tol=opts.tol)
 
 
 def newton_solve(bd, mesh, guess, opts: SolveOptions, counters=None):

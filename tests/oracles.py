@@ -10,7 +10,7 @@ from math import comb
 import numpy as np
 
 from ccebvp.series import TRUST_RADIUS, SeriesCoefficients, _pderiv
-from ccebvp.systems import GBERGER, DomainError, _sing_coeff, _source_term, _source_term_jac, family
+from ccebvp.systems import GBERGER, SU, DomainError, _sing_coeff, _source_term, _source_term_jac, family
 
 
 class InfeasibleStateError(DomainError):
@@ -213,13 +213,18 @@ def first_order_coeffs(n):
     return [c / sum(a) for c in a]
 
 
-def first_order_taylor(n, k):
-    """[x^k] f_n, exact: s^j = (1-x)^(2j) (1+x)^(-2j), expanded by binomials."""
+def s_taylor(coeffs, k):
+    """[x^k] sum_j coeffs[j] s^j, exact: s^j = (1-x)^(2j) (1+x)^(-2j), expanded by binomials."""
     return (-1) ** k * sum(
         a * sum(comb(2 * j, i) * comb(2 * j + k - i - 1, k - i) for i in range(min(2 * j, k) + 1))
-        for j, a in enumerate(first_order_coeffs(n))
+        for j, a in enumerate(coeffs)
         if j
     )
+
+
+def first_order_taylor(n, k):
+    """[x^k] f_n, exact."""
+    return s_taylor(first_order_coeffs(n), k)
 
 
 def first_order_exact(coeffs, x):
@@ -240,12 +245,91 @@ def first_order_residual(n, coeffs, x):
     return fpp - ((n - 1) + (n + 1) * x * x) / (x * (1 - x * x)) * fp - 8 * (n + 1) / (1 - x * x) ** 2 * f
 
 
-def first_order(n, x):
-    """(f_n, f_n') at x in [0, 1], floats, from the exact coefficients."""
+def s_values(coeffs, x):
+    """(g, g') of sum_j coeffs[j] s^j at x in [0, 1], floats, from exact coefficients."""
     x = np.asarray(x, dtype=float)
     rho = (1.0 - x) / (1.0 + x)
     s = rho * rho
-    a = first_order_coeffs(n)
-    f = sum(float(c) * s**j for j, c in enumerate(a))
-    dfds = sum(float(j * c) * s ** (j - 1) for j, c in enumerate(a) if j)
-    return f, dfds * (-4.0 * rho / (1.0 + x) ** 2)
+    g = sum(float(c) * s**j for j, c in enumerate(coeffs))
+    dgds = sum(float(j * c) * s ** (j - 1) for j, c in enumerate(coeffs) if j)
+    return g, dgds * (-4.0 * rho / (1.0 + x) ** 2)
+
+
+def first_order(n, x):
+    """(f_n, f_n') at x in [0, 1], floats, from the exact coefficients."""
+    return s_values(first_order_coeffs(n), x)
+
+
+# -- the second-order solution near round data ---------------------------------
+#
+# With y = eps Y1 + eps^2 Y2, each template equation's eps^2 coefficient is
+#   Y2_u'' - x^-1 (a + b x^2)(1-x^2)^-1 Y2_u' + Y1'^T Q Y1'
+#     + (1-x^2)^-2 sum_a w_a (v_a . Y2 + (v_a . Y1)^2 / 2),
+# read off the family's own tables.  The SU terms (g_n in the ratio unknown,
+# h_n in y1) are polynomials of degree n+1 in s that vanish at x = 1; the
+# oracle finds them by collocating the phi row (with g_n(0) = 0) and eq 2 at
+# rational points, in Fractions, so it shares no recurrence with the package.
+
+
+def _rational(v):
+    """A table entry (a float such as -1/3 or 6/5) as the exact rational it stands for."""
+    return Fraction(float(v)).limit_denominator(1000)
+
+
+def second_order_residual(fam, x, first, second):
+    """The eps^2 coefficient of every template equation (in fam.eqs order)
+    at a rational x, exact, for y = eps Y1 + eps^2 Y2 with each unknown of
+    Y1 and Y2 given as its coefficients in s."""
+    x = Fraction(x)
+    y1 = [first_order_exact(c, x) for c in first]
+    y2 = [first_order_exact(c, x) for c in second]
+    out = []
+    for i, eq in enumerate(fam.eqs):
+        u = eq.unknown
+        a, b = map(_rational, fam.sing[i])
+        r = y2[u][2] - (a + b * x * x) / (x * (1 - x * x)) * y2[u][1]
+        r += sum(_rational(eq.quad[p, q]) * y1[p][1] * y1[q][1] for p in range(fam.m) for q in range(fam.m))
+        if eq.src is not None:
+            for w, v in zip(*eq.src):
+                v2 = sum(_rational(c) * t[0] for c, t in zip(v, y2))
+                v1 = sum(_rational(c) * t[0] for c, t in zip(v, y1))
+                r += _rational(w) * (v2 + v1 * v1 / 2) / (1 - x * x) ** 2
+        out.append(r)
+    return out
+
+
+def _solve_exact(rows, rhs):
+    """x with rows @ x = rhs, by Gaussian elimination in Fractions."""
+    n = len(rhs)
+    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if aug[i][k] != 0)
+        aug[k], aug[p] = aug[p], aug[k]
+        for i in range(k + 1, n):
+            t = aug[i][k] / aug[k][k]
+            aug[i] = [a - t * c for a, c in zip(aug[i], aug[k])]
+    x = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        x[k] = (aug[k][n] - sum(aug[k][j] * x[j] for j in range(k + 1, n))) / aug[k][k]
+    return x
+
+
+def second_order_coeffs(n):
+    """Exact coefficients in s of (g_n, h_n), each (c_0 = 0, c_1, ..., c_(n+1))."""
+    fam = family(SU, n)
+    zero, f = [Fraction(0)], first_order_coeffs(n)
+    xs = [Fraction(k, n + 2) - Fraction(1, 1000) for k in range(1, n + 2)]
+    basis = [[Fraction(0)] * j + [Fraction(1)] for j in range(1, n + 2)]
+    terms = []
+    for unknown, row in ((1, 1), (0, fam.m)):  # g_n from the phi row, h_n from eq 2
+
+        def eps2(x, first, c):
+            second = [c, zero] if unknown == 0 else [zero, c]
+            return second_order_residual(fam, x, first, second)[row]
+
+        rows = [[eps2(x, [zero, zero], c) for c in basis] for x in xs]
+        rhs = [-eps2(x, [zero, f], zero) for x in xs]
+        if unknown == 1:  # g_n(0) = g_n(s = 1) = 0 replaces the last point
+            rows[-1], rhs[-1] = [Fraction(1)] * (n + 1), Fraction(0)
+        terms.append([Fraction(0)] + _solve_exact(rows, rhs))
+    return tuple(terms)

@@ -14,11 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccebvp import cli, config, geometry, verification
+from ccebvp import cli, config, geometry, solver, verification
 from ccebvp.cli import main
 from ccebvp.config import ParseError, parse_config
 from ccebvp.continuation import SweepPlan
 from ccebvp.exports import config_hash, export_profile_csv, fmt, load_profile_csv
+from ccebvp.factor import lapack_gbtrf
 from ccebvp.solver import SolveOptions, solve_bvp
 from ccebvp.systems import GBERGER, SU, BoundaryData, UsageError
 
@@ -590,10 +591,55 @@ class TestUsageErrors:
         assert main(argv) == 1
         assert "usage: cce" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, fault", [
+        (["--bogus"], "unrecognized arguments: --bogus"),
+        (["--bogus", "solve", "--config", "run.cfg"], "unrecognized arguments: --bogus"),
+        (["solve", "--config", "run.cfg", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+        (["verify"], "the following arguments are required: profile"),
+    ])
+    def test_usage_error_names_its_fault(self, argv, fault, capsys):
+        # an unknown flag is named even with no command: argparse alone
+        # checks the missing command first and reports that instead
+        assert main(argv) == 1
+        assert capsys.readouterr().err.strip().endswith(f"error: {fault}")
+
     @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
     def test_help_exit_zero(self, argv, capsys):
         assert main(argv) == 0
         assert "usage: cce" in capsys.readouterr().out
+
+
+class TestProvenance:
+    def test_names_the_factor(self, tmp_path, monkeypatch):
+        # a solve's report.json says which factor it ran: BandLU with the
+        # dgbtrf symbol lapack_gbtrf bound, or the CyclicReduction fallback;
+        # verify, which factors nothing, names none
+        cfg = write_cfg(tmp_path, "system = su\nn = 5\nphi0 = 0.8\ngrid = 24\ntol = 1e-6\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) in (0, 2)
+        assert main(["verify", str(tmp_path / "profile.csv")]) in (0, 2)
+        solved, verified = (json.loads((d / "report.json").read_text())["provenance"]
+                            for d in (tmp_path, tmp_path / "verify"))
+        bound = lapack_gbtrf()
+        want = ("CyclicReduction", None) if bound is None else ("BandLU", bound[0].__name__)
+        assert (solved["factor"], solved["dgbtrf"]) == want
+        assert "factor" not in verified and "dgbtrf" not in verified
+        monkeypatch.setattr(solver, "lapack_gbtrf", lambda: None)
+        assert solver.factor_name() == ("CyclicReduction", None)
+
+
+def test_near_round_solve_imports_no_fractions(tmp_path):
+    # the second-order seed is built in integers: a near-round `cce solve`
+    # (SU n=5 at 0.8, where the seed carries its eps^2 term) loads neither
+    # fractions nor the decimal module it imports
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    cfg = write_cfg(tmp_path, "system = su\nn = 5\nphi0 = 0.8\ngrid = 64\n")
+    code = ("import sys; from ccebvp.cli import main; "
+            f"rc = main(['solve', '--config', {cfg!r}, '--out', {str(tmp_path)!r}, '--quiet']); "
+            "print(rc, [k for k in ('fractions', 'decimal') if k in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout.strip() == "0 []"
 
 
 class TestVerifyExport:
@@ -924,6 +970,7 @@ class TestSweepTelemetry:
         out = capsys.readouterr().out
         doc = json.loads((tmp_path / "event.json").read_text())
         assert doc["solves"] > 0 and f"solves={doc['solves']}" in out
+        assert (doc["provenance"]["factor"], doc["provenance"]["dgbtrf"]) == solver.factor_name()
         assert not any(line.startswith("# rejected=") for line in (tmp_path / "trace.csv").read_text().splitlines())
 
 

@@ -2,8 +2,9 @@
 
 SU n=3 has an exact filling, Pedersen's metric (tests/oracles.py); every SU
 n has the x=1 coefficient law infinity_free[0] = n(lambda-1)/(n+3); and every
-family has an exact first-order solution near round data, eps f_n(x) in
-each ratio unknown (tests/oracles.py, ccebvp.series.FirstOrder).  Every
+family has an exact solution near round data to second order, eps f_n(x)
+in each ratio unknown plus eps^2 terms g_n and h_n (tests/oracles.py,
+ccebvp.series.RoundTerm).  Every
 solve is `solve_bvp(bd, SolveOptions())`, the default config (grid 128,
 tol 1e-10, three refinement rounds).  Known gaps are strict xfails naming
 their ROADMAP item and the measured error: near the window's lower edge the
@@ -18,8 +19,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from ccebvp.series import first_order_solution
-from ccebvp.solver import SolveOptions, solve_bvp
+from ccebvp.series import first_order_solution, second_order_solution
+from ccebvp.solver import XL, SolveOptions, make_mesh, solve_bvp
 from ccebvp.systems import GBERGER, SU, BoundaryData, constraint_residual, family
 from oracles import (
     Pedersen,
@@ -28,6 +29,10 @@ from oracles import (
     first_order_exact,
     first_order_residual,
     first_order_taylor,
+    s_taylor,
+    s_values,
+    second_order_coeffs,
+    second_order_residual,
 )
 
 TOL = 1e-9
@@ -200,3 +205,128 @@ class TestFirstOrder:
             dev, y1, _ = self.deviation(bd, [a, b], eps)
             assert dev == pytest.approx(c, rel=2e-3)
             assert y1 == pytest.approx(0.0472 * (a * a + a * b + b * b), rel=1e-2)
+
+
+@lru_cache(maxsize=None)
+def second_order_oracle(n):
+    return second_order_coeffs(n)
+
+
+def gberger_weights(a, b):
+    """The eps^2 weights of (y1, y2, y3) on the generalized Berger family at log phi = eps (a, b)."""
+    return a * a + a * b + b * b, a * a + 2 * a * b, -(2 * a * b + b * b)
+
+
+class TestSecondOrder:
+    """g_n and h_n, the eps^2 terms of each ratio unknown and of y1 near round
+    data: the package's exact coefficients against the oracle's, every
+    template equation in exact rationals, Pedersen's metric, the x=1 law,
+    and the solver at the O(eps^3) rate."""
+
+    @staticmethod
+    def coeffs(term):
+        return [Fraction(c, term.den) for c in term.num]
+
+    @pytest.mark.parametrize("n", range(3, 23, 2))
+    def test_matches_the_oracle(self, n):
+        g, h = second_order_solution(n)
+        og, oh = second_order_oracle(n)
+        assert self.coeffs(g) == og and self.coeffs(h) == oh
+        assert len(og) == len(oh) == n + 2 and og[-1] != 0 and oh[-1] != 0  # degree n+1
+        # the endpoint parameters per unit eps^2, correctly rounded
+        assert g.origin == float(s_taylor(og, n)) and h.value0 == float(sum(oh))
+        assert g.infinity == float(Fraction(n, 2 * (n + 3)))
+
+    @pytest.mark.parametrize("n", range(3, 23, 2))
+    def test_solves_every_equation_exactly(self, n):
+        # eq 1, the phi row and eq 2 at points the oracle did not collocate
+        # (it never used eq 1)
+        g, h = second_order_oracle(n)
+        fam, f = family(SU, n), first_order_coeffs(n)
+        for x in (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(17, 20)):
+            assert second_order_residual(fam, x, [[0], f], [h, g]) == [0, 0, 0]
+        # y2(0) = eps stays exact and y'(0) = 0; at x=1 both terms vanish to
+        # first order, h_n to second
+        assert first_order_exact(g, 0)[:2] == (0, 0) and first_order_exact(h, 0)[1] == 0
+        assert first_order_exact(g, 1)[:2] == (0, 0) and first_order_exact(h, 1) == (0, 0, 0)
+        # regular at x=0 up to the free order: no odd Taylor coefficient below x^n
+        assert all(s_taylor(g, k) == 0 == s_taylor(h, k) for k in range(1, n, 2))
+
+    @pytest.mark.parametrize("n", range(3, 23, 2))
+    def test_infinity_law_to_second_order(self, n):
+        # the x=1 free value's eps^2 coefficient, g_n''(1)/2 = n/(2(n+3)), is the
+        # eps^2 Taylor term of the measured law n(e^eps - 1)/(n+3)
+        g, _ = second_order_oracle(n)
+        assert first_order_exact(g, 1)[2] / 2 == Fraction(n, 2 * (n + 3))
+
+    def test_pedersen_to_second_order(self):
+        # Pedersen's eps^2 terms in closed form: y2 gains -s(s-6)(s-1)^2/6 and
+        # y1 is -2s^2(5s^2-16s+14)/105
+        g, h = second_order_oracle(3)
+        assert g == [0, 1, Fraction(-13, 6), Fraction(4, 3), Fraction(-1, 6)]
+        assert h == [0, 0, Fraction(-4, 15), Fraction(32, 105), Fraction(-2, 21)]
+        # and against the metric itself: the even part (y(delta) + y(-delta))/2
+        # at lambda = e^(+-delta) is delta^2 (h, g) + O(delta^4)
+        x = np.linspace(0.05, 0.95, 19)
+        want = np.array([s_values(h, x)[0], s_values(g, x)[0]])
+        for delta, bound in ((1e-2, 1e-6), (1e-3, 1e-8)):
+            up, down = Pedersen(np.exp(delta)), Pedersen(np.exp(-delta))
+            even = (up.y(x)[0] + down.y(x)[0]) / (2.0 * delta**2)
+            assert np.abs(even - want).max() <= bound
+            assert abs((up.log_k0() + down.log_k0()) / (2.0 * delta**2) - float(sum(h))) <= bound
+
+    @pytest.mark.parametrize("a,b", [(1, 0), (0, 1), (1, -2), (Fraction(7, 10), Fraction(3, 10))])
+    def test_gberger_forms_solve_every_equation_exactly(self, a, b):
+        # the generalized Berger family takes g_3 and h_3 times the quadratic
+        # forms of gberger_weights: every equation's eps^2 coefficient vanishes
+        g, h = second_order_oracle(3)
+        f, fam = first_order_coeffs(3), family(GBERGER, 3)
+        w1, w2, w3 = gberger_weights(a, b)
+        first = [[0], [a * c for c in f], [b * c for c in f]]
+        second = [[w1 * c for c in h], [w2 * c for c in g], [w3 * c for c in g]]
+        for x in (Fraction(1, 10), Fraction(1, 2), Fraction(17, 20)):
+            assert second_order_residual(fam, x, first, second) == [0, 0, 0, 0]
+
+    def test_gberger_y1_law(self):
+        # the measured law max |y1| / eps^2 = 0.0472 (a^2 + ab + b^2) on the
+        # gberger solves is max |h_3| over the mesh: |h_3| grows with s, so it
+        # peaks at the first node XL = 0.1, s = (0.9/1.1)^2
+        _, h = second_order_oracle(3)
+        nodes = make_mesh(128).nodes
+        hv = np.abs(s_values(h, nodes)[0])
+        assert nodes[0] == XL and hv.argmax() == 0
+        s = Fraction(9, 11) ** 2
+        assert round(float(-sum(c * s**j for j, c in enumerate(h))), 4) == 0.0472
+
+    @staticmethod
+    def deviation(bd, direction, weights, eps):
+        """The default solve at log phi = eps * direction, with eps^2 weights
+        w per unit eps^2: max |y_ratio - eps direction f_n - eps^2 w g_n| / eps^3
+        and max |y1 - eps^2 w_1 h_n| / eps^3."""
+        prof, rep = solve_bvp(bd, SolveOptions())
+        assert rep.converged
+        x = prof.mesh.nodes
+        g, h = (s_values(c, x)[0] for c in second_order_oracle(bd.n))
+        f, _ = first_order(bd.n, x)
+        ratio = prof.y[1:] - eps * np.outer(direction, f) - eps**2 * np.outer(weights[1:], g)
+        return np.abs(ratio).max() / eps**3, np.abs(prof.y[0] - eps**2 * weights[0] * h).max() / eps**3
+
+    @pytest.mark.parametrize("n,c,c1", [(3, 0.01963, 0.01203), (5, 0.01959, 0.01467), (7, 0.01917, 0.01556),
+                                        (9, 0.01876, 0.01595)])
+    def test_su_solves_at_the_third_order_rate(self, n, c, c1):
+        # what the second-order solution leaves falls as eps^3, on either side
+        for eps in (2e-2, 1e-2):
+            for sign in (1.0, -1.0):
+                bd = BoundaryData(SU, n, (np.exp(sign * eps),))
+                dev, y1 = self.deviation(bd, [sign], np.ones(2), eps)
+                assert dev == pytest.approx(c, rel=2e-3) and y1 == pytest.approx(c1, rel=2e-3)
+
+    @pytest.mark.parametrize("a,b,c,c1", [(1.0, 0.0, 0.01963, 0.01203), (0.0, 1.0, 0.01963, 0.01203),
+                                          (1.0, -2.0, 0.1178, 0.0), (0.7, 0.3, 0.01086, 0.005317)])
+    def test_gberger_solves_at_the_third_order_rate(self, a, b, c, c1):
+        # along (1, -2) y1 has no eps^3 term: what is left there is O(eps^4)
+        for eps in (2e-2, 1e-2):
+            bd = BoundaryData(GBERGER, 3, (np.exp(a * eps), np.exp(b * eps)))
+            dev, y1 = self.deviation(bd, [a, b], np.array(gberger_weights(a, b)), eps)
+            assert dev == pytest.approx(c, rel=2e-3)
+            assert y1 == pytest.approx(c1, rel=2e-3) if c1 else y1 <= 0.02 * eps

@@ -32,7 +32,15 @@ from ccebvp.systems import (
     family,
 )
 
-from oracles import _eval_table, evaluate_series, first_order, first_order_taylor
+from oracles import (
+    _eval_table,
+    evaluate_series,
+    first_order_coeffs,
+    first_order_taylor,
+    s_taylor,
+    s_values,
+    second_order_coeffs,
+)
 
 TABLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "series_tables.npz")
 
@@ -299,20 +307,52 @@ class TestSeed:
 
     @pytest.mark.parametrize("bd", [BoundaryData(SU, 3, (0.7,)), BoundaryData(SU, 9, (1.3,)),
                                     BoundaryData(GBERGER, 3, (0.95, 1.02))], ids=str)
-    def test_first_order_solution(self, bd):
-        # each ratio row is log(phi) f_n (f_3 for both gberger rows), y1 is
-        # zero, and the seed profile carries the matching endpoint parameters
-        mesh = make_mesh(32)
+    def test_second_order_solution(self, bd):
+        # each ratio row is log(phi) f_n plus its eps^2 weight times g_n, y1
+        # is its weight times h_n (the oracle's terms; SU weighs both by
+        # eps^2, gberger by the quadratic forms below), and the seed profile
+        # carries the matching endpoint parameters
+        mesh, n = make_mesh(32), bd.n
         eps = np.log(bd.phi0)
+        if bd.kind == GBERGER:
+            a, b = eps
+            w = np.array([a * a + a * b + b * b, a * a + 2 * a * b, -(2 * a * b + b * b)])
+        else:
+            w = np.full(2, eps[0] ** 2)
+        g, h = second_order_coeffs(n)
+        (f, fp), (gv, gp), (hv, hp) = (s_values(c, mesh.nodes) for c in (first_order_coeffs(n), g, h))
         y, yp = seed_values(bd, mesh.nodes)
-        f, fp = first_order(bd.n, mesh.nodes)
-        assert np.all(y[0] == 0.0) and np.all(yp[0] == 0.0)
-        assert np.allclose(y[1:], np.outer(eps, f), rtol=1e-14, atol=0.0)
-        assert np.allclose(yp[1:], np.outer(eps, fp), rtol=1e-14, atol=0.0)
+        for got, want in ((y, np.vstack([w[0] * hv, np.outer(eps, f) + np.outer(w[1:], gv)])),
+                          (yp, np.vstack([w[0] * hp, np.outer(eps, fp) + np.outer(w[1:], gp)]))):
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-15 * np.abs(want).max())
         prof = seed_profile(bd, mesh, SolveOptions())
-        assert np.array_equal(prof.y, y) and np.array_equal(prof.yp, yp) and prof.k0var == 0.0
-        assert prof.free.coeffs == tuple(float(first_order_taylor(bd.n, bd.n)) * eps)
-        assert np.array_equal(prof.infinity_free, bd.n / (bd.n + 3.0) * eps)
+        assert np.array_equal(prof.y, y) and np.array_equal(prof.yp, yp)
+        assert prof.k0var == pytest.approx(w[0] * float(sum(h)), rel=1e-14)
+        free = float(first_order_taylor(n, n)) * eps + float(s_taylor(g, n)) * w[1:]
+        assert prof.free.coeffs == pytest.approx(free, rel=1e-14)
+        assert prof.infinity_free == pytest.approx(n / (n + 3) * eps + n / (2 * (n + 3)) * w[1:], rel=1e-14)
+
+    @pytest.mark.parametrize("bd", [BoundaryData(GBERGER, 3, (3.0, 3.0)), BoundaryData(SU, 7, (0.01,)),
+                                    BoundaryData(GBERGER, 3, (1e-300, 1.0)), BoundaryData(GBERGER, 3, (1.0, 1e-200))],
+                             ids=str)
+    def test_gate_keeps_the_first_order_seed(self, bd):
+        # where some |eps| > 1 the eps^2 term would outgrow the eps term, so
+        # the seed stays the first-order solution: y1 = 0 and eps f_n, with
+        # its endpoint parameters, bit for bit
+        assert series.second_order_weights(bd) is None
+        mesh = make_mesh(32)
+        law, eps = series.first_order_solution(bd.n), bd.y_boundary()
+        f, fp = law(mesh.nodes)
+        prof = seed_profile(bd, mesh, SolveOptions())
+        assert np.all(prof.y[0] == 0.0) and np.all(prof.yp[0] == 0.0) and prof.k0var == 0.0
+        assert np.array_equal(prof.y[1:], np.outer(eps, f)) and np.array_equal(prof.yp[1:], np.outer(eps, fp))
+        assert prof.free.coeffs == tuple(law.origin * eps)
+        assert np.array_equal(prof.infinity_free, law.infinity * eps)
+
+    def test_gate_edge(self):
+        # |eps| = 1 still takes the eps^2 term; just above it does not
+        assert series.second_order_weights(BoundaryData(SU, 5, (np.exp(1.0),))) is not None
+        assert series.second_order_weights(BoundaryData(SU, 5, (np.exp(-1.0 - 1e-12),))) is None
 
     @pytest.mark.parametrize("kind,n", [(SU, 3), (SU, 5), (SU, 9), (GBERGER, 3)])
     def test_round_profile_has_no_negative_zero(self, kind, n):

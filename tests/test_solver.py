@@ -740,7 +740,7 @@ class TestPolish:
         # mesh defeats it, so no step is taken (a run stops just under its
         # tol, so the start is solved at a tighter one)
         bd = BoundaryData(SU, 5, (0.8,))
-        prof = solve_bvp(bd, small_opts(tol=1e-11))[0]
+        prof = solve_bvp(bd, small_opts(tol=1e-12))[0]
         opts = small_opts(tol=3e-12)
         start = guess_from(bd, [prof], [1.0], opts)
         assert np.abs(assemble_collocation(bd, prof.mesh, start)[0]).max() <= opts.tol
@@ -811,8 +811,9 @@ class TestPolish:
 
     def test_acceptance_size_work(self):
         # the five 768-node acceptance solves at tol 1e-10 (the acc768 bench
-        # workload): each converges in one Newton run from the seed, on one
-        # factor, so a second start cannot come back unseen
+        # workload): each converges in one Newton run from the second-order
+        # seed, on one factor, so a second start or a poorer seed cannot
+        # come back unseen
         cases = [(SU, 5, (phi,)) for phi in (0.6, 0.8, 1.25, 1.6)] + [(GBERGER, 3, (0.95, 1.02))]
         assemblies = jacobians = factorisations = 0
         for args in cases:
@@ -821,7 +822,7 @@ class TestPolish:
             assemblies += rep.counters["assemblies"]
             jacobians += rep.counters["jacobians"]
             factorisations += rep.counters["lu_factorisations"]
-        assert assemblies <= 27 and jacobians <= 5 and factorisations <= 5
+        assert assemblies <= 17 and jacobians <= 5 and factorisations <= 5
 
 
 class TestSimplifiedNewton:
