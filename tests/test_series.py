@@ -35,6 +35,7 @@ from ccebvp.systems import (
 from oracles import (
     _eval_table,
     evaluate_series,
+    first_order,
     first_order_coeffs,
     first_order_taylor,
     s_taylor,
@@ -307,6 +308,29 @@ class TestSeed:
 
     @pytest.mark.parametrize("bd", [BoundaryData(SU, 3, (0.7,)), BoundaryData(SU, 9, (1.3,)),
                                     BoundaryData(GBERGER, 3, (0.95, 1.02))], ids=str)
+    def test_first_order_solution(self, bd):
+        # the eps^2 weights are even in eps, so the part of the seed odd in
+        # eps is the first-order solution: each ratio row is log(phi) f_n
+        # (f_3 for both gberger rows), y1 is zero, and the endpoint
+        # parameters are the first-order ones
+        mesh = make_mesh(32)
+        eps = np.log(bd.phi0)
+        flip = dataclasses.replace(bd, phi0=tuple(np.exp(-eps)))
+        (y, yp), (ym, ypm) = seed_values(bd, mesh.nodes), seed_values(flip, mesh.nodes)
+        f, fp = first_order(bd.n, mesh.nodes)
+        odd = lambda a, b: (a - b) / 2.0  # noqa: E731
+        for got, want in ((odd(y, ym), np.outer(eps, f)), (odd(yp, ypm), np.outer(eps, fp))):
+            assert np.abs(got[0]).max() <= 1e-16
+            assert np.allclose(got[1:], want, rtol=1e-14, atol=1e-16)
+        prof, profm = seed_profile(bd, mesh, SolveOptions()), seed_profile(flip, mesh, SolveOptions())
+        assert abs(odd(prof.k0var, profm.k0var)) <= 1e-16
+        free = odd(np.array(prof.free.coeffs), np.array(profm.free.coeffs))
+        assert free == pytest.approx(float(first_order_taylor(bd.n, bd.n)) * eps, rel=1e-14)
+        inf = odd(np.asarray(prof.infinity_free), np.asarray(profm.infinity_free))
+        assert inf == pytest.approx(bd.n / (bd.n + 3.0) * eps, rel=1e-14)
+
+    @pytest.mark.parametrize("bd", [BoundaryData(SU, 3, (0.7,)), BoundaryData(SU, 9, (1.3,)),
+                                    BoundaryData(GBERGER, 3, (0.95, 1.02))], ids=["su3", "su9", "gberger"])
     def test_second_order_solution(self, bd):
         # each ratio row is log(phi) f_n plus its eps^2 weight times g_n, y1
         # is its weight times h_n (the oracle's terms; SU weighs both by
@@ -334,7 +358,7 @@ class TestSeed:
 
     @pytest.mark.parametrize("bd", [BoundaryData(GBERGER, 3, (3.0, 3.0)), BoundaryData(SU, 7, (0.01,)),
                                     BoundaryData(GBERGER, 3, (1e-300, 1.0)), BoundaryData(GBERGER, 3, (1.0, 1e-200))],
-                             ids=str)
+                             ids=["gberger-3-3", "su7-0.01", "gberger-1e-300", "gberger-1e-200"])
     def test_gate_keeps_the_first_order_seed(self, bd):
         # where some |eps| > 1 the eps^2 term would outgrow the eps term, so
         # the seed stays the first-order solution: y1 = 0 and eps f_n, with
