@@ -16,8 +16,10 @@ kernel over the lags between orders that maps the history of lower orders
 source terms) onto each order's residual coefficient, and per order the
 negated inverse of the exactly-linear indicial map onto the order-k
 coefficients.  Each order then costs one product for its residual and one
-for its column.  A batch axis carries the complex-step perturbations that
-give the origin tables' input tangents in one pass.
+for its column, one for its i c_i and one each for Miller's sum and the
+Cauchy products.  A batch axis carries the complex-step perturbations that
+give the origin tables' input tangents in one pass; the three linear
+products, whose operators are real, act on float views of it.
 
 At x=1 the recursion's table is a polynomial in the free values (column k
 of total degree k//2), so series_infinity evaluates that polynomial instead:
@@ -105,13 +107,6 @@ class SeriesCoefficients:
 # inverses are built once per (Family object, endpoint, order) and cached; a
 # leading batch axis of the history carries complex-step perturbations of
 # the inputs.
-
-
-def _pderiv(c):
-    """Derivative of coefficient series along the last axis (same length)."""
-    out = np.zeros_like(c)
-    out[..., :-1] = c[..., 1:] * np.arange(1, c.shape[-1])
-    return out
 
 
 def _closing_rows(fam: Family, endpoint, L):
@@ -260,35 +255,49 @@ def _inconsistent(ops: _Operators, residual):
 
 class _Workspace:
     """The buffers of one batch shape's recursion, and per order the views
-    and dtype-matched operators that its products read and write (the
-    history H and the i c_i table ic, both zeroed on every call).  Two
-    threads recursing at once would share it; the package starts none."""
+    and operators that its products read and write (the history H and the
+    i c_i table ic, both zeroed on every call).  The three linear products
+    (the kernel, the indicial inverse and V D) act on float views of the
+    buffers: on a complex-step batch each real operator A acts as
+    kron(A, I_2) on the interleaved real and imaginary parts, which real
+    BLAS does faster than complex BLAS on these shapes.  Two threads
+    recursing at once would share it; the package starts none."""
 
     def __init__(self, ops: _Operators, order, B, dtype):
         m = ops.kernel.shape[1]
         T = ops.VT.shape[1]
         F = ops.kernel.shape[0] // (order + 1)
+        pair = np.dtype(dtype).kind == "c"  # floats per entry: 1 + pair
+
+        def as_real(A):
+            return np.kron(A, np.eye(2)) if pair else A
+
+        def fv(a):  # the float view
+            return a.view(np.float64)
+
         self.H = H = np.zeros((B, order + 1, F), dtype=dtype)  # row order - t holds order t
-        self.ic = ic = np.zeros((B, T, order + 1), dtype=dtype)  # i c_i, c = V C
+        self.ic = ic = np.zeros((B, order + 1, T), dtype=dtype)  # row i holds i c_i, c = V C
         self.D, self.E = D, E = H[..., :m], H[..., F - T :]
-        self.VT = ops.VT.astype(dtype)
         self.t = np.arange(1.0, order + 1)[:, None]  # D_t -> C_t
         self.res = np.empty((B, m), dtype=dtype)  # residual coefficient k-1 without column k
-        self.ick = np.empty((B, T), dtype=dtype)
         self.tmp = np.empty((B, T), dtype=dtype)
-        self.pairs = np.empty((B, m, m), dtype=dtype)  # the Cauchy products, before they enter H
-        kernel = ops.kernel.astype(dtype)
+        self.VTf = as_real(ops.VT)
+        kernel = as_real(ops.kernel)
+        # Miller's sum at order k completes E_(k-lag): at the origin, whose
+        # kernel reads no lag 0, E_(k-1) with its E_0 term; at x=1 the
+        # partial E_k that lag 0 reads, completed once column k is known
+        lag = 1 - ops.shift
         self.orders = []
         for k in range(ops.start, order + 1):
             r = order - k  # the row of order k; rows r+1..order-1 hold orders k-1..1
-            past = slice(r + 1, order)
-            miller = (ic[:, :, None, 1:k], E[:, past].transpose(0, 2, 1)[..., None], E[:, r, :, None, None])
-            cauchy = (D[:, order - 1 : r : -1].transpose(0, 2, 1), D[:, past],
+            miller = (ic[:, None, 1:k].transpose(0, 3, 1, 2), E[:, r + 1 + lag : order + lag].transpose(0, 2, 1)[..., None],
+                      E[:, r + lag, :, None, None], k - lag)
+            cauchy = (D[:, order - 1 : r : -1].transpose(0, 2, 1), D[:, r + 1 : order],
                       H[:, r + 1, 2 * m : 2 * m + m * m].reshape(B, m, m))
-            solve = None if ops.solve[k] is None else ops.solve[k].astype(dtype)
+            solve = None if ops.solve[k] is None else as_real(ops.solve[k])
             DY = H[:, r, : 2 * m]
-            self.orders.append((k, r, E[:, r], miller, cauchy, H[:, r:].reshape(B, -1), kernel[: (k + 1) * F],
-                                solve, DY, DY[:, :m], ic[:, :, k]))
+            self.orders.append((k, r, miller, cauchy, fv(H[:, r:].reshape(B, -1)), kernel[: (k + 1) * F * (1 + pair)],
+                                solve, DY, fv(DY), fv(DY[:, :m]), E[:, r], ic[:, k], fv(ic[:, k])))
 
 
 @functools.cache  # the origin's batches only: one real, and one complex-step per family and order
@@ -308,10 +317,13 @@ def _solve_recursion(fam: Family, endpoint, order, col0, free_vals):
     (n at the origin, 2 at infinity) the non-K block is singular: free_vals
     (B, m-1) are inserted and the residual coefficients checked for
     consistency.  The exponential terms advance by J.C.P. Miller's
-    power-series recurrence E_j = (1/j) sum_i i c_i E_{j-i}, where i c_i = V D_i;
-    column k enters E_k only through c_k E_0, added once the column is known.
-    Every product writes into the batch shape's workspace, built once for
-    the origin and per call for the x=1 polynomial's one-off batches.
+    power-series recurrence E_j = (1/j) sum_i i c_i E_{j-i}, where i c_i = V D_i.
+    The origin's kernel reads E_j from order j+1 on, so order k completes
+    E_(k-1), E_0 term included, before its residual; at x=1 the residual of
+    order k reads the partial E_k, which column k completes through
+    c_k E_0.  Every product writes into the batch shape's workspace, built
+    once for the origin and per call for the x=1 polynomial's one-off
+    batches.
     """
     ops = _operators(fam, endpoint, order)
     B, m = col0.shape
@@ -321,21 +333,20 @@ def _solve_recursion(fam: Family, endpoint, order, col0, free_vals):
         ws = _Workspace(ops, order, B, col0.dtype)
     ws.H[...] = 0.0
     ws.ic[...] = 0.0
-    D, res, ick, tmp, pairs = ws.D, ws.res, ws.ick, ws.tmp, ws.pairs
-    e0 = np.exp(col0 @ ws.VT)
+    D, res, tmp, VTf = ws.D, ws.res, ws.tmp, ws.VTf
+    resf = res.view(np.float64)
     if not ops.shift:  # E_0 is a source state at the origin only
-        ws.E[:, order] = e0
+        ws.E[:, order] = np.exp(col0 @ ops.VT)
     consistency = np.zeros(B)
-    for k, r, E_r, miller, cauchy, hist, kernel, solve, DY, DY_m, ic_k in ws.orders:
+    for k, r, miller, cauchy, hist, kernel, solve, DY, DYf, DY_m, E_r, ic_k, ic_kf in ws.orders:
         if k == ops.singular:
             raise SeriesRecursionError(f"vanishing indicial factor at order {k}")
         if k >= 2:
             np.matmul(miller[0], miller[1], out=miller[2])
-            np.divide(E_r, k, out=E_r)
-            np.matmul(cauchy[0], cauchy[1], out=pairs)
-            cauchy[2][...] = pairs
-        np.matmul(hist, kernel, out=res)
-        np.matmul(res, solve, out=DY)
+            np.divide(miller[2], miller[3], out=miller[2])
+            np.matmul(cauchy[0], cauchy[1], out=cauchy[2])
+        np.matmul(hist, kernel, out=resf)
+        np.matmul(resf, solve, out=DYf)
         if k == ops.free_order:
             consistency = np.abs(res[:, 1:] + free_vals @ ops.free_block.T).max(axis=1)
             low = np.abs(D[:, r + 1 : order]) / ws.t[k - 2 :: -1]
@@ -344,11 +355,10 @@ def _solve_recursion(fam: Family, endpoint, order, col0, free_vals):
                 raise _inconsistent(ops, consistency.max())
             DY[:, 1:m] = k * free_vals
             DY[:, m + 1 :] = k * (k - 1.0) * free_vals
-        np.matmul(DY_m, ws.VT, out=ick)
-        ic_k[...] = ick
-        np.multiply(ick, e0, out=tmp)
-        np.divide(tmp, k, out=tmp)
-        np.add(E_r, tmp, out=E_r)
+        np.matmul(DY_m, VTf, out=ic_kf)
+        if ops.shift:  # at x=1: E_k += c_k E_0 / k, with E_0 = 1
+            np.divide(ic_k, k, out=tmp)
+            np.add(E_r, tmp, out=E_r)
     C = np.empty((B, m, order + 1), dtype=col0.dtype)
     C[:, :, 0] = col0
     C[:, :, 1:] = (D[:, order - 1 :: -1] / ws.t).transpose(0, 2, 1)
@@ -578,15 +588,27 @@ def series_infinity(
 def evaluate_closure(sc: SeriesCoefficients, x):
     """(y, y', d(y, y')/d input) of the series at one point x: shapes (m,),
     (m,) and (2m, inputs), the last None when sc has no tangents.  The table
-    and its tangent tables share one pass (powers, derivative tables,
-    products), with no y''."""
+    and its tangent tables share one product with the power vector at x and
+    one with the derivative-power vector, with no y''."""
     t, dsign = (x, 1.0) if sc.endpoint == "origin" else (1.0 - x, -1.0)
     tables = sc.table[None] if sc.tangents is None else np.concatenate([sc.table[None], sc.tangents])
-    powers = np.asarray(t)[..., None] ** np.arange(tables.shape[-1])
+    powers, dpowers = power_vectors(t, tables.shape[-1], 2)
     y = powers @ np.swapaxes(tables, -1, -2)
-    yp = dsign * (powers @ np.swapaxes(_pderiv(tables), -1, -2))
+    yp = dsign * (dpowers @ np.swapaxes(tables, -1, -2))
     jac = None if sc.tangents is None else np.concatenate([y[1:].T, yp[1:].T])
     return y[0], yp[0], jac
+
+
+def power_vectors(t, L, count):
+    """The first count of t^k, k t^(k-1), k(k-1) t^(k-2), ... for k < L, each
+    shaped t.shape + (L,): the rows that take a coefficient table to its
+    value and derivatives at t."""
+    k = np.arange(L)
+    out = np.zeros((count, *np.shape(t), L))
+    out[0] = np.asarray(t)[..., None] ** k
+    for d in range(1, count):
+        out[d, ..., d:] = k[d:] * out[d - 1, ..., d - 1 : -1]
+    return out
 
 
 # -- the solution near round data, to second order ----------------------------

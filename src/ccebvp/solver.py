@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +50,8 @@ STRETCH = 1.5
 INFINITY_ORDER = 26
 # fewest nodes a collocation mesh may have
 MIN_NODES = 4
+# intervals whose Jacobian blocks an assembly forms at a time
+BLOCK_CHUNK = 256
 # a solve converges when its first-integral drift is within DRIFT_GATE * tol
 DRIFT_GATE = 10.0
 # Newton steps a solve may take before it fails with "max iterations"
@@ -86,16 +89,23 @@ class Mesh:
     @functools.cached_property
     def collocation(self):
         """The collocation geometry at both Gauss points of every interval,
-        built on first use: the points x (2, N-1); the Hermite weights
-        stacked as (basis slot (ya, pa, yb, pb), value / d/dx / d2/dx2,
-        point, interval); the cell-width weight W = x(1-x^2)h as (2, N-1, 1);
-        and the y'' term W * (second-derivative weight) of each block's
-        diagonal, (2, N-1, 4)."""
+        built on first use (a Collocation)."""
         h = np.diff(self.nodes)
         x = self.nodes[:-1] + _GAUSS * h
-        wv, wd, ws = _hermite_weights(_GAUSS, h)  # rows are the four basis slots, each shaped as x
-        W = (x * (1.0 - x * x) * h)[..., None]
-        return x, np.stack([wv, wd, ws], axis=1), W, W * ws.transpose(1, 2, 0)
+        wts = np.stack(_hermite_weights(_GAUSS, h), axis=1)  # (basis slot, value / d/dx / d2/dx2, point, interval)
+        return Collocation(x, wts, x * (1.0 - x * x) * h, sysm.x_factors(x.ravel()))
+
+
+class Collocation(NamedTuple):
+    """A mesh's collocation geometry, every array shaped (..., point,
+    interval) over the two Gauss points of each interval."""
+
+    x: np.ndarray  # (2, N-1)
+    # Hermite weights (basis slot (ya, pa, yb, pb), value / d/dx / d2/dx2, ...)
+    wts: np.ndarray
+    # the cell-width weight x(1-x^2)h of the collocation rows
+    W: np.ndarray
+    xf: tuple  # systems.x_factors of the points, flattened
 
 
 def make_mesh(num) -> Mesh:
@@ -315,18 +325,23 @@ def assemble_collocation(
     scR = series_infinity(bd.kind, bd.n, INFINITY_ORDER, guess.infinity_free, tangents=want_jac)
     yR, ypR, jacR = evaluate_closure(scR, xs[-1])
 
-    # --- collocation rows at both Gauss points: arrays (point, interval, ...);
-    # the cell-width weighting W keeps the 1/h^2 roundoff of the Hermite
-    # second derivative out of the residual norm (defect-integral scaling)
-    x, wts, W, dypp = mesh.collocation
-    parts = [y[:, :-1].T, yp[:, :-1].T, y[:, 1:].T, yp[:, 1:].T]
-    state = wts[0, ..., None] * parts[0]  # (Y, Y', Y'') of every point
+    # --- collocation rows at both Gauss points, unknown-major: arrays (...,
+    # point, interval); the cell-width weighting W keeps the 1/h^2 roundoff
+    # of the Hermite second derivative out of the residual norm
+    # (defect-integral scaling)
+    col = mesh.collocation
+    parts = (y[:, :-1], yp[:, :-1], y[:, 1:], yp[:, 1:])
+    state = col.wts[0, :, None] * parts[0][:, None]  # (Y, Y', Y'') of every unknown, (3, m, 2, N-1)
     for s in range(1, 4):
-        state += wts[s, ..., None] * parts[s]
-    Y, Yp, Ypp = state
+        state += col.wts[s, :, None] * parts[s][:, None]
+    rows = sysm._template_rows(fam, col.xf, *state.reshape(3, m, -1), m, jac=want_jac)
+    res = (rows[0] if want_jac else rows).reshape(m, 2, N - 1)
+    lo, hi = 2 * m - 1, 2 * m - 1 + 2 * m * (N - 1)  # the collocation rows
+    F = np.empty(hi + 2 * m)
+    F[:m], F[m:lo] = y[:, 0] - yL, (yp[:, 0] - ypL)[1:]
     # rows in (interval, Gauss point, equation) order; the origin's y1' match (row m) is shed
-    Fc = (sysm.evo_residuals(fam, x, Y, Yp, Ypp) * W).transpose(1, 0, 2)
-    F = np.concatenate([y[:, 0] - yL, (yp[:, 0] - ypL)[1:], Fc.ravel(), y[:, -1] - yR, yp[:, -1] - ypR])
+    np.multiply(res, col.W, out=F[lo:hi].reshape(N - 1, 2, m).T)
+    F[hi : hi + m], F[hi + m :] = y[:, -1] - yR, yp[:, -1] - ypR
     if not want_jac:
         return F, None
 
@@ -335,14 +350,23 @@ def assemble_collocation(
     J = np.empty(ni + 2 * m * (m - 1))
     J[:no], J[ni:] = np.delete(-jacL, m, axis=0).ravel(), -jacR.ravel()
     J[:no].reshape(2 * m - 1, m)[:, 1:] *= XL**-bd.n  # the unknowns are c * XL^n (_pack)
-    # the blocks, written in place as (point, interval, equation, basis slot (ya, pa, yb, pb), unknown)
-    Jc = J[no:ni].reshape(N - 1, 2, m, 4, m).transpose(1, 0, 2, 3, 4)
-    dy, dyp = (d * W[..., None] for d in sysm.evo_jacobian(fam, x, Y, Yp))
-    for s in range(4):  # one slot at a time keeps the temporaries a quarter of the blocks
-        np.multiply(dy, wts[s, 0, ..., None, None], out=Jc[..., s, :])
-        Jc[..., s, :] += dyp * wts[s, 1, ..., None, None]
-    for k in range(m):
-        Jc[:, :, k, :, k] += dypp
+    # the blocks as (equation, basis slot (ya, pa, yb, pb), unknown, point,
+    # interval) products with the W-weighted Hermite weights, BLOCK_CHUNK
+    # intervals at a time so that their temporaries stay in cache, each
+    # chunk written into J's order (interval, point, equation, slot,
+    # unknown) by one transposing copy; the evolution rows' identity y''
+    # partial enters each block's diagonal as W * (second-derivative weight)
+    dy, dyp = (d.reshape(m, m, 2, N - 1) for d in rows[1:])
+    del state, rows, res  # freed before the blocks, which set the assembly's peak memory
+    Jc = J[no:ni].reshape(N - 1, 2, m, 4, m)
+    k = np.arange(m)
+    for a in range(0, N - 1, BLOCK_CHUNK):
+        c = slice(a, a + BLOCK_CHUNK)
+        Wwts = col.W[..., c] * col.wts[..., c]
+        blocks = dy[:, None, ..., c] * Wwts[:, 0, None]
+        blocks += dyp[:, None, ..., c] * Wwts[:, 1, None]
+        blocks[k, :, k] += Wwts[:, 2]
+        Jc[c] = blocks.transpose(4, 3, 0, 1, 2)
     return F, J
 
 

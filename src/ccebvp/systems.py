@@ -19,9 +19,11 @@ combinations of the y_j, and the first integral is
 
 Family.eqs holds one entry (u, Q_i, F_i) per template equation: eq 1 (the
 quadratic y1 equation), the phi equations and eq 2 (the sourced y1
-equation).  One evaluator reads it for every evolution row and its
-Jacobian, the constraint takes R and S from it, and the endpoint series
-recursions take their closing rows' quadratic forms and sources from it.
+equation).  Family stacks these entries once into row tables, and one
+evaluator reads them for every row at once: the evolution rows, their
+Jacobian, and any single template equation.  The constraint takes R and S
+from the entries, and the endpoint series recursions take their closing
+rows' quadratic forms and sources from them.
 """
 
 from __future__ import annotations
@@ -126,7 +128,9 @@ class Family:
     equations, m the sourced y1 equation (eq 2).  evo_rows names the
     equation of each evolution row: rows 1..m-1 are the phi equations and
     row 0 is eq 1 for the generalized Berger family and eq 2 for SU (the
-    form whose source term feeds the origin curvature identity).
+    form whose source term feeds the origin curvature identity).  The row_*
+    and src_* tables stack the equations in the order of row_of (the
+    evolution rows, then the other y1 equation) for _template_rows.
     """
 
     def __init__(self, kind: SystemKind, n: int):
@@ -162,6 +166,33 @@ class Family:
         self.cphi = 2.0 * n / (n - 1.0)
         self.rmat = np.zeros((m, m))
         self.rmat[1:, 1:] = self.cphi * self.eqs[0].quad[1:, 1:]
+
+        # the stacked row tables of _template_rows: every template equation,
+        # the evolution rows first, then the other y1 equation
+        rows = [*self.evo_rows, next(i for i in (0, m) if i not in self.evo_rows)]
+        self.row_of = {i: r for r, i in enumerate(rows)}
+        self.row_unknown = np.array([self.eqs[i].unknown for i in rows])
+        self.row_sing = self.sing[rows, :, None]  # (a, b) of each row, against the points
+        quads = np.stack([self.eqs[i].quad for i in rows])
+        self.row_quad = np.concatenate(quads, axis=1)  # (m, rows*m): y'^T Q of every row
+        # d/dy' of the evolution rows' quadratic forms, as (row, y' partial) by y'
+        self.evo_dquad = (quads[:m] + quads[:m].transpose(0, 2, 1)).reshape(m * m, m)
+        # one source table: every row's exponent rows in turn (T, m), each
+        # row's weights on its own span of them, and the evolution rows' y
+        # partials as (row, y partial) by term: each weight times its
+        # exponent row
+        srcs = [self.eqs[i].src for i in rows]
+        self.src_vT = np.concatenate([v for _, v in filter(None, srcs)]).T.copy()
+        self.src_spans, T = [], 0
+        for src in srcs:
+            self.src_spans.append(src and (T, T + len(src[0]), src[0]))
+            T += len(src[0]) if src else 0
+        dy = np.zeros((m, m, T))
+        for r, span in enumerate(self.src_spans[:m]):
+            if span:
+                a, b, w = span
+                dy[r, :, a:b] = w * self.src_vT[:, a:b]
+        self.src_dy = dy.reshape(m * m, T)
 
 
 def _source_tables(fam: str, n: int):
@@ -232,19 +263,64 @@ def _source_term(src, x, y):
     return np.exp(y @ v.T) @ w / (1.0 - x * x) ** 2
 
 
-def _source_term_jac(src, x, y):
-    """Partial of _source_term w.r.t. y, shaped (..., m)."""
-    w, v = src
-    x = np.asarray(x, dtype=float)
-    return np.exp(y @ v.T) @ (w[:, None] * v) / np.asarray((1.0 - x * x) ** 2)[..., None]
+def x_factors(x):
+    """The x-only factors of the template rows at x: x, x(1-x^2) and (1-x^2)^2."""
+    return x, x * (1.0 - x * x), (1.0 - x * x) ** 2
+
+
+def _template_rows(fam, xf, y, yp, ypp, rows, jac=False):
+    """The first `rows` stacked template equations (fam.row_of: the
+    evolution rows, then the other y1 equation) at once, from unknown-major
+    states (m, P) at P points with x-only factors xf (x_factors): the
+    residuals (rows, P); with jac also the evolution rows' partials w.r.t. y
+    and y', each (m, m, P) as (row, unknown, point).
+
+    Each row is y_u'' - (a + b x^2)/(x(1-x^2)) y_u' + y'^T Q y' + (its
+    source sum)/(1-x^2)^2, summed in that order, so each row is what its
+    template equation gives alone, whichever rows are evaluated: one
+    product takes y' to y'^T Q of every row, one exp makes every row's
+    exponential terms, and each row sums its own span of them.  Its integer
+    weights thus cancel exactly at the zero state.  The partials take one
+    product each: the weighted exponent rows with the exponentials, and the
+    quadratic forms' gradients with y'."""
+    m, P = y.shape
+    x, den, g2 = xf
+    Qyp = (fam.row_quad[:, : rows * m].T @ yp).reshape(rows, m, P)  # (y'^T Q)_j of every row
+    q = Qyp[:, 0] * yp[0] + 0.0  # the sum over j from +0.0, as np.sum takes it
+    for j in range(1, m):
+        q += Qyp[:, j] * yp[j]
+    del Qyp
+    sing = (fam.row_sing[:rows, 0] + fam.row_sing[:rows, 1] * x * x) / den
+    res = ypp[fam.row_unknown[:rows]] - sing * yp[fam.row_unknown[:rows]]
+    res += q
+    spans = fam.src_spans[:rows]
+    E = np.exp(y.T @ fam.src_vT[:, : max((s[1] for s in spans if s), default=0)])  # (P, terms)
+    for r, span in enumerate(spans):
+        if span is not None:
+            res[r] += E[:, span[0] : span[1]] @ span[2] / g2
+    if not jac:
+        return res
+    dy = fam.src_dy[:, : E.shape[1]] @ E.T
+    del E
+    dy /= g2
+    dyp = (fam.evo_dquad @ yp).reshape(m, m, P)
+    dyp[np.arange(m), fam.row_unknown[:m]] -= sing[:m]
+    return res, dy.reshape(m, m, P), dyp
+
+
+def _unknown_major(x, *arrays):
+    """x_factors(x) and the arrays (..., m) as views (m, P), all broadcast
+    to one point shape of P points, and that shape."""
+    shape = np.broadcast_shapes(np.shape(x), arrays[0].shape[:-1])
+    x = np.broadcast_to(np.asarray(x, dtype=float), shape).reshape(-1)
+    out = [np.broadcast_to(a, shape + a.shape[-1:]).reshape(-1, a.shape[-1]).T for a in arrays]
+    return shape, x_factors(x), *out
 
 
 def equation_residual(fam, i, x, y, yp, ypp):
     """Residual of template equation i (indexed as fam.eqs)."""
-    eq = fam.eqs[i]
-    u = eq.unknown
-    r = ypp[..., u] - _sing_coeff(*fam.sing[i], x) * yp[..., u] + np.sum((yp @ eq.quad) * yp, axis=-1)
-    return r if eq.src is None else r + _source_term(eq.src, x, y)
+    shape, *args = _unknown_major(x, y, yp, ypp)
+    return _template_rows(fam, *args, fam.m + 1)[fam.row_of[i]].reshape(shape)
 
 
 def constraint_residual(fam, x, y, yp):
@@ -258,20 +334,15 @@ def constraint_residual(fam, x, y, yp):
 def evo_residuals(fam, x, y, yp, ypp):
     """Per-unknown evolution residuals, stacked on the last axis: row r is
     template equation fam.evo_rows[r]."""
-    return np.stack([equation_residual(fam, i, x, y, yp, ypp) for i in fam.evo_rows], axis=-1)
+    shape, *args = _unknown_major(x, y, yp, ypp)
+    return _template_rows(fam, *args, fam.m).T.reshape(*shape, fam.m)
 
 
 def evo_jacobian(fam, x, y, yp):
     """Partials of evo_residuals w.r.t. (y, yp): two (..., m, m) arrays.
     Every row is y_u'' plus terms in (x, y, y'), so the ypp partial is the
     identity and is not returned; the collocation assembly adds it."""
-    shape = np.broadcast_shapes(np.shape(x), y.shape[:-1])
-    dy, dyp = np.zeros((2, *shape, fam.m, fam.m))
-    for r, i in enumerate(fam.evo_rows):
-        eq = fam.eqs[i]
-        if eq.src is not None:
-            dy[..., r, :] = _source_term_jac(eq.src, x, y)
-        dyp[..., r, :] = yp @ (eq.quad + eq.quad.T)
-        dyp[..., r, eq.unknown] -= _sing_coeff(*fam.sing[i], x)
-    return dy, dyp
-
+    shape, xf, y, yp = _unknown_major(x, y, yp)
+    _, dy, dyp = _template_rows(fam, xf, y, yp, yp, fam.m, jac=True)
+    m = fam.m
+    return dy.transpose(2, 0, 1).reshape(*shape, m, m), dyp.transpose(2, 0, 1).reshape(*shape, m, m)

@@ -9,8 +9,9 @@ from math import comb
 
 import numpy as np
 
-from ccebvp.series import TRUST_RADIUS, SeriesCoefficients, _pderiv
-from ccebvp.systems import GBERGER, SU, DomainError, _sing_coeff, _source_term, _source_term_jac, family
+from ccebvp.series import TRUST_RADIUS, SeriesCoefficients, evaluate_closure, fg_series_origin, power_vectors, series_infinity
+from ccebvp.solver import _GAUSS, INFINITY_ORDER, XL, _hermite_weights, origin_order
+from ccebvp.systems import GBERGER, SU, DomainError, _sing_coeff, _source_term, family
 
 
 class InfeasibleStateError(DomainError):
@@ -26,11 +27,8 @@ def _eval_table(table, t, dsign):
     dsign = -1 converts d/du into d/dx for the infinity series; the second
     derivative is sign-free either way.
     """
-    t = np.asarray(t)
-    d1 = _pderiv(table)
-    d2 = _pderiv(d1)
-    powers = t[..., None] ** np.arange(table.shape[-1])
-    y, yp, ypp = (powers @ np.swapaxes(a, -1, -2) for a in (table, d1, d2))
+    powers = power_vectors(t, table.shape[-1], 3)
+    y, yp, ypp = (p @ np.swapaxes(table, -1, -2) for p in powers)
     return y, dsign * yp, ypp
 
 
@@ -52,6 +50,13 @@ def evaluate_series(sc: SeriesCoefficients, x):
 # -- pointwise closed forms ----------------------------------------------------
 
 
+def _source_term_jac(src, x, y):
+    """Partial of systems._source_term w.r.t. y, shaped (..., m)."""
+    w, v = src
+    x = np.asarray(x, dtype=float)
+    return np.exp(y @ v.T) @ (w[:, None] * v) / np.asarray((1.0 - x * x) ** 2)[..., None]
+
+
 def constraint_jacobian(fam, x, y, yp):
     """Partials of the first integral w.r.t. (y, yp), each (..., m); it does
     not depend on y''."""
@@ -59,6 +64,73 @@ def constraint_jacobian(fam, x, y, yp):
     dyp = -2.0 * (yp @ fam.rmat)
     dyp[..., 0] += 2.0 * yp[..., 0] - 4.0 * fam.n * _sing_coeff(1.0, 1.0, x)
     return dy, dyp
+
+
+# -- the collocation rows, one template equation at a time ----------------------
+#
+# The readable form of what systems._template_rows and
+# solver.assemble_collocation compute at once: each template equation
+# evaluated alone on point-major arrays (..., m), and the interval blocks
+# written one basis slot at a time.
+
+
+def equation_residual(fam, i, x, y, yp, ypp):
+    """Residual of template equation i (indexed as fam.eqs), alone."""
+    eq = fam.eqs[i]
+    u = eq.unknown
+    r = ypp[..., u] - _sing_coeff(*fam.sing[i], x) * yp[..., u] + np.sum((yp @ eq.quad) * yp, axis=-1)
+    return r if eq.src is None else r + _source_term(eq.src, x, y)
+
+
+def evo_residuals(fam, x, y, yp, ypp):
+    """The evolution rows (fam.evo_rows), stacked on the last axis."""
+    return np.stack([equation_residual(fam, i, x, y, yp, ypp) for i in fam.evo_rows], axis=-1)
+
+
+def evo_jacobian(fam, x, y, yp):
+    """Partials of evo_residuals w.r.t. (y, yp), each (..., m, m), row by row."""
+    shape = np.broadcast_shapes(np.shape(x), y.shape[:-1])
+    dy, dyp = np.zeros((2, *shape, fam.m, fam.m))
+    for r, i in enumerate(fam.evo_rows):
+        eq = fam.eqs[i]
+        if eq.src is not None:
+            dy[..., r, :] = _source_term_jac(eq.src, x, y)
+        dyp[..., r, :] = yp @ (eq.quad + eq.quad.T)
+        dyp[..., r, eq.unknown] -= _sing_coeff(*fam.sing[i], x)
+    return dy, dyp
+
+
+def reference_assembly(bd, mesh, guess):
+    """(F, J) of solver.assemble_collocation, with the collocation rows
+    evaluated by the row-by-row evaluators above and each interval block
+    written one basis slot at a time, in point-major arrays (point,
+    interval, ...)."""
+    fam = family(bd.kind, bd.n)
+    m, N = fam.m, mesh.n_nodes
+    xs, y, yp = mesh.nodes, guess.y, guess.yp
+    scL = fg_series_origin(bd, guess.free, origin_order(bd.n), log_k0=guess.k0var, tangents=True)
+    yL, ypL, jacL = evaluate_closure(scL, xs[0])
+    scR = series_infinity(bd.kind, bd.n, INFINITY_ORDER, guess.infinity_free, tangents=True)
+    yR, ypR, jacR = evaluate_closure(scR, xs[-1])
+    h = np.diff(xs)
+    x = xs[:-1] + _GAUSS * h
+    wts = np.stack([np.array(w) for w in _hermite_weights(_GAUSS, h)], axis=1)  # (slot, value / d / d2, point, interval)
+    W = (x * (1.0 - x * x) * h)[..., None]
+    parts = [y[:, :-1].T, yp[:, :-1].T, y[:, 1:].T, yp[:, 1:].T]
+    Y, Yp, Ypp = (sum(wts[s, k, ..., None] * parts[s] for s in range(4)) for k in range(3))
+    Fc = (evo_residuals(fam, x, Y, Yp, Ypp) * W).transpose(1, 0, 2)
+    F = np.concatenate([y[:, 0] - yL, (yp[:, 0] - ypL)[1:], Fc.ravel(), y[:, -1] - yR, yp[:, -1] - ypR])
+    no, ni = (2 * m - 1) * m, (2 * m - 1) * m + 8 * m * m * (N - 1)
+    J = np.empty(ni + 2 * m * (m - 1))
+    J[:no], J[ni:] = np.delete(-jacL, m, axis=0).ravel(), -jacR.ravel()
+    J[:no].reshape(2 * m - 1, m)[:, 1:] *= XL**-bd.n
+    Jc = J[no:ni].reshape(N - 1, 2, m, 4, m).transpose(1, 0, 2, 3, 4)
+    dy, dyp = (d * W[..., None] for d in evo_jacobian(fam, x, Y, Yp))
+    for s in range(4):
+        Jc[..., s, :] = dy * wts[s, 0, ..., None, None] + dyp * wts[s, 1, ..., None, None]
+        for k in range(m):
+            Jc[:, :, k, s, k] += W[..., 0] * wts[s, 2]
+    return F, J
 
 
 def upsilon(K, phi1, phi2):

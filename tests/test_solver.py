@@ -3,11 +3,14 @@ module runs the production-size cases)."""
 
 import ast
 import ctypes
+import gc
 import inspect
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
@@ -1073,3 +1076,56 @@ class TestScalingAndExtras:
         from ccebvp.verification import run_verification
 
         assert run_verification(prof).overall_pass
+
+
+class TestReferenceAssembly:
+    """assemble_collocation against oracles.reference_assembly: the
+    collocation rows evaluated one template equation at a time and the
+    interval blocks written one basis slot at a time."""
+
+    @pytest.mark.parametrize("bd", [BoundaryData(SU, 3, (1.5,)), BoundaryData(SU, 5, (0.8,)),
+                                    BoundaryData(SU, 7, (2.0,)), BoundaryData(GBERGER, 3, (0.95, 1.02))],
+                             ids=["su3", "su5", "su7", "gberger"])
+    def test_matches_at_the_seed_and_at_the_root(self, bd):
+        from oracles import reference_assembly
+
+        opts = SolveOptions(grid=768, tol=1e-10, refine_rounds=0)
+        solved, rep = solve_bvp(bd, opts)
+        assert rep.converged
+        for prof in (seed_profile(bd, make_mesh(768), opts), solved):
+            F, J = assemble_collocation(bd, prof.mesh, prof)
+            Fr, Jr = reference_assembly(bd, prof.mesh, prof)
+            assert np.abs(F - Fr).max() <= 1e-13
+            assert np.abs(J - Jr).max() <= 1e-14 * np.abs(Jr).max()
+            # a residual-only assembly takes the same collocation rows (the
+            # origin rows' table comes from the plain recursion, not the
+            # complex-step one)
+            lo = 2 * bd.kind.unknowns - 1
+            assert np.array_equal(assemble_collocation(bd, prof.mesh, prof, want_jac=False)[0][lo:], F[lo:])
+
+
+class TestAssemblyMemory:
+    """The bench bounds peak RSS at 10%: an assembly's temporaries stay a few
+    Jacobians, and nothing outside a profile keeps its mesh alive."""
+
+    @pytest.mark.parametrize("bd", [BoundaryData(SU, 5, (0.8,)), BoundaryData(GBERGER, 3, (0.95, 1.02))],
+                             ids=["su5", "gberger"])
+    def test_peak_is_a_few_jacobians(self, bd):
+        mesh = make_mesh(1017)
+        guess = seed_profile(bd, mesh, SolveOptions())
+        assemble_collocation(bd, mesh, guess)  # the mesh geometry and the series operators, built once
+        tracemalloc.start()
+        try:
+            _, J = assemble_collocation(bd, mesh, guess)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * J.nbytes
+
+    def test_no_cache_keeps_a_mesh(self):
+        prof, rep = solve_bvp(BoundaryData(SU, 5, (0.8,)), SolveOptions())
+        assert rep.converged
+        mesh = weakref.ref(prof.mesh)  # its collocation geometry was built by the solve
+        del prof
+        gc.collect()
+        assert mesh() is None

@@ -20,6 +20,7 @@ from ccebvp.systems import (
     family,
 )
 
+import oracles
 from oracles import InfeasibleStateError, constraint_jacobian, upsilon, y1prime_closed_form_gb
 
 
@@ -220,6 +221,40 @@ class TestTemplateEquations:
         evo = S.evo_residuals(fam, x, y, yp, ypp)
         for r, i in enumerate(fam.evo_rows):
             assert np.array_equal(evo[:, r], S.equation_residual(fam, i, x, y, yp, ypp))
+
+
+class TestLayout:
+    """The evaluators read (..., m) arrays in any memory layout: C-ordered, or
+    the transposed views of unknown-major arrays that the assembly passes."""
+
+    @pytest.mark.parametrize("kind,n", [(GBERGER, 3), (SU, 3), (SU, 5), (SU, 7)])
+    def test_layout_proof(self, kind, n):
+        fam = family(kind, n)
+        rng = np.random.RandomState(11)
+        x = rng.uniform(0.05, 0.95, 40)
+        views = list(rng.uniform(-0.5, 0.5, (3, fam.m, 40)).copy())  # unknown-major, then viewed as (40, m)
+        views = [a.T for a in views]
+        c_ordered = [np.ascontiguousarray(a) for a in views]
+        assert not views[0].flags.c_contiguous and c_ordered[0].flags.c_contiguous
+        assert np.array_equal(S.evo_residuals(fam, x, *views), S.evo_residuals(fam, x, *c_ordered))
+        for a, b in zip(S.evo_jacobian(fam, x, *views[:2]), S.evo_jacobian(fam, x, *c_ordered[:2])):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind,n", [(GBERGER, 3), (SU, 3), (SU, 5), (SU, 7)])
+    def test_rows_are_the_readable_rows(self, kind, n):
+        # each stacked row is its template equation alone, bit for bit (the
+        # y'' that cce export derives and the first integral's source term
+        # depend on it); the partials agree to roundoff
+        fam = family(kind, n)
+        rng = np.random.RandomState(13)
+        x = rng.uniform(0.05, 0.95, 40)
+        y, yp, ypp = rng.uniform(-0.5, 0.5, (3, 40, fam.m))
+        assert np.array_equal(S.evo_residuals(fam, x, y, yp, ypp), oracles.evo_residuals(fam, x, y, yp, ypp))
+        for i in range(fam.m + 1):
+            assert np.array_equal(S.equation_residual(fam, i, x, y, yp, ypp),
+                                  oracles.equation_residual(fam, i, x, y, yp, ypp))
+        for a, b in zip(S.evo_jacobian(fam, x, y, yp), oracles.evo_jacobian(fam, x, y, yp)):
+            np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-14 * np.abs(b).max())
 
 
 class TestConservation:
